@@ -10,6 +10,20 @@ times can differ from the scalar engine in the last ulp because numpy's
 vector log and libm may round differently; counts, event counts, and stop
 reasons never differ.
 
+Lanes may carry their own rate constants (``rates``). A lane whose rate for
+a reaction is 0 follows, draw for draw, the trajectory of the CRN without
+that reaction: the reaction's propensity is 0, so the left-to-right exit
+rate gains only ``+0.0``, and since the choice threshold ``u * total`` never
+exceeds ``total`` the reaction is never picked once the running sum has
+reached it. This is what lets one batch hold the lanes of a game and of its
+baseline with the opponents removed (see :mod:`crngame.game`).
+
+The step works in place on per-species rows: counts are stored as
+(species, lanes), propensities go into preallocated rows that are then
+turned into their running sum, and the fired reaction's change is applied
+to every species at once. Every live lane fires once per step, so one step
+counter stands for every live lane's event count.
+
 The batch engine supports no general observers; its one stop hook is
 "a watched species count reached zero", which is what final-state
 utilities need. Anything richer belongs on the scalar engine.
@@ -31,6 +45,7 @@ _REASON_CODES = (
     StopReason.EVENT_CEILING,
     StopReason.EARLY_STOP,
 )
+_TERMINAL, _TIME, _CEILING, _EARLY = range(4)
 
 
 @dataclass
@@ -43,16 +58,82 @@ class BatchOutcome:
     elapsed: np.ndarray  # (trials,) float64
 
 
+class _Kinetics(object):
+    """Mass-action propensities of one CRN over (species, lanes) rows.
+
+    Reaction ``r``'s propensity is ``kv * c0 * (c0 - 1) * ... * c1 * ...``
+    with the factors in species order, as in the scalar engine. Falling
+    factors ``c - m`` (m >= 1) are computed once per step into ``shifted``.
+    ``change`` maps the "running sum below threshold" rows to the count
+    change of the fired reaction: row 0 is reaction 0's change and row r the
+    difference between reactions r and r - 1, so summing the rows of lanes
+    whose running sum r-1 was still below the threshold gives each lane the
+    change of its chosen reaction.
+    """
+
+    def __init__(self, crn: Crn):
+        self.size = len(crn.reactions)
+        self.pairs = sorted({(si, m) for r in crn.reactions
+                             for si, need in enumerate(r.reactants)
+                             for m in range(1, need)})
+        slot = {pair: k for k, pair in enumerate(self.pairs)}
+        # per reaction: factors as ("c", species) or ("s", shifted row)
+        self.factors = [
+            [("c", si) if m == 0 else ("s", slot[si, m])
+             for si, need in enumerate(r.reactants) for m in range(need)]
+            for r in crn.reactions
+        ]
+        deltas = np.array([r.delta for r in crn.reactions], dtype=np.float64) \
+            .reshape(self.size, len(crn.species))
+        steps = deltas.copy()
+        steps[1:] -= deltas[:-1]
+        self.change = np.ascontiguousarray(steps.T)  # (species, reactions)
+
+
+class _StepRows(object):
+    """Preallocated rows for one set of live lanes, and the propensity
+    computation over them as a flat list of in-place ufunc calls."""
+
+    def __init__(self, kin: _Kinetics, counts: np.ndarray, kv: np.ndarray):
+        width = counts.shape[1]
+        self.counts = counts
+        self.props = props = np.empty((kin.size, width))
+        shifted = np.empty((len(kin.pairs), width))
+        # row 0 is constant 1; rows r >= 1 hold "running sum r-1 < threshold"
+        self.below = np.ones((kin.size, width))
+        self.change = np.empty((counts.shape[0], width))
+        self.low = np.empty(width)
+        ops = [(np.subtract, counts[si], float(m), shifted[k])
+               for k, (si, m) in enumerate(kin.pairs)]
+        for ri, factors in enumerate(kin.factors):
+            rows = [counts[i] if kind == "c" else shifted[i] for kind, i in factors]
+            ops.append((np.multiply, kv[ri], rows[0] if rows else 1.0, props[ri]))
+            ops.extend((np.multiply, props[ri], row, props[ri]) for row in rows[1:])
+        # the left-to-right running sum, in place; the last row is the exit rate
+        ops.extend((np.add, props[ri - 1], props[ri], props[ri])
+                   for ri in range(1, kin.size))
+        self.ops = ops
+
+    def propensities(self) -> np.ndarray:
+        """Running sums of the propensities; the last row is the exit rate."""
+        for ufunc, a, b, out in self.ops:
+            ufunc(a, b, out)
+        return self.props
+
+
 def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
                    rng: XoshiroBatch,
-                   stop_when_zero: tuple[int, ...] = ()) -> BatchOutcome:
+                   stop_when_zero: tuple[int, ...] = (),
+                   rates: np.ndarray | None = None) -> BatchOutcome:
     """Simulate one trial per row of ``initial_states``.
 
     ``rng`` carries one stream per trial, already advanced past any
     initial-state sampling. ``stop_when_zero`` lists species indices; a
     trial stops with EARLY_STOP as soon as any listed count is zero
     (checked on the initial state and after every event), mirroring a
-    zero-count monitor observer on the scalar engine.
+    zero-count monitor observer on the scalar engine. ``rates``, a
+    (trials, reactions) array, replaces the CRN's rate constants lane by
+    lane; a rate of 0 removes the reaction from that lane.
     """
     initial_states = np.asarray(initial_states, dtype=np.int64)
     if initial_states.ndim != 2 or initial_states.shape[1] != len(crn.species):
@@ -62,18 +143,21 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     trials = initial_states.shape[0]
     if rng.size != trials:
         raise CrnError("rng lane count does not match trial count")
-
     nrxn = len(crn.reactions)
+    if rates is None:
+        rates = np.tile([r.rate_constant for r in crn.reactions], (trials, 1))
+    rates = np.asarray(rates, dtype=np.float64)
+    if rates.shape != (trials, nrxn):
+        raise CrnError("rates must be (trials, reactions)")
+    if not (rates >= 0.0).all():
+        raise CrnError("rates must be nonnegative")
+
     volume = config.volume
-    kv = [r.rate_constant * volume ** (1 - r.arity) for r in crn.reactions]
-    terms = [
-        tuple((i, need) for i, need in enumerate(r.reactants) if need)
-        for r in crn.reactions
-    ]
-    deltas = np.array([r.delta for r in crn.reactions], dtype=np.float64) \
-        if nrxn else np.zeros((0, len(crn.species)))
+    scale = np.array([volume ** (1 - r.arity) for r in crn.reactions])
     max_time = config.max_time if config.max_time is not None else float("inf")
     ceiling = config.event_ceiling
+    kin = _Kinetics(crn)
+    watch = tuple(stop_when_zero)
 
     out_states = np.empty_like(initial_states)
     out_reasons = np.empty(trials, dtype=np.int64)
@@ -83,106 +167,95 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     # Live arrays hold only still-running trials; idx maps lanes back to
     # trial indices. Counts are exact small integers stored as float64.
     idx = np.arange(trials)
-    counts = initial_states.astype(np.float64)
+    counts = np.ascontiguousarray(initial_states.T, dtype=np.float64)
+    kv = np.ascontiguousarray(rates.T * scale[:, None])
     t = np.zeros(trials)
-    ev = np.zeros(trials, dtype=np.int64)
+    step = 0  # events fired so far by every live lane
 
     def retire(mask: np.ndarray, reason_code: int, elapsed=None) -> None:
         done = mask.nonzero()[0]
         orig = idx[done]
-        out_states[orig] = counts[done].astype(np.int64)
+        out_states[orig] = counts[:, done].T
         out_reasons[orig] = reason_code
-        out_events[orig] = ev[done]
+        out_events[orig] = step
         out_elapsed[orig] = t[done] if elapsed is None else elapsed
 
     def compact(keep_mask: np.ndarray) -> None:
-        nonlocal idx, counts, t, ev, rng
+        nonlocal idx, counts, kv, t, rng
         keep = keep_mask.nonzero()[0]
         idx = idx[keep]
-        counts = counts[keep]
+        counts = np.ascontiguousarray(counts[:, keep])
+        kv = np.ascontiguousarray(kv[:, keep])
         t = t[keep]
-        ev = ev[keep]
         rng = rng.take(keep)
 
-    if stop_when_zero:
-        tripped = np.zeros(trials, dtype=bool)
-        for zi in stop_when_zero:
-            tripped |= counts[:, zi] == 0.0
-        if tripped.any():
-            retire(tripped, 3)
-            compact(~tripped)
+    def zero_watched() -> np.ndarray | None:
+        """Mask of lanes with a watched count at zero, or None if there are none."""
+        if not watch:
+            return None
+        low = counts[watch[0]]
+        if len(watch) > 1:
+            low = np.minimum(low, counts[watch[1]], out=rows.low)
+            for zi in watch[2:]:
+                np.minimum(low, counts[zi], out=low)
+        return low == 0.0 if low.min() == 0.0 else None
 
-    props = np.empty((nrxn, idx.size))
-    # numpy would warn on float overflow; it is detected via the isfinite
+    if not nrxn:
+        retire(np.ones(trials, dtype=bool), _TERMINAL)
+        compact(np.zeros(trials, dtype=bool))
+
+    rows = _StepRows(kin, counts, kv)
+    tripped = zero_watched()
+    if tripped is not None:
+        retire(tripped, _EARLY)
+        compact(~tripped)
+
+    # numpy would warn on float overflow; it is detected by the finiteness
     # check below and raised as NumericOverflowError, so silence the warning
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         while idx.size:
-            width = idx.size
-            if props.shape[1] != width:
-                props = np.empty((nrxn, width))
-            for ri in range(nrxn):
-                p = np.full(width, kv[ri])
-                for si, need in terms[ri]:
-                    col = counts[:, si]
-                    for m in range(need):
-                        p = p * (col - m)
-                props[ri] = p
-            if nrxn:
-                total = props[0].copy()
-                for ri in range(1, nrxn):
-                    total += props[ri]
-            else:
-                total = np.zeros(width)
-            if not np.isfinite(total).all():
-                _raise_overflow(props, total, idx)
+            if rows.counts is not counts:
+                rows = _StepRows(kin, counts, kv)
+            props = rows.propensities()
+            total = props[-1]
+            if not total.max() < np.inf:
+                _raise_overflow(kin, kv, counts, total, idx)
+            if total.min() == 0.0:
+                terminal = total == 0.0
+                retire(terminal, _TERMINAL)
+                compact(~terminal)
+                continue
 
-            terminal = total == 0.0
-            if terminal.any():
-                retire(terminal, 0)
-                keep = ~terminal
-                compact(keep)
-                props_keep = keep.nonzero()[0]
-                props = np.ascontiguousarray(props[:, props_keep])
-                total = total[props_keep]
-                if not idx.size:
-                    break
+            # Both draws of the step in one pass. A lane that runs out of
+            # time fires too, after it was retired; its stream is discarded.
+            sojourn, threshold = rng.next_u01(count=2)
+            np.log(sojourn, sojourn)
+            np.divide(sojourn, total, sojourn)  # -dt
+            done = None
+            if max_time != np.inf:
+                late = t - sojourn > max_time
+                if late.any():
+                    retire(late, _TIME, elapsed=max_time)
+                    done = late
+            np.subtract(t, sojourn, t)
+            np.multiply(threshold, total, threshold)
+            np.less(props[:-1], threshold, rows.below[1:])
+            np.matmul(kin.change, rows.below, rows.change)
+            np.add(counts, rows.change, counts)
+            step += 1
 
-            dt = -np.log(rng.next_u01()) / total
-            if max_time != float("inf"):
-                exceeded = t + dt > max_time
-                if exceeded.any():
-                    retire(exceeded, 1, elapsed=max_time)
-                    keep = ~exceeded
-                    compact(keep)
-                    keep_idx = keep.nonzero()[0]
-                    props = np.ascontiguousarray(props[:, keep_idx])
-                    total = total[keep_idx]
-                    dt = dt[keep_idx]
-                    if not idx.size:
-                        break
-            t += dt
-
-            threshold = rng.next_u01() * total
-            cum = props[0].copy()
-            chosen = (cum < threshold).astype(np.int64)
-            for ri in range(1, nrxn - 1):
-                cum += props[ri]
-                chosen += cum < threshold
-            np.minimum(chosen, nrxn - 1, out=chosen)
-            counts += deltas[chosen]
-            ev += 1
-
-            stopped = np.zeros(idx.size, dtype=bool)
-            if stop_when_zero:
-                for zi in stop_when_zero:
-                    stopped |= counts[:, zi] == 0.0
-            ceiled = (ev >= ceiling) & ~stopped
-            if stopped.any():
-                retire(stopped, 3)
-            if ceiled.any():
-                retire(ceiled, 2)
-            if stopped.any() or ceiled.any():
-                compact(~(stopped | ceiled))
+            stopped = zero_watched()
+            if stopped is not None:
+                if done is not None:
+                    stopped &= ~done
+                retire(stopped, _EARLY)
+                done = stopped if done is None else done | stopped
+            if step >= ceiling:
+                retire(np.ones(idx.size, dtype=bool) if done is None else ~done,
+                       _CEILING)
+                break
+            if done is not None:
+                compact(~done)
 
     return BatchOutcome(
         final_states=out_states,
@@ -192,9 +265,19 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     )
 
 
-def _raise_overflow(props: np.ndarray, total: np.ndarray, idx: np.ndarray):
+def _raise_overflow(kin: _Kinetics, kv: np.ndarray, counts: np.ndarray,
+                    total: np.ndarray, idx: np.ndarray):
+    """Name the first lane whose exit rate is not finite, and its first
+    non-finite propensity, recomputed factor by factor as in the step."""
     lane = int((~np.isfinite(total)).nonzero()[0][0])
-    bad = (~np.isfinite(props[:, lane])).nonzero()[0]
-    rxn = int(bad[0]) if bad.size else -1
+    col = counts[:, lane]
+    rxn = -1
+    for ri, factors in enumerate(kin.factors):
+        p = kv[ri, lane]
+        for kind, i in factors:
+            p = p * (col[i] if kind == "c" else col[kin.pairs[i][0]] - kin.pairs[i][1])
+        if not np.isfinite(p):
+            rxn = ri
+            break
     raise NumericOverflowError(
         rxn, f"trial {int(idx[lane])}: non-finite propensity in reaction {rxn}")

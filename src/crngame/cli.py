@@ -135,6 +135,11 @@ def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
         return os.cpu_count() or 1
     if value < 0:
         raise ConfigError("--threads must be >= 0")
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        print(f"warning: --threads {value} is more than the {cpus} CPUs; the "
+              f"workers will share them (results do not depend on the count)",
+              file=sys.stderr)
     return value
 
 

@@ -33,6 +33,10 @@ class NumericOverflowError(CrnError):
         self.reaction_index = reaction_index
         super().__init__(message or f"non-finite propensity in reaction {reaction_index}")
 
+    def __reduce__(self):
+        # keep both fields when the error crosses from a worker process
+        return (type(self), (self.reaction_index, str(self)))
+
 
 class SpeciesTable(object):
     """Ordered, de-duplicated registry of species identifiers."""

@@ -18,7 +18,8 @@ from .game import (
     ConditionResult,
     GameConfigError,
     RobustnessReport,
-    estimate_condition,
+    estimate_condition,  # noqa: F401  (perfbench/spans.py looks it up here)
+    estimate_conditions,
     estimate_robustness,
     infer_catalytic_partition,
     validate_catalytic,
@@ -124,7 +125,7 @@ def check_catalytic(config: ExperimentConfig) -> list[str]:
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepOutput:
-    """Run both arms for every accepted condition.
+    """Run both arms for every accepted condition, all in one lane pool.
 
     Per-condition failures land in that row's ``error`` column and the run
     continues; configuration-level errors (bad species names, catalytic
@@ -134,21 +135,17 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepOutput:
     if violations:
         raise GameConfigError(
             "catalytic validation failed: " + "; ".join(violations))
-    player = config.main_player()
-    opponents = config.opponent_players()
-    conditions = config.conditions()
-    sim = config.sim_config()
+    results = estimate_conditions(
+        config.main_player(), config.opponent_players(), config.conditions(),
+        config.trials, config.sim_config(), confidence=config.confidence,
+        engine=config.engine, workers=workers)
     rows: list[SweepRow] = []
-    for ci, (d, condition) in enumerate(zip(config.accepted_diffs(), conditions)):
-        try:
-            result = estimate_condition(
-                player, opponents, condition, ci, config.trials, sim,
-                confidence=config.confidence, engine=config.engine,
-                workers=workers)
-            rows.append(SweepRow.from_condition(d, config.total, result))
-        except CrnError as exc:
+    for d, result in zip(config.accepted_diffs(), results):
+        if isinstance(result, CrnError):
             rows.append(SweepRow(d=d, n=config.total, trials=config.trials,
-                                 error=str(exc)))
+                                 error=str(result)))
+        else:
+            rows.append(SweepRow.from_condition(d, config.total, result))
     return SweepOutput(config, rows)
 
 

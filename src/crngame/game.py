@@ -11,6 +11,12 @@ expected utility with the opponents present to its expected utility when
 every opponent is replaced by the empty CRN with the empty initial
 distribution. A strategy clearing ratio ``a`` on every tested condition is
 evidence of ``a``-robustness against that opponent profile.
+
+With the batch engine, all trials of every arm of every condition run as
+one lockstep lane pool (:func:`_run_pool`), dealt round-robin to the
+workers. The baseline game is a prefix of the game with the opponents, so
+its lanes run on that game's CRN with the opponents' rates set to 0, and
+every lane stays bit-identical to a batch of its own game alone.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .ssa import (
     ZeroCountMonitor,
     run_trials,
 )
-from .batch import simulate_batch
+from .batch import BatchOutcome, simulate_batch
 from .stats import ratio_bounds, wilson_interval
 
 
@@ -413,54 +419,112 @@ class _GameStateSampler(object):
         return sample_initial_state(self.game, rng)
 
 
-def _batch_chunk(args):
-    game, config, seeds, watch = args
-    rng = XoshiroBatch(np.asarray(seeds, dtype=np.uint64))
-    inits = sample_initial_states(game, rng)
-    outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=watch)
-    return inits, outcome
+# Most lanes in one batch call. It bounds the memory of a call (a few hundred
+# bytes per lane) on sweeps of millions of trials, whose slices then hold
+# lanes of few arms each; the shipped default and point sweeps fit in one
+# slice per worker.
+_SLICE_LANES = 1 << 14
 
 
-def _run_takeover_batch(game: ComposedGame, spec: TakeoverSuccess,
-                        config: SimConfig, trials: int,
-                        workers: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized trials; returns (success flags, truncation flags)."""
-    xi = game.species_index(spec.x_species)
-    yi = game.species_index(spec.y_species)
-    watch = (xi, yi)
-    seeds = [child_seed(config.seed, j) for j in range(trials)]
+@dataclass(frozen=True)
+class _Arm:
+    """One estimated arm: a game, and the seed whose child ``j`` drives trial ``j``."""
 
-    chunk = trials if workers <= 1 else max(1, -(-trials // workers))
-    tasks = [(game, config, seeds[lo:lo + chunk], watch)
-             for lo in range(0, trials, chunk)]
-    if len(tasks) == 1 or workers <= 1:
-        parts = [_batch_chunk(task) for task in tasks]
+    game: ComposedGame
+    seed: int
+
+
+def _prefix_sizes(part: Crn, whole: Crn) -> tuple[int, int]:
+    """Species and reaction counts of ``part``, checked to lead ``whole``'s.
+
+    :func:`compose` lists player 1's species and reactions first, so a game
+    with the opponents removed is a prefix of the game with them.
+    """
+    k, m = len(part.species), len(part.reactions)
+    pad = (0,) * (len(whole.species) - k)
+    lifted = [(r.reactants + pad, r.products + pad, r.rate_constant)
+              for r in part.reactions]
+    leading = [(w.reactants, w.products, w.rate_constant)
+               for w in whole.reactions[:m]]
+    if part.species.names != whole.species.names[:k] or lifted != leading:
+        raise GameConfigError("an arm's game is not a prefix of the pooled game")
+    return k, m
+
+
+def _run_slice(args) -> BatchOutcome:
+    crn, inits, rates, rng, config, watch = args
+    return simulate_batch(crn, inits, config, rng, stop_when_zero=watch, rates=rates)
+
+
+def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
+              config: SimConfig, workers: int) -> list[tuple[int, int]]:
+    """(successes, truncations) of every arm, from one lockstep lane pool.
+
+    The pool runs on the first arm's CRN. Every other arm's game must be a
+    prefix of it (see :func:`_prefix_sizes`); its lanes get rate 0 for the
+    reactions it lacks, which leaves their trajectories bit-identical to a
+    batch of that game alone (see :mod:`crngame.batch`). Lanes are ordered
+    arm by arm, trial by trial; lane ``i`` is dealt to worker ``i mod
+    workers``, and each worker's lanes are cut, in order, into slices of at
+    most :data:`_SLICE_LANES`. Each nonempty slice is one
+    :func:`simulate_batch` call, run in forked worker processes when
+    ``workers`` > 1.
+    """
+    crn = arms[0].game.crn
+    constants = np.array([r.rate_constant for r in crn.reactions])
+    inits, rates, streams = [], [], []
+    for arm in arms:
+        k, m = _prefix_sizes(arm.game.crn, crn)
+        rng = XoshiroBatch(np.array([child_seed(arm.seed, j) for j in range(trials)],
+                                    dtype=np.uint64))
+        lanes = np.zeros((trials, len(crn.species)), dtype=np.int64)
+        lanes[:, :k] = sample_initial_states(arm.game, rng)
+        row = constants.copy()
+        row[m:] = 0.0
+        inits.append(lanes)
+        rates.append(np.tile(row, (trials, 1)))
+        streams.append(rng)
+    inits = np.concatenate(inits)
+    rates = np.concatenate(rates)
+    rng = XoshiroBatch.concatenate(streams)
+    xi = crn.species.index_of(spec.x_species)
+    yi = crn.species.index_of(spec.y_species)
+
+    size = inits.shape[0]
+    step = max(workers, 1)
+    dealt = [np.arange(w, size, step) for w in range(min(step, size))]
+    slices = [lanes[lo:lo + _SLICE_LANES] for lanes in dealt
+              for lo in range(0, lanes.size, _SLICE_LANES)]
+    tasks = [(crn, inits[s], rates[s], rng.take(s), config, (xi, yi)) for s in slices]
+    if workers <= 1 or len(tasks) == 1:
+        parts = [_run_slice(task) for task in tasks]
     else:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                  mp_context=mp.get_context("fork")) as pool:
-            parts = list(pool.map(_batch_chunk, tasks))
+            parts = list(pool.map(_run_slice, tasks))
 
-    success = np.empty(trials, dtype=bool)
-    truncated = np.empty(trials, dtype=bool)
-    offset = 0
-    for inits, outcome in parts:
-        n = inits.shape[0]
-        x0 = inits[:, xi]
-        y0 = inits[:, yi]
-        xf = outcome.final_states[:, xi]
-        yf = outcome.final_states[:, yi]
-        conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons])
-        total = x0 + y0
-        won = np.where(x0 > y0, xf == total,
-                       np.where(y0 > x0, yf == total,
-                                (xf == total) | (yf == total)))
-        success[offset:offset + n] = conclusive & won
-        truncated[offset:offset + n] = ~conclusive
-        offset += n
-    return success, truncated
+    finals = np.empty_like(inits)
+    conclusive = np.empty(size, dtype=bool)
+    for s, outcome in zip(slices, parts):
+        finals[s] = outcome.final_states
+        conclusive[s] = [r in _CONCLUSIVE for r in outcome.stop_reasons]
+    x0, y0, xf, yf = inits[:, xi], inits[:, yi], finals[:, xi], finals[:, yi]
+    total = x0 + y0
+    won = np.where(x0 > y0, xf == total,
+                   np.where(y0 > x0, yf == total, (xf == total) | (yf == total)))
+    success = (conclusive & won).reshape(len(arms), trials).sum(axis=1)
+    truncated = (~conclusive).reshape(len(arms), trials).sum(axis=1)
+    return [(int(s), int(t)) for s, t in zip(success, truncated)]
+
+
+def _estimate(successes: int, truncated: int, trials: int,
+              confidence: float) -> UtilityEstimate:
+    lo, hi = wilson_interval(successes, trials, confidence)
+    return UtilityEstimate(successes / trials, lo, hi, successes, trials,
+                           truncated, confidence)
 
 
 def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int,
@@ -472,7 +536,8 @@ def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int
     Trial ``j`` draws its initial state and trajectory from the stream
     seeded with ``child_seed(config.seed, j)``; estimates are identical for
     any worker count and for both engines. Binary utilities get a Wilson
-    score interval at ``confidence``.
+    score interval at ``confidence``. The batch engine runs the trials as a
+    one-arm lane pool (see :func:`_run_pool`).
     """
     if trials < 1:
         raise GameConfigError("trials must be >= 1")
@@ -481,9 +546,8 @@ def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int
         # Constant utility: the estimate is exact, not statistical.
         return UtilityEstimate(0.0, 0.0, 0.0, 0, trials, 0, confidence)
     if engine == "batch":
-        success, truncated = _run_takeover_batch(game, spec, config, trials, workers)
-        successes = int(success.sum())
-        truncd = int(truncated.sum())
+        [(successes, truncd)] = _run_pool([_Arm(game, config.seed)], spec, trials,
+                                          config, workers)
     elif engine == "reference":
         results = run_trials(
             game.crn, _GameStateSampler(game), config, trials,
@@ -493,9 +557,23 @@ def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int
         truncd = sum(1 for r in results if r.stop_reason not in _CONCLUSIVE)
     else:
         raise GameConfigError(f"unknown engine {engine!r}")
-    lo, hi = wilson_interval(successes, trials, confidence)
-    return UtilityEstimate(successes / trials, lo, hi, successes, trials,
-                           truncd, confidence)
+    return _estimate(successes, truncd, trials, confidence)
+
+
+def _estimate_arms(arms: Sequence[_Arm], trials: int, config: SimConfig,
+                   confidence: float, engine: str,
+                   workers: int) -> list[UtilityEstimate]:
+    """Player 1's estimate in each arm; the batch engine pools every arm."""
+    if trials < 1:
+        raise GameConfigError("trials must be >= 1")
+    spec = arms[0].game.players[0].utility
+    if engine == "batch" and isinstance(spec, TakeoverSuccess):
+        return [_estimate(s, t, trials, confidence)
+                for s, t in _run_pool(arms, spec, trials, config, workers)]
+    return [estimate_expected_utility(arm.game, 0, trials,
+                                      replace(config, seed=arm.seed),
+                                      confidence, engine, workers)
+            for arm in arms]
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +626,93 @@ def _condition_verdict(alpha: float | None, bounds: tuple[float, float] | None) 
     return "inconclusive"
 
 
+def _condition_arms(player: Player, opponents: tuple[Player, ...],
+                    condition: Condition, condition_index: int,
+                    config: SimConfig, paired_seeds: bool) -> tuple[_Arm, _Arm]:
+    """The with-opponents arm and the trivial-opponent baseline of a condition.
+
+    Seeds derive from the condition index: the with-opponents arm uses
+    ``child_seed(child_seed(seed, index), 0)``, the baseline uses child 1
+    (or child 0 again when ``paired_seeds``).
+    """
+    trivial = tuple(Player.trivial(f"trivial-{i}") for i in range(len(opponents)))
+    p1 = replace(player, initial_distribution=condition.distribution)
+    cond_seed = child_seed(config.seed, condition_index)
+    with_seed = child_seed(cond_seed, 0)
+    base_seed = with_seed if paired_seeds else child_seed(cond_seed, 1)
+    return (_Arm(compose((p1,) + opponents, config.volume), with_seed),
+            _Arm(compose((p1,) + trivial, config.volume), base_seed))
+
+
+def _estimate_pairs(pairs: list[tuple[_Arm, _Arm]], trials: int, config: SimConfig,
+                    confidence: float, engine: str, workers: int
+                    ) -> list[tuple[UtilityEstimate, ...] | CrnError]:
+    """Both arms of every pair, in one pool; a pair that fails yields its error.
+
+    If the pool fails, each pair runs again as its own pool, and a pair that
+    fails again is redone arm by arm in this process: its error then names
+    the first arm and trial that failed whatever the worker count, and no
+    other pair's estimates depend on it.
+    """
+    try:
+        flat = _estimate_arms([arm for pair in pairs for arm in pair], trials,
+                              config, confidence, engine, workers)
+        return [tuple(flat[i:i + 2]) for i in range(0, len(flat), 2)]
+    except CrnError:
+        if len(pairs) > 1:
+            return [one for pair in pairs
+                    for one in _estimate_pairs([pair], trials, config, confidence,
+                                               engine, workers)]
+    try:
+        return [tuple(_estimate_arms([arm], trials, config, confidence, engine, 1)[0]
+                      for arm in pairs[0])]
+    except CrnError as exc:
+        return [exc]
+
+
+def estimate_conditions(player: Player, opponents: Sequence[Player],
+                        conditions: Sequence[Condition], trials: int,
+                        config: SimConfig, alpha: float | None = None,
+                        confidence: float = 0.99, paired_seeds: bool = False,
+                        engine: str = "batch", workers: int = 1,
+                        first_index: int = 0) -> list[ConditionResult | CrnError]:
+    """Run both arms of every condition and compare them.
+
+    Condition ``i`` uses condition index ``first_index + i`` for its seeds
+    (see :func:`_condition_arms`). With the batch engine, every arm of every
+    condition is one lane pool. A condition that cannot be composed or
+    simulated yields its error in place of a result; the others are
+    unaffected.
+    """
+    opponents = tuple(opponents)
+    prepared: list[tuple[_Arm, _Arm] | CrnError] = []
+    for i, condition in enumerate(conditions):
+        try:
+            prepared.append(_condition_arms(player, opponents, condition,
+                                            first_index + i, config, paired_seeds))
+        except CrnError as exc:
+            prepared.append(exc)
+    pairs = [p for p in prepared if not isinstance(p, CrnError)]
+    estimates = iter(_estimate_pairs(pairs, trials, config, confidence, engine,
+                                     workers) if pairs else ())
+    results: list[ConditionResult | CrnError] = []
+    for condition, item in zip(conditions, prepared):
+        if not isinstance(item, CrnError):
+            item = next(estimates)
+        if isinstance(item, CrnError):
+            results.append(item)
+            continue
+        est_with, est_base = item
+        bounds = ratio_bounds(est_with.lower, est_with.upper,
+                              est_base.lower, est_base.upper)
+        ratio = est_with.mean / est_base.mean if bounds is not None else None
+        results.append(ConditionResult(
+            condition.label, est_with, est_base, ratio,
+            bounds[0] if bounds else None, bounds[1] if bounds else None,
+            _condition_verdict(alpha, bounds)))
+    return results
+
+
 def estimate_condition(player: Player, opponents: Sequence[Player],
                        condition: Condition, condition_index: int, trials: int,
                        config: SimConfig, alpha: float | None = None,
@@ -555,33 +720,14 @@ def estimate_condition(player: Player, opponents: Sequence[Player],
                        engine: str = "batch", workers: int = 1) -> ConditionResult:
     """Run both arms of one condition and compare them.
 
-    Seeds derive from the condition index: the with-opponents arm uses
-    ``child_seed(child_seed(seed, index), 0)``, the trivial-opponent
-    baseline uses child 1 (or child 0 again when ``paired_seeds``).
+    Seeds derive from ``condition_index`` (see :func:`_condition_arms`).
     """
-    opponents = tuple(opponents)
-    trivial = tuple(Player.trivial(f"trivial-{i}") for i in range(len(opponents)))
-    p1 = replace(player, initial_distribution=condition.distribution)
-    cond_seed = child_seed(config.seed, condition_index)
-    with_seed = child_seed(cond_seed, 0)
-    base_seed = with_seed if paired_seeds else child_seed(cond_seed, 1)
-
-    game_with = compose((p1,) + opponents, config.volume)
-    game_base = compose((p1,) + trivial, config.volume)
-    est_with = estimate_expected_utility(
-        game_with, 0, trials, replace(config, seed=with_seed),
-        confidence, engine, workers)
-    est_base = estimate_expected_utility(
-        game_base, 0, trials, replace(config, seed=base_seed),
-        confidence, engine, workers)
-
-    bounds = ratio_bounds(est_with.lower, est_with.upper,
-                          est_base.lower, est_base.upper)
-    ratio = est_with.mean / est_base.mean if bounds is not None else None
-    return ConditionResult(
-        condition.label, est_with, est_base, ratio,
-        bounds[0] if bounds else None, bounds[1] if bounds else None,
-        _condition_verdict(alpha, bounds))
+    [result] = estimate_conditions(player, opponents, [condition], trials, config,
+                                   alpha, confidence, paired_seeds, engine, workers,
+                                   first_index=condition_index)
+    if isinstance(result, CrnError):
+        raise result
+    return result
 
 
 def estimate_robustness(player: Player, opponents: Sequence[Player],
@@ -593,19 +739,21 @@ def estimate_robustness(player: Player, opponents: Sequence[Player],
 
     For each condition, the with-opponents arm and the baseline arm (every
     opponent replaced by the empty CRN and the trivial distribution) are
-    estimated with ``trials`` trials each. Arms use distinct child-seed
-    streams unless ``paired_seeds``; pairing reuses the with-arm stream in
-    the baseline for variance reduction. If ``alpha`` is given, the report
-    carries a PASS/FAIL/INCONCLUSIVE verdict: PASS when every condition's
-    conservative ratio interval lies at or above ``alpha``.
+    estimated with ``trials`` trials each, all in one lane pool with the
+    batch engine. Arms use distinct child-seed streams unless
+    ``paired_seeds``; pairing reuses the with-arm stream in the baseline for
+    variance reduction. If ``alpha`` is given, the report carries a
+    PASS/FAIL/INCONCLUSIVE verdict: PASS when every condition's conservative
+    ratio interval lies at or above ``alpha``. The first condition that
+    fails raises its error.
     """
     if not conditions:
         raise GameConfigError("conditions must be nonempty")
-    results = []
-    for ci, condition in enumerate(conditions):
-        results.append(estimate_condition(
-            player, opponents, condition, ci, trials, config, alpha,
-            confidence, paired_seeds, engine, workers))
+    results = estimate_conditions(player, opponents, conditions, trials, config,
+                                  alpha, confidence, paired_seeds, engine, workers)
+    for result in results:
+        if isinstance(result, CrnError):
+            raise result
 
     defined = [r for r in results if r.ratio is not None]
     min_ratio = min((r.ratio for r in defined), default=None)

@@ -26,6 +26,10 @@ _MIX2 = 0x94D049BB133111EB
 # 2^-53; multiplying an integer in [1, 2^53] by this is exact scaling.
 _U01_SCALE = 2.0**-53
 
+# Shift and multiplier constants of the vectorized generator, made once.
+_U5, _U7, _U9, _U11 = (np.uint64(v) for v in (5, 7, 9, 11))
+_U17, _U19, _U45, _U57 = (np.uint64(v) for v in (17, 19, 45, 57))
+
 
 def _splitmix64(z: int) -> int:
     """SplitMix64 finalizer of a 64-bit value."""
@@ -105,7 +109,9 @@ class XoshiroBatch(object):
 
     Lane ``j`` produces exactly the same sequence as ``Xoshiro256(seed_j)``;
     this is what makes lockstep batch simulation reproduce per-trial scalar
-    runs bit for bit.
+    runs bit for bit. The state is a (4, lanes) array advanced in place, with
+    one preallocated scratch row, so a draw over all lanes allocates only its
+    result. Pickling keeps the state alone; the views into it are rebuilt.
     """
 
     def __init__(self, seeds: np.ndarray):
@@ -116,7 +122,42 @@ class XoshiroBatch(object):
         for i in range(4):
             z = z + golden
             state[i] = self._mix(z)
+        self._adopt(state)
+
+    def _adopt(self, state: np.ndarray) -> None:
         self._state = state
+        _, s1, s2, s3 = state
+        t = np.empty(state.shape[1], dtype=np.uint64)
+        self._s1 = s1
+        # one state transition of every lane, as in-place ufunc calls
+        self._transition = (
+            (np.left_shift, s1, _U17, t),
+            # s2 ^= s0 and s3 ^= s1, then s0 ^= s3 and s1 ^= s2, two rows at once
+            (np.bitwise_xor, state[2:4], state[0:2], state[2:4]),
+            (np.bitwise_xor, state[0:2], state[3:1:-1], state[0:2]),
+            (np.bitwise_xor, s2, t, s2),
+            (np.left_shift, s3, _U45, t),
+            (np.right_shift, s3, _U19, s3),
+            (np.bitwise_or, s3, t, s3),
+        )
+
+    def __getstate__(self):
+        # row views and scratch are rebuilt around the state when unpickled
+        return (self._state,)
+
+    def __setstate__(self, state) -> None:
+        self._adopt(state[0])
+
+    @classmethod
+    def _from_state(cls, state: np.ndarray) -> "XoshiroBatch":
+        out = object.__new__(cls)
+        out._adopt(np.ascontiguousarray(state))
+        return out
+
+    @classmethod
+    def concatenate(cls, batches: "list[XoshiroBatch]") -> "XoshiroBatch":
+        """One batch holding the lanes of ``batches`` in order (state is copied)."""
+        return cls._from_state(np.concatenate([b._state for b in batches], axis=1))
 
     @staticmethod
     def _mix(z: np.ndarray) -> np.ndarray:
@@ -130,40 +171,45 @@ class XoshiroBatch(object):
 
     def take(self, idx: np.ndarray) -> "XoshiroBatch":
         """New batch holding the selected lanes (state is copied)."""
-        out = object.__new__(XoshiroBatch)
-        out._state = np.ascontiguousarray(self._state[:, idx])
-        return out
+        return self._from_state(self._state[:, idx])
+
+    def _next_bits(self, count: int, idx: np.ndarray | None) -> np.ndarray:
+        """(count, lanes): each selected lane's next ``count`` outputs."""
+        if idx is not None:
+            sub = self.take(idx)
+            bits = sub._next_bits(count, None)
+            self._state[:, idx] = sub._state
+            return bits
+        bits = np.empty((count, self.size), dtype=np.uint64)
+        for row in bits:
+            np.multiply(self._s1, _U5, row)
+            for ufunc, a, b, out in self._transition:
+                ufunc(a, b, out)
+        rot = np.left_shift(bits, _U7)
+        np.right_shift(bits, _U57, bits)
+        np.bitwise_or(bits, rot, bits)
+        np.multiply(bits, _U9, bits)
+        return bits
 
     def next_u64(self, idx: np.ndarray | None = None) -> np.ndarray:
         """Advance the selected lanes (all lanes if ``idx`` is None)."""
-        st = self._state if idx is None else self._state[:, idx]
-        s0, s1, s2, s3 = st[0], st[1], st[2], st[3]
-        x = s1 * np.uint64(5)
-        result = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
-        t = s1 << np.uint64(17)
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        if idx is None:
-            self._state[0], self._state[1] = s0, s1
-            self._state[2], self._state[3] = s2, s3
-        else:
-            self._state[0, idx] = s0
-            self._state[1, idx] = s1
-            self._state[2, idx] = s2
-            self._state[3, idx] = s3
-        return result
+        return self._next_bits(1, idx)[0]
 
-    def next_u01(self, idx: np.ndarray | None = None) -> np.ndarray:
-        """Uniform draws in (0, 1], one per selected lane."""
-        bits = (self.next_u64(idx) >> np.uint64(11)).astype(np.float64)
-        return (bits + 1.0) * _U01_SCALE
+    def next_u01(self, idx: np.ndarray | None = None, count: int = 1) -> np.ndarray:
+        """Uniform draws in (0, 1], one per selected lane.
+
+        With ``count`` > 1, a (count, lanes) array of each lane's next
+        ``count`` draws in stream order, made in one pass.
+        """
+        bits = self._next_bits(count, idx)
+        np.right_shift(bits, _U11, bits)
+        # bits < 2**53, so both the conversion and the + 1 are exact
+        u = np.add(bits, 1.0)
+        u *= _U01_SCALE
+        return u if count > 1 else u[0]
 
     def next_below(self, bound: int, idx: np.ndarray | None = None) -> np.ndarray:
         """Uniform integers in [0, bound), one per selected lane."""
-        u = (self.next_u64(idx) >> np.uint64(11)).astype(np.float64) * _U01_SCALE
+        u = (self.next_u64(idx) >> _U11).astype(np.float64) * _U01_SCALE
         i = (u * bound).astype(np.int64)
         return np.minimum(i, bound - 1)

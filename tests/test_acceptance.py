@@ -29,7 +29,7 @@ from crngame.cli import main as cli_main
 from crngame.config import load_config, resolve_input_path
 from crngame.crnfile import ParseError, load as load_crn
 from crngame.data import path as data_path
-from crngame.experiment import run_robustness, run_sweep
+from crngame.experiment import CSV_COLUMNS, run_robustness, run_sweep
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.rng import Xoshiro256
 from crngame.ssa import Observer, constant_initial_state, simulate
@@ -177,6 +177,22 @@ def test_criterion_6_thread_determinism(tmp_path, capsys):
         svg_a = (tmp_path / "threads1.svg").read_bytes()
         svg_b = (tmp_path / "threads8.svg").read_bytes()
         assert svg_a == svg_b
+
+        # the shipped sweep's outcomes, as the per-arm batch engine gave
+        # them before every condition and arm shared one lane pool
+        rows = [dict(zip(CSV_COLUMNS, line.split(",")))
+                for line in a.decode().splitlines()
+                if line and not line.startswith(("#", "d,"))]
+        assert [int(row["d"]) for row in rows] == list(range(0, 101, 10))
+        assert [int(row["succ_with"]) for row in rows] == SHIPPED_SUCC_WITH
+        assert [int(row["succ_without"]) for row in rows] == SHIPPED_SUCC_WITHOUT
+        assert [int(row["trunc_with"]) for row in rows] == [0] * 11
+        assert [int(row["trunc_without"]) for row in rows] == [0] * 11
+
+
+# succ_with and succ_without of pkg:default_sweep.ini, d = 0, 10, ..., 100
+SHIPPED_SUCC_WITH = [500, 315, 364, 411, 452, 464, 474, 489, 497, 500, 500]
+SHIPPED_SUCC_WITHOUT = [500, 297, 367, 410, 455, 471, 476, 492, 498, 500, 500]
 
 
 def test_criterion_7_sampler_statistics():

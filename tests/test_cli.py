@@ -118,6 +118,23 @@ class TestSweepCommand:
                        str(b), "--threads", "3")[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_threads_above_cpu_count_warn_once(self, crn_dir, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 2)
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
+                               "--out", str(a), "--threads", "2")
+        assert code == 0 and "warning" not in err
+        code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
+                               "--out", str(b), "--threads", "3")
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: --threads 3 is more than the 2 CPUs; the "
+                            "workers will share them (results do not depend on "
+                            "the count)"]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_seed_override_changes_rows(self, crn_dir, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

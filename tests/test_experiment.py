@@ -88,6 +88,28 @@ class TestRunSweep:
         for x, y in zip(batch.rows, ref.rows):
             assert (x.succ_with, x.succ_without) == (y.succ_with, y.succ_without)
 
+    def test_overflow_stays_in_its_own_row(self, write_config, tmp_path):
+        # A -> B at 1e308 overflows as soon as A > 1, which only the
+        # with-opponents arm of d=0 ever sees; d=10 starts at a takeover
+        (tmp_path / "nature.crn").write_text("A -> B @ 1e308\nB -> A @ 20\n")
+        out = run_sweep(write_config(diffs="0 10", **{"total = 40": "total = 10"}))
+        tie, done = out.rows
+        assert tie.d == 0
+        assert tie.error == "trial 0: non-finite propensity in reaction 2"
+        assert (tie.succ_with, tie.succ_without, tie.p_with) == (0, 0, None)
+        assert done.d == 10 and done.error == ""
+        assert done.succ_with == done.succ_without == done.trials == 40
+        assert done.p_with == done.p_without == 1.0
+        assert done.trunc_with == done.trunc_without == 0
+
+    def test_overflow_row_same_for_any_worker_count(self, write_config,
+                                                    tmp_path):
+        (tmp_path / "nature.crn").write_text("A -> B @ 1e308\nB -> A @ 20\n")
+        cfg = write_config(diffs="0 10", **{"total = 40": "total = 10"})
+        one = run_sweep(cfg, workers=1).to_csv()
+        assert run_sweep(cfg, workers=3).to_csv() == one
+        assert "trial 0: non-finite propensity in reaction 2" in one
+
     def test_catalytic_violation_raises(self, write_config, tmp_path):
         (tmp_path / "nature.crn").write_text("X -> B @ 20\nB -> X @ 20\n")
         cfg = write_config()

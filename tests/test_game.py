@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from crngame import (
     validate_catalytic,
 )
 from crngame.game import UtilityProbe, sample_initial_states
-from crngame.rng import Xoshiro256, XoshiroBatch
+from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import TrajectoryRecorder
 
 
@@ -271,6 +272,24 @@ class TestEstimation:
         four = estimate_expected_utility(game, 0, 200, SimConfig(seed=8), workers=4)
         assert one == four
 
+    def test_more_workers_than_trials(self, consensus_player, nature_player):
+        # five of the eight round-robin slices are empty and must be skipped
+        small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
+        game = compose([small, nature_player])
+        one = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=1)
+        eight = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=8)
+        assert one == eight
+
+    def test_capped_slices_give_the_same_estimate(self, consensus_player,
+                                                  nature_player, monkeypatch):
+        small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
+        game = compose([small, nature_player])
+        whole = estimate_expected_utility(game, 0, 40, SimConfig(seed=10))
+        monkeypatch.setattr("crngame.game._SLICE_LANES", 7)
+        for workers in (1, 2):
+            assert estimate_expected_utility(game, 0, 40, SimConfig(seed=10),
+                                             workers=workers) == whole
+
     def test_random_initial_counts_redrawn_per_trial(self, majority_crn):
         dist = InitialDistribution((UniformCount(1, 40), ConstantCount(1)))
         player = Player(majority_crn, dist, TakeoverSuccess("X", "Y"), "p")
@@ -292,6 +311,31 @@ class TestRobustness:
         assert cond.ratio == 1.0
         assert cond.with_opponents.successes == cond.baseline.successes
         assert report.verdict == "PASS"
+
+    def test_pooled_arms_equal_arms_run_alone(self, consensus_player):
+        # every condition and arm in one pool (baseline lanes on the union
+        # CRN with the opponent's rate zeroed) against each arm on its own;
+        # the opponent turns Y into X, so the two arms differ sharply
+        pusher = player_for(make_crn([({"Y": 1}, {"X": 1}, 1e4)]), name="pusher")
+        player = consensus_player.with_counts({"A": 4, "B": 4})
+        conditions = [
+            Condition(f"d{d}", player.with_counts(
+                {"X": 25 + d // 2, "Y": 25 - d // 2}).initial_distribution)
+            for d in (-6, 0, 6)]
+        report = estimate_robustness(player, [pusher], conditions, 60,
+                                     SimConfig(seed=21), workers=2)
+        for ci, (cond, result) in enumerate(zip(conditions, report.conditions)):
+            p1 = replace(player, initial_distribution=cond.distribution)
+            seed = child_seed(21, ci)
+            alone_with = estimate_expected_utility(
+                compose([p1, pusher]), 0, 60, SimConfig(seed=child_seed(seed, 0)))
+            alone_base = estimate_expected_utility(
+                compose([p1, Player.trivial("trivial-0")]), 0, 60,
+                SimConfig(seed=child_seed(seed, 1)))
+            assert result.with_opponents == alone_with
+            assert result.baseline == alone_base
+        assert report.conditions[0].with_opponents.successes == 0
+        assert report.conditions[0].baseline.successes > 30
 
     def test_baseline_identity_shared_seed_trajectories(self, consensus_player):
         # composing with the trivial player changes nothing, trajectory by

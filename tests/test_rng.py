@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,35 @@ def test_take_copies_state():
     # advancing the copy must not disturb the parent
     vec = batch.next_u64()
     assert int(vec[1]) == int(first_from_sub)
+
+
+def test_multi_draw_is_successive_draws():
+    seeds = np.array([7, 8, 9, 10], dtype=np.uint64)
+    a, b = XoshiroBatch(seeds), XoshiroBatch(seeds)
+    rows = a.next_u01(count=3)
+    assert rows.shape == (3, 4)
+    for row in rows:
+        assert row.tolist() == b.next_u01().tolist()
+    assert a.next_u64().tolist() == b.next_u64().tolist()
+
+
+def test_pickled_batch_advances_its_own_state():
+    # the copy's row views must point into its own state, so that lanes
+    # taken after it has advanced carry the advanced state
+    ref = XoshiroBatch(np.arange(4, dtype=np.uint64))
+    batch = XoshiroBatch(np.arange(4, dtype=np.uint64))
+    batch.next_u64()
+    ref.next_u64()
+    copy = pickle.loads(pickle.dumps(batch))
+    copy.next_u64()
+    ref.next_u64()
+    lanes = np.array([1, 3])
+    assert copy.take(lanes).next_u64().tolist() == ref.next_u64()[lanes].tolist()
+
+
+def test_concatenate_keeps_lane_order():
+    a = XoshiroBatch(np.array([1, 2], dtype=np.uint64))
+    b = XoshiroBatch(np.array([3], dtype=np.uint64))
+    a.next_u64()
+    both = XoshiroBatch.concatenate([a, b])
+    assert both.next_u64().tolist() == a.next_u64().tolist() + b.next_u64().tolist()
