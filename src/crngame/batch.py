@@ -133,7 +133,9 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     (checked on the initial state and after every event), mirroring a
     zero-count monitor observer on the scalar engine. ``rates``, a
     (trials, reactions) array, replaces the CRN's rate constants lane by
-    lane; a rate of 0 removes the reaction from that lane.
+    lane; a rate of 0 removes the reaction from that lane. A non-finite
+    exit rate raises :class:`NumericOverflowError` naming the first trial
+    that has one at the first step where any does (its ``lane``).
     """
     initial_states = np.asarray(initial_states, dtype=np.int64)
     if initial_states.ndim != 2 or initial_states.shape[1] != len(crn.species):
@@ -191,7 +193,7 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
 
     def zero_watched() -> np.ndarray | None:
         """Mask of lanes with a watched count at zero, or None if there are none."""
-        if not watch:
+        if not watch or not idx.size:
             return None
         low = counts[watch[0]]
         if len(watch) > 1:
@@ -279,5 +281,6 @@ def _raise_overflow(kin: _Kinetics, kv: np.ndarray, counts: np.ndarray,
         if not np.isfinite(p):
             rxn = ri
             break
+    trial = int(idx[lane])
     raise NumericOverflowError(
-        rxn, f"trial {int(idx[lane])}: non-finite propensity in reaction {rxn}")
+        rxn, f"trial {trial}: non-finite propensity in reaction {rxn}", lane=trial)

@@ -27,15 +27,21 @@ class CrnError(Exception):
 
 
 class NumericOverflowError(CrnError):
-    """A propensity or rate sum left the finite float64 range."""
+    """A propensity or rate sum left the finite float64 range.
 
-    def __init__(self, reaction_index: int, message: str | None = None):
+    ``lane``, when set, is the index of the overflowing trial in the batch
+    or lane pool that raised the error.
+    """
+
+    def __init__(self, reaction_index: int, message: str | None = None,
+                 lane: int | None = None):
         self.reaction_index = reaction_index
+        self.lane = lane
         super().__init__(message or f"non-finite propensity in reaction {reaction_index}")
 
     def __reduce__(self):
-        # keep both fields when the error crosses from a worker process
-        return (type(self), (self.reaction_index, str(self)))
+        # keep every field when the error crosses from a worker process
+        return (type(self), (self.reaction_index, str(self), self.lane))
 
 
 class SpeciesTable(object):

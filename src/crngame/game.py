@@ -26,7 +26,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Crn, CountVector, CrnError, Reaction, SpeciesTable
+from .core import (
+    Crn,
+    CountVector,
+    CrnError,
+    NumericOverflowError,
+    Reaction,
+    SpeciesTable,
+)
 from .rng import Xoshiro256, XoshiroBatch, child_seed
 from .ssa import (
     Observer,
@@ -35,7 +42,7 @@ from .ssa import (
     ZeroCountMonitor,
     run_trials,
 )
-from .batch import BatchOutcome, simulate_batch
+from .batch import simulate_batch
 from .stats import ratio_bounds, wilson_interval
 
 
@@ -419,10 +426,11 @@ class _GameStateSampler(object):
         return sample_initial_state(self.game, rng)
 
 
-# Most lanes in one batch call. It bounds the memory of a call (a few hundred
-# bytes per lane) on sweeps of millions of trials, whose slices then hold
-# lanes of few arms each; the shipped default and point sweeps fit in one
-# slice per worker.
+# Most lanes in one batch call. On the full sweep's game (4 species, 4
+# reactions, 2-vCPU KVM guest) a step took 40-55 ns per live lane from 4k to
+# 32k lanes, and 80-105 ns from 64k lanes up, where the step's matrix
+# product starts a second BLAS thread. 16k lies inside the flat range with
+# a factor 2 to spare, and a batch then holds about 9 MB (0.55 kB a lane).
 _SLICE_LANES = 1 << 14
 
 
@@ -451,73 +459,96 @@ def _prefix_sizes(part: Crn, whole: Crn) -> tuple[int, int]:
     return k, m
 
 
-def _run_slice(args) -> BatchOutcome:
-    crn, inits, rates, rng, config, watch = args
-    return simulate_batch(crn, inits, config, rng, stop_when_zero=watch, rates=rates)
+def _run_slice(args) -> tuple[int, np.ndarray]:
+    """Successes and truncations, per arm, among one slice's pool lanes.
+
+    The slice holds pool lanes ``first, first + step, ...`` below ``stop``;
+    lane ``a * trials + j`` is trial ``j`` of arm ``a``, and ``arms`` starts
+    at arm ``a0``. Returns ``a0`` and an (arms, 2) array. The lanes' initial
+    states, rate rows and streams are made here, in the worker, and they run
+    as one :func:`simulate_batch` call on ``crn``.
+    """
+    crn, arms, a0, spec, trials, first, stop, step, config = args
+    constants = [r.rate_constant for r in crn.reactions]
+    lanes = np.arange(first, stop, step)
+    arm_of, trial = np.divmod(lanes - a0 * trials, trials)
+    inits = np.zeros((lanes.size, len(crn.species)), dtype=np.int64)
+    rates = np.empty((lanes.size, len(crn.reactions)))
+    streams = []
+    bounds = np.searchsorted(arm_of, np.arange(len(arms) + 1))
+    for arm, lo, hi in zip(arms, bounds[:-1], bounds[1:]):
+        k, m = _prefix_sizes(arm.game.crn, crn)
+        rng = XoshiroBatch(np.array([child_seed(arm.seed, int(j)) for j in trial[lo:hi]],
+                                    dtype=np.uint64))
+        inits[lo:hi, :k] = sample_initial_states(arm.game, rng)
+        rates[lo:hi] = constants
+        rates[lo:hi, m:] = 0.0
+        streams.append(rng)
+    xi = crn.species.index_of(spec.x_species)
+    yi = crn.species.index_of(spec.y_species)
+    try:
+        outcome = simulate_batch(crn, inits, config, XoshiroBatch.concatenate(streams),
+                                 stop_when_zero=(xi, yi), rates=rates)
+    except NumericOverflowError as exc:
+        lane = int(lanes[exc.lane])
+        raise NumericOverflowError(
+            exc.reaction_index, f"trial {lane % trials}: non-finite propensity "
+            f"in reaction {exc.reaction_index}", lane=lane) from None
+
+    conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
+    x0, y0 = inits[:, xi], inits[:, yi]
+    xf, yf = outcome.final_states[:, xi], outcome.final_states[:, yi]
+    total = x0 + y0
+    won = np.where(x0 > y0, xf == total,
+                   np.where(y0 > x0, yf == total, (xf == total) | (yf == total)))
+    return a0, np.stack([np.bincount(arm_of[conclusive & won], minlength=len(arms)),
+                         np.bincount(arm_of[~conclusive], minlength=len(arms))], axis=1)
 
 
 def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
-              config: SimConfig, workers: int) -> list[tuple[int, int]]:
+              config: SimConfig, workers: int,
+              slice_lanes: int = _SLICE_LANES) -> list[tuple[int, int]]:
     """(successes, truncations) of every arm, from one lockstep lane pool.
 
     The pool runs on the first arm's CRN. Every other arm's game must be a
     prefix of it (see :func:`_prefix_sizes`); its lanes get rate 0 for the
     reactions it lacks, which leaves their trajectories bit-identical to a
-    batch of that game alone (see :mod:`crngame.batch`). Lanes are ordered
+    batch of that game alone (see :mod:`crngame.batch`). Lanes are numbered
     arm by arm, trial by trial; lane ``i`` is dealt to worker ``i mod
     workers``, and each worker's lanes are cut, in order, into slices of at
-    most :data:`_SLICE_LANES`. Each nonempty slice is one
-    :func:`simulate_batch` call, run in forked worker processes when
-    ``workers`` > 1.
+    most ``slice_lanes``. Each slice is one batch (:func:`_run_slice`), run
+    in forked worker processes when ``workers`` > 1. An overflow raises
+    :class:`NumericOverflowError` whose ``lane`` is the pool lane and whose
+    message names its trial.
     """
     crn = arms[0].game.crn
-    constants = np.array([r.rate_constant for r in crn.reactions])
-    inits, rates, streams = [], [], []
-    for arm in arms:
-        k, m = _prefix_sizes(arm.game.crn, crn)
-        rng = XoshiroBatch(np.array([child_seed(arm.seed, j) for j in range(trials)],
-                                    dtype=np.uint64))
-        lanes = np.zeros((trials, len(crn.species)), dtype=np.int64)
-        lanes[:, :k] = sample_initial_states(arm.game, rng)
-        row = constants.copy()
-        row[m:] = 0.0
-        inits.append(lanes)
-        rates.append(np.tile(row, (trials, 1)))
-        streams.append(rng)
-    inits = np.concatenate(inits)
-    rates = np.concatenate(rates)
-    rng = XoshiroBatch.concatenate(streams)
-    xi = crn.species.index_of(spec.x_species)
-    yi = crn.species.index_of(spec.y_species)
-
-    size = inits.shape[0]
+    size = len(arms) * trials
     step = max(workers, 1)
-    dealt = [np.arange(w, size, step) for w in range(min(step, size))]
-    slices = [lanes[lo:lo + _SLICE_LANES] for lanes in dealt
-              for lo in range(0, lanes.size, _SLICE_LANES)]
-    tasks = [(crn, inits[s], rates[s], rng.take(s), config, (xi, yi)) for s in slices]
+    span = slice_lanes * step
+    tasks = []
+    for lo in range(0, size, span):
+        stop = min(lo + span, size)
+        for first in range(lo, min(lo + step, size)):
+            a0, a1 = first // trials, (stop - 1) // trials + 1
+            tasks.append((crn, tuple(arms[a0:a1]), a0, spec, trials, first, stop,
+                          step, config))
     if workers <= 1 or len(tasks) == 1:
-        parts = [_run_slice(task) for task in tasks]
+        parts = map(_run_slice, tasks)
     else:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                  mp_context=mp.get_context("fork")) as pool:
-            parts = list(pool.map(_run_slice, tasks))
-
-    finals = np.empty_like(inits)
-    conclusive = np.empty(size, dtype=bool)
-    for s, outcome in zip(slices, parts):
-        finals[s] = outcome.final_states
-        conclusive[s] = [r in _CONCLUSIVE for r in outcome.stop_reasons]
-    x0, y0, xf, yf = inits[:, xi], inits[:, yi], finals[:, xi], finals[:, yi]
-    total = x0 + y0
-    won = np.where(x0 > y0, xf == total,
-                   np.where(y0 > x0, yf == total, (xf == total) | (yf == total)))
-    success = (conclusive & won).reshape(len(arms), trials).sum(axis=1)
-    truncated = (~conclusive).reshape(len(arms), trials).sum(axis=1)
-    return [(int(s), int(t)) for s, t in zip(success, truncated)]
+            try:
+                parts = list(pool.map(_run_slice, tasks))
+            except CrnError:
+                pool.shutdown(cancel_futures=True)  # skip the slices not yet started
+                raise
+    counts = np.zeros((len(arms), 2), dtype=np.int64)
+    for a0, part in parts:
+        counts[a0:a0 + len(part)] += part
+    return [(int(s), int(t)) for s, t in counts]
 
 
 def _estimate(successes: int, truncated: int, trials: int,
@@ -558,22 +589,6 @@ def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int
     else:
         raise GameConfigError(f"unknown engine {engine!r}")
     return _estimate(successes, truncd, trials, confidence)
-
-
-def _estimate_arms(arms: Sequence[_Arm], trials: int, config: SimConfig,
-                   confidence: float, engine: str,
-                   workers: int) -> list[UtilityEstimate]:
-    """Player 1's estimate in each arm; the batch engine pools every arm."""
-    if trials < 1:
-        raise GameConfigError("trials must be >= 1")
-    spec = arms[0].game.players[0].utility
-    if engine == "batch" and isinstance(spec, TakeoverSuccess):
-        return [_estimate(s, t, trials, confidence)
-                for s, t in _run_pool(arms, spec, trials, config, workers)]
-    return [estimate_expected_utility(arm.game, 0, trials,
-                                      replace(config, seed=arm.seed),
-                                      confidence, engine, workers)
-            for arm in arms]
 
 
 # ---------------------------------------------------------------------------
@@ -644,30 +659,54 @@ def _condition_arms(player: Player, opponents: tuple[Player, ...],
             _Arm(compose((p1,) + trivial, config.volume), base_seed))
 
 
+def _arm_by_arm(pair: tuple[_Arm, _Arm], estimate
+                ) -> tuple[UtilityEstimate, UtilityEstimate] | CrnError:
+    """``estimate`` of each arm of a pair in turn, or the first arm's error."""
+    try:
+        return tuple(estimate(arm) for arm in pair)
+    except CrnError as exc:
+        return exc
+
+
 def _estimate_pairs(pairs: list[tuple[_Arm, _Arm]], trials: int, config: SimConfig,
                     confidence: float, engine: str, workers: int
-                    ) -> list[tuple[UtilityEstimate, ...] | CrnError]:
-    """Both arms of every pair, in one pool; a pair that fails yields its error.
+                    ) -> list[tuple[UtilityEstimate, UtilityEstimate] | CrnError]:
+    """Both arms of every pair; a pair that fails yields its error instead.
 
-    If the pool fails, each pair runs again as its own pool, and a pair that
-    fails again is redone arm by arm in this process: its error then names
-    the first arm and trial that failed whatever the worker count, and no
-    other pair's estimates depend on it.
+    With the batch engine every pair runs in one lane pool. When a lane
+    overflows, its pair is redone arm by arm, each arm as one batch in this
+    process, so that its error names the first trial that overflowed
+    whatever the worker count; the pool then runs again without it. Other
+    engines, and inputs the pool cannot take, run pair by pair.
     """
-    try:
-        flat = _estimate_arms([arm for pair in pairs for arm in pair], trials,
-                              config, confidence, engine, workers)
-        return [tuple(flat[i:i + 2]) for i in range(0, len(flat), 2)]
-    except CrnError:
-        if len(pairs) > 1:
-            return [one for pair in pairs
-                    for one in _estimate_pairs([pair], trials, config, confidence,
-                                               engine, workers)]
-    try:
-        return [tuple(_estimate_arms([arm], trials, config, confidence, engine, 1)[0]
-                      for arm in pairs[0])]
-    except CrnError as exc:
-        return [exc]
+    spec = pairs[0][0].game.players[0].utility
+    if engine != "batch" or trials < 1 or not isinstance(spec, TakeoverSuccess):
+        def alone(arm):
+            return estimate_expected_utility(arm.game, 0, trials,
+                                             replace(config, seed=arm.seed),
+                                             confidence, engine, workers)
+        return [_arm_by_arm(pair, alone) for pair in pairs]
+
+    def redo(arm):
+        [(successes, truncd)] = _run_pool([arm], spec, trials, config, 1,
+                                          slice_lanes=trials)
+        return _estimate(successes, truncd, trials, confidence)
+
+    results: dict[int, tuple[UtilityEstimate, UtilityEstimate] | CrnError] = {}
+    left = list(range(len(pairs)))
+    while left:
+        try:
+            counts = _run_pool([arm for i in left for arm in pairs[i]], spec, trials,
+                               config, workers)
+        except NumericOverflowError as exc:
+            failed = left.pop(exc.lane // (2 * trials))
+            results[failed] = _arm_by_arm(pairs[failed], redo)
+            continue
+        for n, i in enumerate(left):
+            results[i] = tuple(_estimate(s, t, trials, confidence)
+                               for s, t in counts[2 * n:2 * n + 2])
+        break
+    return [results[i] for i in range(len(pairs))]
 
 
 def estimate_conditions(player: Player, opponents: Sequence[Player],

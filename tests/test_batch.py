@@ -158,13 +158,14 @@ class TestBatchBasics:
         with pytest.raises(NumericOverflowError) as err:
             simulate_batch(crn, inits, SimConfig(seed=0), rng, rates=rates)
         assert err.value.reaction_index == 1
+        assert err.value.lane == 1
         assert str(err.value) == "trial 1: non-finite propensity in reaction 1"
 
     def test_overflow_error_survives_pickling(self):
         # a worker process sends its error back pickled
         err = pickle.loads(pickle.dumps(NumericOverflowError(
-            2, "trial 5: non-finite propensity in reaction 2")))
-        assert err.reaction_index == 2
+            2, "trial 5: non-finite propensity in reaction 2", lane=5)))
+        assert (err.reaction_index, err.lane) == (2, 5)
         assert str(err) == "trial 5: non-finite propensity in reaction 2"
 
     def test_rates_must_match_lanes_and_be_nonnegative(self, majority_crn):
@@ -174,6 +175,14 @@ class TestBatchBasics:
             with pytest.raises(CrnError):
                 simulate_batch(majority_crn, inits, SimConfig(seed=0), rng,
                                rates=rates)
+
+    def test_zero_trials_with_monitor(self, majority_crn):
+        rng = XoshiroBatch(np.zeros(0, dtype=np.uint64))
+        inits = np.zeros((0, 2), dtype=np.int64)
+        out = simulate_batch(majority_crn, inits, SimConfig(seed=0), rng,
+                             stop_when_zero=(0, 1))
+        assert out.final_states.shape == (0, 2)
+        assert out.stop_reasons == [] and out.events.size == 0
 
     def test_lane_count_must_match(self, majority_crn):
         rng = XoshiroBatch(np.arange(3, dtype=np.uint64))

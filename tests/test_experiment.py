@@ -1,5 +1,6 @@
 import pytest
 
+from crngame import game as game_module
 from crngame.config import load_config
 from crngame.experiment import (
     CSV_COLUMNS,
@@ -103,12 +104,26 @@ class TestRunSweep:
         assert done.trunc_with == done.trunc_without == 0
 
     def test_overflow_row_same_for_any_worker_count(self, write_config,
-                                                    tmp_path):
+                                                    tmp_path, monkeypatch):
+        # the overflowing condition sits between two that stop at once; the
+        # pool's lane index must lead to it, and only it is redone arm by arm
         (tmp_path / "nature.crn").write_text("A -> B @ 1e308\nB -> A @ 20\n")
-        cfg = write_config(diffs="0 10", **{"total = 40": "total = 10"})
-        one = run_sweep(cfg, workers=1).to_csv()
-        assert run_sweep(cfg, workers=3).to_csv() == one
-        assert "trial 0: non-finite propensity in reaction 2" in one
+        cfg = write_config(diffs="10 0 -10", **{"total = 40": "total = 10"})
+        redone = []
+        alone = game_module._arm_by_arm
+
+        def spy(pair, *args):
+            redone.append(pair)
+            return alone(pair, *args)
+
+        monkeypatch.setattr(game_module, "_arm_by_arm", spy)
+        one = run_sweep(cfg, workers=1)
+        assert [row.error for row in one.rows] == [
+            "", "trial 0: non-finite propensity in reaction 2", ""]
+        assert [row.succ_with for row in one.rows] == [40, 0, 40]
+        for workers in (2, 3):
+            assert run_sweep(cfg, workers=workers).to_csv() == one.to_csv()
+        assert len(redone) == 3
 
     def test_catalytic_violation_raises(self, write_config, tmp_path):
         (tmp_path / "nature.crn").write_text("X -> B @ 20\nB -> X @ 20\n")

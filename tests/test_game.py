@@ -25,7 +25,8 @@ from crngame import (
     simulate,
     validate_catalytic,
 )
-from crngame.game import UtilityProbe, sample_initial_states
+from crngame.core import NumericOverflowError
+from crngame.game import UtilityProbe, _Arm, _run_pool, sample_initial_states
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import TrajectoryRecorder
 
@@ -280,15 +281,33 @@ class TestEstimation:
         eight = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=8)
         assert one == eight
 
-    def test_capped_slices_give_the_same_estimate(self, consensus_player,
-                                                  nature_player, monkeypatch):
+    def test_slices_do_not_change_the_counts(self, consensus_player, nature_player):
+        # slices of 7 lanes cut the two arms' 2 x 40 pool lanes at several
+        # offsets; each arm must still count as it does alone
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
-        game = compose([small, nature_player])
-        whole = estimate_expected_utility(game, 0, 40, SimConfig(seed=10))
-        monkeypatch.setattr("crngame.game._SLICE_LANES", 7)
+        arms = [_Arm(compose([small, nature_player]), 10),
+                _Arm(compose([small, Player.trivial()]), 11)]
+        whole = _run_pool(arms, small.utility, 40, SimConfig(seed=0), 1)
+        for workers in (1, 2, 3):
+            assert _run_pool(arms, small.utility, 40, SimConfig(seed=0), workers,
+                             slice_lanes=7) == whole
+        for arm, (successes, truncated) in zip(arms, whole):
+            alone = estimate_expected_utility(arm.game, 0, 40,
+                                              SimConfig(seed=arm.seed))
+            assert (alone.successes, alone.truncated) == (successes, truncated)
+
+    def test_overflow_names_the_pool_lane_and_its_trial(self, consensus_player):
+        # every lane of the second arm overflows at once (two A at 1e308);
+        # its first lane is pool lane 10, inside the second 7-lane slice
+        nature = player_for(make_crn([({"A": 1}, {"B": 1}, 1e308)]), name="nature")
+        calm, wild = (compose([consensus_player.with_counts(
+            {"X": 30, "Y": 20, "A": a, "B": 4}), nature]) for a in (1, 2))
         for workers in (1, 2):
-            assert estimate_expected_utility(game, 0, 40, SimConfig(seed=10),
-                                             workers=workers) == whole
+            with pytest.raises(NumericOverflowError) as err:
+                _run_pool([_Arm(calm, 1), _Arm(wild, 2)], calm.players[0].utility,
+                          10, SimConfig(seed=0), workers, slice_lanes=7)
+            assert err.value.lane == 10
+            assert str(err.value) == "trial 0: non-finite propensity in reaction 2"
 
     def test_random_initial_counts_redrawn_per_trial(self, majority_crn):
         dist = InitialDistribution((UniformCount(1, 40), ConstantCount(1)))
