@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Crn, CrnError, NumericOverflowError
+from .core import CompiledCrn, Crn, CrnError, NumericOverflowError
 from .rng import XoshiroBatch
 from .ssa import SimConfig, StopReason
 
@@ -58,55 +58,28 @@ class BatchOutcome:
     elapsed: np.ndarray  # (trials,) float64
 
 
-class _Kinetics(object):
-    """Mass-action propensities of one CRN over (species, lanes) rows.
-
-    Reaction ``r``'s propensity is ``kv * c0 * (c0 - 1) * ... * c1 * ...``
-    with the factors in species order, as in the scalar engine. Falling
-    factors ``c - m`` (m >= 1) are computed once per step into ``shifted``.
-    ``change`` maps the "running sum below threshold" rows to the count
-    change of the fired reaction: row 0 is reaction 0's change and row r the
-    difference between reactions r and r - 1, so summing the rows of lanes
-    whose running sum r-1 was still below the threshold gives each lane the
-    change of its chosen reaction.
-    """
-
-    def __init__(self, crn: Crn):
-        self.size = len(crn.reactions)
-        self.pairs = sorted({(si, m) for r in crn.reactions
-                             for si, need in enumerate(r.reactants)
-                             for m in range(1, need)})
-        slot = {pair: k for k, pair in enumerate(self.pairs)}
-        # per reaction: factors as ("c", species) or ("s", shifted row)
-        self.factors = [
-            [("c", si) if m == 0 else ("s", slot[si, m])
-             for si, need in enumerate(r.reactants) for m in range(need)]
-            for r in crn.reactions
-        ]
-        deltas = np.array([r.delta for r in crn.reactions], dtype=np.float64) \
-            .reshape(self.size, len(crn.species))
-        steps = deltas.copy()
-        steps[1:] -= deltas[:-1]
-        self.change = np.ascontiguousarray(steps.T)  # (species, reactions)
-
-
 class _StepRows(object):
     """Preallocated rows for one set of live lanes, and the propensity
-    computation over them as a flat list of in-place ufunc calls."""
+    computation over them as a flat list of in-place ufunc calls.
 
-    def __init__(self, kin: _Kinetics, counts: np.ndarray, kv: np.ndarray):
+    Reaction ``r``'s row is ``kv * f0 * f1 * ...`` over its falling factors
+    in :class:`~crngame.core.CompiledCrn` order. A factor ``c - m`` with
+    ``m >= 1`` is computed once per step into a ``shifted`` row.
+    """
+
+    def __init__(self, kin: CompiledCrn, counts: np.ndarray, kv: np.ndarray):
         width = counts.shape[1]
         self.counts = counts
         self.props = props = np.empty((kin.size, width))
-        shifted = np.empty((len(kin.pairs), width))
+        pairs = sorted({f for factors in kin.factors for f in factors if f[1]})
+        shifted = {pair: np.empty(width) for pair in pairs}
         # row 0 is constant 1; rows r >= 1 hold "running sum r-1 < threshold"
         self.below = np.ones((kin.size, width))
         self.change = np.empty((counts.shape[0], width))
         self.low = np.empty(width)
-        ops = [(np.subtract, counts[si], float(m), shifted[k])
-               for k, (si, m) in enumerate(kin.pairs)]
+        ops = [(np.subtract, counts[si], float(m), shifted[si, m]) for si, m in pairs]
         for ri, factors in enumerate(kin.factors):
-            rows = [counts[i] if kind == "c" else shifted[i] for kind, i in factors]
+            rows = [shifted[f] if f[1] else counts[f[0]] for f in factors]
             ops.append((np.multiply, kv[ri], rows[0] if rows else 1.0, props[ri]))
             ops.extend((np.multiply, props[ri], row, props[ri]) for row in rows[1:])
         # the left-to-right running sum, in place; the last row is the exit rate
@@ -119,6 +92,20 @@ class _StepRows(object):
         for ufunc, a, b, out in self.ops:
             ufunc(a, b, out)
         return self.props
+
+
+def _change_rows(crn: Crn) -> np.ndarray:
+    """(species, reactions) map from "running sum below threshold" rows to counts.
+
+    Column 0 is reaction 0's change and column r the difference between the
+    changes of reactions r and r - 1, so summing the columns of the rows a
+    lane's threshold still exceeded gives the change of its chosen reaction.
+    """
+    deltas = np.array([r.delta for r in crn.reactions], dtype=np.float64) \
+        .reshape(len(crn.reactions), len(crn.species))
+    steps = deltas.copy()
+    steps[1:] -= deltas[:-1]
+    return np.ascontiguousarray(steps.T)
 
 
 def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
@@ -154,11 +141,10 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     if not (rates >= 0.0).all():
         raise CrnError("rates must be nonnegative")
 
-    volume = config.volume
-    scale = np.array([volume ** (1 - r.arity) for r in crn.reactions])
+    kin = CompiledCrn(crn.reactions, config.volume)
+    change = _change_rows(crn)
     max_time = config.max_time if config.max_time is not None else float("inf")
     ceiling = config.event_ceiling
-    kin = _Kinetics(crn)
     watch = tuple(stop_when_zero)
 
     out_states = np.empty_like(initial_states)
@@ -170,7 +156,7 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     # trial indices. Counts are exact small integers stored as float64.
     idx = np.arange(trials)
     counts = np.ascontiguousarray(initial_states.T, dtype=np.float64)
-    kv = np.ascontiguousarray(rates.T * scale[:, None])
+    kv = np.ascontiguousarray(rates.T * np.array(kin.scale)[:, None])
     t = np.zeros(trials)
     step = 0  # events fired so far by every live lane
 
@@ -242,7 +228,7 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
             np.subtract(t, sojourn, t)
             np.multiply(threshold, total, threshold)
             np.less(props[:-1], threshold, rows.below[1:])
-            np.matmul(kin.change, rows.below, rows.change)
+            np.matmul(change, rows.below, rows.change)
             np.add(counts, rows.change, counts)
             step += 1
 
@@ -267,20 +253,12 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     )
 
 
-def _raise_overflow(kin: _Kinetics, kv: np.ndarray, counts: np.ndarray,
+def _raise_overflow(kin: CompiledCrn, kv: np.ndarray, counts: np.ndarray,
                     total: np.ndarray, idx: np.ndarray):
     """Name the first lane whose exit rate is not finite, and its first
-    non-finite propensity, recomputed factor by factor as in the step."""
+    non-finite propensity."""
     lane = int((~np.isfinite(total)).nonzero()[0][0])
-    col = counts[:, lane]
-    rxn = -1
-    for ri, factors in enumerate(kin.factors):
-        p = kv[ri, lane]
-        for kind, i in factors:
-            p = p * (col[i] if kind == "c" else col[kin.pairs[i][0]] - kin.pairs[i][1])
-        if not np.isfinite(p):
-            rxn = ri
-            break
+    rxn = kin.first_nonfinite(counts[:, lane], kv[:, lane])
     trial = int(idx[lane])
     raise NumericOverflowError(
         rxn, f"trial {trial}: non-finite propensity in reaction {rxn}", lane=trial)

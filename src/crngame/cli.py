@@ -19,8 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import crnfile
-from .config import ConfigError, ExperimentConfig, load_config, resolve_input_path
-from .core import Crn, CrnError, NumericOverflowError
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    resolve_input_path,
+    sim_config,
+)
+from .core import Crn, CrnError, NumericOverflowError, SpeciesTable
 from .experiment import robustness_summary, run_robustness, run_sweep
 from .game import (
     GameConfigError,
@@ -35,7 +41,7 @@ from .oracle import (
     absorption_probabilities,
     enumerate_states,
 )
-from .ssa import SimConfig, TrajectoryDumpObserver, ZeroCountMonitor, simulate
+from .ssa import TrajectoryDumpObserver, ZeroCountMonitor, simulate
 from .svg import sweep_svg
 
 EXIT_OK = 0
@@ -129,6 +135,19 @@ def _parse_init_overrides(pairs: list[str]) -> dict[str, int]:
     return out
 
 
+def _species(table: SpeciesTable, name: str, flag: str) -> int:
+    """Index of a species named on the command line; unknown is a usage error."""
+    if name not in table:
+        raise ConfigError(f"{flag}: unknown species {name!r}")
+    return table.index_of(name)
+
+
+def _apply_init(table: SpeciesTable, state: np.ndarray, pairs: list[str]) -> None:
+    """Apply ``--init SPECIES=COUNT`` overrides to ``state`` in place."""
+    for name, count in _parse_init_overrides(pairs).items():
+        state[_species(table, name, "--init")] = count
+
+
 def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
     value = config_threads if threads is None else threads
     if value == 0:
@@ -184,9 +203,8 @@ def _load_merged_crn(paths: list[str]) -> tuple[Crn, np.ndarray]:
 
 def _cmd_simulate(args) -> int:
     crn, state = _load_merged_crn(args.crn_files)
-    for name, count in _parse_init_overrides(args.init).items():
-        state[crn.species.index_of(name)] = count
-    config = SimConfig(
+    _apply_init(crn.species, state, args.init)
+    config = sim_config(
         volume=args.volume if args.volume is not None else 1.0,
         max_time=args.max_time,
         max_events=args.max_events,
@@ -199,7 +217,7 @@ def _cmd_simulate(args) -> int:
         observers.append(TrajectoryDumpObserver(dump_handle, crn.species.names))
     if args.takeover:
         observers.append(ZeroCountMonitor(
-            tuple(crn.species.index_of(n) for n in args.takeover)))
+            tuple(_species(crn.species, n, "--takeover") for n in args.takeover)))
     try:
         result = simulate(crn, state, config, observers)
     finally:
@@ -257,12 +275,11 @@ def _cmd_robustness(args) -> int:
 def _cmd_oracle(args) -> int:
     doc = crnfile.load(resolve_input_path(args.crn_file))
     table = doc.crn.species
-    counts = dict(doc.initial_counts)
-    counts.update(_parse_init_overrides(args.init))
-    state = table.state_from(counts)
-    volume = args.volume if args.volume is not None else 1.0
-    winner = table.index_of(args.winner)
-    loser = table.index_of(args.loser)
+    state = table.state_from(doc.initial_counts)
+    _apply_init(table, state, args.init)
+    volume = sim_config(args.volume if args.volume is not None else 1.0).volume
+    winner = _species(table, args.winner, "--winner")
+    loser = _species(table, args.loser, "--loser")
     space = enumerate_states(doc.crn, state, volume, state_cap=args.cap)
     probs = absorption_probabilities(space, lambda s: s[winner] > s[loser])
     print(f"p = {probs[0]:#.12g}")

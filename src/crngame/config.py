@@ -93,6 +93,15 @@ def _parse_diffs(text) -> list[int]:
     return [int(p) for p in text.replace(",", " ").split()]
 
 
+def sim_config(volume: float = 1.0, max_time: float | None = None,
+               max_events: int | None = None, seed: int = 0) -> SimConfig:
+    """Simulation settings given by a user; a bad value is a :class:`ConfigError`."""
+    try:
+        return SimConfig(volume, max_time, max_events, seed)
+    except CrnError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass
 class PlayerConfig:
     name: str
@@ -128,7 +137,6 @@ class ExperimentConfig:
     max_events: int | None = None
     confidence: float = 0.99
     catalytic: bool = False
-    engine: str = "batch"
     threads: int = 1
     csv_path: str | None = None
     svg_path: str | None = None
@@ -142,8 +150,7 @@ class ExperimentConfig:
             raise ConfigError("total must be nonnegative")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must lie in (0, 1)")
-        if self.engine not in ("batch", "reference"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
+        self.sim_config()  # rejects a bad volume, max_time or max_events
         first = self.players[0]
         for name in self.pair:
             if name not in first.document.crn.species:
@@ -152,9 +159,8 @@ class ExperimentConfig:
                     f"{first.name!r}'s CRN")
 
     def sim_config(self, seed: int | None = None) -> SimConfig:
-        return SimConfig(volume=self.volume, max_time=self.max_time,
-                         max_events=self.max_events,
-                         seed=self.seed if seed is None else seed)
+        return sim_config(self.volume, self.max_time, self.max_events,
+                          self.seed if seed is None else seed)
 
     def accepted_diffs(self) -> list[int]:
         return [d for d in self.diffs if (self.total + d) % 2 == 0]
@@ -275,6 +281,11 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
 
     sim = sections.get("simulation", {})
     out = sections.get("output", {})
+    engine = str(sim.get("engine", "batch"))
+    if engine != "batch":
+        raise ConfigError(
+            f"unknown engine {engine!r}: 'batch' is the only engine (the scalar "
+            f"'reference' engine was removed; it gave identical counts)")
     max_time = sim.get("max_time")
     max_events = sim.get("max_events")
     return ExperimentConfig(
@@ -289,7 +300,6 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         max_events=int(max_events) if max_events is not None else None,
         confidence=float(sim.get("confidence", 0.99)),
         catalytic=_as_bool(sim.get("catalytic", "false"), "catalytic"),
-        engine=str(sim.get("engine", "batch")),
         threads=int(sim.get("threads", 1)),
         csv_path=out.get("csv"),
         svg_path=out.get("svg"),

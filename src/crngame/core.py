@@ -14,6 +14,7 @@ propensities are 64-bit floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -210,24 +211,73 @@ def apply_reaction(reaction: Reaction, state: CountVector) -> CountVector:
     return state + np.asarray(reaction.delta, dtype=np.int64)
 
 
+class CompiledCrn(object):
+    """The mass-action kinetics of a reaction list at one volume.
+
+    This is the one place the propensity formula lives; every engine and the
+    oracle read it from here. ``scale[j]`` is ``V**(1 - arity)`` and
+    ``kv[j]`` is ``k * scale[j]``. ``factors[j]`` lists reaction ``j``'s
+    falling factors ``x(species) - m`` as ``(species, m)`` pairs, in species
+    order and then by ``m``; a propensity is ``kv[j]`` times them, multiplied
+    left to right, and engines that keep this order agree bit for bit.
+    ``deltas[j]`` holds ``(species, change)`` for each species that reaction
+    ``j`` changes, and ``dependents[j]`` the reactions whose propensity can
+    change when ``j`` fires.
+    """
+
+    __slots__ = ("size", "scale", "kv", "factors", "deltas", "dependents")
+
+    def __init__(self, reactions: Sequence[Reaction], volume: float = 1.0):
+        if not volume > 0.0:
+            raise CrnError(f"volume must be positive, got {volume!r}")
+        reactions = tuple(reactions)
+        self.size = len(reactions)
+        self.scale = [volume ** (1 - r.arity) for r in reactions]
+        self.kv = [r.rate_constant * s for r, s in zip(reactions, self.scale)]
+        self.factors = [
+            tuple((i, m) for i, need in enumerate(r.reactants) for m in range(need))
+            for r in reactions
+        ]
+        self.deltas = [tuple((i, d) for i, d in enumerate(r.delta) if d)
+                       for r in reactions]
+        self.dependents = []
+        for fired in reactions:
+            changed = set(fired.changed_species())
+            self.dependents.append(tuple(
+                j for j, r in enumerate(reactions)
+                if changed.intersection(r.reactant_support())))
+
+    def propensity(self, j: int, counts: Sequence, kv: Sequence | None = None) -> float:
+        """Reaction ``j``'s propensity at ``counts``; ``kv`` replaces ``self.kv``.
+
+        For integer counts the product is exactly zero (possibly ``-0.0``)
+        whenever the reaction is not applicable, since some factor is 0.
+        """
+        p = self.kv[j] if kv is None else kv[j]
+        for si, m in self.factors[j]:
+            p *= counts[si] - m
+        return p
+
+    def first_nonfinite(self, counts: Sequence, kv: Sequence | None = None) -> int:
+        """Index of the first reaction whose propensity is not finite, or -1."""
+        for j in range(self.size):
+            if not math.isfinite(self.propensity(j, counts, kv)):
+                return j
+        return -1
+
+
 def propensity(reaction: Reaction, state: CountVector, volume: float = 1.0) -> float:
     """Stochastic mass-action rate of ``reaction`` in ``state``.
 
-    Computes k * V**(1-arity) * prod of per-species falling factorials,
-    multiplying factors in species order. For integer states the product is
-    exactly 0 whenever the reaction is not applicable (some factor hits 0),
-    so no applicability branch is needed. Raises
-    :class:`NumericOverflowError` if the product leaves the finite range.
+    Computes k * V**(1-arity) * prod of per-species falling factorials, as
+    :class:`CompiledCrn` does. For integer states the product is exactly 0
+    whenever the reaction is not applicable (some factor hits 0), so no
+    applicability branch is needed. Raises :class:`NumericOverflowError` if
+    the product leaves the finite range.
     """
     _check_dimension(reaction, state)
-    if not volume > 0.0:
-        raise CrnError(f"volume must be positive, got {volume!r}")
-    p = reaction.rate_constant * volume ** (1 - reaction.arity)
-    for i, need in enumerate(reaction.reactants):
-        count = float(state[i])
-        for m in range(need):
-            p *= count - m
-    if p != p or p == float("inf"):
+    p = CompiledCrn((reaction,), volume).propensity(0, [int(c) for c in state])
+    if not math.isfinite(p):
         raise NumericOverflowError(-1, "non-finite propensity")
     # A state with fewer counts than required yields a zero factor; never negative.
     return p if p > 0.0 else 0.0

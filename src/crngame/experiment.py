@@ -93,9 +93,10 @@ class SweepOutput:
         """Render the fixed-column CSV, with a commented header block."""
         cfg = self.config
         buf = io.StringIO()
+        # "engine=batch" stays in the header so that sweep CSVs keep their bytes
         buf.write(f"# sweep: n={cfg.total} trials={cfg.trials} seed={cfg.seed}"
                   f" volume={_fmt(cfg.volume)} confidence={_fmt(cfg.confidence)}"
-                  f" engine={cfg.engine}\n")
+                  f" engine=batch\n")
         buf.write(f"# players: {', '.join(p.name for p in cfg.players)}\n")
         rejected = cfg.rejected_diffs()
         if rejected:
@@ -138,7 +139,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepOutput:
     results = estimate_conditions(
         config.main_player(), config.opponent_players(), config.conditions(),
         config.trials, config.sim_config(), confidence=config.confidence,
-        engine=config.engine, workers=workers)
+        workers=workers)
     rows: list[SweepRow] = []
     for d, result in zip(config.accepted_diffs(), results):
         if isinstance(result, CrnError):
@@ -161,7 +162,7 @@ def run_robustness(config: ExperimentConfig, alpha: float | None,
         config.main_player(), config.opponent_players(), config.conditions(),
         config.trials, config.sim_config(), alpha=alpha,
         confidence=config.confidence, paired_seeds=paired_seeds,
-        engine=config.engine, workers=workers)
+        workers=workers)
     rows = [
         SweepRow.from_condition(d, config.total, result)
         for d, result in zip(config.accepted_diffs(), report.conditions)

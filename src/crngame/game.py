@@ -12,11 +12,11 @@ every opponent is replaced by the empty CRN with the empty initial
 distribution. A strategy clearing ratio ``a`` on every tested condition is
 evidence of ``a``-robustness against that opponent profile.
 
-With the batch engine, all trials of every arm of every condition run as
-one lockstep lane pool (:func:`_run_pool`), dealt round-robin to the
-workers. The baseline game is a prefix of the game with the opponents, so
-its lanes run on that game's CRN with the opponents' rates set to 0, and
-every lane stays bit-identical to a batch of its own game alone.
+All trials of every arm of every condition run as one lockstep lane pool
+(:func:`_run_pool`), dealt round-robin to the workers. The baseline game is
+a prefix of the game with the opponents, so its lanes run on that game's
+CRN with the opponents' rates set to 0, and every lane stays bit-identical
+to a batch of its own game alone.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from .core import (
     SpeciesTable,
 )
 from .rng import Xoshiro256, XoshiroBatch, child_seed
-from .ssa import (
-    Observer,
-    SimConfig,
-    StopReason,
-    ZeroCountMonitor,
-    run_trials,
-)
+from .ssa import SimConfig, StopReason
 from .batch import simulate_batch
 from .stats import ratio_bounds, wilson_interval
 
@@ -147,16 +141,16 @@ UtilitySpec = Indifferent | TakeoverSuccess
 _CONCLUSIVE = (StopReason.TERMINAL, StopReason.EARLY_STOP)
 
 
-def takeover_succeeded(x0: int, y0: int, x_final: int, y_final: int,
-                       stop_reason: StopReason) -> bool:
-    if stop_reason not in _CONCLUSIVE:
-        return False
+def takeover_succeeded(x0, y0, x_final, y_final, conclusive):
+    """The :class:`TakeoverSuccess` rule, for one trial or elementwise over arrays.
+
+    ``conclusive`` says whether the run stopped for a conclusive reason.
+    """
     total = x0 + y0
-    if x0 > y0:
-        return x_final == total
-    if y0 > x0:
-        return y_final == total
-    return x_final == total or y_final == total
+    won = np.where(x0 > y0, x_final == total,
+                   np.where(y0 > x0, y_final == total,
+                            (x_final == total) | (y_final == total)))
+    return won & conclusive
 
 
 def evaluate_utility(spec: UtilitySpec, species: SpeciesTable,
@@ -165,9 +159,7 @@ def evaluate_utility(spec: UtilitySpec, species: SpeciesTable,
     """Utility of a trajectory from its endpoint summary.
 
     Both supported utilities are functions of the initial state, final
-    state, and stop reason only, so a streaming evaluator that tracks the
-    latest counts (see :class:`UtilityProbe`) computes the same value as
-    whole-trajectory evaluation.
+    state, and stop reason only.
     """
     if isinstance(spec, Indifferent):
         return 0.0
@@ -175,46 +167,8 @@ def evaluate_utility(spec: UtilitySpec, species: SpeciesTable,
     yi = species.index_of(spec.y_species)
     ok = takeover_succeeded(int(initial_state[xi]), int(initial_state[yi]),
                             int(final_state[xi]), int(final_state[yi]),
-                            stop_reason)
+                            stop_reason in _CONCLUSIVE)
     return 1.0 if ok else 0.0
-
-
-class UtilityProbe(Observer):
-    """Streaming utility evaluation plus early stop once the pair is frozen.
-
-    For :class:`TakeoverSuccess` this watches the designated species and
-    requests a stop when either count reaches zero; from then on neither can
-    change, so the trajectory's utility is already determined.
-    """
-
-    def __init__(self, spec: UtilitySpec, species: SpeciesTable):
-        self._spec = spec
-        self._species = species
-        self._initial: np.ndarray | None = None
-        self._value: float | None = None
-        if isinstance(spec, TakeoverSuccess):
-            self._monitor = ZeroCountMonitor(
-                (species.index_of(spec.x_species), species.index_of(spec.y_species)))
-        else:
-            self._monitor = None
-
-    def on_start(self, counts):
-        self._initial = np.array(counts, dtype=np.int64)
-        if self._monitor is not None:
-            return self._monitor.on_start(counts)
-        return None
-
-    def on_event(self, time, sojourn, reaction_index, counts):
-        if self._monitor is not None:
-            return self._monitor.on_event(time, sojourn, reaction_index, counts)
-        return None
-
-    def on_stop(self, reason, counts, time, events):
-        self._value = evaluate_utility(self._spec, self._species, self._initial,
-                                       np.asarray(counts), reason)
-
-    def result(self):
-        return self._value
 
 
 # ---------------------------------------------------------------------------
@@ -405,27 +359,6 @@ class UtilityEstimate:
         return (self.lower, self.upper)
 
 
-class _TakeoverProbeFactory(object):
-    """Picklable observer factory for the reference (scalar) engine."""
-
-    def __init__(self, spec: TakeoverSuccess, species: SpeciesTable):
-        self.spec = spec
-        self.species = species
-
-    def __call__(self, trial_index: int) -> UtilityProbe:
-        return UtilityProbe(self.spec, self.species)
-
-
-class _GameStateSampler(object):
-    """Picklable per-trial initial-state sampler for :func:`run_trials`."""
-
-    def __init__(self, game: ComposedGame):
-        self.game = game
-
-    def __call__(self, trial_index: int, rng: Xoshiro256) -> CountVector:
-        return sample_initial_state(self.game, rng)
-
-
 # Most lanes in one batch call. On the full sweep's game (4 species, 4
 # reactions, 2-vCPU KVM guest) a step took 40-55 ns per live lane from 4k to
 # 32k lanes, and 80-105 ns from 64k lanes up, where the step's matrix
@@ -496,12 +429,9 @@ def _run_slice(args) -> tuple[int, np.ndarray]:
             f"in reaction {exc.reaction_index}", lane=lane) from None
 
     conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
-    x0, y0 = inits[:, xi], inits[:, yi]
-    xf, yf = outcome.final_states[:, xi], outcome.final_states[:, yi]
-    total = x0 + y0
-    won = np.where(x0 > y0, xf == total,
-                   np.where(y0 > x0, yf == total, (xf == total) | (yf == total)))
-    return a0, np.stack([np.bincount(arm_of[conclusive & won], minlength=len(arms)),
+    won = takeover_succeeded(inits[:, xi], inits[:, yi], outcome.final_states[:, xi],
+                             outcome.final_states[:, yi], conclusive)
+    return a0, np.stack([np.bincount(arm_of[won], minlength=len(arms)),
                          np.bincount(arm_of[~conclusive], minlength=len(arms))], axis=1)
 
 
@@ -558,36 +488,29 @@ def _estimate(successes: int, truncated: int, trials: int,
                            truncated, confidence)
 
 
+def _exact_zero(trials: int, confidence: float) -> UtilityEstimate:
+    """The estimate of a constant-zero utility: exact, not statistical."""
+    return UtilityEstimate(0.0, 0.0, 0.0, 0, trials, 0, confidence)
+
+
 def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int,
                               config: SimConfig, confidence: float = 0.99,
-                              engine: str = "batch",
                               workers: int = 1) -> UtilityEstimate:
     """Monte Carlo estimate of a player's expected utility.
 
     Trial ``j`` draws its initial state and trajectory from the stream
-    seeded with ``child_seed(config.seed, j)``; estimates are identical for
-    any worker count and for both engines. Binary utilities get a Wilson
-    score interval at ``confidence``. The batch engine runs the trials as a
-    one-arm lane pool (see :func:`_run_pool`).
+    seeded with ``child_seed(config.seed, j)``, so the estimate is the same
+    for any worker count. Binary utilities get a Wilson score interval at
+    ``confidence``. The trials run as a one-arm lane pool (see
+    :func:`_run_pool`).
     """
     if trials < 1:
         raise GameConfigError("trials must be >= 1")
     spec = game.players[player_index].utility
     if isinstance(spec, Indifferent):
-        # Constant utility: the estimate is exact, not statistical.
-        return UtilityEstimate(0.0, 0.0, 0.0, 0, trials, 0, confidence)
-    if engine == "batch":
-        [(successes, truncd)] = _run_pool([_Arm(game, config.seed)], spec, trials,
-                                          config, workers)
-    elif engine == "reference":
-        results = run_trials(
-            game.crn, _GameStateSampler(game), config, trials,
-            observer_factory=_TakeoverProbeFactory(spec, game.crn.species),
-            worker_count=workers)
-        successes = sum(1 for r in results if r.observer_output == 1.0)
-        truncd = sum(1 for r in results if r.stop_reason not in _CONCLUSIVE)
-    else:
-        raise GameConfigError(f"unknown engine {engine!r}")
+        return _exact_zero(trials, confidence)
+    [(successes, truncd)] = _run_pool([_Arm(game, config.seed)], spec, trials,
+                                      config, workers)
     return _estimate(successes, truncd, trials, confidence)
 
 
@@ -669,23 +592,18 @@ def _arm_by_arm(pair: tuple[_Arm, _Arm], estimate
 
 
 def _estimate_pairs(pairs: list[tuple[_Arm, _Arm]], trials: int, config: SimConfig,
-                    confidence: float, engine: str, workers: int
+                    confidence: float, workers: int
                     ) -> list[tuple[UtilityEstimate, UtilityEstimate] | CrnError]:
     """Both arms of every pair; a pair that fails yields its error instead.
 
-    With the batch engine every pair runs in one lane pool. When a lane
-    overflows, its pair is redone arm by arm, each arm as one batch in this
-    process, so that its error names the first trial that overflowed
-    whatever the worker count; the pool then runs again without it. Other
-    engines, and inputs the pool cannot take, run pair by pair.
+    Every pair runs in one lane pool. When a lane overflows, its pair is
+    redone arm by arm, each arm as one batch in this process, so that its
+    error names the first trial that overflowed whatever the worker count;
+    the pool then runs again without it.
     """
     spec = pairs[0][0].game.players[0].utility
-    if engine != "batch" or trials < 1 or not isinstance(spec, TakeoverSuccess):
-        def alone(arm):
-            return estimate_expected_utility(arm.game, 0, trials,
-                                             replace(config, seed=arm.seed),
-                                             confidence, engine, workers)
-        return [_arm_by_arm(pair, alone) for pair in pairs]
+    if isinstance(spec, Indifferent):
+        return [(_exact_zero(trials, confidence),) * 2] * len(pairs)
 
     def redo(arm):
         [(successes, truncd)] = _run_pool([arm], spec, trials, config, 1,
@@ -713,16 +631,17 @@ def estimate_conditions(player: Player, opponents: Sequence[Player],
                         conditions: Sequence[Condition], trials: int,
                         config: SimConfig, alpha: float | None = None,
                         confidence: float = 0.99, paired_seeds: bool = False,
-                        engine: str = "batch", workers: int = 1,
+                        workers: int = 1,
                         first_index: int = 0) -> list[ConditionResult | CrnError]:
     """Run both arms of every condition and compare them.
 
     Condition ``i`` uses condition index ``first_index + i`` for its seeds
-    (see :func:`_condition_arms`). With the batch engine, every arm of every
-    condition is one lane pool. A condition that cannot be composed or
-    simulated yields its error in place of a result; the others are
-    unaffected.
+    (see :func:`_condition_arms`). Every arm of every condition is one lane
+    pool. A condition that cannot be composed or simulated yields its error
+    in place of a result; the others are unaffected.
     """
+    if trials < 1:
+        raise GameConfigError("trials must be >= 1")
     opponents = tuple(opponents)
     prepared: list[tuple[_Arm, _Arm] | CrnError] = []
     for i, condition in enumerate(conditions):
@@ -732,8 +651,8 @@ def estimate_conditions(player: Player, opponents: Sequence[Player],
         except CrnError as exc:
             prepared.append(exc)
     pairs = [p for p in prepared if not isinstance(p, CrnError)]
-    estimates = iter(_estimate_pairs(pairs, trials, config, confidence, engine,
-                                     workers) if pairs else ())
+    estimates = iter(_estimate_pairs(pairs, trials, config, confidence, workers)
+                     if pairs else ())
     results: list[ConditionResult | CrnError] = []
     for condition, item in zip(conditions, prepared):
         if not isinstance(item, CrnError):
@@ -756,13 +675,13 @@ def estimate_condition(player: Player, opponents: Sequence[Player],
                        condition: Condition, condition_index: int, trials: int,
                        config: SimConfig, alpha: float | None = None,
                        confidence: float = 0.99, paired_seeds: bool = False,
-                       engine: str = "batch", workers: int = 1) -> ConditionResult:
+                       workers: int = 1) -> ConditionResult:
     """Run both arms of one condition and compare them.
 
     Seeds derive from ``condition_index`` (see :func:`_condition_arms`).
     """
     [result] = estimate_conditions(player, opponents, [condition], trials, config,
-                                   alpha, confidence, paired_seeds, engine, workers,
+                                   alpha, confidence, paired_seeds, workers,
                                    first_index=condition_index)
     if isinstance(result, CrnError):
         raise result
@@ -773,23 +692,22 @@ def estimate_robustness(player: Player, opponents: Sequence[Player],
                         conditions: Sequence[Condition], trials: int,
                         config: SimConfig, alpha: float | None = None,
                         confidence: float = 0.99, paired_seeds: bool = False,
-                        engine: str = "batch", workers: int = 1) -> RobustnessReport:
+                        workers: int = 1) -> RobustnessReport:
     """Estimate per-condition utility ratios against trivial-opponent baselines.
 
     For each condition, the with-opponents arm and the baseline arm (every
     opponent replaced by the empty CRN and the trivial distribution) are
-    estimated with ``trials`` trials each, all in one lane pool with the
-    batch engine. Arms use distinct child-seed streams unless
-    ``paired_seeds``; pairing reuses the with-arm stream in the baseline for
-    variance reduction. If ``alpha`` is given, the report carries a
-    PASS/FAIL/INCONCLUSIVE verdict: PASS when every condition's conservative
-    ratio interval lies at or above ``alpha``. The first condition that
-    fails raises its error.
+    estimated with ``trials`` trials each, all in one lane pool. Arms use
+    distinct child-seed streams unless ``paired_seeds``; pairing reuses the
+    with-arm stream in the baseline for variance reduction. If ``alpha`` is
+    given, the report carries a PASS/FAIL/INCONCLUSIVE verdict: PASS when
+    every condition's conservative ratio interval lies at or above
+    ``alpha``. The first condition that fails raises its error.
     """
     if not conditions:
         raise GameConfigError("conditions must be nonempty")
     results = estimate_conditions(player, opponents, conditions, trials, config,
-                                  alpha, confidence, paired_seeds, engine, workers)
+                                  alpha, confidence, paired_seeds, workers)
     for result in results:
         if isinstance(result, CrnError):
             raise result

@@ -9,6 +9,7 @@ depend on sojourn times.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
-from .core import Crn, CountVector, CrnError, propensity
+from .core import CompiledCrn, Crn, CountVector, CrnError, NumericOverflowError
 
 SOLVE_RESIDUAL_BOUND = 1e-10
 
@@ -67,27 +68,31 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
     if (initial < 0).any():
         raise CrnError("initial counts must be nonnegative")
 
-    deltas = [np.asarray(r.delta, dtype=np.int64) for r in crn.reactions]
-    index_of: dict[bytes, int] = {initial.tobytes(): 0}
-    states: list[np.ndarray] = [initial]
+    kin = CompiledCrn(crn.reactions, volume)
+    start = tuple(int(c) for c in initial)
+    index_of: dict[tuple[int, ...], int] = {start: 0}
+    states: list[tuple[int, ...]] = [start]
     transitions: list[list[tuple[int, float]]] = []
     queue = deque([0])
     while queue:
-        si = queue.popleft()
-        state = states[si]
+        state = states[queue.popleft()]
         merged: dict[int, float] = {}
-        for ri, rxn in enumerate(crn.reactions):
-            rate = propensity(rxn, state, volume)
+        for ri in range(kin.size):
+            rate = kin.propensity(ri, state)
             if rate == 0.0:
                 continue
-            succ = state + deltas[ri]
-            key = succ.tobytes()
-            ti = index_of.get(key)
+            if not math.isfinite(rate):
+                raise NumericOverflowError(ri)
+            succ = list(state)
+            for si, d in kin.deltas[ri]:
+                succ[si] += d
+            succ = tuple(succ)
+            ti = index_of.get(succ)
             if ti is None:
                 ti = len(states)
                 if ti >= state_cap:
                     raise StateSpaceTooLargeError(state_cap)
-                index_of[key] = ti
+                index_of[succ] = ti
                 states.append(succ)
                 queue.append(ti)
             merged[ti] = merged.get(ti, 0.0) + rate

@@ -1,7 +1,9 @@
 """Exact stochastic simulation of a CRN as a continuous-time Markov chain.
 
-This is the direct-method reference engine: in each state the exit rate is
-the sum of all reaction propensities, the sojourn time is exponential with
+This is the scalar direct-method engine, and the reference the lockstep
+engine (:mod:`crngame.batch`) is tested against: in each state the exit
+rate is the sum of all reaction propensities (see
+:class:`~crngame.core.CompiledCrn`), the sojourn time is exponential with
 that rate, and the fired reaction is selected by inverse-CDF over the
 propensities. After a firing, only the propensities of reactions whose
 reactant support intersects the fired reaction's changed species are
@@ -9,9 +11,9 @@ recomputed; the exit rate is always re-summed left to right over the full
 propensity array so that batched and scalar runs agree bit for bit.
 
 Observers consume the event stream incrementally and may request an early
-stop (see :class:`Observer`). Monte Carlo trials are driven by
-:func:`run_trials`, which gives trial ``j`` the stream seeded with
-``child_seed(config.seed, j)`` so results never depend on worker count.
+stop (see :class:`Observer`). :func:`run_trials` runs independent trials
+one after another, giving trial ``j`` the stream seeded with
+``child_seed(config.seed, j)``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Crn, CountVector, CrnError, NumericOverflowError
+from .core import CompiledCrn, Crn, CountVector, CrnError, NumericOverflowError
 from .rng import Xoshiro256, child_seed
 
 # Guard against nonterminating CRNs when the caller sets no limits at all.
@@ -184,62 +186,25 @@ class TrialResult:
     observer_output: object = None
 
 
-class _CompiledCrn(object):
-    """Flat per-reaction data for the hot loop, plus the dependency map."""
-
-    __slots__ = ("kv", "terms", "deltas", "dependents", "size")
-
-    def __init__(self, crn: Crn, volume: float):
-        self.size = len(crn.reactions)
-        self.kv = [r.rate_constant * volume ** (1 - r.arity) for r in crn.reactions]
-        # terms: per reaction, (species index, stoichiometry) in species order
-        self.terms = [
-            tuple((i, need) for i, need in enumerate(r.reactants) if need)
-            for r in crn.reactions
-        ]
-        self.deltas = [
-            tuple((i, d) for i, d in enumerate(r.delta) if d)
-            for r in crn.reactions
-        ]
-        # dependents[j]: reactions whose propensity can change when j fires
-        deps = []
-        for j, fired in enumerate(crn.reactions):
-            changed = set(fired.changed_species())
-            deps.append(tuple(
-                i for i, r in enumerate(crn.reactions)
-                if changed.intersection(r.reactant_support())
-            ))
-        self.dependents = deps
-
-    def propensity(self, index: int, counts: Sequence[int]) -> float:
-        p = self.kv[index]
-        for si, need in self.terms[index]:
-            c = counts[si]
-            for m in range(need):
-                p *= c - m
-        return p
-
-
 def total_rate(crn: Crn, state: CountVector, volume: float = 1.0) -> float:
     """Exit rate of the CTMC at ``state``: the sum of all propensities."""
     if len(state) != len(crn.species):
         raise CrnError("state dimension does not match CRN")
-    compiled = _CompiledCrn(crn, volume)
+    compiled = CompiledCrn(crn.reactions, volume)
     counts = [int(c) for c in state]
     total = 0.0
     for j in range(compiled.size):
         total += compiled.propensity(j, counts)
     if total != total or total == float("inf"):
-        raise _overflow_index(compiled, counts)
+        raise _overflow(compiled, counts)
     return total
 
 
-def _overflow_index(compiled: _CompiledCrn, counts: Sequence[int]) -> NumericOverflowError:
-    for j in range(compiled.size):
-        p = compiled.propensity(j, counts)
-        if p != p or p == float("inf"):
-            return NumericOverflowError(j)
-    return NumericOverflowError(-1, "non-finite propensity sum")
+def _overflow(compiled: CompiledCrn, counts: Sequence[int]) -> NumericOverflowError:
+    j = compiled.first_nonfinite(counts)
+    if j < 0:
+        return NumericOverflowError(-1, "non-finite propensity sum")
+    return NumericOverflowError(j)
 
 
 def step(crn: Crn, state: CountVector, volume: float,
@@ -252,14 +217,14 @@ def step(crn: Crn, state: CountVector, volume: float,
     """
     if len(state) != len(crn.species):
         raise CrnError("state dimension does not match CRN")
-    compiled = _CompiledCrn(crn, volume)
+    compiled = CompiledCrn(crn.reactions, volume)
     counts = [int(c) for c in state]
     props = [compiled.propensity(j, counts) for j in range(compiled.size)]
     total = 0.0
     for p in props:
         total += p
     if total != total or total == float("inf"):
-        raise _overflow_index(compiled, counts)
+        raise _overflow(compiled, counts)
     if total == 0.0:
         return None
     sojourn = -math.log(rng.next_u01()) / total
@@ -305,31 +270,8 @@ class _ConstantStateSampler(object):
 
 
 def constant_initial_state(state: CountVector) -> StateSampler:
-    """Sampler that returns the same initial state for every trial.
-
-    Picklable, so it works with multi-process trial runs.
-    """
+    """Sampler that returns the same initial state for every trial."""
     return _ConstantStateSampler(state)
-
-
-def _run_one_trial(crn: Crn, sampler: StateSampler, config: SimConfig,
-                   observer_factory: ObserverFactory | None,
-                   trial_index: int) -> TrialResult:
-    rng_seed = child_seed(config.seed, trial_index)
-    rng = Xoshiro256(rng_seed)
-    initial = sampler(trial_index, rng)
-    observers: tuple[Observer, ...] = ()
-    obs = None
-    if observer_factory is not None:
-        obs = observer_factory(trial_index)
-        observers = (obs,)
-    # The trial reuses the already-advanced stream: state sampling and
-    # simulation draw from one per-trial sequence.
-    result = _core_loop(crn, initial, config, observers, rng)
-    return TrialResult(
-        trial_index, result.final_state, result.stop_reason, result.events,
-        result.elapsed, obs.result() if obs is not None else None,
-    )
 
 
 def _core_loop(crn, initial_state, config, observers, rng):
@@ -338,7 +280,7 @@ def _core_loop(crn, initial_state, config, observers, rng):
         raise CrnError("initial state dimension does not match CRN")
     if (np.asarray(initial_state) < 0).any():
         raise CrnError("initial counts must be nonnegative")
-    compiled = _CompiledCrn(crn, config.volume)
+    compiled = CompiledCrn(crn.reactions, config.volume)
     nrxn = compiled.size
     counts = [int(c) for c in initial_state]
     max_time = config.max_time if config.max_time is not None else float("inf")
@@ -370,7 +312,7 @@ def _core_loop(crn, initial_state, config, observers, rng):
         for p in props:
             total += p
         if total != total or total == float("inf"):
-            raise _overflow_index(compiled, counts)
+            raise _overflow(compiled, counts)
         if total == 0.0:
             return finish(StopReason.TERMINAL, t, events)
         sojourn = -log(u01()) / total
@@ -401,48 +343,29 @@ def _core_loop(crn, initial_state, config, observers, rng):
             return finish(StopReason.EVENT_CEILING, t, events)
 
 
-def _trial_chunk(args) -> list[TrialResult]:
-    crn, sampler, config, observer_factory, indices = args
-    return [_run_one_trial(crn, sampler, config, observer_factory, i) for i in indices]
-
-
 def run_trials(crn: Crn, initial_state_sampler: StateSampler, config: SimConfig,
-               trial_count: int, observer_factory: ObserverFactory | None = None,
-               worker_count: int = 1) -> list[TrialResult]:
-    """Run independent trials; trial ``j`` is seeded with child_seed(seed, j).
+               trial_count: int,
+               observer_factory: ObserverFactory | None = None) -> list[TrialResult]:
+    """Run independent trials in order; trial ``j`` is seeded with child_seed(seed, j).
 
-    Results are returned in trial order and are identical for any
-    ``worker_count``. Per-trial numeric failures are re-raised with the
-    trial index attached. Workers are separate processes; samplers and
-    observer factories must be picklable when ``worker_count > 1``.
+    The sampler draws trial ``j``'s initial state from that stream, and the
+    trajectory continues on it. A numeric failure is re-raised with the trial
+    index attached.
     """
     if trial_count < 1:
         raise CrnError("trial_count must be >= 1")
-    indices = list(range(trial_count))
-    if worker_count <= 1 or trial_count == 1:
-        out = []
-        for i in indices:
-            try:
-                out.append(_run_one_trial(crn, initial_state_sampler, config,
-                                          observer_factory, i))
-            except NumericOverflowError as exc:
-                raise NumericOverflowError(
-                    exc.reaction_index,
-                    f"trial {i}: non-finite propensity in reaction {exc.reaction_index}",
-                ) from exc
-        return out
-
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(worker_count, trial_count)
-    chunks = [indices[c::workers] for c in range(workers)]
-    tasks = [(crn, initial_state_sampler, config, observer_factory, chunk)
-             for chunk in chunks if chunk]
-    results: list[TrialResult | None] = [None] * trial_count
-    with ProcessPoolExecutor(max_workers=len(tasks),
-                             mp_context=mp.get_context("fork")) as pool:
-        for chunk_result in pool.map(_trial_chunk, tasks):
-            for tr in chunk_result:
-                results[tr.trial_index] = tr
-    return results  # type: ignore[return-value]
+    out = []
+    for i in range(trial_count):
+        rng = Xoshiro256(child_seed(config.seed, i))
+        initial = initial_state_sampler(i, rng)
+        obs = observer_factory(i) if observer_factory is not None else None
+        try:
+            result = _core_loop(crn, initial, config, () if obs is None else (obs,), rng)
+        except NumericOverflowError as exc:
+            raise NumericOverflowError(
+                exc.reaction_index,
+                f"trial {i}: non-finite propensity in reaction {exc.reaction_index}",
+            ) from exc
+        out.append(TrialResult(i, result.final_state, result.stop_reason, result.events,
+                               result.elapsed, obs.result() if obs is not None else None))
+    return out

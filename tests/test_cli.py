@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from crngame.cli import main
@@ -151,6 +153,43 @@ class TestSweepCommand:
         assert "error" in err
 
 
+class TestUsageErrors:
+    """Bad settings and unknown species named by flags exit 1, not 2."""
+
+    @pytest.mark.parametrize("extra", [
+        ("--max-events", "0"),
+        ("--volume", "-1"),
+        ("--max-time", "0"),
+    ], ids=lambda extra: extra[0])
+    def test_sweep_settings(self, crn_dir, capsys, extra):
+        code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"), *extra)
+        assert code == 1
+        assert extra[0][2:].replace("-", "_") in err
+
+    def test_config_volume(self, crn_dir, capsys):
+        path = crn_dir / "exp.ini"
+        path.write_text(path.read_text().replace("seed = 5150",
+                                                 "seed = 5150\nvolume = -1"))
+        code, _, err = run_cli(capsys, "sweep", str(path))
+        assert code == 1
+        assert "volume" in err
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (("simulate", "pkg:r.crn", "--init", "X=3", "--max-time", "0"), "max_time"),
+        (("simulate", "pkg:r.crn", "--init", "Q=3"), "'Q'"),
+        (("simulate", "pkg:r.crn", "--init", "X=3", "--takeover", "X", "Q"), "'Q'"),
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--winner", "Q", "--loser", "Y"),
+         "'Q'"),
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
+          "--loser", "Y", "--volume", "-1"), "volume"),
+    ], ids=["simulate-max-time", "simulate-init", "simulate-takeover", "oracle-winner",
+            "oracle-volume"])
+    def test_flags(self, capsys, argv, fragment):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert fragment in err
+
+
 class TestRobustnessCommand:
     def test_pass_exit_zero(self, crn_dir, capsys):
         code, out, _ = run_cli(capsys, "robustness", str(crn_dir / "exp.ini"),
@@ -224,6 +263,24 @@ class TestOracleCommand:
         assert lines[0] == "p = 0.500000000000"
         assert len(lines) == 1 + 5  # header + the five states of n=4
         assert any(l.startswith("X=4 Y=0 p=1.00000000000") for l in lines)
+
+    def test_all_states_text_unchanged(self, tmp_path, capsys):
+        # approximate majority at n = 40 (860 states), against a recorded
+        # digest of the whole text
+        am = tmp_path / "am.crn"
+        am.write_text("X + Y -> X + B @ 1\nX + Y -> Y + B @ 1\n"
+                      "B + X -> 2X @ 1\nB + Y -> 2Y @ 1\n")
+        code, out, _ = run_cli(capsys, "oracle", str(am), "--init", "X=22",
+                               "--init", "Y=18", "--winner", "X", "--loser", "Y",
+                               "--all")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["p = 0.738801309752",
+                             "X=22 Y=18 B=0 p=0.738801309752",
+                             "X=22 Y=17 B=1 p=0.791153904582"]
+        assert len(lines) == 1 + 860
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a9f7e64f8e924fb44b30e97149f1143159dd953da096f6f23b0ee7beaee54030")
 
     def test_cap_exceeded_is_runtime_error(self, tmp_path, capsys):
         grower = tmp_path / "grow.crn"

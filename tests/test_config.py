@@ -101,6 +101,10 @@ class TestIniConfig:
         (("engine = batch", "engine = warp"), "engine"),
         (("catalytic = true", "catalytic = maybe"), "boolean"),
         (("diffs = 0:40:20", "diffs = 0:40:0"), "step"),
+        (("engine = batch", "engine = reference"), "removed"),
+        (("volume = 2.0", "volume = -1"), "volume"),
+        (("seed = 7", "seed = 7\nmax_events = 0"), "max_events"),
+        (("seed = 7", "seed = 7\nmax_time = 0"), "max_time"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation

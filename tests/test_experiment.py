@@ -82,13 +82,6 @@ class TestRunSweep:
         b = run_sweep(cfg, workers=3).to_csv()
         assert a == b
 
-    def test_reference_engine_produces_same_counts(self, write_config):
-        cfg = write_config(trials=25)
-        batch = run_sweep(cfg)
-        ref = run_sweep(load_config_like(cfg, engine="reference"))
-        for x, y in zip(batch.rows, ref.rows):
-            assert (x.succ_with, x.succ_without) == (y.succ_with, y.succ_without)
-
     def test_overflow_stays_in_its_own_row(self, write_config, tmp_path):
         # A -> B at 1e308 overflows as soon as A > 1, which only the
         # with-opponents arm of d=0 ever sees; d=10 starts at a takeover
@@ -130,12 +123,6 @@ class TestRunSweep:
         cfg = write_config()
         with pytest.raises(GameConfigError):
             run_sweep(cfg)
-
-
-def load_config_like(cfg, **updates):
-    from dataclasses import replace
-
-    return replace(cfg, **updates)
 
 
 class TestRunRobustness:

@@ -26,9 +26,10 @@ from crngame import (
     validate_catalytic,
 )
 from crngame.core import NumericOverflowError
-from crngame.game import UtilityProbe, _Arm, _run_pool, sample_initial_states
+from crngame.experiment import estimate_condition
+from crngame.game import _Arm, _run_pool, sample_initial_states
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
-from crngame.ssa import TrajectoryRecorder
+from crngame.ssa import TrajectoryRecorder, ZeroCountMonitor
 
 
 def player_for(crn, counts=None, utility=None, name="p"):
@@ -48,6 +49,24 @@ def consensus_player(catalyzed_crn):
 @pytest.fixture
 def nature_player(shuffler_crn):
     return player_for(shuffler_crn, {}, Indifferent(), "nature")
+
+
+def scalar_counts(game, trials, config):
+    """(successes, truncations) of player 1, from scalar runs on child_seed streams."""
+    spec = game.players[0].utility
+    table = game.crn.species
+    monitor = ZeroCountMonitor((table.index_of(spec.x_species),
+                                table.index_of(spec.y_species)))
+    successes = truncated = 0
+    for j in range(trials):
+        stream = child_seed(config.seed, j)
+        initial = sample_initial_state(game, Xoshiro256(stream))
+        res = simulate(game.crn, initial, replace(config, seed=stream), [monitor])
+        successes += evaluate_utility(spec, table, initial, res.final_state,
+                                      res.stop_reason) == 1.0
+        truncated += res.stop_reason not in (StopReason.TERMINAL,
+                                             StopReason.EARLY_STOP)
+    return successes, truncated
 
 
 class TestCompose:
@@ -218,30 +237,15 @@ class TestUtility:
         assert evaluate_utility(Indifferent(), table, s, s,
                                 StopReason.TERMINAL) == 0.0
 
-    def test_streaming_probe_equals_endpoint_evaluation(self, majority_crn):
-        table = majority_crn.species
-        spec = TakeoverSuccess("X", "Y")
-        for seed in range(25):
-            probe = UtilityProbe(spec, table)
-            recorder = TrajectoryRecorder()
-            initial = table.state_from({"X": 7, "Y": 5})
-            res = simulate(majority_crn, initial, SimConfig(seed=seed),
-                           [probe, recorder])
-            endpoint = evaluate_utility(spec, table, initial, res.final_state,
-                                        res.stop_reason)
-            assert probe.result() == endpoint
-
 
 class TestEstimation:
     def test_certain_takeover_estimates_to_one(self, majority_crn):
         player = player_for(majority_crn, {"X": 4, "Y": 1},
                             TakeoverSuccess("X", "Y"))
         game = compose([player])
-        for engine in ("batch", "reference"):
-            est = estimate_expected_utility(game, 0, 300, SimConfig(seed=4),
-                                            engine=engine)
-            assert est.mean == 1.0
-            assert est.successes == 300
+        est = estimate_expected_utility(game, 0, 300, SimConfig(seed=4))
+        assert est.mean == 1.0
+        assert est.successes == 300
 
     def test_tie_start_always_takes_over(self, majority_crn):
         player = player_for(majority_crn, {"X": 2, "Y": 2},
@@ -256,15 +260,31 @@ class TestEstimation:
         est = estimate_expected_utility(game, 0, 100, SimConfig(seed=6))
         assert (est.mean, est.lower, est.upper) == (0.0, 0.0, 0.0)
 
-    def test_engines_agree_trial_for_trial(self, consensus_player, nature_player):
-        small = consensus_player.with_counts(
-            {"X": 30, "Y": 20, "A": 4, "B": 4})
-        game = compose([small, nature_player])
-        a = estimate_expected_utility(game, 0, 150, SimConfig(seed=7),
-                                      engine="batch")
-        b = estimate_expected_utility(game, 0, 150, SimConfig(seed=7),
-                                      engine="reference")
-        assert a == b
+    def test_pool_counts_equal_scalar_runs(self, consensus_player):
+        # the scalar engine, trial by trial on child_seed(seed, j), against
+        # a one-arm pool and against both arms of a condition's pool, whose
+        # baseline lanes run with the shuffler's rates set to zero; the
+        # shuffler is fast enough to change most trajectories, so a baseline
+        # lane that kept its rates would count differently
+        nature = player_for(make_crn([({"A": 1}, {"B": 1}, 5e3),
+                                      ({"B": 1}, {"A": 1}, 5e3)]), name="nature")
+        small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
+        config = SimConfig(seed=7, max_events=80)
+        game = compose([small, nature])
+        est = estimate_expected_utility(game, 0, 150, config)
+        assert (est.successes, est.truncated) == scalar_counts(game, 150, config)
+        assert 0 < est.truncated and 0 < est.successes < 150 - est.truncated
+
+        result = estimate_condition(small, [nature],
+                                    Condition("d10", small.initial_distribution),
+                                    3, 150, config)
+        seed = child_seed(7, 3)
+        base = compose([small, Player.trivial("trivial-0")])
+        for arm, g, s in ((result.with_opponents, game, child_seed(seed, 0)),
+                          (result.baseline, base, child_seed(seed, 1))):
+            assert (arm.successes, arm.truncated) == scalar_counts(
+                g, 150, replace(config, seed=s))
+            assert arm.truncated > 0
 
     def test_worker_count_does_not_change_estimate(self, consensus_player):
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})

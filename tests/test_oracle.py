@@ -11,6 +11,7 @@ from crngame import (
     absorption_probabilities,
     enumerate_states,
     make_crn,
+    propensity,
     run_trials,
 )
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
@@ -69,6 +70,28 @@ class TestEnumerate:
         [(succ, rate)] = space.transitions[0]
         assert tuple(space.states[succ]) == (0, 1)
         assert rate == 5.0
+
+    def test_rates_are_summed_core_propensities(self):
+        # two reactions share every successor (one of them 2X + Y) and V != 1:
+        # each merged rate is the left-to-right sum of core.propensity over
+        # the reactions that lead there
+        crn = make_crn([
+            ({"X": 2, "Y": 1}, {"X": 3}, 1.5),
+            ({"X": 1, "Y": 1}, {"X": 2}, 0.7),
+            ({"X": 1}, {"Y": 1}, 0.3),
+        ])
+        volume = 2.5
+        space = enumerate_states(crn, crn.species.state_from({"X": 3, "Y": 4}),
+                                 volume)
+        assert len(space) == 8
+        for state, row in zip(space.states, space.transitions):
+            expected = {}
+            for rxn in crn.reactions:
+                rate = propensity(rxn, state, volume)
+                if rate > 0.0:
+                    succ = tuple(state + np.array(rxn.delta))
+                    expected[succ] = expected.get(succ, 0.0) + rate
+            assert {tuple(space.states[ti]): rate for ti, rate in row} == expected
 
     def test_cap_exceeded(self):
         crn = make_crn([({"X": 1}, {"X": 2}, 1.0)])

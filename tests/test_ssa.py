@@ -234,20 +234,6 @@ class TestRunTrials:
         assert trial.elapsed == direct.elapsed
         assert trial.stop_reason == direct.stop_reason
 
-    def test_worker_count_does_not_change_results(self, majority_crn):
-        s = state_of(majority_crn, X=9, Y=6)
-        config = SimConfig(seed=321)
-        serial = run_trials(majority_crn, constant_initial_state(s), config, 40,
-                            observer_factory=_winner_factory, worker_count=1)
-        parallel = run_trials(majority_crn, constant_initial_state(s), config, 40,
-                              observer_factory=_winner_factory, worker_count=4)
-        for a, b in zip(serial, parallel):
-            assert a.trial_index == b.trial_index
-            assert a.final_state.tolist() == b.final_state.tolist()
-            assert a.events == b.events
-            assert a.elapsed == b.elapsed
-            assert a.observer_output == b.observer_output
-
     def test_symmetric_start_splits_evenly(self, majority_crn):
         s = state_of(majority_crn, X=2, Y=2)
         results = run_trials(majority_crn, constant_initial_state(s),
