@@ -64,33 +64,37 @@ def _parse_utility(text: str) -> UtilitySpec:
                       f"or 'takeover <X> <Y>'")
 
 
-def _parse_count_distribution(text: str) -> CountDistribution:
+def _convert(kind, value, where: str):
+    """``kind(value)`` for the setting ``where``; a value it rejects is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} = {value!r} is not {noun}") from None
+
+
+def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        try:
-            return UniformCount(int(lo_text), int(hi_text))
-        except ValueError as exc:
-            raise ConfigError(f"bad count range {text!r}") from exc
-    try:
-        return ConstantCount(int(text))
-    except ValueError as exc:
-        raise ConfigError(f"bad count {text!r}") from exc
+        return UniformCount(_convert(int, lo_text, where), _convert(int, hi_text, where))
+    return ConstantCount(_convert(int, text, where))
 
 
 def _parse_diffs(text) -> list[int]:
+    where = "[sweep] diffs"
     if isinstance(text, list):
-        return [int(d) for d in text]
+        return [_convert(int, d, where) for d in text]
     text = str(text).strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad diff range {text!r}: expected start:stop:step")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = (_convert(int, p, where) for p in parts)
         if step <= 0:
             raise ConfigError("diff step must be positive")
         return list(range(start, stop + 1, step))
-    return [int(p) for p in text.replace(",", " ").split()]
+    return [_convert(int, p, where) for p in text.replace(",", " ").split()]
 
 
 def sim_config(volume: float = 1.0, max_time: float | None = None,
@@ -266,7 +270,8 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         overrides = {}
         for key, value in body.items():
             if key.startswith("init."):
-                overrides[key[len("init."):]] = _parse_count_distribution(value)
+                overrides[key[len("init."):]] = _parse_count_distribution(
+                    value, f"[{section_name}] {key}")
         players.append(PlayerConfig(name, source, document, utility, overrides))
 
     sweep = sections.get("sweep")
@@ -286,21 +291,24 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         raise ConfigError(
             f"unknown engine {engine!r}: 'batch' is the only engine (the scalar "
             f"'reference' engine was removed; it gave identical counts)")
-    max_time = sim.get("max_time")
-    max_events = sim.get("max_events")
+
+    def number(kind, section: str, key: str, default=None):
+        value = sections.get(section, {}).get(key, default)
+        return None if value is None else _convert(kind, value, f"[{section}] {key}")
+
     return ExperimentConfig(
         players=players,
         pair=(pair_parts[0], pair_parts[1]),
-        total=int(sweep["total"]),
+        total=number(int, "sweep", "total"),
         diffs=_parse_diffs(sweep["diffs"]),
-        trials=int(sweep["trials"]),
-        seed=int(sim.get("seed", 0)),
-        volume=float(sim.get("volume", 1.0)),
-        max_time=float(max_time) if max_time is not None else None,
-        max_events=int(max_events) if max_events is not None else None,
-        confidence=float(sim.get("confidence", 0.99)),
+        trials=number(int, "sweep", "trials"),
+        seed=number(int, "simulation", "seed", 0),
+        volume=number(float, "simulation", "volume", 1.0),
+        max_time=number(float, "simulation", "max_time"),
+        max_events=number(int, "simulation", "max_events"),
+        confidence=number(float, "simulation", "confidence", 0.99),
         catalytic=_as_bool(sim.get("catalytic", "false"), "catalytic"),
-        threads=int(sim.get("threads", 1)),
+        threads=number(int, "simulation", "threads", 1),
         csv_path=out.get("csv"),
         svg_path=out.get("svg"),
     )

@@ -12,7 +12,7 @@ every opponent is replaced by the empty CRN with the empty initial
 distribution. A strategy clearing ratio ``a`` on every tested condition is
 evidence of ``a``-robustness against that opponent profile.
 
-All trials of every arm of every condition run as one lockstep lane pool
+All trials of every arm of every condition run as one lane pool
 (:func:`_run_pool`), dealt round-robin to the workers. The baseline game is
 a prefix of the game with the opponents, so its lanes run on that game's
 CRN with the opponents' rates set to 0, and every lane stays bit-identical
@@ -359,11 +359,10 @@ class UtilityEstimate:
         return (self.lower, self.upper)
 
 
-# Most lanes in one batch call. On the full sweep's game (4 species, 4
-# reactions, 2-vCPU KVM guest) a step took 40-55 ns per live lane from 4k to
-# 32k lanes, and 80-105 ns from 64k lanes up, where the step's matrix
-# product starts a second BLAS thread. 16k lies inside the flat range with
-# a factor 2 to spare, and a batch then holds about 9 MB (0.55 kB a lane).
+# Most lanes in one batch call, a bound on memory: a worker holds one slice
+# at a time, and a slice of the full sweep's game (4 species, 4 reactions)
+# peaks at about 270 bytes a lane (4.4 MB for 16k lanes, by tracemalloc), so
+# a worker's memory stays flat however large the sweep.
 _SLICE_LANES = 1 << 14
 
 
@@ -438,7 +437,7 @@ def _run_slice(args) -> tuple[int, np.ndarray]:
 def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
               config: SimConfig, workers: int,
               slice_lanes: int = _SLICE_LANES) -> list[tuple[int, int]]:
-    """(successes, truncations) of every arm, from one lockstep lane pool.
+    """(successes, truncations) of every arm, from one lane pool.
 
     The pool runs on the first arm's CRN. Every other arm's game must be a
     prefix of it (see :func:`_prefix_sizes`); its lanes get rate 0 for the

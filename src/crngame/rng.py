@@ -3,9 +3,10 @@
 All stochastic code in this package draws from xoshiro256** streams seeded
 through the SplitMix64 finalizer. Both algorithms are public domain
 (Blackman & Vigna, https://prng.di.unimi.it/) and are implemented here twice,
-once over Python integers and once over numpy uint64 arrays, so that a
-scalar simulation and a vectorized batch of simulations consume *identical*
-per-stream bit sequences. Results therefore depend only on seeds and inputs,
+once over Python integers and once over numpy uint64 arrays, and xoshiro256**
+once more in the batch engine's C loop (``_lanes.c``), so that a scalar
+simulation and a batch of simulations consume *identical* per-stream bit
+sequences. Results therefore depend only on seeds and inputs,
 never on platform, worker count, or batching.
 
 Seed derivation is a fixed tree: ``child_seed(master, i)`` applies the
@@ -108,9 +109,10 @@ class XoshiroBatch(object):
     """Vectorized xoshiro256**: one independent stream per lane.
 
     Lane ``j`` produces exactly the same sequence as ``Xoshiro256(seed_j)``;
-    this is what makes lockstep batch simulation reproduce per-trial scalar
-    runs bit for bit. The state is a (4, lanes) array advanced in place, with
-    one preallocated scratch row, so a draw over all lanes allocates only its
+    this is what makes batch simulation reproduce per-trial scalar runs bit
+    for bit. The state is a C-contiguous (4, lanes) array advanced in place,
+    by the draws here and by :func:`crngame.batch.simulate_batch`, with one
+    preallocated scratch row, so a draw over all lanes allocates only its
     result. Pickling keeps the state alone; the views into it are rebuilt.
     """
 

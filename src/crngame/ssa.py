@@ -1,6 +1,6 @@
 """Exact stochastic simulation of a CRN as a continuous-time Markov chain.
 
-This is the scalar direct-method engine, and the reference the lockstep
+This is the scalar direct-method engine, and the reference the batch
 engine (:mod:`crngame.batch`) is tested against: in each state the exit
 rate is the sum of all reaction propensities (see
 :class:`~crngame.core.CompiledCrn`), the sojourn time is exponential with

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 def wilson_interval(successes: int, trials: int,
@@ -17,7 +17,7 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))  # the standard normal quantile
     n = float(trials)
     phat = successes / n
     z2 = z * z

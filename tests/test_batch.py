@@ -1,11 +1,13 @@
 """The batch engine must reproduce the scalar engine trial for trial."""
 
 import pickle
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crngame import Crn, Reaction, SimConfig, StopReason, make_crn
+from crngame import Crn, Reaction, SimConfig, StopReason, batch, make_crn
 from crngame.batch import simulate_batch
 from crngame.core import CrnError, NumericOverflowError
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
@@ -50,8 +52,7 @@ def assert_batch_matches_scalar(crn, initial, config, trials, watch=(),
         np.testing.assert_array_equal(out.final_states[lanes], finals)
         np.testing.assert_array_equal(out.events[lanes], events)
         assert out.stop_reasons[lanes] == reasons
-        # times may differ in the last ulp (vector log vs libm)
-        np.testing.assert_allclose(out.elapsed[lanes], elapsed, rtol=1e-9)
+        np.testing.assert_array_equal(out.elapsed[lanes], elapsed)
 
 
 @pytest.fixture
@@ -161,6 +162,25 @@ class TestBatchBasics:
         assert err.value.lane == 1
         assert str(err.value) == "trial 1: non-finite propensity in reaction 1"
 
+    def test_overflow_names_the_earliest_event_then_the_lowest_lane(self):
+        # 3X -> 4X grows X by one per event; with rate k lane 0's exit rate
+        # is finite at X = 10, 11, 12 and overflows at X = 13, after three
+        # events; lanes 2 and 3 overflow at event 0
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"X": 4}, 1.0)])
+        k = 1.7e308 / 1500
+        rates = np.array([[1.0, k], [1.0, 1.0], [1.0, 1e308], [1.0, 1e308]])
+        inits = np.tile(crn.species.state_from({"X": 10}), (4, 1))
+        config = SimConfig(seed=0, max_events=50)
+        with pytest.raises(NumericOverflowError) as alone:
+            simulate_batch(crn, inits[:2], config,
+                           XoshiroBatch(np.arange(2, dtype=np.uint64)), rates=rates[:2])
+        assert alone.value.lane == 0
+        with pytest.raises(NumericOverflowError) as err:
+            simulate_batch(crn, inits, config,
+                           XoshiroBatch(np.arange(4, dtype=np.uint64)), rates=rates)
+        assert (err.value.lane, err.value.reaction_index) == (2, 1)
+        assert str(err.value) == "trial 2: non-finite propensity in reaction 1"
+
     def test_overflow_error_survives_pickling(self):
         # a worker process sends its error back pickled
         err = pickle.loads(pickle.dumps(NumericOverflowError(
@@ -189,3 +209,52 @@ class TestBatchBasics:
         inits = np.tile(np.array([3, 2], dtype=np.int64), (4, 1))
         with pytest.raises(Exception):
             simulate_batch(majority_crn, inits, SimConfig(seed=0), rng)
+
+
+@pytest.fixture
+def source_copy(tmp_path, monkeypatch):
+    """The kernel source copied into an empty directory, and made the one to load."""
+    source = tmp_path / "_lanes.c"
+    shutil.copy(batch._SOURCE, source)
+    monkeypatch.setattr(batch, "_SOURCE", source)
+    return source
+
+
+class TestKernelBuild:
+    def test_cache_name_follows_the_source(self, source_copy):
+        first = Path(batch._load_kernel()._name)
+        source_copy.write_text(source_copy.read_text() + "\n/* edited */\n")
+        second = Path(batch._load_kernel()._name)
+        assert first.parent == second.parent == source_copy.parent / "__pycache__"
+        assert first.name.startswith("_lanes.") and first.suffix == ".so"
+        assert first != second and first.exists() and second.exists()
+        assert Path(batch._load_kernel()._name) == second
+
+    def test_unwritable_cache_still_loads(self, source_copy, monkeypatch,
+                                          majority_crn):
+        # a file where the cache directory should be: nothing can be written there
+        (source_copy.parent / "__pycache__").write_text("")
+        lib = batch._load_kernel()
+        assert not Path(lib._name).is_relative_to(source_copy.parent)
+        inits = np.tile(np.array([12, 9], dtype=np.int64), (20, 1))
+        runs = []
+        for run_lanes in (batch._run_lanes, lib.crngame_run_lanes):
+            monkeypatch.setattr(batch, "_run_lanes", run_lanes)
+            runs.append(simulate_batch(majority_crn, inits, SimConfig(seed=0),
+                                       XoshiroBatch(np.arange(20, dtype=np.uint64))))
+        np.testing.assert_array_equal(runs[0].final_states, runs[1].final_states)
+        np.testing.assert_array_equal(runs[0].elapsed, runs[1].elapsed)
+
+    def test_failed_build_shows_command_and_compiler_output(self, source_copy):
+        source_copy.write_text("this is not C\n")
+        with pytest.raises(RuntimeError) as err:
+            batch._load_kernel()
+        assert str(source_copy) in str(err.value) and "-ffp-contract=off" in str(err.value)
+        assert "error" in str(err.value).split("\n", 1)[1]
+
+    def test_missing_compiler_is_an_error(self, source_copy, monkeypatch):
+        monkeypatch.setattr(batch.sysconfig, "get_config_var",
+                            lambda name: "no-such-compiler-cc")
+        with pytest.raises(RuntimeError, match="no-such-compiler-cc"):
+            batch._load_kernel()
+        assert list((source_copy.parent / "__pycache__").iterdir()) == []

@@ -174,6 +174,15 @@ class TestUsageErrors:
         assert code == 1
         assert "volume" in err
 
+    def test_config_non_numeric(self, crn_dir, capsys):
+        path = crn_dir / "exp.ini"
+        path.write_text(path.read_text().replace("seed = 5150",
+                                                 "seed = 5150\nvolume = abc"))
+        code, _, err = run_cli(capsys, "sweep", str(path))
+        assert code == 1
+        assert "error: [simulation] volume = 'abc' is not a number" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv,fragment", [
         (("simulate", "pkg:r.crn", "--init", "X=3", "--max-time", "0"), "max_time"),
         (("simulate", "pkg:r.crn", "--init", "Q=3"), "'Q'"),

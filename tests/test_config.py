@@ -105,6 +105,18 @@ class TestIniConfig:
         (("volume = 2.0", "volume = -1"), "volume"),
         (("seed = 7", "seed = 7\nmax_events = 0"), "max_events"),
         (("seed = 7", "seed = 7\nmax_time = 0"), "max_time"),
+        (("total = 1000", "total = lots"), "[sweep] total = 'lots' is not an integer"),
+        (("trials = 50", "trials = many"), "[sweep] trials = 'many'"),
+        (("seed = 7", "seed = x7"), "[simulation] seed = 'x7'"),
+        (("volume = 2.0", "volume = abc"), "[simulation] volume = 'abc' is not a number"),
+        (("seed = 7", "seed = 7\nmax_time = soon"), "[simulation] max_time = 'soon'"),
+        (("seed = 7", "seed = 7\nmax_events = 1.5"), "[simulation] max_events = '1.5'"),
+        (("confidence = 0.95", "confidence = high"), "[simulation] confidence = 'high'"),
+        (("threads = 2", "threads = two"), "[simulation] threads = 'two'"),
+        (("diffs = 0:40:20", "diffs = 0:x:20"), "[sweep] diffs = 'x'"),
+        (("diffs = 0:40:20", "diffs = 0, ten"), "[sweep] diffs = 'ten'"),
+        (("init.A = 100", "init.A = lots"), "[player:main] init.A = 'lots'"),
+        (("init.B = 90..110", "init.B = 90..z"), "[player:main] init.B = 'z'"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation
