@@ -7,7 +7,8 @@
  *   - reaction r's propensity is kv[r] * f0 * f1 * ..., multiplied left to
  *     right over its falling factors (count - m);
  *   - the exit rate is their left-to-right running sum; a non-finite exit
- *     rate is an overflow, checked before "exit rate 0" (terminal);
+ *     rate stops the lane as an overflow, checked before "exit rate 0"
+ *     (terminal);
  *   - two xoshiro256** draws u = ((x >> 11) + 1) * 2^-53, u1 then u2;
  *   - the lane runs out of time if t - log(u1) / total > max_time;
  *   - the fired reaction is the first r whose running sum reaches u2 * total;
@@ -21,7 +22,10 @@
 #include <math.h>
 #include <stdint.h>
 
-enum { TERMINAL = 0, TIME_EXHAUSTED = 1, EVENT_CEILING = 2, EARLY_STOP = 3 };
+enum {
+    TERMINAL = 0, TIME_EXHAUSTED = 1, EVENT_CEILING = 2, EARLY_STOP = 3,
+    OVERFLOW = 4
+};
 
 static inline uint64_t rotl(uint64_t x, int k)
 {
@@ -50,22 +54,21 @@ static inline int watched_zero(const int64_t *counts, const int64_t *watch,
     return 0;
 }
 
-/* Runs every lane; returns -1, or the lane to blame for an overflow.
+/* Runs every lane to its stop.
  *
  * Lane i's initial counts are row i of `counts` (lanes x species), which
- * holds its final counts on return; its rate constants times volume scale
- * are row i of `kv` (lanes x reactions); its stream is column i of `rng`
- * (4 x lanes), advanced in place. Reaction r's falling factors are
+ * holds its final counts on return; its stream is column i of `rng`
+ * (4 x lanes), advanced in place. Every lane shares `kv`, the rate
+ * constants times volume scale. Reaction r's falling factors are
  * (fspecies[k], fshift[k]) for k in [fstart[r], fstart[r + 1]), and its
  * changes (dspecies[k], dchange[k]) for k in [dstart[r], dstart[r + 1]).
  * `cum` is scratch for the running sums, one slot per reaction.
  *
- * The overflow lane is the lowest lane at the earliest event index at which
- * any lane overflows; its counts row is left at that state. Once a lane has
- * overflowed at event e, later lanes only run while they have fired fewer
- * than e events, and the outputs of lanes that were cut are not defined.
+ * A lane whose exit rate is not finite stops with OVERFLOW: its counts row
+ * is left at that state, and events[lane] is the index of the event it
+ * could not take. The other lanes are not affected.
  */
-int64_t crngame_run_lanes(
+void crngame_run_lanes(
     int64_t lanes, int64_t nspecies, int64_t nreactions,
     const int64_t *fstart, const int64_t *fspecies, const double *fshift,
     const int64_t *dstart, const int64_t *dspecies, const int64_t *dchange,
@@ -74,12 +77,8 @@ int64_t crngame_run_lanes(
     uint64_t *rng, int64_t *counts, double *cum,
     int64_t *reasons, int64_t *events, double *elapsed)
 {
-    int64_t overflow_lane = -1;
-    int64_t limit = INT64_MAX;
-
     for (int64_t lane = 0; lane < lanes; lane++) {
         int64_t *c = counts + lane * nspecies;
-        const double *k = kv + lane * nreactions;
         uint64_t s[4] = {rng[lane], rng[lanes + lane], rng[2 * lanes + lane],
                          rng[3 * lanes + lane]};
         double t = 0.0;
@@ -95,20 +94,17 @@ int64_t crngame_run_lanes(
             goto stop;
         }
         for (;;) {
-            if (ev >= limit)
-                goto cut;
             double total = 0.0;
             for (int64_t r = 0; r < nreactions; r++) {
-                double p = k[r];
+                double p = kv[r];
                 for (int64_t f = fstart[r]; f < fstart[r + 1]; f++)
                     p *= (double)c[fspecies[f]] - fshift[f];
                 total += p;
                 cum[r] = total;
             }
             if (!(total < INFINITY)) {
-                limit = ev;
-                overflow_lane = lane;
-                goto cut;
+                reason = OVERFLOW;
+                goto stop;
             }
             if (total == 0.0) {
                 reason = TERMINAL;
@@ -143,11 +139,9 @@ int64_t crngame_run_lanes(
         reasons[lane] = reason;
         events[lane] = ev;
         elapsed[lane] = t;
-    cut:
         rng[lane] = s[0];
         rng[lanes + lane] = s[1];
         rng[2 * lanes + lane] = s[2];
         rng[3 * lanes + lane] = s[3];
     }
-    return overflow_lane;
 }

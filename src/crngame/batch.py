@@ -8,21 +8,13 @@ left-to-right sum, and the sojourn uses the same libm ``log``, so a lane
 reproduces the scalar engine's trajectory bit for bit: counts, event
 counts, stop reasons and elapsed times.
 
-Lanes may carry their own rate constants (``rates``). A lane whose rate for
-a reaction is 0 follows, draw for draw, the trajectory of the CRN without
-that reaction: the reaction's propensity is 0, so the left-to-right exit
-rate gains only ``+0.0``, and since the choice threshold ``u * total`` never
-exceeds ``total`` the reaction is never picked once the running sum has
-reached it. This is what lets one batch hold the lanes of a game and of its
-baseline with the opponents removed (see :mod:`crngame.game`).
-
 The loop is the C function in ``_lanes.c``; it runs each lane to its stop,
-one lane after another. It is compiled on first import with the C compiler
-Python was built with (``sysconfig`` ``CC``), cached as
-``__pycache__/_lanes.<sha256>.so`` beside the source (the hash covers the
-source and the compiler command), and loaded with :mod:`ctypes`. Where that
-directory is not writable the library goes to a private temporary directory
-that lives as long as the process.
+one lane after another, and a lane whose exit rate overflows stops alone.
+It is compiled on first import with the C compiler Python was built with
+(``sysconfig`` ``CC``), cached as ``__pycache__/_lanes.<sha256>.so`` beside
+the source (the hash covers the source and the compiler command), and
+loaded with :mod:`ctypes`. Where that directory is not writable the library
+goes to a private temporary directory that lives as long as the process.
 
 The batch engine supports no general observers; its one stop hook is
 "a watched species count reached zero", which is what final-state
@@ -50,13 +42,14 @@ from .core import CompiledCrn, Crn, CrnError, NumericOverflowError
 from .rng import XoshiroBatch
 from .ssa import SimConfig, StopReason
 
-# indexed by the stop codes of _lanes.c
+# indexed by the stop codes of _lanes.c; the code after them is _OVERFLOW
 _REASON_CODES = (
     StopReason.TERMINAL,
     StopReason.TIME_EXHAUSTED,
     StopReason.EVENT_CEILING,
     StopReason.EARLY_STOP,
 )
+_OVERFLOW = len(_REASON_CODES)
 
 _SOURCE = Path(__file__).with_name("_lanes.c")
 # No -ffast-math, and no fused multiply-adds (aarch64 compilers fuse by
@@ -131,7 +124,7 @@ def _load_kernel() -> ctypes.CDLL:
         array(np.uint64), ints, floats,  # streams, counts, running-sum scratch
         ints, ints, floats,  # reasons, events, elapsed
     ]
-    lib.crngame_run_lanes.restype = i64
+    lib.crngame_run_lanes.restype = None
     return lib
 
 
@@ -148,8 +141,7 @@ def _flat(rows, dtypes) -> tuple[np.ndarray, ...]:
 
 def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
                    rng: XoshiroBatch,
-                   stop_when_zero: tuple[int, ...] = (),
-                   rates: np.ndarray | None = None) -> BatchOutcome:
+                   stop_when_zero: tuple[int, ...] = ()) -> BatchOutcome:
     """Simulate one trial per row of ``initial_states``.
 
     ``rng`` carries one stream per trial, already advanced past any
@@ -157,11 +149,9 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     ``stop_when_zero`` lists species indices; a trial stops with EARLY_STOP
     as soon as any listed count is zero (checked on the initial state and
     after every event), mirroring a zero-count monitor observer on the
-    scalar engine. ``rates``, a (trials, reactions) array, replaces the
-    CRN's rate constants lane by lane; a rate of 0 removes the reaction from
-    that lane. A non-finite exit rate raises :class:`NumericOverflowError`
-    naming the first trial that has one at the earliest event index at
-    which any does (its ``lane``).
+    scalar engine. A non-finite exit rate raises
+    :class:`NumericOverflowError` naming the first trial that has one at the
+    earliest event index at which any does (its ``lane`` and ``event``).
     """
     initial_states = np.asarray(initial_states, dtype=np.int64)
     nspecies = len(crn.species)
@@ -172,38 +162,32 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     trials = initial_states.shape[0]
     if rng.size != trials:
         raise CrnError("rng lane count does not match trial count")
-    nrxn = len(crn.reactions)
-    if rates is None:
-        rates = np.tile([r.rate_constant for r in crn.reactions], (trials, 1))
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.shape != (trials, nrxn):
-        raise CrnError("rates must be (trials, reactions)")
-    if not (rates >= 0.0).all():
-        raise CrnError("rates must be nonnegative")
     watch = np.array(stop_when_zero, dtype=np.int64)
     if ((watch < 0) | (watch >= nspecies)).any():
         raise CrnError("stop_when_zero names a species index out of range")
 
     kin = CompiledCrn(crn.reactions, config.volume)
+    nrxn = kin.size
     counts = initial_states.copy(order="C")
-    kv = np.ascontiguousarray(rates * np.array(kin.scale))
     reasons = np.zeros(trials, dtype=np.int64)
     events = np.zeros(trials, dtype=np.int64)
     elapsed = np.zeros(trials, dtype=np.float64)
     if trials:
         max_time = config.max_time if config.max_time is not None else float("inf")
-        lane = _run_lanes(
+        _run_lanes(
             trials, nspecies, nrxn,
             *_flat(kin.factors, (np.int64, np.float64)),
             *_flat(kin.deltas, (np.int64, np.int64)),
             watch, watch.size,
-            kv, max_time, config.event_ceiling,
+            np.array(kin.kv, dtype=np.float64), max_time, config.event_ceiling,
             rng._state, counts, np.empty(max(nrxn, 1)),
             reasons, events, elapsed)
-        if lane >= 0:
-            rxn = kin.first_nonfinite(counts[lane].tolist(), kv[lane].tolist())
-            raise NumericOverflowError(
-                rxn, f"trial {lane}: non-finite propensity in reaction {rxn}", lane=lane)
+        bad = np.flatnonzero(reasons == _OVERFLOW)
+        if bad.size:
+            lane = int(bad[np.argmin(events[bad])])
+            raise NumericOverflowError.in_trial(
+                lane, kin.first_nonfinite(counts[lane].tolist()), lane=lane,
+                event=int(events[lane]))
 
     return BatchOutcome(
         final_states=counts,

@@ -30,19 +30,35 @@ class CrnError(Exception):
 class NumericOverflowError(CrnError):
     """A propensity or rate sum left the finite float64 range.
 
-    ``lane``, when set, is the index of the overflowing trial in the batch
-    or lane pool that raised the error.
+    ``reaction_index`` is the first reaction whose propensity is not finite,
+    or -1 when only their sum is not. ``lane``, when set, is the index of the
+    overflowing trial in the batch that raised the error, and ``event`` the
+    index of the event it could not take.
     """
 
     def __init__(self, reaction_index: int, message: str | None = None,
-                 lane: int | None = None):
+                 lane: int | None = None, event: int | None = None):
         self.reaction_index = reaction_index
         self.lane = lane
-        super().__init__(message or f"non-finite propensity in reaction {reaction_index}")
+        self.event = event
+        super().__init__(message or _overflow_text(reaction_index))
+
+    @classmethod
+    def in_trial(cls, trial: int, reaction_index: int, lane: int | None = None,
+                 event: int | None = None) -> "NumericOverflowError":
+        """The error of trial ``trial``, whose message names that trial."""
+        return cls(reaction_index, f"trial {trial}: {_overflow_text(reaction_index)}",
+                   lane, event)
 
     def __reduce__(self):
         # keep every field when the error crosses from a worker process
-        return (type(self), (self.reaction_index, str(self), self.lane))
+        return (type(self), (self.reaction_index, str(self), self.lane, self.event))
+
+
+def _overflow_text(reaction_index: int) -> str:
+    if reaction_index < 0:
+        return "non-finite propensity sum"
+    return f"non-finite propensity in reaction {reaction_index}"
 
 
 class SpeciesTable(object):

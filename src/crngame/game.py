@@ -13,10 +13,9 @@ distribution. A strategy clearing ratio ``a`` on every tested condition is
 evidence of ``a``-robustness against that opponent profile.
 
 All trials of every arm of every condition run as one lane pool
-(:func:`_run_pool`), dealt round-robin to the workers. The baseline game is
-a prefix of the game with the opponents, so its lanes run on that game's
-CRN with the opponents' rates set to 0, and every lane stays bit-identical
-to a batch of its own game alone.
+(:func:`_run_pool`), dealt round-robin to the workers. Each arm's lanes run
+on that arm's own CRN, so every lane is bit-identical to a batch of its own
+game alone, and a lane that overflows stops only itself.
 """
 
 from __future__ import annotations
@@ -374,93 +373,66 @@ class _Arm:
     seed: int
 
 
-def _prefix_sizes(part: Crn, whole: Crn) -> tuple[int, int]:
-    """Species and reaction counts of ``part``, checked to lead ``whole``'s.
-
-    :func:`compose` lists player 1's species and reactions first, so a game
-    with the opponents removed is a prefix of the game with them.
-    """
-    k, m = len(part.species), len(part.reactions)
-    pad = (0,) * (len(whole.species) - k)
-    lifted = [(r.reactants + pad, r.products + pad, r.rate_constant)
-              for r in part.reactions]
-    leading = [(w.reactants, w.products, w.rate_constant)
-               for w in whole.reactions[:m]]
-    if part.species.names != whole.species.names[:k] or lifted != leading:
-        raise GameConfigError("an arm's game is not a prefix of the pooled game")
-    return k, m
-
-
-def _run_slice(args) -> tuple[int, np.ndarray]:
-    """Successes and truncations, per arm, among one slice's pool lanes.
+def _run_slice(args) -> tuple[int, np.ndarray, list[tuple[int, tuple[int, int, int]]]]:
+    """Successes, truncations and overflow, per arm, among one slice's pool lanes.
 
     The slice holds pool lanes ``first, first + step, ...`` below ``stop``;
     lane ``a * trials + j`` is trial ``j`` of arm ``a``, and ``arms`` starts
-    at arm ``a0``. Returns ``a0`` and an (arms, 2) array. The lanes' initial
-    states, rate rows and streams are made here, in the worker, and they run
-    as one :func:`simulate_batch` call on ``crn``.
+    at arm ``a0``. Each arm's lanes make their initial states and streams
+    here, in the worker, and run as one :func:`simulate_batch` call on that
+    arm's CRN. Returns ``a0``, an (arms, 2) array, and the arms whose batch
+    overflowed, as ``(arm, (event, trial, reaction))``.
     """
-    crn, arms, a0, spec, trials, first, stop, step, config = args
-    constants = [r.rate_constant for r in crn.reactions]
-    lanes = np.arange(first, stop, step)
-    arm_of, trial = np.divmod(lanes - a0 * trials, trials)
-    inits = np.zeros((lanes.size, len(crn.species)), dtype=np.int64)
-    rates = np.empty((lanes.size, len(crn.reactions)))
-    streams = []
+    arms, a0, spec, trials, first, stop, step, config = args
+    arm_of, trial = np.divmod(np.arange(first, stop, step) - a0 * trials, trials)
     bounds = np.searchsorted(arm_of, np.arange(len(arms) + 1))
-    for arm, lo, hi in zip(arms, bounds[:-1], bounds[1:]):
-        k, m = _prefix_sizes(arm.game.crn, crn)
+    counts = np.zeros((len(arms), 2), dtype=np.int64)
+    overflows = []
+    for a, (arm, lo, hi) in enumerate(zip(arms, bounds[:-1], bounds[1:])):
+        if lo == hi:
+            continue
+        game = arm.game
         rng = XoshiroBatch(np.array([child_seed(arm.seed, int(j)) for j in trial[lo:hi]],
                                     dtype=np.uint64))
-        inits[lo:hi, :k] = sample_initial_states(arm.game, rng)
-        rates[lo:hi] = constants
-        rates[lo:hi, m:] = 0.0
-        streams.append(rng)
-    xi = crn.species.index_of(spec.x_species)
-    yi = crn.species.index_of(spec.y_species)
-    try:
-        outcome = simulate_batch(crn, inits, config, XoshiroBatch.concatenate(streams),
-                                 stop_when_zero=(xi, yi), rates=rates)
-    except NumericOverflowError as exc:
-        lane = int(lanes[exc.lane])
-        raise NumericOverflowError(
-            exc.reaction_index, f"trial {lane % trials}: non-finite propensity "
-            f"in reaction {exc.reaction_index}", lane=lane) from None
-
-    conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
-    won = takeover_succeeded(inits[:, xi], inits[:, yi], outcome.final_states[:, xi],
-                             outcome.final_states[:, yi], conclusive)
-    return a0, np.stack([np.bincount(arm_of[won], minlength=len(arms)),
-                         np.bincount(arm_of[~conclusive], minlength=len(arms))], axis=1)
+        inits = sample_initial_states(game, rng)
+        xi, yi = game.species_index(spec.x_species), game.species_index(spec.y_species)
+        try:
+            outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=(xi, yi))
+        except NumericOverflowError as exc:
+            overflows.append((a0 + a, (exc.event, int(trial[lo + exc.lane]),
+                                       exc.reaction_index)))
+            continue
+        conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
+        won = takeover_succeeded(inits[:, xi], inits[:, yi], outcome.final_states[:, xi],
+                                 outcome.final_states[:, yi], conclusive)
+        counts[a] = won.sum(), (~conclusive).sum()
+    return a0, counts, overflows
 
 
 def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
-              config: SimConfig, workers: int,
-              slice_lanes: int = _SLICE_LANES) -> list[tuple[int, int]]:
-    """(successes, truncations) of every arm, from one lane pool.
+              config: SimConfig, workers: int
+              ) -> list[tuple[int, int] | NumericOverflowError]:
+    """(successes, truncations) of every arm, or its overflow, from one lane pool.
 
-    The pool runs on the first arm's CRN. Every other arm's game must be a
-    prefix of it (see :func:`_prefix_sizes`); its lanes get rate 0 for the
-    reactions it lacks, which leaves their trajectories bit-identical to a
-    batch of that game alone (see :mod:`crngame.batch`). Lanes are numbered
-    arm by arm, trial by trial; lane ``i`` is dealt to worker ``i mod
-    workers``, and each worker's lanes are cut, in order, into slices of at
-    most ``slice_lanes``. Each slice is one batch (:func:`_run_slice`), run
-    in forked worker processes when ``workers`` > 1. An overflow raises
-    :class:`NumericOverflowError` whose ``lane`` is the pool lane and whose
-    message names its trial.
+    Lanes are numbered arm by arm, trial by trial; lane ``i`` is dealt to
+    worker ``i mod workers``, and each worker's lanes are cut, in order, into
+    slices of at most ``_SLICE_LANES``. Each slice runs each of its arms as
+    one batch (:func:`_run_slice`), in forked worker processes when
+    ``workers`` > 1. An arm with an overflowing lane yields a
+    :class:`NumericOverflowError` naming the lowest trial at the earliest
+    event index at which any of its trials overflows, as one batch of the
+    whole arm would, whatever the slices.
     """
-    crn = arms[0].game.crn
     size = len(arms) * trials
     step = max(workers, 1)
-    span = slice_lanes * step
+    span = _SLICE_LANES * step
     tasks = []
     for lo in range(0, size, span):
         stop = min(lo + span, size)
         for first in range(lo, min(lo + step, size)):
             a0, a1 = first // trials, (stop - 1) // trials + 1
-            tasks.append((crn, tuple(arms[a0:a1]), a0, spec, trials, first, stop,
-                          step, config))
+            tasks.append((tuple(arms[a0:a1]), a0, spec, trials, first, stop, step,
+                          config))
     if workers <= 1 or len(tasks) == 1:
         parts = map(_run_slice, tasks)
     else:
@@ -469,15 +441,22 @@ def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                  mp_context=mp.get_context("fork")) as pool:
-            try:
-                parts = list(pool.map(_run_slice, tasks))
-            except CrnError:
-                pool.shutdown(cancel_futures=True)  # skip the slices not yet started
-                raise
+            parts = list(pool.map(_run_slice, tasks))
     counts = np.zeros((len(arms), 2), dtype=np.int64)
-    for a0, part in parts:
+    first: dict[int, tuple[int, int, int]] = {}
+    for a0, part, overflows in parts:
         counts[a0:a0 + len(part)] += part
-    return [(int(s), int(t)) for s, t in counts]
+        for a, overflow in overflows:
+            first[a] = min(first.get(a, overflow), overflow)
+    results: list[tuple[int, int] | NumericOverflowError] = []
+    for a, (successes, truncd) in enumerate(counts):
+        if a in first:
+            event, trial, rxn = first[a]
+            results.append(NumericOverflowError.in_trial(trial, rxn, lane=trial,
+                                                         event=event))
+        else:
+            results.append((int(successes), int(truncd)))
+    return results
 
 
 def _estimate(successes: int, truncated: int, trials: int,
@@ -508,9 +487,10 @@ def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int
     spec = game.players[player_index].utility
     if isinstance(spec, Indifferent):
         return _exact_zero(trials, confidence)
-    [(successes, truncd)] = _run_pool([_Arm(game, config.seed)], spec, trials,
-                                      config, workers)
-    return _estimate(successes, truncd, trials, confidence)
+    [result] = _run_pool([_Arm(game, config.seed)], spec, trials, config, workers)
+    if isinstance(result, CrnError):
+        raise result
+    return _estimate(*result, trials, confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -581,49 +561,25 @@ def _condition_arms(player: Player, opponents: tuple[Player, ...],
             _Arm(compose((p1,) + trivial, config.volume), base_seed))
 
 
-def _arm_by_arm(pair: tuple[_Arm, _Arm], estimate
-                ) -> tuple[UtilityEstimate, UtilityEstimate] | CrnError:
-    """``estimate`` of each arm of a pair in turn, or the first arm's error."""
-    try:
-        return tuple(estimate(arm) for arm in pair)
-    except CrnError as exc:
-        return exc
-
-
 def _estimate_pairs(pairs: list[tuple[_Arm, _Arm]], trials: int, config: SimConfig,
                     confidence: float, workers: int
                     ) -> list[tuple[UtilityEstimate, UtilityEstimate] | CrnError]:
-    """Both arms of every pair; a pair that fails yields its error instead.
+    """Both arms of every pair, from one lane pool.
 
-    Every pair runs in one lane pool. When a lane overflows, its pair is
-    redone arm by arm, each arm as one batch in this process, so that its
-    error names the first trial that overflowed whatever the worker count;
-    the pool then runs again without it.
+    A pair with an overflowing arm yields that arm's error instead, the
+    with-opponents arm's first.
     """
     spec = pairs[0][0].game.players[0].utility
     if isinstance(spec, Indifferent):
         return [(_exact_zero(trials, confidence),) * 2] * len(pairs)
-
-    def redo(arm):
-        [(successes, truncd)] = _run_pool([arm], spec, trials, config, 1,
-                                          slice_lanes=trials)
-        return _estimate(successes, truncd, trials, confidence)
-
-    results: dict[int, tuple[UtilityEstimate, UtilityEstimate] | CrnError] = {}
-    left = list(range(len(pairs)))
-    while left:
-        try:
-            counts = _run_pool([arm for i in left for arm in pairs[i]], spec, trials,
-                               config, workers)
-        except NumericOverflowError as exc:
-            failed = left.pop(exc.lane // (2 * trials))
-            results[failed] = _arm_by_arm(pairs[failed], redo)
-            continue
-        for n, i in enumerate(left):
-            results[i] = tuple(_estimate(s, t, trials, confidence)
-                               for s, t in counts[2 * n:2 * n + 2])
-        break
-    return [results[i] for i in range(len(pairs))]
+    counts = _run_pool([arm for pair in pairs for arm in pair], spec, trials, config,
+                       workers)
+    results: list[tuple[UtilityEstimate, UtilityEstimate] | CrnError] = []
+    for pair in zip(counts[::2], counts[1::2]):
+        errors = [arm for arm in pair if isinstance(arm, CrnError)]
+        results.append(errors[0] if errors else
+                       tuple(_estimate(*arm, trials, confidence) for arm in pair))
+    return results
 
 
 def estimate_conditions(player: Player, opponents: Sequence[Player],

@@ -3,11 +3,14 @@
 All stochastic code in this package draws from xoshiro256** streams seeded
 through the SplitMix64 finalizer. Both algorithms are public domain
 (Blackman & Vigna, https://prng.di.unimi.it/) and are implemented here twice,
-once over Python integers and once over numpy uint64 arrays, and xoshiro256**
-once more in the batch engine's C loop (``_lanes.c``), so that a scalar
-simulation and a batch of simulations consume *identical* per-stream bit
-sequences. Results therefore depend only on seeds and inputs,
-never on platform, worker count, or batching.
+once over Python integers (:class:`Xoshiro256`, which the scalar engine
+draws from) and once over numpy uint64 arrays (:class:`XoshiroBatch`, one
+stream per lane, which seeds the lanes and draws their initial states).
+The batch engine's C loop (``_lanes.c``) makes every simulation draw of a
+lane from its :class:`XoshiroBatch` state with xoshiro256** written once
+more, so a scalar simulation and a batch of simulations consume *identical*
+per-stream bit sequences. Results therefore depend only on seeds and
+inputs, never on platform, worker count, or batching.
 
 Seed derivation is a fixed tree: ``child_seed(master, i)`` applies the
 SplitMix64 finalizer to ``master + (i + 1) * GOLDEN`` where ``GOLDEN`` is the
@@ -110,56 +113,19 @@ class XoshiroBatch(object):
 
     Lane ``j`` produces exactly the same sequence as ``Xoshiro256(seed_j)``;
     this is what makes batch simulation reproduce per-trial scalar runs bit
-    for bit. The state is a C-contiguous (4, lanes) array advanced in place,
-    by the draws here and by :func:`crngame.batch.simulate_batch`, with one
-    preallocated scratch row, so a draw over all lanes allocates only its
-    result. Pickling keeps the state alone; the views into it are rebuilt.
+    for bit. The state is a C-contiguous (4, lanes) array, ``_state``,
+    advanced in place by the draws here and by
+    :func:`crngame.batch.simulate_batch`.
     """
 
     def __init__(self, seeds: np.ndarray):
         seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-        state = np.empty((4, seeds.size), dtype=np.uint64)
+        self._state = np.empty((4, seeds.size), dtype=np.uint64)
         z = seeds.copy()
         golden = np.uint64(_GOLDEN)
         for i in range(4):
             z = z + golden
-            state[i] = self._mix(z)
-        self._adopt(state)
-
-    def _adopt(self, state: np.ndarray) -> None:
-        self._state = state
-        _, s1, s2, s3 = state
-        t = np.empty(state.shape[1], dtype=np.uint64)
-        self._s1 = s1
-        # one state transition of every lane, as in-place ufunc calls
-        self._transition = (
-            (np.left_shift, s1, _U17, t),
-            # s2 ^= s0 and s3 ^= s1, then s0 ^= s3 and s1 ^= s2, two rows at once
-            (np.bitwise_xor, state[2:4], state[0:2], state[2:4]),
-            (np.bitwise_xor, state[0:2], state[3:1:-1], state[0:2]),
-            (np.bitwise_xor, s2, t, s2),
-            (np.left_shift, s3, _U45, t),
-            (np.right_shift, s3, _U19, s3),
-            (np.bitwise_or, s3, t, s3),
-        )
-
-    def __getstate__(self):
-        # row views and scratch are rebuilt around the state when unpickled
-        return (self._state,)
-
-    def __setstate__(self, state) -> None:
-        self._adopt(state[0])
-
-    @classmethod
-    def _from_state(cls, state: np.ndarray) -> "XoshiroBatch":
-        out = object.__new__(cls)
-        out._adopt(np.ascontiguousarray(state))
-        return out
-
-    @classmethod
-    def concatenate(cls, batches: "list[XoshiroBatch]") -> "XoshiroBatch":
-        """One batch holding the lanes of ``batches`` in order (state is copied)."""
-        return cls._from_state(np.concatenate([b._state for b in batches], axis=1))
+            self._state[i] = self._mix(z)
 
     @staticmethod
     def _mix(z: np.ndarray) -> np.ndarray:
@@ -171,47 +137,27 @@ class XoshiroBatch(object):
     def size(self) -> int:
         return self._state.shape[1]
 
-    def take(self, idx: np.ndarray) -> "XoshiroBatch":
-        """New batch holding the selected lanes (state is copied)."""
-        return self._from_state(self._state[:, idx])
+    def next_u64(self) -> np.ndarray:
+        """Every lane's next output."""
+        s0, s1, s2, s3 = self._state  # row views: the updates below are in place
+        x = s1 * _U5
+        result = (x << _U7 | x >> _U57) * _U9
+        t = s1 << _U17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = s3 << _U45 | s3 >> _U19
+        return result
 
-    def _next_bits(self, count: int, idx: np.ndarray | None) -> np.ndarray:
-        """(count, lanes): each selected lane's next ``count`` outputs."""
-        if idx is not None:
-            sub = self.take(idx)
-            bits = sub._next_bits(count, None)
-            self._state[:, idx] = sub._state
-            return bits
-        bits = np.empty((count, self.size), dtype=np.uint64)
-        for row in bits:
-            np.multiply(self._s1, _U5, row)
-            for ufunc, a, b, out in self._transition:
-                ufunc(a, b, out)
-        rot = np.left_shift(bits, _U7)
-        np.right_shift(bits, _U57, bits)
-        np.bitwise_or(bits, rot, bits)
-        np.multiply(bits, _U9, bits)
-        return bits
+    def next_u01(self) -> np.ndarray:
+        """Uniform draws in (0, 1], one per lane."""
+        # the shifted output is below 2**53, so the conversion and the + 1 are exact
+        return ((self.next_u64() >> _U11) + 1.0) * _U01_SCALE
 
-    def next_u64(self, idx: np.ndarray | None = None) -> np.ndarray:
-        """Advance the selected lanes (all lanes if ``idx`` is None)."""
-        return self._next_bits(1, idx)[0]
-
-    def next_u01(self, idx: np.ndarray | None = None, count: int = 1) -> np.ndarray:
-        """Uniform draws in (0, 1], one per selected lane.
-
-        With ``count`` > 1, a (count, lanes) array of each lane's next
-        ``count`` draws in stream order, made in one pass.
-        """
-        bits = self._next_bits(count, idx)
-        np.right_shift(bits, _U11, bits)
-        # bits < 2**53, so both the conversion and the + 1 are exact
-        u = np.add(bits, 1.0)
-        u *= _U01_SCALE
-        return u if count > 1 else u[0]
-
-    def next_below(self, bound: int, idx: np.ndarray | None = None) -> np.ndarray:
-        """Uniform integers in [0, bound), one per selected lane."""
-        u = (self.next_u64(idx) >> _U11).astype(np.float64) * _U01_SCALE
+    def next_below(self, bound: int) -> np.ndarray:
+        """Uniform integers in [0, bound), one per lane."""
+        u = (self.next_u64() >> _U11).astype(np.float64) * _U01_SCALE
         i = (u * bound).astype(np.int64)
         return np.minimum(i, bound - 1)

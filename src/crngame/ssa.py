@@ -196,15 +196,8 @@ def total_rate(crn: Crn, state: CountVector, volume: float = 1.0) -> float:
     for j in range(compiled.size):
         total += compiled.propensity(j, counts)
     if total != total or total == float("inf"):
-        raise _overflow(compiled, counts)
+        raise NumericOverflowError(compiled.first_nonfinite(counts))
     return total
-
-
-def _overflow(compiled: CompiledCrn, counts: Sequence[int]) -> NumericOverflowError:
-    j = compiled.first_nonfinite(counts)
-    if j < 0:
-        return NumericOverflowError(-1, "non-finite propensity sum")
-    return NumericOverflowError(j)
 
 
 def step(crn: Crn, state: CountVector, volume: float,
@@ -224,7 +217,7 @@ def step(crn: Crn, state: CountVector, volume: float,
     for p in props:
         total += p
     if total != total or total == float("inf"):
-        raise _overflow(compiled, counts)
+        raise NumericOverflowError(compiled.first_nonfinite(counts))
     if total == 0.0:
         return None
     sojourn = -math.log(rng.next_u01()) / total
@@ -312,7 +305,7 @@ def _core_loop(crn, initial_state, config, observers, rng):
         for p in props:
             total += p
         if total != total or total == float("inf"):
-            raise _overflow(compiled, counts)
+            raise NumericOverflowError(compiled.first_nonfinite(counts))
         if total == 0.0:
             return finish(StopReason.TERMINAL, t, events)
         sojourn = -log(u01()) / total
@@ -362,10 +355,7 @@ def run_trials(crn: Crn, initial_state_sampler: StateSampler, config: SimConfig,
         try:
             result = _core_loop(crn, initial, config, () if obs is None else (obs,), rng)
         except NumericOverflowError as exc:
-            raise NumericOverflowError(
-                exc.reaction_index,
-                f"trial {i}: non-finite propensity in reaction {exc.reaction_index}",
-            ) from exc
+            raise NumericOverflowError.in_trial(i, exc.reaction_index) from exc
         out.append(TrialResult(i, result.final_state, result.stop_reason, result.events,
                                result.elapsed, obs.result() if obs is not None else None))
     return out

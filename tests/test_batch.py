@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crngame import Crn, Reaction, SimConfig, StopReason, batch, make_crn
+from crngame import Crn, SimConfig, StopReason, batch, make_crn
 from crngame.batch import simulate_batch
-from crngame.core import CrnError, NumericOverflowError
+from crngame.core import NumericOverflowError
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import ZeroCountMonitor, _core_loop
 
@@ -26,33 +26,17 @@ def scalar_reference(crn, initial, config, seeds, watch=()):
     return (np.array(finals), reasons, np.array(events), np.array(elapsed))
 
 
-def assert_batch_matches_scalar(crn, initial, config, trials, watch=(),
-                                rate_rows=None):
-    """Batch lanes must equal scalar runs, trial for trial.
-
-    ``rate_rows`` (default: the CRN's own constants) gives each arm of the
-    batch its per-lane rates: trial j of arm a is lane ``a * trials + j``,
-    and is checked against the scalar engine on the CRN with those rates,
-    where a rate of 0 drops the reaction.
-    """
-    rows = rate_rows or [[r.rate_constant for r in crn.reactions]]
+def assert_batch_matches_scalar(crn, initial, config, trials, watch=()):
+    """Batch lanes must equal scalar runs, trial for trial."""
     seeds = [child_seed(config.seed, j) for j in range(trials)]
-    rng = XoshiroBatch(np.array(seeds * len(rows), dtype=np.uint64))
-    inits = np.tile(initial, (trials * len(rows), 1))
-    rates = None if rate_rows is None else np.repeat(
-        np.array(rate_rows, dtype=np.float64), trials, axis=0)
-    out = simulate_batch(crn, inits, config, rng, stop_when_zero=watch,
-                         rates=rates)
-    for arm, row in enumerate(rows):
-        kept = Crn(crn.species, [Reaction(r.reactants, r.products, k)
-                                 for r, k in zip(crn.reactions, row) if k > 0])
-        finals, reasons, events, elapsed = scalar_reference(
-            kept, initial, config, seeds, watch)
-        lanes = slice(arm * trials, (arm + 1) * trials)
-        np.testing.assert_array_equal(out.final_states[lanes], finals)
-        np.testing.assert_array_equal(out.events[lanes], events)
-        assert out.stop_reasons[lanes] == reasons
-        np.testing.assert_array_equal(out.elapsed[lanes], elapsed)
+    rng = XoshiroBatch(np.array(seeds, dtype=np.uint64))
+    inits = np.tile(initial, (trials, 1))
+    out = simulate_batch(crn, inits, config, rng, stop_when_zero=watch)
+    finals, reasons, events, elapsed = scalar_reference(crn, initial, config, seeds, watch)
+    np.testing.assert_array_equal(out.final_states, finals)
+    np.testing.assert_array_equal(out.events, events)
+    assert out.stop_reasons == reasons
+    np.testing.assert_array_equal(out.elapsed, elapsed)
 
 
 @pytest.fixture
@@ -76,24 +60,6 @@ class TestLockstepEquality:
             {"X": 24, "Y": 16, "A": 5, "B": 5})
         assert_batch_matches_scalar(perturbed_game, initial, SimConfig(seed=99),
                                     250, watch=(0, 1))
-
-    def test_baseline_lanes_in_the_union_batch(self, perturbed_game):
-        # the shuffler's rates zeroed: the catalysed consensus alone
-        initial = perturbed_game.species.state_from(
-            {"X": 24, "Y": 16, "A": 5, "B": 5})
-        assert_batch_matches_scalar(perturbed_game, initial, SimConfig(seed=41),
-                                    150, watch=(0, 1),
-                                    rate_rows=[[1.0, 1.0, 4.0, 4.0],
-                                               [1.0, 1.0, 0.0, 0.0]])
-
-    def test_zero_rate_anywhere_in_the_list(self, perturbed_game):
-        initial = perturbed_game.species.state_from(
-            {"X": 20, "Y": 20, "A": 3, "B": 6})
-        assert_batch_matches_scalar(perturbed_game, initial,
-                                    SimConfig(seed=43, max_events=300), 100,
-                                    rate_rows=[[0.0, 1.0, 4.0, 4.0],
-                                               [1.0, 0.0, 2.5, 4.0],
-                                               [1.0, 1.0, 0.0, 4.0]])
 
     def test_event_ceiling(self, shuffler_crn):
         initial = shuffler_crn.species.state_from({"A": 4, "B": 1})
@@ -148,53 +114,53 @@ class TestBatchBasics:
         assert err.value.reaction_index == 1
 
     def test_overflow_names_first_lane_and_reaction(self):
-        # lane 1 of 3 overflows in reaction 1 only through its own rate
+        # 2X -> 2Y at 1e308 overflows at X = 10, which only lane 1 starts with
         crn = make_crn([
             ({"X": 1}, {"Y": 1}, 1.0),
-            ({"X": 2}, {"Y": 2}, 1.0),
+            ({"X": 2}, {"Y": 2}, 1e308),
         ])
         rng = XoshiroBatch(np.arange(3, dtype=np.uint64))
-        inits = np.tile(crn.species.state_from({"X": 10}), (3, 1))
-        rates = np.array([[1.0, 1.0], [1.0, 1e308], [1.0, 0.0]])
+        inits = np.array([crn.species.state_from({"X": x}) for x in (1, 10, 1)])
         with pytest.raises(NumericOverflowError) as err:
-            simulate_batch(crn, inits, SimConfig(seed=0), rng, rates=rates)
+            simulate_batch(crn, inits, SimConfig(seed=0), rng)
         assert err.value.reaction_index == 1
-        assert err.value.lane == 1
+        assert (err.value.lane, err.value.event) == (1, 0)
         assert str(err.value) == "trial 1: non-finite propensity in reaction 1"
 
     def test_overflow_names_the_earliest_event_then_the_lowest_lane(self):
-        # 3X -> 4X grows X by one per event; with rate k lane 0's exit rate
-        # is finite at X = 10, 11, 12 and overflows at X = 13, after three
-        # events; lanes 2 and 3 overflow at event 0
-        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"X": 4}, 1.0)])
-        k = 1.7e308 / 1500
-        rates = np.array([[1.0, k], [1.0, 1.0], [1.0, 1e308], [1.0, 1e308]])
-        inits = np.tile(crn.species.state_from({"X": 10}), (4, 1))
+        # 3X -> 4X grows X by one per event; at rate k the exit rate is
+        # finite at X = 10, 11, 12 and overflows at X = 13, so lane 0
+        # overflows after three events, lane 1 (X = 2) never, and lanes 2
+        # and 3 at event 0
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"X": 4}, 1.7e308 / 1500)])
+        inits = np.array([crn.species.state_from({"X": x}) for x in (10, 2, 13, 13)])
         config = SimConfig(seed=0, max_events=50)
         with pytest.raises(NumericOverflowError) as alone:
             simulate_batch(crn, inits[:2], config,
-                           XoshiroBatch(np.arange(2, dtype=np.uint64)), rates=rates[:2])
-        assert alone.value.lane == 0
+                           XoshiroBatch(np.arange(2, dtype=np.uint64)))
+        assert (alone.value.lane, alone.value.event) == (0, 3)
         with pytest.raises(NumericOverflowError) as err:
             simulate_batch(crn, inits, config,
-                           XoshiroBatch(np.arange(4, dtype=np.uint64)), rates=rates)
-        assert (err.value.lane, err.value.reaction_index) == (2, 1)
+                           XoshiroBatch(np.arange(4, dtype=np.uint64)))
+        assert (err.value.lane, err.value.event, err.value.reaction_index) == (2, 0, 1)
         assert str(err.value) == "trial 2: non-finite propensity in reaction 1"
+
+    def test_overflow_of_only_the_sum_says_so(self):
+        # each propensity is 1e308, their sum is not finite
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1e308), ({"X": 1}, {"Z": 1}, 1e308)])
+        inits = np.tile(crn.species.state_from({"X": 1}), (2, 1))
+        with pytest.raises(NumericOverflowError) as err:
+            simulate_batch(crn, inits, SimConfig(seed=0),
+                           XoshiroBatch(np.arange(2, dtype=np.uint64)))
+        assert (err.value.reaction_index, err.value.lane) == (-1, 0)
+        assert str(err.value) == "trial 0: non-finite propensity sum"
 
     def test_overflow_error_survives_pickling(self):
         # a worker process sends its error back pickled
         err = pickle.loads(pickle.dumps(NumericOverflowError(
-            2, "trial 5: non-finite propensity in reaction 2", lane=5)))
-        assert (err.reaction_index, err.lane) == (2, 5)
+            2, "trial 5: non-finite propensity in reaction 2", lane=5, event=7)))
+        assert (err.reaction_index, err.lane, err.event) == (2, 5, 7)
         assert str(err) == "trial 5: non-finite propensity in reaction 2"
-
-    def test_rates_must_match_lanes_and_be_nonnegative(self, majority_crn):
-        inits = np.tile(np.array([3, 2], dtype=np.int64), (2, 1))
-        for rates in (np.ones((2, 3)), np.array([[1.0, 1.0], [1.0, -1.0]])):
-            rng = XoshiroBatch(np.arange(2, dtype=np.uint64))
-            with pytest.raises(CrnError):
-                simulate_batch(majority_crn, inits, SimConfig(seed=0), rng,
-                               rates=rates)
 
     def test_zero_trials_with_monitor(self, majority_crn):
         rng = XoshiroBatch(np.zeros(0, dtype=np.uint64))

@@ -98,25 +98,26 @@ class TestRunSweep:
 
     def test_overflow_row_same_for_any_worker_count(self, write_config,
                                                     tmp_path, monkeypatch):
-        # the overflowing condition sits between two that stop at once; the
-        # pool's lane index must lead to it, and only it is redone arm by arm
+        # the overflowing condition sits between two that stop at once; it
+        # fails alone, and every sweep runs its lane pool once
         (tmp_path / "nature.crn").write_text("A -> B @ 1e308\nB -> A @ 20\n")
         cfg = write_config(diffs="10 0 -10", **{"total = 40": "total = 10"})
-        redone = []
-        alone = game_module._arm_by_arm
+        pools = []
+        run_pool = game_module._run_pool
 
-        def spy(pair, *args):
-            redone.append(pair)
-            return alone(pair, *args)
+        def spy(arms, *args):
+            pools.append(len(arms))
+            return run_pool(arms, *args)
 
-        monkeypatch.setattr(game_module, "_arm_by_arm", spy)
+        monkeypatch.setattr(game_module, "_run_pool", spy)
         one = run_sweep(cfg, workers=1)
+        assert pools == [6]
         assert [row.error for row in one.rows] == [
             "", "trial 0: non-finite propensity in reaction 2", ""]
         assert [row.succ_with for row in one.rows] == [40, 0, 40]
         for workers in (2, 3):
             assert run_sweep(cfg, workers=workers).to_csv() == one.to_csv()
-        assert len(redone) == 3
+        assert pools == [6, 6, 6]
 
     def test_catalytic_violation_raises(self, write_config, tmp_path):
         (tmp_path / "nature.crn").write_text("X -> B @ 20\nB -> X @ 20\n")

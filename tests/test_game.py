@@ -27,6 +27,7 @@ from crngame import (
 )
 from crngame.core import NumericOverflowError
 from crngame.experiment import estimate_condition
+import crngame.game as game_module
 from crngame.game import _Arm, _run_pool, sample_initial_states
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import TrajectoryRecorder, ZeroCountMonitor
@@ -262,10 +263,9 @@ class TestEstimation:
 
     def test_pool_counts_equal_scalar_runs(self, consensus_player):
         # the scalar engine, trial by trial on child_seed(seed, j), against
-        # a one-arm pool and against both arms of a condition's pool, whose
-        # baseline lanes run with the shuffler's rates set to zero; the
+        # a one-arm pool and against both arms of a condition's pool; the
         # shuffler is fast enough to change most trajectories, so a baseline
-        # lane that kept its rates would count differently
+        # lane that ran with it would count differently
         nature = player_for(make_crn([({"A": 1}, {"B": 1}, 5e3),
                                       ({"B": 1}, {"A": 1}, 5e3)]), name="nature")
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
@@ -301,33 +301,55 @@ class TestEstimation:
         eight = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=8)
         assert one == eight
 
-    def test_slices_do_not_change_the_counts(self, consensus_player, nature_player):
+    def test_slices_do_not_change_the_counts(self, consensus_player, nature_player,
+                                             monkeypatch):
         # slices of 7 lanes cut the two arms' 2 x 40 pool lanes at several
         # offsets; each arm must still count as it does alone
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
         arms = [_Arm(compose([small, nature_player]), 10),
                 _Arm(compose([small, Player.trivial()]), 11)]
         whole = _run_pool(arms, small.utility, 40, SimConfig(seed=0), 1)
+        monkeypatch.setattr(game_module, "_SLICE_LANES", 7)
         for workers in (1, 2, 3):
-            assert _run_pool(arms, small.utility, 40, SimConfig(seed=0), workers,
-                             slice_lanes=7) == whole
+            assert _run_pool(arms, small.utility, 40, SimConfig(seed=0),
+                             workers) == whole
         for arm, (successes, truncated) in zip(arms, whole):
             alone = estimate_expected_utility(arm.game, 0, 40,
                                               SimConfig(seed=arm.seed))
             assert (alone.successes, alone.truncated) == (successes, truncated)
 
-    def test_overflow_names_the_pool_lane_and_its_trial(self, consensus_player):
+    def test_overflow_names_the_same_trial_for_any_slicing(self, monkeypatch):
+        # 3X -> 4X overflows once X reaches 13: at event 0 in trials that
+        # start at 13, later in the others; every worker count and slice
+        # size must name the lowest trial at the earliest event, trial 1
+        crn = make_crn([({"X": 3}, {"X": 4}, 1.7e308 / 1500)], species_order=["X", "Y"])
+        player = Player(crn, InitialDistribution((UniformCount(10, 13), ConstantCount(5))),
+                        TakeoverSuccess("X", "Y"), "p")
+        game = compose([player])
+        for slice_lanes in (game_module._SLICE_LANES, 7):
+            monkeypatch.setattr(game_module, "_SLICE_LANES", slice_lanes)
+            for workers in (1, 2, 3):
+                with pytest.raises(NumericOverflowError) as err:
+                    estimate_expected_utility(game, 0, 12, SimConfig(seed=3),
+                                              workers=workers)
+                assert (err.value.lane, err.value.event) == (1, 0)
+                assert str(err.value) == "trial 1: non-finite propensity in reaction 0"
+
+    def test_an_overflowing_arm_leaves_the_others_counted(self, consensus_player):
         # every lane of the second arm overflows at once (two A at 1e308);
-        # its first lane is pool lane 10, inside the second 7-lane slice
+        # the first and third arms count as they do alone
         nature = player_for(make_crn([({"A": 1}, {"B": 1}, 1e308)]), name="nature")
         calm, wild = (compose([consensus_player.with_counts(
             {"X": 30, "Y": 20, "A": a, "B": 4}), nature]) for a in (1, 2))
-        for workers in (1, 2):
-            with pytest.raises(NumericOverflowError) as err:
-                _run_pool([_Arm(calm, 1), _Arm(wild, 2)], calm.players[0].utility,
-                          10, SimConfig(seed=0), workers, slice_lanes=7)
-            assert err.value.lane == 10
-            assert str(err.value) == "trial 0: non-finite propensity in reaction 2"
+        arms = [_Arm(calm, 1), _Arm(wild, 2), _Arm(calm, 3)]
+        one = _run_pool(arms, calm.players[0].utility, 10, SimConfig(seed=0), 1)
+        assert one[1].lane == 0
+        assert str(one[1]) == "trial 0: non-finite propensity in reaction 2"
+        for arm, counts in zip(arms[::2], one[::2]):
+            alone = estimate_expected_utility(calm, 0, 10, SimConfig(seed=arm.seed))
+            assert counts == (alone.successes, alone.truncated)
+        two = _run_pool(arms, calm.players[0].utility, 10, SimConfig(seed=0), 2)
+        assert [str(r) for r in two] == [str(r) for r in one]
 
     def test_random_initial_counts_redrawn_per_trial(self, majority_crn):
         dist = InitialDistribution((UniformCount(1, 40), ConstantCount(1)))

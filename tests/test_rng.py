@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 
@@ -55,16 +53,6 @@ def test_batch_u01_matches_scalar():
         assert vec.tolist() == expect
 
 
-def test_batch_partial_lane_advance():
-    batch = XoshiroBatch(np.array([10, 11, 12], dtype=np.uint64))
-    ref = [Xoshiro256(s) for s in (10, 11, 12)]
-    batch.next_u64(np.array([0, 2]))
-    ref[0].next_u64()
-    ref[2].next_u64()
-    vec = batch.next_u64()
-    assert [int(v) for v in vec] == [r.next_u64() for r in ref]
-
-
 @pytest.mark.parametrize("bound", [1, 2, 7, 100, 10**6])
 def test_next_below_range_and_batch_agreement(bound):
     rng = Xoshiro256(42)
@@ -73,44 +61,3 @@ def test_next_below_range_and_batch_agreement(bound):
         value = rng.next_below(bound)
         assert 0 <= value < bound
         assert batch.next_below(bound)[0] == value
-
-
-def test_take_copies_state():
-    batch = XoshiroBatch(np.array([1, 2, 3], dtype=np.uint64))
-    sub = batch.take(np.array([1]))
-    first_from_sub = sub.next_u64()[0]
-    # advancing the copy must not disturb the parent
-    vec = batch.next_u64()
-    assert int(vec[1]) == int(first_from_sub)
-
-
-def test_multi_draw_is_successive_draws():
-    seeds = np.array([7, 8, 9, 10], dtype=np.uint64)
-    a, b = XoshiroBatch(seeds), XoshiroBatch(seeds)
-    rows = a.next_u01(count=3)
-    assert rows.shape == (3, 4)
-    for row in rows:
-        assert row.tolist() == b.next_u01().tolist()
-    assert a.next_u64().tolist() == b.next_u64().tolist()
-
-
-def test_pickled_batch_advances_its_own_state():
-    # the copy's row views must point into its own state, so that lanes
-    # taken after it has advanced carry the advanced state
-    ref = XoshiroBatch(np.arange(4, dtype=np.uint64))
-    batch = XoshiroBatch(np.arange(4, dtype=np.uint64))
-    batch.next_u64()
-    ref.next_u64()
-    copy = pickle.loads(pickle.dumps(batch))
-    copy.next_u64()
-    ref.next_u64()
-    lanes = np.array([1, 3])
-    assert copy.take(lanes).next_u64().tolist() == ref.next_u64()[lanes].tolist()
-
-
-def test_concatenate_keeps_lane_order():
-    a = XoshiroBatch(np.array([1, 2], dtype=np.uint64))
-    b = XoshiroBatch(np.array([3], dtype=np.uint64))
-    a.next_u64()
-    both = XoshiroBatch.concatenate([a, b])
-    assert both.next_u64().tolist() == a.next_u64().tolist() + b.next_u64().tolist()

@@ -243,6 +243,25 @@ class TestRunTrials:
         sigma = math.sqrt(0.25 / 10000)
         assert abs(x_wins / 10000 - 0.5) <= 3 * sigma
 
+    @pytest.mark.parametrize("reactions, x, index, text", [
+        # 3X -> 3Y overflows at X = 10
+        ([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"Y": 3}, 1e308)], 10, 1,
+         "non-finite propensity in reaction 1"),
+        # each propensity is 1e308 at X = 1; only their sum is not finite
+        ([({"X": 1}, {"Y": 1}, 1e308), ({"X": 1}, {"Z": 1}, 1e308)], 1, -1,
+         "non-finite propensity sum"),
+    ])
+    def test_overflow_names_the_trial(self, reactions, x, index, text):
+        crn = make_crn(reactions)
+        initial = state_of(crn, X=x)
+        with pytest.raises(NumericOverflowError) as err:
+            simulate(crn, initial, SimConfig(seed=1))
+        assert str(err.value) == text
+        with pytest.raises(NumericOverflowError) as err:
+            run_trials(crn, constant_initial_state(initial), SimConfig(seed=1), 2)
+        assert err.value.reaction_index == index
+        assert str(err.value) == f"trial 0: {text}"
+
     def test_rejects_zero_trials(self, majority_crn):
         with pytest.raises(CrnError):
             run_trials(majority_crn,
