@@ -280,6 +280,8 @@ def _cmd_oracle(args) -> int:
     volume = sim_config(args.volume if args.volume is not None else 1.0).volume
     winner = _species(table, args.winner, "--winner")
     loser = _species(table, args.loser, "--loser")
+    if args.cap < 1:
+        raise ConfigError("--cap must be >= 1")
     space = enumerate_states(doc.crn, state, volume, state_cap=args.cap)
     probs = absorption_probabilities(space, lambda s: s[winner] > s[loser])
     print(f"p = {probs[0]:#.12g}")

@@ -191,8 +191,12 @@ class TestUsageErrors:
          "'Q'"),
         (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
           "--loser", "Y", "--volume", "-1"), "volume"),
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
+          "--loser", "Y", "--cap", "0"), "--cap"),
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
+          "--loser", "Y", "--cap", "-3"), "--cap"),
     ], ids=["simulate-max-time", "simulate-init", "simulate-takeover", "oracle-winner",
-            "oracle-volume"])
+            "oracle-volume", "oracle-cap-0", "oracle-cap-negative"])
     def test_flags(self, capsys, argv, fragment):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from crngame import (
     propensity,
     run_trials,
 )
+from crngame.core import CompiledCrn, NumericOverflowError, Reaction, SpeciesTable
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.ssa import constant_initial_state
 
@@ -27,10 +30,11 @@ def value_iteration(space, predicate, sweeps=20000, tol=1e-13):
     n = len(space)
     p = np.array([1.0 if space.absorbing[i] and predicate(space.states[i])
                   else 0.0 for i in range(n)])
+    rows = space.transitions
     for _ in range(sweeps):
         nxt = p.copy()
         for i in range(n):
-            row = space.transitions[i]
+            row = rows[i]
             if row:
                 total = sum(rate for _, rate in row)
                 nxt[i] = sum(rate * p[j] for j, rate in row) / total
@@ -38,6 +42,199 @@ def value_iteration(space, predicate, sweeps=20000, tol=1e-13):
             return nxt
         p = nxt
     return p
+
+
+def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6):
+    """Reference breadth-first search, one state and one reaction at a time."""
+    kin = CompiledCrn(crn.reactions, volume)
+    start = tuple(int(c) for c in initial)
+    index_of = {start: 0}
+    states = [start]
+    transitions = []
+    queue = deque([0])
+    while queue:
+        state = states[queue.popleft()]
+        merged = {}
+        for ri in range(kin.size):
+            rate = kin.propensity(ri, state)
+            if rate == 0.0:
+                continue
+            if not math.isfinite(rate):
+                raise NumericOverflowError(ri)
+            succ = tuple(c + d for c, d in zip(state, crn.reactions[ri].delta))
+            ti = index_of.get(succ)
+            if ti is None:
+                ti = len(states)
+                if ti >= state_cap:
+                    raise StateSpaceTooLargeError(state_cap)
+                index_of[succ] = ti
+                states.append(succ)
+                queue.append(ti)
+            merged[ti] = merged.get(ti, 0.0) + rate
+        transitions.append(list(merged.items()))
+    return states, transitions
+
+
+def bits(transitions):
+    return [[(ti, rate.hex()) for ti, rate in row] for row in transitions]
+
+
+def unchecked_reaction(reactants, products, rate_constant):
+    """A Reaction built past the constructor's reactants != products check."""
+    rxn = object.__new__(Reaction)
+    for name, value in [("reactants", reactants), ("products", products),
+                        ("rate_constant", rate_constant), ("arity", sum(reactants)),
+                        ("delta", tuple(p - r for r, p in zip(reactants, products)))]:
+        object.__setattr__(rxn, name, value)
+    return rxn
+
+
+def outcome(enumerate_fn, *args, **kwargs):
+    try:
+        enumerate_fn(*args, **kwargs)
+    except (NumericOverflowError, StateSpaceTooLargeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestAgainstScalarSearch:
+    """The level-at-a-time search equals the one-state-at-a-time search bit for bit."""
+
+    def check(self, crn, counts, volume=1.0):
+        initial = crn.species.state_from(counts)
+        states, transitions = scalar_enumerate(crn, initial, volume)
+        space = enumerate_states(crn, initial, volume)
+        assert space.states.dtype == np.int64
+        assert space.states.shape == (len(states), len(crn.species.names))
+        assert [tuple(s) for s in space.states.tolist()] == states
+        assert bits(space.transitions) == bits(transitions)
+        return space
+
+    def test_parallel_reactions_in_first_nonzero_order(self):
+        # reactions 0 and 2 share a change; where reaction 0 is not
+        # applicable (X = 1) the merged entry sits after reaction 1's
+        crn = make_crn([
+            ({"X": 2}, {"X": 1, "Y": 1}, 1.5),
+            ({"Y": 1}, {"Z": 1}, 0.7),
+            ({"X": 1}, {"Y": 1}, 0.3),
+        ])
+        space = self.check(crn, {"X": 3, "Y": 1})
+        i = space.states.tolist().index([1, 3, 0])
+        [(first, _), (second, _)] = space.transitions[i]
+        assert space.states[first].tolist() == [1, 2, 1]
+        assert space.states[second].tolist() == [0, 4, 0]
+
+    def test_many_parallel_reactions(self):
+        crn = make_crn([({"X": 1}, {"Y": 1}, 0.1 * (j + 1)) for j in range(10)]
+                       + [({"X": 1, "Y": 1}, {"Y": 2}, 0.3 * (j + 1)) for j in range(10)])
+        self.check(crn, {"X": 4, "Y": 1})
+
+    def test_self_loop(self):
+        # Reaction rejects X -> X, so build one past that check: the search
+        # must still treat a change of nothing as an edge back to the state
+        table = SpeciesTable(["X", "Y"])
+        crn = Crn(table, [Reaction((1, 0), (0, 1), 1.0),
+                          unchecked_reaction((1, 0), (1, 0), 2.0)])
+        space = self.check(crn, {"X": 2})
+        assert space.transitions[0] == [(1, 2.0), (0, 4.0)]
+
+    def test_trimolecular_at_volume(self):
+        crn = make_crn([
+            ({"X": 2, "Y": 1}, {"X": 3}, 1.5),
+            ({"X": 1, "Y": 1}, {"X": 2}, 0.7),
+            ({"X": 1}, {"Y": 1}, 0.3),
+        ])
+        self.check(crn, {"X": 3, "Y": 4}, volume=2.5)
+
+    def test_state_found_again_from_a_later_level(self):
+        crn = make_crn([({"A": 1}, {"B": 1}, 1.0), ({"B": 1}, {"A": 1}, 2.0)])
+        space = self.check(crn, {"A": 3})
+        assert (0, 2.0) in space.transitions[1]
+
+    def test_two_frontier_states_find_one_new_state(self):
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 1}, {"Z": 1}, 3.0)])
+        space = self.check(crn, {"X": 2})
+        assert space.transitions[1][1][0] == space.transitions[2][0][0]
+
+    def test_counts_above_2_to_the_31(self):
+        crn = make_crn([
+            ({"C": 1, "A": 1}, {"B": 1}, 1e-9),
+            ({"C": 2, "B": 1}, {"C": 2, "D": 1}, 1e-19),
+        ])
+        big = 2**32 + 5
+        space = self.check(crn, {"C": big, "A": 3})
+        assert space.states[:, 0].min() == big - 3
+
+    def test_six_species(self):
+        names = [f"S{i}" for i in range(7)]
+        crn = make_crn([({a: 1}, {b: 1}, 1.0 + i) for i, (a, b) in
+                        enumerate(zip(names, names[1:]))]
+                       + [({"S0": 1, "S3": 1}, {"S6": 2}, 0.5)], names)
+        self.check(crn, {"S0": 2, "S3": 1})
+
+    def test_approximate_majority(self):
+        crn = make_crn([
+            ({"X": 1, "Y": 1}, {"X": 1, "B": 1}, 1.0),
+            ({"X": 1, "Y": 1}, {"Y": 1, "B": 1}, 1.0),
+            ({"B": 1, "X": 1}, {"X": 2}, 1.0),
+            ({"B": 1, "Y": 1}, {"Y": 2}, 1.0),
+        ])
+        self.check(crn, {"X": 9, "Y": 7})
+
+    def test_empty_crn(self):
+        self.check(Crn.empty(), {})
+
+
+class TestEnumerateErrors:
+    def test_non_finite_propensity_names_reaction(self):
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"Z": 1}, 1e300)])
+        with pytest.raises(NumericOverflowError) as exc:
+            enumerate_states(crn, crn.species.state_from({"X": 10**6}))
+        assert exc.value.reaction_index == 1
+        assert "reaction 1" in str(exc.value)
+
+    def test_non_finite_propensity_in_a_later_level(self):
+        # W + Z overflows only once W appears, two levels down
+        crn = make_crn([({"X": 1}, {"W": 1}, 1.0), ({"W": 1, "Z": 1}, {"W": 1}, 1e300)])
+        initial = crn.species.state_from({"X": 2, "Z": 10**10})
+        assert outcome(enumerate_states, crn, initial) \
+            == outcome(scalar_enumerate, crn, initial) \
+            == (NumericOverflowError, "non-finite propensity in reaction 1")
+
+    def test_cap_or_overflow_first_in_search_order(self):
+        # one level both crosses the cap and meets a non-finite propensity;
+        # which error comes first depends on the reaction order and the cap
+        specs = [({"X": 1}, {"Y": 1}, 1.0), ({"Y": 1}, {"W": 1}, 1.0),
+                 ({"W": 1, "Z": 1}, {"W": 1}, 1e300)]
+        seen = set()
+        for order in itertools.permutations(specs):
+            crn = make_crn(list(order), ["X", "Y", "W", "Z"])
+            initial = crn.species.state_from({"X": 2, "Z": 10**10})
+            for cap in range(1, 7):
+                got = outcome(enumerate_states, crn, initial, state_cap=cap)
+                assert got == outcome(scalar_enumerate, crn, initial, state_cap=cap)
+                seen.add(got[0])
+        assert seen == {NumericOverflowError, StateSpaceTooLargeError}
+
+
+class TestStateSpaceArrays:
+    def test_views_agree_with_arrays(self):
+        crn = make_crn([
+            ({"X": 2, "Y": 1}, {"X": 3}, 1.5),
+            ({"X": 1, "Y": 1}, {"X": 2}, 0.7),
+            ({"X": 1}, {"Y": 1}, 0.3),
+            ({"X": 1}, {"Y": 1}, 0.2),
+        ])
+        space = enumerate_states(crn, crn.species.state_from({"X": 3, "Y": 4}))
+        rows = space.transitions
+        assert len(rows) == len(space) == space.indptr.size - 1
+        for i, row in enumerate(rows):
+            lo, hi = space.indptr[i], space.indptr[i + 1]
+            assert row == list(zip(space.successors[lo:hi].tolist(),
+                                   space.rates[lo:hi].tolist()))
+            assert space.exit_rates()[i] == sum(rate for _, rate in row)
+            assert space.absorbing[i] == (not row)
+        assert space.absorbing.any() and not space.absorbing.all()
 
 
 class TestEnumerate:
@@ -163,6 +360,25 @@ class TestAbsorption:
         space = enumerate_states(crn, crn.species.state_from({"X": 1, "Z": 2}))
         with pytest.raises(NoAbsorptionError):
             absorption_probabilities(space, lambda s: True)
+
+    def test_lowest_stranded_state_is_named(self):
+        # W dies (absorbing) or becomes X, which then flips forever: state 2
+        # (W = 1, X = 1) is the first that cannot reach W = X = Y = 0
+        crn = make_crn([({"W": 1}, {}, 1.0), ({"W": 1}, {"X": 1}, 1.0),
+                        ({"X": 1}, {"Y": 1}, 1.0), ({"Y": 1}, {"X": 1}, 1.0)])
+        space = enumerate_states(crn, crn.species.state_from({"W": 2}))
+        assert space.states[2].tolist() == [1, 1, 0]
+        with pytest.raises(NoAbsorptionError,
+                           match="^state 2 cannot reach any absorbing state$"):
+            absorption_probabilities(space, lambda s: True)
+
+    def test_non_finite_exit_rate_raises(self):
+        # each propensity is finite, their merged sum is not
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1e308), ({"X": 1}, {"Y": 1}, 1.5e308),
+                        ({"X": 1, "Y": 1}, {"Y": 2}, 1.0)])
+        space = enumerate_states(crn, crn.species.state_from({"X": 1, "Y": 1}))
+        with pytest.raises(NumericOverflowError, match="non-finite propensity sum"):
+            absorption_probabilities(space, lambda s: s[1] > s[0])
 
 
 class TestAgreementWithSimulation:
