@@ -233,6 +233,19 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_outputs(csv_path: str | None, svg_path: str | None) -> None:
+    """Reject an output path that cannot be written, before any lane runs."""
+    for path in (csv_path, svg_path):
+        if not path:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigError(f"output path {path!r} is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"output path {path!r}: directory "
+                              f"{str(target.parent)!r} does not exist")
+
+
 def _write_outputs(output, csv_path: str | None, svg_path: str | None) -> None:
     csv_text = output.to_csv()
     if csv_path:
@@ -249,6 +262,7 @@ def _write_outputs(output, csv_path: str | None, svg_path: str | None) -> None:
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(load_config(resolve_input_path(args.config)), args)
     workers = _resolve_threads(args.threads, config.threads)
+    _check_outputs(config.csv_path, config.svg_path)
     output = run_sweep(config, workers=workers)
     _write_outputs(output, config.csv_path, config.svg_path)
     return EXIT_OK
@@ -257,6 +271,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_robustness(args) -> int:
     config = _apply_overrides(load_config(resolve_input_path(args.config)), args)
     workers = _resolve_threads(args.threads, config.threads)
+    _check_outputs(config.csv_path, config.svg_path)
     report, output = run_robustness(config, args.alpha,
                                     paired_seeds=args.paired_seeds,
                                     workers=workers)
@@ -332,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except CrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import crngame
 from crngame.cli import main
 
 
@@ -202,6 +208,39 @@ class TestUsageErrors:
         assert code == 1
         assert fragment in err
 
+    @pytest.fixture
+    def no_lanes(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a lane ran before the output paths were checked")
+        monkeypatch.setattr("crngame.cli.run_sweep", fail)
+        monkeypatch.setattr("crngame.cli.run_robustness", fail)
+
+    @pytest.mark.parametrize("command", ["sweep", "robustness"])
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_output_directory_missing(self, crn_dir, capsys, no_lanes, command, flag):
+        target = crn_dir / "no-such-dir" / "rows.out"
+        code, out, err = run_cli(capsys, command, str(crn_dir / "exp.ini"),
+                                 flag, str(target))
+        assert code == 1
+        assert err.startswith("error: ") and "does not exist" in err
+        assert out == ""
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "robustness"])
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_output_path_is_directory(self, crn_dir, capsys, no_lanes, command, flag):
+        code, out, err = run_cli(capsys, command, str(crn_dir / "exp.ini"),
+                                 flag, str(crn_dir))
+        assert code == 1
+        assert err.startswith("error: ") and "is a directory" in err
+        assert out == ""
+
+    def test_failed_write_is_an_error_line(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "fmt", "pkg:r.crn", "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestRobustnessCommand:
     def test_pass_exit_zero(self, crn_dir, capsys):
@@ -326,3 +365,46 @@ class TestFmtCommand:
         code, _, _ = run_cli(capsys, "fmt", str(messy), "--out", str(out_path))
         assert code == 0
         assert out_path.read_text() == "A -> B @ 2\n"
+
+
+class TestNoScipyOutsideOracle:
+    """Only the exact oracle loads scipy; every simulation command starts without it."""
+
+    def test_fresh_interpreter(self, crn_dir, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+
+            def assert_no_scipy(step):
+                loaded = sorted(m for m in sys.modules
+                                if m == "scipy" or m.startswith("scipy."))
+                assert not loaded, f"{step} loaded {loaded[:5]}"
+
+            import crngame
+            import crngame.cli
+            assert_no_scipy("import")
+            main = crngame.cli.main
+            ini, out = sys.argv[1], sys.argv[2]
+            assert main(["sweep", ini, "--out", out + ".csv"]) == 0
+            assert_no_scipy("sweep")
+            assert main(["robustness", ini, "--alpha", "0.05"]) == 0
+            assert_no_scipy("robustness")
+            assert main(["simulate", "pkg:r.crn", "--init", "X=4", "--init", "Y=1",
+                         "--seed", "3", "--dump", out + ".dump"]) == 0
+            assert_no_scipy("simulate")
+            assert main(["fmt", "pkg:r.crn"]) == 0
+            assert_no_scipy("fmt")
+            assert main(["oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2",
+                         "--winner", "X", "--loser", "Y"]) == 0
+            assert "scipy" in sys.modules
+        """)
+        src = str(Path(crngame.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(crn_dir / "exp.ini"),
+             str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "run.csv").read_text().startswith("# sweep:")
+        assert proc.stdout.splitlines()[-1].startswith("p = ")

@@ -1,9 +1,60 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
-from crngame.stats import ratio_bounds, wilson_interval
+from crngame.stats import _ndtri, ratio_bounds, wilson_interval
+
+
+def _ulp_band(center: float, steps: int) -> np.ndarray:
+    """``center`` and its ``steps`` nearest float neighbours on each side."""
+    up, down = [center], [center]
+    for _ in range(steps):
+        up.append(math.nextafter(up[-1], math.inf))
+        down.append(math.nextafter(down[-1], -math.inf))
+    return np.array(down[:0:-1] + up)
+
+
+class TestNdtri:
+    """The pure-Python quantile reproduces scipy.special.ndtri bit for bit."""
+
+    @staticmethod
+    def _grid() -> np.ndarray:
+        edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)]
+        parts = [np.linspace(0.0, 1.0, 700_001)]
+        for edge in edges:  # the branch switches: |y - 0.5| = 1/2 - e^-2, x = 8
+            parts.append(_ulp_band(edge, 2_000))
+            parts.append(edge * (1.0 + np.linspace(-1e-3, 1e-3, 40_001)))
+        parts.append(np.logspace(-320.0, -0.5, 100_001))
+        parts.append(1.0 - np.logspace(-17.0, -0.5, 100_001))
+        parts.append(np.array([0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0), 0.5,
+                               0.995, 0.975, 1e-300, 1.0 - 2.0**-53]))
+        return np.concatenate(parts)
+
+    def test_bit_identical_to_scipy(self):
+        ys = self._grid()
+        assert ys.size >= 10**6
+        assert ((ys >= 0.0) & (ys <= 1.0)).all()
+        ours = np.array([_ndtri(y) for y in ys.tolist()])
+        theirs = ndtri(ys)
+        differ = np.flatnonzero(ours.view(np.int64) != theirs.view(np.int64))
+        assert differ.size == 0, (
+            f"{differ.size} mismatches, first at y = {ys[differ[0]]!r}: "
+            f"{ours[differ[0]]!r} != {theirs[differ[0]]!r}")
+
+    def test_known_values(self):
+        assert _ndtri(0.995) == 2.5758293035489004
+        assert _ndtri(0.5) == 0.0
+        assert _ndtri(0.0) == -math.inf
+        assert _ndtri(1.0) == math.inf
+
+    @pytest.mark.parametrize("y", [-1.0, -5e-324, math.nextafter(1.0, 2.0), 2.0,
+                                   math.inf, -math.inf, math.nan])
+    def test_out_of_range_is_nan(self, y):
+        assert math.isnan(_ndtri(y))
+        assert math.isnan(ndtri(y))
 
 
 class TestWilson:
@@ -54,6 +105,23 @@ class TestWilson:
     def test_rejects_bad_successes(self, bad):
         with pytest.raises(ValueError):
             wilson_interval(*bad)
+
+    def test_matches_scipy_quantile_reference(self):
+        for confidence in [1e-9, 0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999,
+                           0.9999999, 1.0 - 1e-12]:
+            z = float(ndtri(0.5 + confidence / 2.0))
+            for trials in [1, 2, 7, 30, 1000, 10000]:
+                n = float(trials)
+                for successes in sorted({0, 1, trials // 3, trials // 2,
+                                         trials - 1, trials}):
+                    phat = successes / n
+                    z2 = z * z
+                    denom = 1.0 + z2 / n
+                    center = (phat + z2 / (2.0 * n)) / denom
+                    half = z * ((phat * (1.0 - phat) / n
+                                 + z2 / (4.0 * n * n)) ** 0.5) / denom
+                    expected = (max(0.0, center - half), min(1.0, center + half))
+                    assert wilson_interval(successes, trials, confidence) == expected
 
     def test_rejects_bad_confidence(self):
         with pytest.raises(ValueError):
