@@ -55,7 +55,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (overrides config)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker processes; 0 = one per CPU")
+                        help="worker threads; 0 = one per CPU")
     common.add_argument("--volume", type=float, default=None,
                         help="solution volume for propensities (default 1)")
     common.add_argument("--max-time", type=float, default=None,

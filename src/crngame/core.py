@@ -50,10 +50,6 @@ class NumericOverflowError(CrnError):
         return cls(reaction_index, f"trial {trial}: {_overflow_text(reaction_index)}",
                    lane, event)
 
-    def __reduce__(self):
-        # keep every field when the error crosses from a worker process
-        return (type(self), (self.reaction_index, str(self), self.lane, self.event))
-
 
 def _overflow_text(reaction_index: int) -> str:
     if reaction_index < 0:

@@ -13,13 +13,15 @@ distribution. A strategy clearing ratio ``a`` on every tested condition is
 evidence of ``a``-robustness against that opponent profile.
 
 All trials of every arm of every condition run as one lane pool
-(:func:`_run_pool`), dealt round-robin to the workers. Each arm's lanes run
-on that arm's own CRN, so every lane is bit-identical to a batch of its own
-game alone, and a lane that overflows stops only itself.
+(:func:`_run_pool`): each arm's trials are cut into chunks that run on
+worker threads. Each arm's lanes run on that arm's own CRN, so every lane
+is bit-identical to a batch of its own game alone, and a lane that
+overflows stops only itself.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -358,10 +360,10 @@ class UtilityEstimate:
         return (self.lower, self.upper)
 
 
-# Most lanes in one batch call, a bound on memory: a worker holds one slice
-# at a time, and a slice of the full sweep's game (4 species, 4 reactions)
+# Most lanes in one batch call, a bound on memory: a thread holds one chunk
+# at a time, and a chunk of the full sweep's game (4 species, 4 reactions)
 # peaks at about 270 bytes a lane (4.4 MB for 16k lanes, by tracemalloc), so
-# a worker's memory stays flat however large the sweep.
+# the process's memory stays flat however large the sweep.
 _SLICE_LANES = 1 << 14
 
 
@@ -373,40 +375,26 @@ class _Arm:
     seed: int
 
 
-def _run_slice(args) -> tuple[int, np.ndarray, list[tuple[int, tuple[int, int, int]]]]:
-    """Successes, truncations and overflow, per arm, among one slice's pool lanes.
+def _run_chunk(arm: _Arm, spec: TakeoverSuccess, config: SimConfig, lo: int,
+               hi: int) -> tuple[int, int] | tuple[int, int, int]:
+    """Trials ``lo``..``hi`` of one arm, as one :func:`simulate_batch` call.
 
-    The slice holds pool lanes ``first, first + step, ...`` below ``stop``;
-    lane ``a * trials + j`` is trial ``j`` of arm ``a``, and ``arms`` starts
-    at arm ``a0``. Each arm's lanes make their initial states and streams
-    here, in the worker, and run as one :func:`simulate_batch` call on that
-    arm's CRN. Returns ``a0``, an (arms, 2) array, and the arms whose batch
-    overflowed, as ``(arm, (event, trial, reaction))``.
+    Returns (successes, truncations), or the batch's overflow as
+    (event, trial, reaction).
     """
-    arms, a0, spec, trials, first, stop, step, config = args
-    arm_of, trial = np.divmod(np.arange(first, stop, step) - a0 * trials, trials)
-    bounds = np.searchsorted(arm_of, np.arange(len(arms) + 1))
-    counts = np.zeros((len(arms), 2), dtype=np.int64)
-    overflows = []
-    for a, (arm, lo, hi) in enumerate(zip(arms, bounds[:-1], bounds[1:])):
-        if lo == hi:
-            continue
-        game = arm.game
-        rng = XoshiroBatch(np.array([child_seed(arm.seed, int(j)) for j in trial[lo:hi]],
-                                    dtype=np.uint64))
-        inits = sample_initial_states(game, rng)
-        xi, yi = game.species_index(spec.x_species), game.species_index(spec.y_species)
-        try:
-            outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=(xi, yi))
-        except NumericOverflowError as exc:
-            overflows.append((a0 + a, (exc.event, int(trial[lo + exc.lane]),
-                                       exc.reaction_index)))
-            continue
-        conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
-        won = takeover_succeeded(inits[:, xi], inits[:, yi], outcome.final_states[:, xi],
-                                 outcome.final_states[:, yi], conclusive)
-        counts[a] = won.sum(), (~conclusive).sum()
-    return a0, counts, overflows
+    game = arm.game
+    rng = XoshiroBatch(np.array([child_seed(arm.seed, j) for j in range(lo, hi)],
+                                dtype=np.uint64))
+    inits = sample_initial_states(game, rng)
+    xi, yi = game.species_index(spec.x_species), game.species_index(spec.y_species)
+    try:
+        outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=(xi, yi))
+    except NumericOverflowError as exc:
+        return exc.event, lo + exc.lane, exc.reaction_index
+    conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
+    won = takeover_succeeded(inits[:, xi], inits[:, yi], outcome.final_states[:, xi],
+                             outcome.final_states[:, yi], conclusive)
+    return int(won.sum()), int((~conclusive).sum())
 
 
 def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
@@ -414,48 +402,31 @@ def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
               ) -> list[tuple[int, int] | NumericOverflowError]:
     """(successes, truncations) of every arm, or its overflow, from one lane pool.
 
-    Lanes are numbered arm by arm, trial by trial; lane ``i`` is dealt to
-    worker ``i mod workers``, and each worker's lanes are cut, in order, into
-    slices of at most ``_SLICE_LANES``. Each slice runs each of its arms as
-    one batch (:func:`_run_slice`), in forked worker processes when
-    ``workers`` > 1. An arm with an overflowing lane yields a
-    :class:`NumericOverflowError` naming the lowest trial at the earliest
-    event index at which any of its trials overflows, as one batch of the
-    whole arm would, whatever the slices.
+    Each arm's trials are cut, in order, into chunks of at most
+    ``_SLICE_LANES``, and at most ``ceil(trials / workers)``, that run on
+    ``workers`` threads (the lane kernel releases the GIL). An arm with an
+    overflowing lane yields a :class:`NumericOverflowError` naming the
+    lowest trial at the earliest event index at which any of its trials
+    overflows, as one batch of the whole arm would, whatever the chunks.
+    A chunk that raises cancels the chunks not yet started.
     """
-    size = len(arms) * trials
-    step = max(workers, 1)
-    span = _SLICE_LANES * step
-    tasks = []
-    for lo in range(0, size, span):
-        stop = min(lo + span, size)
-        for first in range(lo, min(lo + step, size)):
-            a0, a1 = first // trials, (stop - 1) // trials + 1
-            tasks.append((tuple(arms[a0:a1]), a0, spec, trials, first, stop, step,
-                          config))
-    if workers <= 1 or len(tasks) == 1:
-        parts = map(_run_slice, tasks)
-    else:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                                 mp_context=mp.get_context("fork")) as pool:
-            parts = list(pool.map(_run_slice, tasks))
-    counts = np.zeros((len(arms), 2), dtype=np.int64)
-    first: dict[int, tuple[int, int, int]] = {}
-    for a0, part, overflows in parts:
-        counts[a0:a0 + len(part)] += part
-        for a, overflow in overflows:
-            first[a] = min(first.get(a, overflow), overflow)
+    workers = max(workers, 1)
+    size = min(_SLICE_LANES, -(-trials // workers))
+    starts = range(0, trials, size)
+    chunks = [(arm, spec, config, lo, min(lo + size, trials))
+              for arm in arms for lo in starts]
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        parts = list(pool.map(lambda chunk: _run_chunk(*chunk), chunks))
     results: list[tuple[int, int] | NumericOverflowError] = []
-    for a, (successes, truncd) in enumerate(counts):
-        if a in first:
-            event, trial, rxn = first[a]
+    for a in range(len(arms)):
+        arm_parts = parts[a * len(starts):(a + 1) * len(starts)]
+        overflows = [part for part in arm_parts if len(part) == 3]
+        if overflows:
+            event, trial, rxn = min(overflows)
             results.append(NumericOverflowError.in_trial(trial, rxn, lane=trial,
                                                          event=event))
         else:
-            results.append((int(successes), int(truncd)))
+            results.append(tuple(map(sum, zip(*arm_parts))))
     return results
 
 

@@ -1,6 +1,5 @@
 """The batch engine must reproduce the scalar engine trial for trial."""
 
-import pickle
 import shutil
 from pathlib import Path
 
@@ -154,13 +153,6 @@ class TestBatchBasics:
                            XoshiroBatch(np.arange(2, dtype=np.uint64)))
         assert (err.value.reaction_index, err.value.lane) == (-1, 0)
         assert str(err.value) == "trial 0: non-finite propensity sum"
-
-    def test_overflow_error_survives_pickling(self):
-        # a worker process sends its error back pickled
-        err = pickle.loads(pickle.dumps(NumericOverflowError(
-            2, "trial 5: non-finite propensity in reaction 2", lane=5, event=7)))
-        assert (err.reaction_index, err.lane, err.event) == (2, 5, 7)
-        assert str(err) == "trial 5: non-finite propensity in reaction 2"
 
     def test_zero_trials_with_monitor(self, majority_crn):
         rng = XoshiroBatch(np.zeros(0, dtype=np.uint64))

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -294,16 +297,54 @@ class TestEstimation:
         assert one == four
 
     def test_more_workers_than_trials(self, consensus_player, nature_player):
-        # five of the eight round-robin slices are empty and must be skipped
+        # three trials give three one-lane chunks, fewer than the eight workers
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
         game = compose([small, nature_player])
         one = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=1)
         eight = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=8)
         assert one == eight
 
+    def test_pool_runs_without_fork(self, consensus_player, nature_player, monkeypatch):
+        # spawn-only platforms have no fork; the pool must not need one
+        def no_fork():
+            raise OSError("fork is unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
+        arms = [_Arm(compose([small, nature_player]), 10),
+                _Arm(compose([small, Player.trivial()]), 11)]
+        assert (_run_pool(arms, small.utility, 40, SimConfig(seed=0), 2)
+                == _run_pool(arms, small.utility, 40, SimConfig(seed=0), 1))
+        game = arms[0].game
+        assert (estimate_expected_utility(game, 0, 40, SimConfig(seed=4), workers=2)
+                == estimate_expected_utility(game, 0, 40, SimConfig(seed=4), workers=1))
+
+    def test_a_failing_chunk_stops_the_queued_chunks(self, consensus_player,
+                                                     monkeypatch):
+        # an error (or Ctrl-C) in one chunk must not run the rest of the sweep
+        started = []
+        lock = threading.Lock()
+        original = game_module.simulate_batch
+
+        def flaky(*args, **kwargs):
+            with lock:
+                started.append(1)
+                first = len(started) == 1
+            if first:
+                raise RuntimeError("first chunk fails")
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(game_module, "simulate_batch", flaky)
+        monkeypatch.setattr(game_module, "_SLICE_LANES", 1)
+        game = compose([consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})])
+        with pytest.raises(RuntimeError, match="first chunk fails"):
+            estimate_expected_utility(game, 0, 40, SimConfig(seed=5), workers=2)
+        assert 1 <= len(started) < 10
+
     def test_slices_do_not_change_the_counts(self, consensus_player, nature_player,
                                              monkeypatch):
-        # slices of 7 lanes cut the two arms' 2 x 40 pool lanes at several
+        # chunks of at most 7 lanes cut each arm's 40 trials at several
         # offsets; each arm must still count as it does alone
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
         arms = [_Arm(compose([small, nature_player]), 10),
