@@ -11,9 +11,20 @@
  *     (terminal);
  *   - two xoshiro256** draws u = ((x >> 11) + 1) * 2^-53, u1 then u2;
  *   - the lane runs out of time if t - log(u1) / total > max_time;
- *   - the fired reaction is the first r whose running sum reaches u2 * total;
+ *   - the fired reaction is the first r whose running sum reaches u2 * total
+ *     (the last reaction if none before it does);
  *   - after the event, a watched count at zero stops the lane (early stop),
  *     then the event ceiling does.
+ *
+ * Two shortcuts keep that trajectory and cut the cost of an event:
+ *
+ *   - the fired reaction is counted, not searched for: it is the number of
+ *     r < nreactions - 1 whose running sum is below u2 * total, the same r
+ *     because the running sums never decrease (see the loop), found without
+ *     a data-dependent branch;
+ *   - the sojourn t - log(u1) / total is taken only when `timed` is set or
+ *     max_time is finite. Otherwise nothing reads the time: u1 is still
+ *     drawn, so the stream advances as before, and elapsed stays 0.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or reassociation would change the last bits.
@@ -67,16 +78,21 @@ static inline int watched_zero(const int64_t *counts, const int64_t *watch,
  * A lane whose exit rate is not finite stops with OVERFLOW: its counts row
  * is left at that state, and events[lane] is the index of the event it
  * could not take. The other lanes are not affected.
+ *
+ * elapsed[lane] is the lane's time if `timed` is nonzero or max_time is
+ * finite, else 0.
  */
 void crngame_run_lanes(
     int64_t lanes, int64_t nspecies, int64_t nreactions,
     const int64_t *fstart, const int64_t *fspecies, const double *fshift,
     const int64_t *dstart, const int64_t *dspecies, const int64_t *dchange,
     const int64_t *watch, int64_t nwatch,
-    const double *kv, double max_time, int64_t ceiling,
+    const double *kv, double max_time, int64_t ceiling, int64_t timed,
     uint64_t *rng, int64_t *counts, double *cum,
     int64_t *reasons, int64_t *events, double *elapsed)
 {
+    const int sojourn = timed || max_time < INFINITY;
+
     for (int64_t lane = 0; lane < lanes; lane++) {
         int64_t *c = counts + lane * nspecies;
         uint64_t s[4] = {rng[lane], rng[lanes + lane], rng[2 * lanes + lane],
@@ -112,17 +128,24 @@ void crngame_run_lanes(
             }
             double u1 = next_u01(s);
             double u2 = next_u01(s);
-            double next = t - log(u1) / total;
-            if (next > max_time) {
-                reason = TIME_EXHAUSTED;
-                t = max_time;
-                goto stop;
+            if (sojourn) {
+                double next = t - log(u1) / total;
+                if (next > max_time) {
+                    reason = TIME_EXHAUSTED;
+                    t = max_time;
+                    goto stop;
+                }
+                t = next;
             }
-            t = next;
+            /* Every propensity is >= 0 or -0.0: a falling factor reaches 0
+             * before it can go negative, and a sum that is not finite
+             * stopped the lane above. So the running sums never decrease,
+             * the r with cum[r] < threshold are a prefix, and their count
+             * is the first r whose running sum reaches the threshold. */
             double threshold = u2 * total;
             int64_t chosen = 0;
-            while (chosen < nreactions - 1 && cum[chosen] < threshold)
-                chosen++;
+            for (int64_t r = 0; r < nreactions - 1; r++)
+                chosen += cum[r] < threshold;
             for (int64_t d = dstart[chosen]; d < dstart[chosen + 1]; d++)
                 c[dspecies[d]] += dchange[d];
             ev++;

@@ -6,7 +6,10 @@ uniform for the sojourn, one for the reaction choice, none once stopped),
 propensities multiply factors in the same order, the exit rate is the same
 left-to-right sum, and the sojourn uses the same libm ``log``, so a lane
 reproduces the scalar engine's trajectory bit for bit: counts, event
-counts, stop reasons and elapsed times.
+counts, stop reasons and elapsed times. A caller that reads no time
+(``times=False``, no ``max_time``) skips the sojourn's ``log`` and division
+and gets no elapsed times; the sojourn's uniform is still drawn, so every
+other output stays the same.
 
 The loop is the C function in ``_lanes.c``; it runs each lane to its stop,
 one lane after another, and a lane whose exit rate overflows stops alone.
@@ -65,7 +68,7 @@ class BatchOutcome:
     final_states: np.ndarray  # (trials, species) int64
     stop_reasons: list[StopReason]
     events: np.ndarray  # (trials,) int64
-    elapsed: np.ndarray  # (trials,) float64
+    elapsed: np.ndarray | None  # (trials,) float64; None if not asked for
 
 
 @functools.cache
@@ -120,7 +123,7 @@ def _load_kernel() -> ctypes.CDLL:
         ints, ints, floats,  # falling factors
         ints, ints, ints,  # changes
         ints, i64,  # watched species
-        floats, f64, i64,  # kv, max_time, ceiling
+        floats, f64, i64, i64,  # kv, max_time, ceiling, timed
         array(np.uint64), ints, floats,  # streams, counts, running-sum scratch
         ints, ints, floats,  # reasons, events, elapsed
     ]
@@ -141,7 +144,8 @@ def _flat(rows, dtypes) -> tuple[np.ndarray, ...]:
 
 def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
                    rng: XoshiroBatch,
-                   stop_when_zero: tuple[int, ...] = ()) -> BatchOutcome:
+                   stop_when_zero: tuple[int, ...] = (),
+                   times: bool = True) -> BatchOutcome:
     """Simulate one trial per row of ``initial_states``.
 
     ``rng`` carries one stream per trial, already advanced past any
@@ -152,6 +156,9 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     scalar engine. A non-finite exit rate raises
     :class:`NumericOverflowError` naming the first trial that has one at the
     earliest event index at which any does (its ``lane`` and ``event``).
+    With ``times=False`` the outcome's ``elapsed`` is None and, unless
+    ``config.max_time`` is set, no sojourn time is computed; every other
+    output, and each stream's advance, is the same as with ``times=True``.
     """
     initial_states = np.asarray(initial_states, dtype=np.int64)
     nspecies = len(crn.species)
@@ -180,6 +187,7 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
             *_flat(kin.deltas, (np.int64, np.int64)),
             watch, watch.size,
             np.array(kin.kv, dtype=np.float64), max_time, config.event_ceiling,
+            times,
             rng._state, counts, np.empty(max(nrxn, 1)),
             reasons, events, elapsed)
         bad = np.flatnonzero(reasons == _OVERFLOW)
@@ -193,5 +201,5 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
         final_states=counts,
         stop_reasons=[_REASON_CODES[c] for c in reasons],
         events=events,
-        elapsed=elapsed,
+        elapsed=elapsed if times else None,
     )

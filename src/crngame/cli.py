@@ -148,13 +148,21 @@ def _apply_init(table: SpeciesTable, state: np.ndarray, pairs: list[str]) -> Non
         state[_species(table, name, "--init")] = count
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: the machine's, within its affinity mask."""
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    return cpus
+
+
 def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
     value = config_threads if threads is None else threads
     if value == 0:
-        return os.cpu_count() or 1
+        return _cpus()
     if value < 0:
         raise ConfigError("--threads must be >= 0")
-    cpus = os.cpu_count() or 1
+    cpus = _cpus()
     if value > cpus:
         print(f"warning: --threads {value} is more than the {cpus} CPUs; the "
               f"workers will share them (results do not depend on the count)",

@@ -388,7 +388,8 @@ def _run_chunk(arm: _Arm, spec: TakeoverSuccess, config: SimConfig, lo: int,
     inits = sample_initial_states(game, rng)
     xi, yi = game.species_index(spec.x_species), game.species_index(spec.y_species)
     try:
-        outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=(xi, yi))
+        outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=(xi, yi),
+                                 times=False)
     except NumericOverflowError as exc:
         return exc.event, lo + exc.lane, exc.reaction_index
     conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crngame import Crn, SimConfig, StopReason, batch, make_crn
 from crngame.batch import simulate_batch
@@ -71,6 +73,97 @@ class TestLockstepEquality:
                                     SimConfig(seed=23, max_time=0.001), 200)
 
 
+def assert_untimed_matches_timed(crn, initial, config, trials, watch=()):
+    """``times=False`` changes nothing but the elapsed times, which it drops."""
+    seeds = np.array([child_seed(config.seed, j) for j in range(trials)],
+                     dtype=np.uint64)
+    runs = []
+    for times in (True, False):
+        rng = XoshiroBatch(seeds)
+        runs.append((simulate_batch(crn, np.tile(initial, (trials, 1)), config, rng,
+                                    stop_when_zero=watch, times=times), rng._state))
+    (timed, timed_rng), (untimed, untimed_rng) = runs
+    np.testing.assert_array_equal(untimed.final_states, timed.final_states)
+    np.testing.assert_array_equal(untimed.events, timed.events)
+    assert untimed.stop_reasons == timed.stop_reasons
+    np.testing.assert_array_equal(untimed_rng, timed_rng)
+    assert untimed.elapsed is None and timed.elapsed is not None
+    return timed
+
+
+class TestUntimed:
+    def test_perturbed_game_with_monitor(self, perturbed_game):
+        initial = perturbed_game.species.state_from(
+            {"X": 24, "Y": 16, "A": 5, "B": 5})
+        timed = assert_untimed_matches_timed(perturbed_game, initial,
+                                             SimConfig(seed=99), 250, watch=(0, 1))
+        assert set(timed.stop_reasons) == {StopReason.EARLY_STOP}
+
+    def test_event_ceiling(self, shuffler_crn):
+        initial = shuffler_crn.species.state_from({"A": 4, "B": 1})
+        timed = assert_untimed_matches_timed(shuffler_crn, initial,
+                                             SimConfig(seed=5, max_events=37), 100)
+        assert set(timed.stop_reasons) == {StopReason.EVENT_CEILING}
+
+    def test_terminal(self, majority_crn):
+        initial = majority_crn.species.state_from({"X": 30, "Y": 20})
+        timed = assert_untimed_matches_timed(majority_crn, initial,
+                                             SimConfig(seed=17), 200)
+        assert set(timed.stop_reasons) == {StopReason.TERMINAL}
+
+    def test_max_time_still_stops_lanes(self, majority_crn):
+        initial = majority_crn.species.state_from({"X": 30, "Y": 20})
+        timed = assert_untimed_matches_timed(majority_crn, initial,
+                                             SimConfig(seed=23, max_time=0.001), 200)
+        assert set(timed.stop_reasons) == {StopReason.TIME_EXHAUSTED,
+                                           StopReason.TERMINAL}
+
+    def test_overflowing_lane(self):
+        # the crn and lanes of test_overflow_names_the_earliest_event_then_the_lowest_lane
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"X": 4}, 1.7e308 / 1500)])
+        inits = np.array([crn.species.state_from({"X": x}) for x in (10, 2, 13, 13)])
+        for lanes, named in ((2, (0, 3, 1)), (4, (2, 0, 1))):
+            for times in (True, False):
+                with pytest.raises(NumericOverflowError) as err:
+                    simulate_batch(crn, inits[:lanes], SimConfig(seed=0, max_events=50),
+                                   XoshiroBatch(np.arange(lanes, dtype=np.uint64)),
+                                   times=times)
+                assert (err.value.lane, err.value.event, err.value.reaction_index) == named
+
+
+_SPECIES = ("A", "B", "C", "Z")
+_side = st.dictionaries(st.sampled_from(_SPECIES[:3]), st.integers(1, 2), max_size=2)
+_rate = st.sampled_from([0.25, 1.0, 3.0, 7.5])
+# Z starts at 0, so a reaction that needs Z has propensity 0 until one makes Z
+_live = st.tuples(_side, _side, _rate).filter(lambda rxn: rxn[0] != rxn[1])
+_dead = st.tuples(_side.map(lambda side: {**side, "Z": 1}), _side, _rate)
+
+
+@st.composite
+def _small_crns(draw):
+    """A CRN of up to 6 reactions over (A, B, C, Z), at least one needing Z."""
+    live = draw(st.lists(_live, min_size=1, max_size=4))
+    dead = draw(st.lists(_dead, min_size=1, max_size=6 - len(live)))
+    # a CRN lists no reaction twice
+    unique = {(tuple(sorted(r.items())), tuple(sorted(p.items())), k): (r, p, k)
+              for r, p, k in live + dead}
+    return make_crn(draw(st.permutations(list(unique.values()))),
+                    species_order=_SPECIES)
+
+
+class TestRandomCrns:
+    @settings(max_examples=100, deadline=None)
+    @given(crn=_small_crns(),
+           counts=st.lists(st.integers(0, 12), min_size=3, max_size=3),
+           seed=st.integers(0, 2**64 - 1), max_events=st.integers(1, 150))
+    def test_lanes_equal_scalar(self, crn, counts, seed, max_events):
+        # zero propensities sit anywhere in the running sum, so it repeats
+        # values where the fired reaction is chosen
+        initial = np.array(counts + [0], dtype=np.int64)
+        assert_batch_matches_scalar(crn, initial,
+                                    SimConfig(seed=seed, max_events=max_events), 6)
+
+
 class TestBatchBasics:
     def test_empty_crn_all_terminal(self):
         crn = Crn.empty()
@@ -92,7 +185,7 @@ class TestBatchBasics:
         assert out.events[2] > 0
 
     def test_mixed_termination_times(self, majority_crn):
-        # trials absorb at different steps; compaction must keep lanes aligned
+        # trials absorb at different steps; each lane keeps its own row
         rng = XoshiroBatch(np.arange(64, dtype=np.uint64))
         inits = np.tile(np.array([12, 9], dtype=np.int64), (64, 1))
         out = simulate_batch(majority_crn, inits, SimConfig(seed=0), rng)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import crngame
+from crngame import cli
 from crngame.cli import main
 
 
@@ -142,6 +143,24 @@ class TestSweepCommand:
                             "workers will share them (results do not depend on "
                             "the count)"]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_follow_the_affinity_mask(self, crn_dir, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 4)
+        monkeypatch.setattr("crngame.cli.os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert cli._resolve_threads(0) == 1
+        code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
+                               "--out", str(tmp_path / "a.csv"), "--threads", "2")
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            "warning: --threads 2 is more than the 1 CPUs; the workers will share "
+            "them (results do not depend on the count)"]
+
+    def test_threads_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 3)
+        monkeypatch.delattr("crngame.cli.os.sched_getaffinity", raising=False)
+        assert cli._resolve_threads(0) == 3
 
     def test_seed_override_changes_rows(self, crn_dir, tmp_path, capsys):
         a = tmp_path / "a.csv"
