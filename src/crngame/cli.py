@@ -34,6 +34,7 @@ from .game import (
     InitialDistribution,
     Player,
     compose,
+    sample_initial_state,
 )
 from .oracle import (
     NoAbsorptionError,
@@ -41,6 +42,7 @@ from .oracle import (
     absorption_probabilities,
     enumerate_states,
 )
+from .rng import Xoshiro256
 from .ssa import TrajectoryDumpObserver, ZeroCountMonitor, simulate
 from .svg import sweep_svg
 
@@ -50,34 +52,39 @@ EXIT_RUNTIME = 2
 EXIT_ROBUSTNESS_FAIL = 3
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed (overrides config)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads; 0 = one per CPU")
-    common.add_argument("--volume", type=float, default=None,
-                        help="solution volume for propensities (default 1)")
-    common.add_argument("--max-time", type=float, default=None,
-                        help="stop a trajectory after this much simulated time")
-    common.add_argument("--max-events", type=int, default=None,
-                        help="stop a trajectory after this many reaction events")
-    common.add_argument("--out", default=None, help="output path (CSV or text)")
-    common.add_argument("--svg", default=None, help="also write an SVG plot here")
-    common.add_argument("--confidence", type=float, default=None,
-                        help="confidence level for intervals, in (0, 1)")
-    return common
+# Each flag is defined once; a subcommand accepts only the flags it reads.
+_FLAGS = {
+    "--seed": dict(type=int, help="master seed (overrides config)"),
+    "--volume": dict(type=float,
+                     help="solution volume for propensities (default 1)"),
+    "--max-time": dict(type=float,
+                       help="stop a trajectory after this much simulated time"),
+    "--max-events": dict(type=int,
+                         help="stop a trajectory after this many reaction events"),
+    "--threads": dict(type=int, help="worker threads; 0 = one per CPU"),
+    "--out": dict(help="output path (CSV or text)"),
+    "--svg": dict(help="also write an SVG plot here"),
+    "--confidence": dict(type=float,
+                         help="confidence level for intervals, in (0, 1)"),
+}
+_RUN_FLAGS = ("--seed", "--volume", "--max-time", "--max-events")
+_SWEEP_FLAGS = _RUN_FLAGS + ("--threads", "--out", "--svg", "--confidence")
+
+
+def _add_flags(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    for name in names:
+        parser.add_argument(name, default=None, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crngame",
         description="Stochastic CRN games: simulation, sweeps, robustness.")
-    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate",
                            help="run one trajectory of the union of CRN files")
+    _add_flags(p_sim, _RUN_FLAGS)
     p_sim.add_argument("crn_files", nargs="+", metavar="FILE.crn")
     p_sim.add_argument("--init", action="append", default=[],
                        metavar="SPECIES=COUNT",
@@ -87,20 +94,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dump", default=None,
                        help="write the trajectory dump here ('-' for stdout)")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep",
                              help="run the configured sweep; write CSV (+SVG)")
+    _add_flags(p_sweep, _SWEEP_FLAGS)
     p_sweep.add_argument("config", help="experiment config (.ini or .json)")
 
-    p_rob = sub.add_parser("robustness", parents=[common],
+    p_rob = sub.add_parser("robustness",
                            help="estimate per-condition utility ratios")
+    _add_flags(p_rob, _SWEEP_FLAGS)
     p_rob.add_argument("config", help="experiment config (.ini or .json)")
     p_rob.add_argument("--alpha", type=float, default=None,
                        help="robustness threshold to gate on")
     p_rob.add_argument("--paired-seeds", action="store_true",
                        help="reuse the with-opponents seeds in the baseline arm")
 
-    p_oracle = sub.add_parser("oracle", parents=[common],
+    p_oracle = sub.add_parser("oracle",
                               help="exact absorption probabilities (small systems)")
+    _add_flags(p_oracle, ("--volume",))
     p_oracle.add_argument("crn_file", metavar="FILE.crn")
     p_oracle.add_argument("--init", action="append", default=[],
                           metavar="SPECIES=COUNT")
@@ -113,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--all", action="store_true",
                           help="print one line per reachable state")
 
-    p_fmt = sub.add_parser("fmt", parents=[common],
-                           help="canonicalize a .crn file")
+    p_fmt = sub.add_parser("fmt", help="canonicalize a .crn file")
+    _add_flags(p_fmt, ("--out",))
     p_fmt.add_argument("crn_file", metavar="FILE.crn")
     return parser
 
@@ -196,17 +206,11 @@ def _load_merged_crn(paths: list[str]) -> tuple[Crn, np.ndarray]:
     players = []
     for i, spec in enumerate(paths):
         doc = crnfile.load(resolve_input_path(spec))
-        table = doc.crn.species
-        dist = InitialDistribution.deterministic(
-            [doc.initial_counts.get(n, 0) for n in table.names])
+        dist = InitialDistribution.deterministic(doc.initial_state())
         players.append(Player(doc.crn, dist, Indifferent(), f"file{i}"))
     game = compose(players)
-    state = game.crn.species.zero_state()
-    for player, emb in zip(game.players, game.embeddings):
-        if emb.size:
-            counts = [e.value for e in player.initial_distribution.entries]
-            state[emb] += np.asarray(counts, dtype=np.int64)
-    return game.crn, state
+    # constant entries draw nothing from the stream
+    return game.crn, sample_initial_state(game, Xoshiro256(0))
 
 
 def _cmd_simulate(args) -> int:
@@ -335,8 +339,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
     except crnfile.ParseError as exc:

@@ -227,25 +227,24 @@ class CompiledCrn(object):
     """The mass-action kinetics of a reaction list at one volume.
 
     This is the one place the propensity formula lives; every engine and the
-    oracle read it from here. ``scale[j]`` is ``V**(1 - arity)`` and
-    ``kv[j]`` is ``k * scale[j]``. ``factors[j]`` lists reaction ``j``'s
-    falling factors ``x(species) - m`` as ``(species, m)`` pairs, in species
-    order and then by ``m``; a propensity is ``kv[j]`` times them, multiplied
-    left to right, and engines that keep this order agree bit for bit.
+    oracle read it from here. ``kv[j]`` is ``k * V**(1 - arity)``.
+    ``factors[j]`` lists reaction ``j``'s falling factors ``x(species) - m``
+    as ``(species, m)`` pairs, in species order and then by ``m``; a
+    propensity is ``kv[j]`` times them, multiplied left to right, and
+    engines that keep this order agree bit for bit.
     ``deltas[j]`` holds ``(species, change)`` for each species that reaction
     ``j`` changes, and ``dependents[j]`` the reactions whose propensity can
     change when ``j`` fires.
     """
 
-    __slots__ = ("size", "scale", "kv", "factors", "deltas", "dependents")
+    __slots__ = ("size", "kv", "factors", "deltas", "dependents")
 
     def __init__(self, reactions: Sequence[Reaction], volume: float = 1.0):
         if not volume > 0.0:
             raise CrnError(f"volume must be positive, got {volume!r}")
         reactions = tuple(reactions)
         self.size = len(reactions)
-        self.scale = [volume ** (1 - r.arity) for r in reactions]
-        self.kv = [r.rate_constant * s for r, s in zip(reactions, self.scale)]
+        self.kv = [r.rate_constant * volume ** (1 - r.arity) for r in reactions]
         self.factors = [
             tuple((i, m) for i, need in enumerate(r.reactants) for m in range(need))
             for r in reactions
@@ -259,21 +258,21 @@ class CompiledCrn(object):
                 j for j, r in enumerate(reactions)
                 if changed.intersection(r.reactant_support())))
 
-    def propensity(self, j: int, counts: Sequence, kv: Sequence | None = None) -> float:
-        """Reaction ``j``'s propensity at ``counts``; ``kv`` replaces ``self.kv``.
+    def propensity(self, j: int, counts: Sequence) -> float:
+        """Reaction ``j``'s propensity at ``counts``.
 
         For integer counts the product is exactly zero (possibly ``-0.0``)
         whenever the reaction is not applicable, since some factor is 0.
         """
-        p = self.kv[j] if kv is None else kv[j]
+        p = self.kv[j]
         for si, m in self.factors[j]:
             p *= counts[si] - m
         return p
 
-    def first_nonfinite(self, counts: Sequence, kv: Sequence | None = None) -> int:
+    def first_nonfinite(self, counts: Sequence) -> int:
         """Index of the first reaction whose propensity is not finite, or -1."""
         for j in range(self.size):
-            if not math.isfinite(self.propensity(j, counts, kv)):
+            if not math.isfinite(self.propensity(j, counts)):
                 return j
         return -1
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import Crn, CrnError, Reaction, SpeciesTable
+from .core import Crn, CrnError, make_crn
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[^\S\n]+)
@@ -213,8 +213,6 @@ def parse(text: str) -> CrnDocument:
     Raises :class:`ParseError` (always with a position) on the first
     offending statement. Runs in time linear in the input size.
     """
-    species_order: list[str] = []
-    species_seen: set[str] = set()
     reactions: list[tuple[dict[str, int], dict[str, int], float]] = []
     reaction_keys: set[tuple] = set()
     reaction_lines: list[int] = []
@@ -254,28 +252,13 @@ def parse(text: str) -> CrnDocument:
         if key in reaction_keys:
             raise ParseError(lineno, first.column, "duplicate reaction")
         reaction_keys.add(key)
-        for name in list(reactants) + list(products):
-            if name not in species_seen:
-                species_seen.add(name)
-                species_order.append(name)
         reactions.append((reactants, products, rate))
         reaction_lines.append(lineno)
 
-    table = SpeciesTable(species_order)
-    dim = len(table)
-    built = []
-    for reactants, products, rate in reactions:
-        r = [0] * dim
-        p = [0] * dim
-        for name, c in reactants.items():
-            r[table.index_of(name)] = c
-        for name, c in products.items():
-            p[table.index_of(name)] = c
-        built.append(Reaction(tuple(r), tuple(p), rate))
-
+    crn = make_crn(reactions)
     initial_counts: dict[str, int] = {}
     for lineno, name_tok, count in inits:
-        if name_tok.text not in species_seen:
+        if name_tok.text not in crn.species:
             raise ParseError(lineno, name_tok.column,
                              "init for undeclared species", name_tok.text)
         if name_tok.text in initial_counts:
@@ -283,7 +266,7 @@ def parse(text: str) -> CrnDocument:
                              "duplicate init for species", name_tok.text)
         initial_counts[name_tok.text] = count
 
-    return CrnDocument(Crn(table, built), initial_counts, tuple(reaction_lines))
+    return CrnDocument(crn, initial_counts, tuple(reaction_lines))
 
 
 def _format_rate(k: float) -> str:

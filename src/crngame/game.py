@@ -91,9 +91,6 @@ class InitialDistribution:
     def trivial(cls) -> "InitialDistribution":
         return cls(())
 
-    def is_deterministic(self) -> bool:
-        return all(isinstance(e, ConstantCount) for e in self.entries)
-
     def sample(self, rng: Xoshiro256) -> np.ndarray:
         """Draw one vector; random entries consume one u64 each, in order."""
         out = np.empty(len(self.entries), dtype=np.int64)

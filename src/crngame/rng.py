@@ -104,9 +104,6 @@ class Xoshiro256(object):
         i = int(u * bound)
         return bound - 1 if i >= bound else i
 
-    def getstate(self) -> tuple[int, int, int, int]:
-        return (self._s0, self._s1, self._s2, self._s3)
-
 
 class XoshiroBatch(object):
     """Vectorized xoshiro256**: one independent stream per lane.

@@ -202,37 +202,16 @@ def total_rate(crn: Crn, state: CountVector, volume: float = 1.0) -> float:
 
 def step(crn: Crn, state: CountVector, volume: float,
          rng: Xoshiro256) -> tuple[TrajectoryEvent, CountVector] | None:
-    """Execute one reaction from ``state``; None if the state is terminal.
+    """Execute one event of :func:`simulate`'s loop on ``rng``; None if terminal.
 
-    Draw order is fixed: one uniform for the sojourn, then one for the
-    reaction choice. The fired reaction is the smallest index whose running
-    propensity sum reaches ``u * total``.
+    The stream advances exactly as in the first event of :func:`simulate`:
+    one uniform for the sojourn, then one for the reaction choice.
     """
-    if len(state) != len(crn.species):
-        raise CrnError("state dimension does not match CRN")
-    compiled = CompiledCrn(crn.reactions, volume)
-    counts = [int(c) for c in state]
-    props = [compiled.propensity(j, counts) for j in range(compiled.size)]
-    total = 0.0
-    for p in props:
-        total += p
-    if total != total or total == float("inf"):
-        raise NumericOverflowError(compiled.first_nonfinite(counts))
-    if total == 0.0:
+    recorder = TrajectoryRecorder()
+    result = _core_loop(crn, state, SimConfig(volume, max_events=1), (recorder,), rng)
+    if not recorder.events:
         return None
-    sojourn = -math.log(rng.next_u01()) / total
-    threshold = rng.next_u01() * total
-    cum = 0.0
-    chosen = compiled.size - 1
-    for j, p in enumerate(props):
-        cum += p
-        if threshold <= cum:
-            chosen = j
-            break
-    for si, d in compiled.deltas[chosen]:
-        counts[si] += d
-    new_state = np.array(counts, dtype=np.int64)
-    return TrajectoryEvent(sojourn, chosen), new_state
+    return recorder.events[0], result.final_state
 
 
 def simulate(crn: Crn, initial_state: CountVector, config: SimConfig,
@@ -254,17 +233,10 @@ StateSampler = Callable[[int, Xoshiro256], CountVector]
 ObserverFactory = Callable[[int], Observer]
 
 
-class _ConstantStateSampler(object):
-    def __init__(self, state: CountVector):
-        self._state = np.array(state, dtype=np.int64)
-
-    def __call__(self, trial_index: int, rng: Xoshiro256) -> CountVector:
-        return self._state.copy()
-
-
 def constant_initial_state(state: CountVector) -> StateSampler:
     """Sampler that returns the same initial state for every trial."""
-    return _ConstantStateSampler(state)
+    state = np.array(state, dtype=np.int64)
+    return lambda trial_index, rng: state.copy()
 
 
 def _core_loop(crn, initial_state, config, observers, rng):

@@ -130,6 +130,8 @@ class TestSweepCommand:
     def test_threads_above_cpu_count_warn_once(self, crn_dir, tmp_path, capsys,
                                                monkeypatch):
         monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("crngame.cli.os.sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
@@ -226,6 +228,35 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert fragment in err
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (("simulate", "pkg:r.crn", "--out", "x.csv"), "--out"),
+        (("simulate", "pkg:r.crn", "--svg", "x.svg"), "--svg"),
+        (("simulate", "pkg:r.crn", "--threads", "2"), "--threads"),
+        (("simulate", "pkg:r.crn", "--confidence", "0.5"), "--confidence"),
+        (("oracle", "pkg:r.crn", "--winner", "X", "--loser", "Y", "--seed", "1"),
+         "--seed"),
+        (("oracle", "pkg:r.crn", "--winner", "X", "--loser", "Y", "--max-events",
+          "5"), "--max-events"),
+        (("fmt", "pkg:r.crn", "--seed", "1"), "--seed"),
+        (("fmt", "pkg:r.crn", "--volume", "2"), "--volume"),
+        (("oracle", "pkg:r.crn", "--winner", "X"), "--loser"),
+        (("simulate",), "FILE.crn"),
+    ], ids=["simulate-out", "simulate-svg", "simulate-threads", "simulate-confidence",
+            "oracle-seed", "oracle-max-events", "fmt-seed", "fmt-volume",
+            "oracle-no-loser", "simulate-no-file"])
+    def test_argparse_errors(self, capsys, argv, fragment):
+        # a flag the subcommand does not read, or a missing argument
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and fragment in err
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--help")
+        assert code == 0
+        assert out.startswith("usage: crngame simulate")
+        assert "--out" not in out
 
     @pytest.fixture
     def no_lanes(self, monkeypatch):

@@ -84,6 +84,34 @@ class TestStep:
         mean = sum(sojourns) / len(sojourns)
         assert abs(mean - 1 / 18) < 4 * (1 / 18) / math.sqrt(len(sojourns))
 
+    @pytest.mark.parametrize("counts", [
+        dict(X=4, Y=3, A=1, B=1), dict(X=2, Y=5, A=0, B=2),
+        dict(X=4, Y=1, A=1, B=0), dict(X=5, Y=0, A=0, B=0),
+    ], ids=lambda counts: "".join(f"{n}{c}" for n, c in counts.items()))
+    @pytest.mark.parametrize("volume", [1.0, 2.5])
+    def test_steps_are_the_events_of_simulate(self, counts, volume):
+        # steps on one stream walk the trajectory simulate takes on its own
+        # stream with that seed, and return None where simulate stops TERMINAL
+        crn = make_crn([
+            ({"X": 2, "Y": 1, "A": 1}, {"X": 3, "A": 1}, 1.0),
+            ({"X": 1, "Y": 2, "B": 1}, {"Y": 3, "B": 1}, 1.0),
+            ({"A": 1}, {"B": 1}, 0.5),
+        ])
+        start = crn.species.state_from(counts)
+        for seed in range(6):
+            recorder = TrajectoryRecorder()
+            result = simulate(crn, start, SimConfig(volume, max_events=25, seed=seed),
+                              [recorder])
+            rng = Xoshiro256(seed)
+            state = start
+            for event in recorder.events:
+                stepped, state = step(crn, state, volume, rng)
+                assert stepped.sojourn == event.sojourn
+                assert stepped.reaction_index == event.reaction_index
+                assert state.tolist() == event.resulting_state.tolist()
+            if result.stop_reason is StopReason.TERMINAL:
+                assert step(crn, state, volume, rng) is None
+
 
 class TestSimulate:
     def test_certain_absorption_from_4_1(self, majority_crn):
