@@ -14,9 +14,6 @@ from .core import (
     NumericOverflowError,
     Reaction,
     SpeciesTable,
-    apply_reaction,
-    is_applicable,
-    is_catalyst,
     make_crn,
     propensity,
 )
@@ -37,7 +34,6 @@ from .game import (
     compose,
     estimate_expected_utility,
     estimate_robustness,
-    evaluate_utility,
     infer_catalytic_partition,
     sample_initial_state,
     validate_catalytic,
@@ -58,10 +54,8 @@ from .ssa import (
     TrajectoryEvent,
     TrajectoryRecorder,
     ZeroCountMonitor,
-    run_trials,
     simulate,
     step,
-    total_rate,
 )
 
 __version__ = "0.1.0"

@@ -126,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fmt = sub.add_parser("fmt", help="canonicalize a .crn file")
     _add_flags(p_fmt, ("--out",))
     p_fmt.add_argument("crn_file", metavar="FILE.crn")
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -339,8 +340,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # parse_args would report them with the top-level usage
+            parser.subcommands[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -109,7 +109,6 @@ def sim_config(volume: float = 1.0, max_time: float | None = None,
 @dataclass
 class PlayerConfig:
     name: str
-    crn_source: str
     document: CrnDocument
     utility: UtilitySpec
     init_overrides: dict[str, CountDistribution] = field(default_factory=dict)
@@ -264,15 +263,14 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         name = section_name[len("player:"):]
         if "crn" not in body:
             raise ConfigError(f"[{section_name}] is missing crn = <path>")
-        source = body["crn"]
-        document = load_crn(resolve_input_path(source, base_dir))
+        document = load_crn(resolve_input_path(body["crn"], base_dir))
         utility = _parse_utility(body.get("utility", "indifferent"))
         overrides = {}
         for key, value in body.items():
             if key.startswith("init."):
                 overrides[key[len("init."):]] = _parse_count_distribution(
                     value, f"[{section_name}] {key}")
-        players.append(PlayerConfig(name, source, document, utility, overrides))
+        players.append(PlayerConfig(name, document, utility, overrides))
 
     sweep = sections.get("sweep")
     if sweep is None:

@@ -197,32 +197,6 @@ class Crn(object):
         return not self.species.names and not self.reactions
 
 
-def _check_dimension(reaction: Reaction, state: CountVector) -> None:
-    if len(reaction.reactants) != len(state):
-        raise CrnError("reaction and state dimensions differ")
-
-
-def is_applicable(reaction: Reaction, state: CountVector) -> bool:
-    """True iff every reactant count is available in ``state``."""
-    _check_dimension(reaction, state)
-    for i, need in enumerate(reaction.reactants):
-        if need and state[i] < need:
-            return False
-    return True
-
-
-def apply_reaction(reaction: Reaction, state: CountVector) -> CountVector:
-    """Return ``state + delta`` as a fresh vector.
-
-    Applying a reaction to a state lacking its reactants is a contract
-    violation and raises. The simulation engines skip this check; they only
-    ever fire reactions with positive propensity.
-    """
-    if not is_applicable(reaction, state):
-        raise CrnError("reaction applied to a state lacking its reactants")
-    return state + np.asarray(reaction.delta, dtype=np.int64)
-
-
 class CompiledCrn(object):
     """The mass-action kinetics of a reaction list at one volume.
 
@@ -286,19 +260,13 @@ def propensity(reaction: Reaction, state: CountVector, volume: float = 1.0) -> f
     applicability branch is needed. Raises :class:`NumericOverflowError` if
     the product leaves the finite range.
     """
-    _check_dimension(reaction, state)
+    if len(reaction.reactants) != len(state):
+        raise CrnError("reaction and state dimensions differ")
     p = CompiledCrn((reaction,), volume).propensity(0, [int(c) for c in state])
     if not math.isfinite(p):
         raise NumericOverflowError(-1, "non-finite propensity")
     # A state with fewer counts than required yields a zero factor; never negative.
     return p if p > 0.0 else 0.0
-
-
-def is_catalyst(reaction: Reaction, species_index: int) -> bool:
-    """Module-level alias of :meth:`Reaction.is_catalyst`."""
-    if not 0 <= species_index < len(reaction.reactants):
-        raise CrnError(f"species index {species_index} out of range")
-    return reaction.is_catalyst(species_index)
 
 
 def make_crn(reaction_specs: Sequence[tuple[Mapping[str, int], Mapping[str, int], float]],

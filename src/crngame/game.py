@@ -151,24 +151,6 @@ def takeover_succeeded(x0, y0, x_final, y_final, conclusive):
     return won & conclusive
 
 
-def evaluate_utility(spec: UtilitySpec, species: SpeciesTable,
-                     initial_state: CountVector, final_state: CountVector,
-                     stop_reason: StopReason) -> float:
-    """Utility of a trajectory from its endpoint summary.
-
-    Both supported utilities are functions of the initial state, final
-    state, and stop reason only.
-    """
-    if isinstance(spec, Indifferent):
-        return 0.0
-    xi = species.index_of(spec.x_species)
-    yi = species.index_of(spec.y_species)
-    ok = takeover_succeeded(int(initial_state[xi]), int(initial_state[yi]),
-                            int(final_state[xi]), int(final_state[yi]),
-                            stop_reason in _CONCLUSIVE)
-    return 1.0 if ok else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Players and composition
 

@@ -11,9 +11,8 @@ recomputed; the exit rate is always re-summed left to right over the full
 propensity array so that batched and scalar runs agree bit for bit.
 
 Observers consume the event stream incrementally and may request an early
-stop (see :class:`Observer`). :func:`run_trials` runs independent trials
-one after another, giving trial ``j`` the stream seeded with
-``child_seed(config.seed, j)``.
+stop (see :class:`Observer`). Estimators run many trials at once on the
+batch engine, whose lanes reproduce this loop bit for bit.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import CompiledCrn, Crn, CountVector, CrnError, NumericOverflowError
-from .rng import Xoshiro256, child_seed
+from .rng import Xoshiro256
 
 # Guard against nonterminating CRNs when the caller sets no limits at all.
 HARD_EVENT_GUARD = 10**8
@@ -103,10 +102,6 @@ class Observer(object):
                 events: int) -> None:
         return None
 
-    def result(self):
-        """Per-trial output collected by :func:`run_trials`."""
-        return None
-
 
 class TrajectoryRecorder(Observer):
     """Keeps the full event list; intended for tests and small runs."""
@@ -117,9 +112,6 @@ class TrajectoryRecorder(Observer):
     def on_event(self, time, sojourn, reaction_index, counts):
         state = np.array(counts, dtype=np.int64)
         self.events.append(TrajectoryEvent(sojourn, reaction_index, state))
-
-    def result(self):
-        return self.events
 
 
 class TrajectoryDumpObserver(Observer):
@@ -174,32 +166,6 @@ class SimResult:
     elapsed: float
 
 
-@dataclass
-class TrialResult:
-    """Outcome of one trial in :func:`run_trials`."""
-
-    trial_index: int
-    final_state: CountVector
-    stop_reason: StopReason
-    events: int
-    elapsed: float
-    observer_output: object = None
-
-
-def total_rate(crn: Crn, state: CountVector, volume: float = 1.0) -> float:
-    """Exit rate of the CTMC at ``state``: the sum of all propensities."""
-    if len(state) != len(crn.species):
-        raise CrnError("state dimension does not match CRN")
-    compiled = CompiledCrn(crn.reactions, volume)
-    counts = [int(c) for c in state]
-    total = 0.0
-    for j in range(compiled.size):
-        total += compiled.propensity(j, counts)
-    if total != total or total == float("inf"):
-        raise NumericOverflowError(compiled.first_nonfinite(counts))
-    return total
-
-
 def step(crn: Crn, state: CountVector, volume: float,
          rng: Xoshiro256) -> tuple[TrajectoryEvent, CountVector] | None:
     """Execute one event of :func:`simulate`'s loop on ``rng``; None if terminal.
@@ -227,16 +193,6 @@ def simulate(crn: Crn, initial_state: CountVector, config: SimConfig,
     """
     return _core_loop(crn, initial_state, config, tuple(observers),
                       Xoshiro256(config.seed))
-
-
-StateSampler = Callable[[int, Xoshiro256], CountVector]
-ObserverFactory = Callable[[int], Observer]
-
-
-def constant_initial_state(state: CountVector) -> StateSampler:
-    """Sampler that returns the same initial state for every trial."""
-    state = np.array(state, dtype=np.int64)
-    return lambda trial_index, rng: state.copy()
 
 
 def _core_loop(crn, initial_state, config, observers, rng):
@@ -307,27 +263,3 @@ def _core_loop(crn, initial_state, config, observers, rng):
         if events >= ceiling:
             return finish(StopReason.EVENT_CEILING, t, events)
 
-
-def run_trials(crn: Crn, initial_state_sampler: StateSampler, config: SimConfig,
-               trial_count: int,
-               observer_factory: ObserverFactory | None = None) -> list[TrialResult]:
-    """Run independent trials in order; trial ``j`` is seeded with child_seed(seed, j).
-
-    The sampler draws trial ``j``'s initial state from that stream, and the
-    trajectory continues on it. A numeric failure is re-raised with the trial
-    index attached.
-    """
-    if trial_count < 1:
-        raise CrnError("trial_count must be >= 1")
-    out = []
-    for i in range(trial_count):
-        rng = Xoshiro256(child_seed(config.seed, i))
-        initial = initial_state_sampler(i, rng)
-        obs = observer_factory(i) if observer_factory is not None else None
-        try:
-            result = _core_loop(crn, initial, config, () if obs is None else (obs,), rng)
-        except NumericOverflowError as exc:
-            raise NumericOverflowError.in_trial(i, exc.reaction_index) from exc
-        out.append(TrialResult(i, result.final_state, result.stop_reason, result.events,
-                               result.elapsed, obs.result() if obs is not None else None))
-    return out

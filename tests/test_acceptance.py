@@ -21,18 +21,18 @@ from crngame import (
     make_crn,
     parse,
     propensity,
-    run_trials,
     serialize,
     step,
 )
+from crngame.batch import simulate_batch
 from crngame.cli import main as cli_main
 from crngame.config import load_config, resolve_input_path
 from crngame.crnfile import ParseError, load as load_crn
 from crngame.data import path as data_path
 from crngame.experiment import CSV_COLUMNS, run_robustness, run_sweep
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
-from crngame.rng import Xoshiro256
-from crngame.ssa import Observer, constant_initial_state, simulate
+from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
+from crngame.ssa import Observer, simulate
 
 WORKERS = 2
 
@@ -72,9 +72,11 @@ def test_criterion_2_oracle_ground_truth(majority_crn):
             assert abs(exact - expected) <= SOLVE_RESIDUAL_BOUND
 
             trials = 10000
-            results = run_trials(majority_crn, constant_initial_state(initial),
-                                 SimConfig(seed=9000 + counts["X"]), trials)
-            wins = sum(1 for r in results if r.final_state[0] > r.final_state[1])
+            seed = 9000 + counts["X"]
+            rng = XoshiroBatch([child_seed(seed, j) for j in range(trials)])
+            finals = simulate_batch(majority_crn, np.tile(initial, (trials, 1)),
+                                    SimConfig(seed=seed), rng).final_states
+            wins = int((finals[:, 0] > finals[:, 1]).sum())
             sigma = math.sqrt(expected * (1 - expected) / trials)
             assert abs(wins / trials - expected) <= max(3 * sigma, 1e-12)
 

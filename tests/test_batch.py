@@ -1,5 +1,6 @@
 """The batch engine must reproduce the scalar engine trial for trial."""
 
+import math
 import shutil
 from pathlib import Path
 
@@ -193,6 +194,16 @@ class TestBatchBasics:
         totals = out.final_states.sum(axis=1)
         assert (totals == 21).all()
         assert (out.final_states.min(axis=1) == 0).all()
+
+    def test_symmetric_start_splits_evenly(self, majority_crn):
+        # from X = Y = 2, X takes over in about half the trials
+        trials = 10000
+        rng = XoshiroBatch([child_seed(11, j) for j in range(trials)])
+        inits = np.tile(majority_crn.species.state_from({"X": 2, "Y": 2}), (trials, 1))
+        out = simulate_batch(majority_crn, inits, SimConfig(seed=11), rng)
+        x_wins = int((out.final_states[:, 0] == 4).sum())
+        sigma = math.sqrt(0.25 / trials)
+        assert abs(x_wins / trials - 0.5) <= 3 * sigma
 
     def test_overflow_carries_reaction_index(self):
         crn = make_crn([

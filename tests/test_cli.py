@@ -251,6 +251,7 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert "error:" in err and fragment in err
+        assert err.startswith(f"usage: crngame {argv[0]}")
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--help")

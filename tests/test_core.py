@@ -8,9 +8,6 @@ from crngame import (
     CrnError,
     Reaction,
     SpeciesTable,
-    apply_reaction,
-    is_applicable,
-    is_catalyst,
     propensity,
 )
 
@@ -73,47 +70,6 @@ class TestCrn:
         assert len(crn.species) == 0
 
 
-class TestIsApplicable:
-    def test_exact_boundary(self):
-        # 2X + Y against x=2, y=1: exactly enough of each
-        rxn = Reaction((2, 1), (3, 0), 1.0)
-        assert is_applicable(rxn, state(2, 1))
-
-    def test_insufficient_count(self):
-        # 3Y + Z against y=2, z=5
-        rxn = Reaction((3, 1, 0), (0, 0, 1), 1.0)
-        assert not is_applicable(rxn, state(2, 5, 0))
-
-    def test_dimension_mismatch_is_an_error(self):
-        rxn = Reaction((3, 1, 0), (0, 0, 1), 1.0)
-        with pytest.raises(CrnError):
-            is_applicable(rxn, state(2, 5))
-
-    def test_empty_reactants_always_applicable(self):
-        rxn = Reaction((0, 0), (1, 0), 1.0)
-        assert is_applicable(rxn, state(0, 0))
-        assert is_applicable(rxn, state(7, 3))
-
-
-class TestApply:
-    def test_majority_step(self):
-        rxn = Reaction((2, 1), (3, 0), 1.0)
-        assert apply_reaction(rxn, state(2, 1)).tolist() == [3, 0]
-
-    def test_minority_step(self):
-        rxn = Reaction((1, 2), (0, 3), 1.0)
-        assert apply_reaction(rxn, state(5, 5)).tolist() == [4, 6]
-
-    def test_catalyst_count_untouched(self):
-        rxn = Reaction((2, 1, 1), (3, 0, 1), 1.0)
-        assert apply_reaction(rxn, state(2, 1, 7)).tolist() == [3, 0, 7]
-
-    def test_inapplicable_application_raises(self):
-        rxn = Reaction((2, 1), (3, 0), 1.0)
-        with pytest.raises(CrnError):
-            apply_reaction(rxn, state(1, 1))
-
-
 class TestPropensity:
     def test_trimolecular_worked_value(self):
         # 3Y + Z with k=1, V=1 at y=5, z=2: 5*4*3*2
@@ -145,23 +101,23 @@ class TestPropensity:
         s = state(100, 0)
         assert propensity(fast, s) == 1e9 * propensity(slow, s)
 
+    def test_dimension_mismatch_is_an_error(self):
+        rxn = Reaction((3, 1, 0), (0, 0, 1), 1.0)
+        with pytest.raises(CrnError):
+            propensity(rxn, state(2, 5))
+
 
 class TestIsCatalyst:
     def test_catalyst_species(self):
         # X + C -> 2Y + C
         rxn = Reaction((1, 0, 1), (0, 2, 1), 1.0)
-        assert is_catalyst(rxn, 2)
-        assert not is_catalyst(rxn, 0)  # consumed
-        assert not is_catalyst(rxn, 1)  # produced only
+        assert rxn.is_catalyst(2)
+        assert not rxn.is_catalyst(0)  # consumed
+        assert not rxn.is_catalyst(1)  # produced only
 
     def test_consumed_reactant_not_catalyst(self):
         rxn = Reaction((2, 1), (3, 0), 1.0)
-        assert not is_catalyst(rxn, 1)  # r=1, p=0
-
-    def test_index_out_of_range(self):
-        rxn = Reaction((1, 0), (0, 1), 1.0)
-        with pytest.raises(CrnError):
-            is_catalyst(rxn, 5)
+        assert not rxn.is_catalyst(1)  # r=1, p=0
 
 
 # property strategies: small random reactions and states over <= 4 species
@@ -176,15 +132,20 @@ def states(dim):
     return st.tuples(*[st.integers(0, 30)] * dim).map(lambda t: state(*t))
 
 
+def applicable(rxn, s):
+    """Every reactant count is available in ``s``."""
+    return all(s[i] >= need for i, need in enumerate(rxn.reactants))
+
+
 @given(rxn=reactions(3), s=states(3))
 def test_zero_propensity_iff_inapplicable(rxn, s):
-    assert (propensity(rxn, s) == 0.0) == (not is_applicable(rxn, s))
+    assert (propensity(rxn, s) == 0.0) == (not applicable(rxn, s))
 
 
 @given(rxn=reactions(3), s=states(3))
 def test_apply_keeps_counts_nonnegative(rxn, s):
-    if is_applicable(rxn, s):
-        assert (apply_reaction(rxn, s) >= 0).all()
+    if applicable(rxn, s):
+        assert (s + np.array(rxn.delta) >= 0).all()
 
 
 @given(rxn=reactions(3), s=states(3), species=st.integers(0, 2))
@@ -196,11 +157,11 @@ def test_propensity_monotone_in_reactant_counts(rxn, s, species):
 
 @given(rxn=reactions(3), s=states(3))
 def test_catalyst_counts_preserved(rxn, s):
-    if not is_applicable(rxn, s):
+    if not applicable(rxn, s):
         return
-    out = apply_reaction(rxn, s)
+    out = s + np.array(rxn.delta)
     for i in range(3):
-        if is_catalyst(rxn, i):
+        if rxn.is_catalyst(i):
             assert out[i] == s[i]
 
 

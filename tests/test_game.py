@@ -21,7 +21,6 @@ from crngame import (
     compose,
     estimate_expected_utility,
     estimate_robustness,
-    evaluate_utility,
     infer_catalytic_partition,
     make_crn,
     sample_initial_state,
@@ -31,7 +30,13 @@ from crngame import (
 from crngame.core import NumericOverflowError
 from crngame.experiment import estimate_condition
 import crngame.game as game_module
-from crngame.game import _Arm, _run_pool, sample_initial_states
+from crngame.game import (
+    _CONCLUSIVE,
+    _Arm,
+    _run_pool,
+    sample_initial_states,
+    takeover_succeeded,
+)
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import TrajectoryRecorder, ZeroCountMonitor
 
@@ -66,11 +71,17 @@ def scalar_counts(game, trials, config):
         stream = child_seed(config.seed, j)
         initial = sample_initial_state(game, Xoshiro256(stream))
         res = simulate(game.crn, initial, replace(config, seed=stream), [monitor])
-        successes += evaluate_utility(spec, table, initial, res.final_state,
-                                      res.stop_reason) == 1.0
+        successes += bool(won(table, initial, res.final_state, res.stop_reason, spec))
         truncated += res.stop_reason not in (StopReason.TERMINAL,
                                              StopReason.EARLY_STOP)
     return successes, truncated
+
+
+def won(table, initial, final, reason, spec=TakeoverSuccess("X", "Y")):
+    """:func:`takeover_succeeded` for one trial of a takeover utility."""
+    xi, yi = table.index_of(spec.x_species), table.index_of(spec.y_species)
+    return takeover_succeeded(int(initial[xi]), int(initial[yi]), int(final[xi]),
+                              int(final[yi]), reason in _CONCLUSIVE)
 
 
 class TestCompose:
@@ -202,44 +213,44 @@ class TestUtility:
         table = catalyzed_crn.species
         initial = table.state_from({"X": 5120, "Y": 4880, "A": 100, "B": 100})
         final = table.state_from({"X": 10000, "Y": 0, "A": 100, "B": 100})
-        assert evaluate_utility(TakeoverSuccess("X", "Y"), table, initial, final,
-                                StopReason.TERMINAL) == 1.0
+        assert won(table, initial, final, StopReason.TERMINAL)
 
     def test_minority_takeover_scores_zero(self, catalyzed_crn):
         table = catalyzed_crn.species
         initial = table.state_from({"X": 5120, "Y": 4880, "A": 100, "B": 100})
         final = table.state_from({"X": 0, "Y": 10000, "A": 100, "B": 100})
-        assert evaluate_utility(TakeoverSuccess("X", "Y"), table, initial, final,
-                                StopReason.TERMINAL) == 0.0
+        assert not won(table, initial, final, StopReason.TERMINAL)
 
     def test_tie_accepts_either_takeover(self, majority_crn):
         table = majority_crn.species
         initial = table.state_from({"X": 5000, "Y": 5000})
         for final_counts in ({"X": 10000}, {"Y": 10000}):
             final = table.state_from(final_counts)
-            assert evaluate_utility(TakeoverSuccess("X", "Y"), table, initial,
-                                    final, StopReason.TERMINAL) == 1.0
+            assert won(table, initial, final, StopReason.TERMINAL)
 
     def test_truncated_runs_score_zero(self, majority_crn):
         table = majority_crn.species
         initial = table.state_from({"X": 5120, "Y": 4880})
         final = table.state_from({"X": 10000})
         for reason in (StopReason.TIME_EXHAUSTED, StopReason.EVENT_CEILING):
-            assert evaluate_utility(TakeoverSuccess("X", "Y"), table, initial,
-                                    final, reason) == 0.0
+            assert not won(table, initial, final, reason)
 
     def test_early_stop_counts_as_conclusive(self, majority_crn):
         table = majority_crn.species
         initial = table.state_from({"X": 5120, "Y": 4880})
         final = table.state_from({"X": 10000})
-        assert evaluate_utility(TakeoverSuccess("X", "Y"), table, initial, final,
-                                StopReason.EARLY_STOP) == 1.0
+        assert won(table, initial, final, StopReason.EARLY_STOP)
 
     def test_indifferent_always_zero(self, majority_crn):
-        table = majority_crn.species
-        s = table.state_from({"X": 1, "Y": 1})
-        assert evaluate_utility(Indifferent(), table, s, s,
-                                StopReason.TERMINAL) == 0.0
+        # both arms of every condition score exactly 0, so no ratio exists
+        player = player_for(majority_crn, {"X": 1, "Y": 1}, Indifferent())
+        conditions = [Condition(f"x{x}", InitialDistribution.deterministic([x, 5 - x]))
+                      for x in (1, 4)]
+        report = estimate_robustness(player, [], conditions, 50, SimConfig(seed=1))
+        for result in report.conditions:
+            for arm in (result.with_opponents, result.baseline):
+                assert (arm.mean, arm.lower, arm.upper, arm.successes) == (0, 0, 0, 0)
+            assert result.ratio is None and result.verdict == "undefined"
 
 
 class TestEstimation:

@@ -14,11 +14,11 @@ from crngame import (
     enumerate_states,
     make_crn,
     propensity,
-    run_trials,
 )
+from crngame.batch import simulate_batch
 from crngame.core import CompiledCrn, NumericOverflowError, Reaction, SpeciesTable
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
-from crngame.ssa import constant_initial_state
+from crngame.rng import XoshiroBatch, child_seed
 
 
 def x_takeover(state):
@@ -384,14 +384,14 @@ class TestAbsorption:
 class TestAgreementWithSimulation:
     @pytest.mark.parametrize("x,y", [(3, 2), (2, 2), (4, 1), (5, 3)])
     def test_ssa_frequencies_match_exact(self, majority_crn, x, y):
-        table = majority_crn.species
-        space = enumerate_states(majority_crn, table.state_from({"X": x, "Y": y}))
+        initial = majority_crn.species.state_from({"X": x, "Y": y})
+        space = enumerate_states(majority_crn, initial)
         exact = absorption_probabilities(space, x_takeover)[0]
         trials = 4000
-        results = run_trials(majority_crn,
-                             constant_initial_state(table.state_from({"X": x, "Y": y})),
-                             SimConfig(seed=1000 + x * 10 + y), trials)
-        wins = sum(1 for r in results
-                   if r.final_state[0] > r.final_state[1])
+        seed = 1000 + x * 10 + y
+        rng = XoshiroBatch([child_seed(seed, j) for j in range(trials)])
+        finals = simulate_batch(majority_crn, np.tile(initial, (trials, 1)),
+                                SimConfig(seed=seed), rng).final_states
+        wins = int((finals[:, 0] > finals[:, 1]).sum())
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
         assert abs(wins / trials - exact) <= max(3 * sigma, 1e-9)

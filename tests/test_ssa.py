@@ -6,50 +6,21 @@ import pytest
 
 from crngame import (
     Crn,
-    CrnError,
     NumericOverflowError,
     SimConfig,
     StopReason,
     TrajectoryRecorder,
     ZeroCountMonitor,
     make_crn,
-    run_trials,
     simulate,
     step,
-    total_rate,
 )
-from crngame.rng import Xoshiro256, child_seed
-from crngame.ssa import (
-    HARD_EVENT_GUARD,
-    Observer,
-    TrajectoryDumpObserver,
-    constant_initial_state,
-)
+from crngame.rng import Xoshiro256
+from crngame.ssa import HARD_EVENT_GUARD, Observer, TrajectoryDumpObserver
 
 
 def state_of(crn, **counts):
     return crn.species.state_from(counts)
-
-
-class TestTotalRate:
-    def test_majority_pair_rate(self, majority_crn):
-        # x(x-1)y + xy(y-1) at (3, 2): 12 + 6
-        assert total_rate(majority_crn, state_of(majority_crn, X=3, Y=2)) == 18.0
-
-    def test_zero_when_one_species_extinct(self, majority_crn):
-        assert total_rate(majority_crn, state_of(majority_crn, X=10, Y=0)) == 0.0
-
-    def test_empty_crn(self):
-        assert total_rate(Crn.empty(), np.zeros(0, dtype=np.int64)) == 0.0
-
-    def test_overflow_carries_reaction_index(self):
-        crn = make_crn([
-            ({"X": 1}, {"Y": 1}, 1.0),
-            ({"X": 3}, {"Y": 3}, 1e308),
-        ])
-        with pytest.raises(NumericOverflowError) as err:
-            total_rate(crn, state_of(crn, X=10**6, Y=0))
-        assert err.value.reaction_index == 1
 
 
 class TestStep:
@@ -185,6 +156,21 @@ class TestSimulate:
         assert res.stop_reason is StopReason.EARLY_STOP
         assert res.events == 0
 
+    @pytest.mark.parametrize("reactions, x, index, text", [
+        # 3X -> 3Y overflows at X = 10
+        ([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"Y": 3}, 1e308)], 10, 1,
+         "non-finite propensity in reaction 1"),
+        # each propensity is 1e308 at X = 1; only their sum is not finite
+        ([({"X": 1}, {"Y": 1}, 1e308), ({"X": 1}, {"Z": 1}, 1e308)], 1, -1,
+         "non-finite propensity sum"),
+    ], ids=["one-reaction", "only-the-sum"])
+    def test_overflow_names_the_reaction(self, reactions, x, index, text):
+        crn = make_crn(reactions)
+        with pytest.raises(NumericOverflowError) as err:
+            simulate(crn, state_of(crn, X=x), SimConfig(seed=1))
+        assert err.value.reaction_index == index
+        assert str(err.value) == text
+
 
 class _CountingObserver(Observer):
     def __init__(self):
@@ -230,68 +216,3 @@ class TestObservers:
             previous_time = t
             assert int(cells[1]) in (0, 1)
             assert int(cells[2]) + int(cells[3]) == 5
-
-
-class _WinnerObserver(Observer):
-    """Records whether species 0 held the whole population at the end."""
-
-    def __init__(self):
-        self._won = None
-
-    def on_stop(self, reason, counts, time, events):
-        total = int(np.sum(counts))
-        self._won = counts[0] == total
-
-    def result(self):
-        return self._won
-
-
-def _winner_factory(trial_index):
-    return _WinnerObserver()
-
-
-class TestRunTrials:
-    def test_single_trial_matches_simulate_with_child_seed(self, majority_crn):
-        s = state_of(majority_crn, X=9, Y=6)
-        config = SimConfig(seed=123)
-        trial = run_trials(majority_crn, constant_initial_state(s), config, 1)[0]
-        direct = simulate(majority_crn, s,
-                          SimConfig(seed=child_seed(123, 0)))
-        assert trial.final_state.tolist() == direct.final_state.tolist()
-        assert trial.events == direct.events
-        assert trial.elapsed == direct.elapsed
-        assert trial.stop_reason == direct.stop_reason
-
-    def test_symmetric_start_splits_evenly(self, majority_crn):
-        s = state_of(majority_crn, X=2, Y=2)
-        results = run_trials(majority_crn, constant_initial_state(s),
-                             SimConfig(seed=11), 10000,
-                             observer_factory=_winner_factory)
-        x_wins = sum(1 for r in results if r.observer_output)
-        sigma = math.sqrt(0.25 / 10000)
-        assert abs(x_wins / 10000 - 0.5) <= 3 * sigma
-
-    @pytest.mark.parametrize("reactions, x, index, text", [
-        # 3X -> 3Y overflows at X = 10
-        ([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"Y": 3}, 1e308)], 10, 1,
-         "non-finite propensity in reaction 1"),
-        # each propensity is 1e308 at X = 1; only their sum is not finite
-        ([({"X": 1}, {"Y": 1}, 1e308), ({"X": 1}, {"Z": 1}, 1e308)], 1, -1,
-         "non-finite propensity sum"),
-    ])
-    def test_overflow_names_the_trial(self, reactions, x, index, text):
-        crn = make_crn(reactions)
-        initial = state_of(crn, X=x)
-        with pytest.raises(NumericOverflowError) as err:
-            simulate(crn, initial, SimConfig(seed=1))
-        assert str(err.value) == text
-        with pytest.raises(NumericOverflowError) as err:
-            run_trials(crn, constant_initial_state(initial), SimConfig(seed=1), 2)
-        assert err.value.reaction_index == index
-        assert str(err.value) == f"trial 0: {text}"
-
-    def test_rejects_zero_trials(self, majority_crn):
-        with pytest.raises(CrnError):
-            run_trials(majority_crn,
-                       constant_initial_state(state_of(majority_crn, X=1, Y=1)),
-                       SimConfig(seed=1), 0)
