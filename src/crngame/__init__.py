@@ -31,12 +31,11 @@ from .game import (
     TakeoverSuccess,
     UniformCount,
     UtilityEstimate,
+    catalytic_violations,
     compose,
     estimate_expected_utility,
     estimate_robustness,
-    infer_catalytic_partition,
     sample_initial_state,
-    validate_catalytic,
 )
 from .oracle import (
     NoAbsorptionError,

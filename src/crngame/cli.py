@@ -27,13 +27,14 @@ from .config import (
     sim_config,
 )
 from .core import Crn, CrnError, NumericOverflowError, SpeciesTable
-from .experiment import robustness_summary, run_robustness, run_sweep
+from .experiment import robustness_summary, run_sweep
 from .game import (
     GameConfigError,
     Indifferent,
     InitialDistribution,
     Player,
     compose,
+    robustness_report,
     sample_initial_state,
 )
 from .oracle import (
@@ -263,11 +264,11 @@ def _write_outputs(output, csv_path: str | None, svg_path: str | None) -> None:
     csv_text = output.to_csv()
     if csv_path:
         Path(csv_path).write_text(csv_text, encoding="utf-8", newline="\n")
-        print(f"wrote {csv_path} ({len(output.rows)} rows)")
+        print(f"wrote {csv_path} ({len(output.results)} rows)")
     else:
         sys.stdout.write(csv_text)
     if svg_path:
-        Path(svg_path).write_text(sweep_svg(output.rows), encoding="utf-8",
+        Path(svg_path).write_text(sweep_svg(output.results), encoding="utf-8",
                                   newline="\n")
         print(f"wrote {svg_path}")
 
@@ -285,9 +286,8 @@ def _cmd_robustness(args) -> int:
     config = _apply_overrides(load_config(resolve_input_path(args.config)), args)
     workers = _resolve_threads(args.threads, config.threads)
     _check_outputs(config.csv_path, config.svg_path)
-    report, output = run_robustness(config, args.alpha,
-                                    paired_seeds=args.paired_seeds,
-                                    workers=workers)
+    output = run_sweep(config, workers=workers, paired_seeds=args.paired_seeds)
+    report = robustness_report(output.results, args.alpha)
     if config.csv_path or config.svg_path:
         _write_outputs(output, config.csv_path, config.svg_path)
     for cond in report.conditions:
@@ -295,7 +295,7 @@ def _cmd_robustness(args) -> int:
         lo = "" if cond.ratio_lower is None else f" lo={cond.ratio_lower!r}"
         hi = "" if cond.ratio_upper is None else f" hi={cond.ratio_upper!r}"
         print(f"condition d={cond.label} ratio={ratio}{lo}{hi} "
-              f"verdict={cond.verdict}")
+              f"verdict={cond.verdict(report.alpha)}")
     print(robustness_summary(report))
     return EXIT_ROBUSTNESS_FAIL if report.verdict == "FAIL" else EXIT_OK
 

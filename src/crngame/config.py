@@ -11,7 +11,9 @@ The sweep varies the initial difference ``d`` between a designated species
 pair at fixed total ``n``: each condition starts the pair at
 ``(n + d) / 2`` and ``(n - d) / 2``. Conditions where ``n + d`` is odd are
 rejected at load time (silent rounding would bias the tie condition) and
-reported alongside the accepted ones.
+reported alongside the accepted ones; a ``d`` with ``|d| > n``, or a sweep
+left with no condition, is a load error. So is a section or key that the
+schema does not have, rather than a setting dropped without a word.
 """
 
 from __future__ import annotations
@@ -52,6 +54,30 @@ def resolve_input_path(spec: str, base_dir: Path | None = None) -> Path:
     if not path.is_absolute() and base_dir is not None:
         path = base_dir / path
     return path
+
+
+# The keys of each section; a player section takes ``crn``, ``utility`` and
+# ``init.<species>`` keys.
+_SECTION_KEYS = {
+    "sweep": {"pair", "total", "diffs", "trials"},
+    "simulation": {"seed", "volume", "max_time", "max_events", "confidence",
+                   "catalytic", "threads", "engine"},
+    "output": {"csv", "svg"},
+}
+
+
+def _check_keys(sections: dict[str, dict]) -> None:
+    """Reject a section or key outside the schema, naming it."""
+    for name, body in sections.items():
+        if name.startswith("player:"):
+            unknown = [k for k in body
+                       if k not in ("crn", "utility") and not k.startswith("init.")]
+        elif name in _SECTION_KEYS:
+            unknown = [k for k in body if k not in _SECTION_KEYS[name]]
+        else:
+            raise ConfigError(f"unknown config section [{name}]")
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
 
 
 def _parse_utility(text: str) -> UtilitySpec:
@@ -113,6 +139,13 @@ class PlayerConfig:
     utility: UtilitySpec
     init_overrides: dict[str, CountDistribution] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for species in self.init_overrides:
+            if species not in self.document.crn.species:
+                raise ConfigError(
+                    f"[player:{self.name}] init.{species}: species {species!r} is "
+                    f"not in player {self.name!r}'s CRN")
+
     def build_player(self) -> Player:
         table = self.document.crn.species
         entries: list[CountDistribution] = []
@@ -151,6 +184,13 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.total < 0:
             raise ConfigError("total must be nonnegative")
+        for d in self.diffs:
+            if abs(d) > self.total:
+                raise ConfigError(f"[sweep] diffs: |d| must not exceed n, but "
+                                  f"d = {d} and n = {self.total}")
+        if not self.accepted_diffs():
+            raise ConfigError(f"[sweep] diffs gives no condition with n + d even "
+                              f"(n = {self.total}, diffs = {self.diffs})")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must lie in (0, 1)")
         self.sim_config()  # rejects a bad volume, max_time or max_events
@@ -197,6 +237,8 @@ def _sections_from_ini(text: str) -> dict[str, dict[str, str]]:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config syntax: {exc}") from exc
+    if parser.defaults():  # they would be read as keys of every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     return {name: dict(parser.items(name)) for name in parser.sections()}
 
 
@@ -208,6 +250,9 @@ def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"bad JSON config: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("JSON config must be an object")
+    for key in data:
+        if key != "players" and key not in _SECTION_KEYS:
+            raise ConfigError(f"unknown config section [{key}]")
     sections: dict[str, dict[str, str]] = {}
     players = data.get("players", [])
     if not isinstance(players, list):
@@ -216,15 +261,12 @@ def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
         if not isinstance(entry, dict):
             raise ConfigError("each player must be an object")
         name = str(entry.get("name", f"player{i + 1}"))
-        section: dict[str, str] = {}
-        if "crn" in entry:
-            section["crn"] = str(entry["crn"])
-        if "utility" in entry:
-            section["utility"] = str(entry["utility"])
+        section = {key: str(value) for key, value in entry.items()
+                   if key not in ("name", "init")}
         for species, value in (entry.get("init") or {}).items():
             section[f"init.{species}"] = str(value)
         sections[f"player:{name}"] = section
-    for key in ("sweep", "simulation", "output"):
+    for key in _SECTION_KEYS:
         block = data.get(key)
         if block is None:
             continue
@@ -255,6 +297,7 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         sections = _sections_from_json(text)
     else:
         sections = _sections_from_ini(text)
+    _check_keys(sections)
 
     players: list[PlayerConfig] = []
     for section_name, body in sections.items():

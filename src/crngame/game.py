@@ -4,13 +4,18 @@ Each player contributes a CRN strategy, a distribution over its own initial
 counts, and a utility. Playing a profile means taking the union of the
 players' CRNs (species identified by name) and summing the embedded initial
 draws; utilities are evaluated on the resulting trajectories and expected
-utilities are estimated by Monte Carlo.
+utilities are estimated by Monte Carlo. A game is catalytic when no species
+is changed by reactions of two different players
+(:func:`catalytic_violations`).
 
 The robustness of player 1 against its opponents is the ratio of its
 expected utility with the opponents present to its expected utility when
 every opponent is replaced by the empty CRN with the empty initial
 distribution. A strategy clearing ratio ``a`` on every tested condition is
-evidence of ``a``-robustness against that opponent profile.
+evidence of ``a``-robustness against that opponent profile. Conditions take
+one path: :func:`estimate_conditions` gives one :class:`ConditionResult`
+per condition, which the sweep's CSV and SVG and :func:`robustness_report`
+all read.
 
 All trials of every arm of every condition run as one lane pool
 (:func:`_run_pool`): each arm's trials are cut into chunks that run on
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -266,57 +272,19 @@ def sample_initial_states(game: ComposedGame, rng: XoshiroBatch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Catalytic games
 
-def infer_catalytic_partition(players: Sequence[Player]) -> list[tuple[set[str], set[str]]]:
-    """Per player, the maximal read-only set and the rest.
+def catalytic_violations(players: Sequence[Player]) -> list[str]:
+    """Each species that reactions of two different players change (empty = catalytic).
 
-    A species is read-only for a player if no reaction of that player
-    changes its count; making this set maximal gives the best chance of the
-    cross-player disjointness condition holding.
+    A player owns the species its own reactions change and only reads the
+    rest, so in a catalytic game players affect one another only through
+    reaction rates, never through counts.
     """
-    partition = []
-    for player in players:
-        crn = player.strategy
-        readonly = set(crn.species.names)
-        for rxn in crn.reactions:
-            for i in rxn.changed_species():
-                readonly.discard(crn.species.names[i])
-        owned = set(crn.species.names) - readonly
-        partition.append((owned, readonly))
-    return partition
-
-
-def validate_catalytic(players: Sequence[Player],
-                       partition: Sequence[tuple[set[str], set[str]]]) -> list[str]:
-    """Check the catalytic-game conditions; return violations (empty = valid).
-
-    ``partition[i]`` is ``(owned_i, catalytic_i)`` and must cover player i's
-    species. Valid iff the owned sets are pairwise disjoint and no player's
-    reaction changes the count of one of its catalytic species.
-    """
-    players = tuple(players)
-    if len(partition) != len(players):
-        raise GameConfigError("partition must cover every player")
-    violations: list[str] = []
-    for i, (player, (owned, readonly)) in enumerate(zip(players, partition)):
-        declared = set(player.strategy.species.names)
-        if owned | readonly != declared:
-            raise GameConfigError(
-                f"player {player.name or i}: partition does not cover its species")
-        for rxn_index, rxn in enumerate(player.strategy.reactions):
-            names = player.strategy.species.names
-            for si in rxn.changed_species():
-                if names[si] in readonly:
-                    violations.append(
-                        f"player {player.name or i}: reaction {rxn_index} changes "
-                        f"catalytic species {names[si]}")
-    for i in range(len(players)):
-        for j in range(i + 1, len(players)):
-            shared = partition[i][0] & partition[j][0]
-            for name in sorted(shared):
-                violations.append(
-                    f"species {name} owned by both player "
-                    f"{players[i].name or i} and player {players[j].name or j}")
-    return violations
+    owned = [{player.strategy.species.names[i] for rxn in player.strategy.reactions
+              for i in rxn.changed_species()} for player in players]
+    return [f"species {name} owned by both player {players[i].name or i} "
+            f"and player {players[j].name or j}"
+            for i, j in combinations(range(len(players)), 2)
+            for name in sorted(owned[i] & owned[j])]
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +301,6 @@ class UtilityEstimate:
     trials: int
     truncated: int
     confidence: float
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
 
 
 # Most lanes in one batch call, a bound on memory: a thread holds one chunk
@@ -457,13 +421,27 @@ class Condition:
 
 @dataclass(frozen=True)
 class ConditionResult:
+    """Both arms of one condition and their ratio, or the error that stopped them."""
+
     label: str
-    with_opponents: UtilityEstimate
-    baseline: UtilityEstimate
-    ratio: float | None
-    ratio_lower: float | None
-    ratio_upper: float | None
-    verdict: str  # holds | fails | inconclusive | undefined (vs the queried alpha)
+    with_opponents: UtilityEstimate | None = None
+    baseline: UtilityEstimate | None = None
+    ratio: float | None = None
+    ratio_lower: float | None = None
+    ratio_upper: float | None = None
+    error: CrnError | None = None
+
+    def verdict(self, alpha: float | None) -> str:
+        """holds | fails | inconclusive | undefined | not-queried, against ``alpha``."""
+        if self.ratio is None:
+            return "undefined"
+        if alpha is None:
+            return "not-queried"
+        if self.ratio_lower >= alpha:
+            return "holds"
+        if self.ratio_upper < alpha:
+            return "fails"
+        return "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -476,22 +454,6 @@ class RobustnessReport:
     alpha: float | None
     verdict: str  # PASS | FAIL | INCONCLUSIVE (or NOT-QUERIED)
     trials_per_arm: int
-    seed: int
-    confidence: float
-    paired_seeds: bool
-
-
-def _condition_verdict(alpha: float | None, bounds: tuple[float, float] | None) -> str:
-    if bounds is None:
-        return "undefined"
-    if alpha is None:
-        return "not-queried"
-    lo, hi = bounds
-    if lo >= alpha:
-        return "holds"
-    if hi < alpha:
-        return "fails"
-    return "inconclusive"
 
 
 def _condition_arms(player: Player, opponents: tuple[Player, ...],
@@ -512,118 +474,78 @@ def _condition_arms(player: Player, opponents: tuple[Player, ...],
             _Arm(compose((p1,) + trivial, config.volume), base_seed))
 
 
-def _estimate_pairs(pairs: list[tuple[_Arm, _Arm]], trials: int, config: SimConfig,
-                    confidence: float, workers: int
-                    ) -> list[tuple[UtilityEstimate, UtilityEstimate] | CrnError]:
-    """Both arms of every pair, from one lane pool.
-
-    A pair with an overflowing arm yields that arm's error instead, the
-    with-opponents arm's first.
-    """
-    spec = pairs[0][0].game.players[0].utility
-    if isinstance(spec, Indifferent):
-        return [(_exact_zero(trials, confidence),) * 2] * len(pairs)
-    counts = _run_pool([arm for pair in pairs for arm in pair], spec, trials, config,
-                       workers)
-    results: list[tuple[UtilityEstimate, UtilityEstimate] | CrnError] = []
-    for pair in zip(counts[::2], counts[1::2]):
-        errors = [arm for arm in pair if isinstance(arm, CrnError)]
-        results.append(errors[0] if errors else
-                       tuple(_estimate(*arm, trials, confidence) for arm in pair))
-    return results
-
-
 def estimate_conditions(player: Player, opponents: Sequence[Player],
                         conditions: Sequence[Condition], trials: int,
-                        config: SimConfig, alpha: float | None = None,
-                        confidence: float = 0.99, paired_seeds: bool = False,
-                        workers: int = 1,
-                        first_index: int = 0) -> list[ConditionResult | CrnError]:
+                        config: SimConfig, confidence: float = 0.99,
+                        paired_seeds: bool = False,
+                        workers: int = 1) -> list[ConditionResult]:
     """Run both arms of every condition and compare them.
 
-    Condition ``i`` uses condition index ``first_index + i`` for its seeds
-    (see :func:`_condition_arms`). Every arm of every condition is one lane
-    pool. A condition that cannot be composed or simulated yields its error
-    in place of a result; the others are unaffected.
+    For each condition, the with-opponents arm and the baseline arm (every
+    opponent replaced by the empty CRN and the trivial distribution) are
+    estimated with ``trials`` trials each, all in one lane pool. Condition
+    ``i`` takes its seeds from index ``i`` (see :func:`_condition_arms`):
+    the arms use distinct child-seed streams unless ``paired_seeds``, which
+    reuses the with-arm stream in the baseline for variance reduction. A
+    condition that cannot be composed or simulated yields a result that
+    carries its error, the with-opponents arm's first; the others are
+    unaffected.
     """
     if trials < 1:
         raise GameConfigError("trials must be >= 1")
     opponents = tuple(opponents)
-    prepared: list[tuple[_Arm, _Arm] | CrnError] = []
+    pairs: list[tuple[_Arm, _Arm] | CrnError] = []
     for i, condition in enumerate(conditions):
         try:
-            prepared.append(_condition_arms(player, opponents, condition,
-                                            first_index + i, config, paired_seeds))
+            pairs.append(_condition_arms(player, opponents, condition, i, config,
+                                         paired_seeds))
         except CrnError as exc:
-            prepared.append(exc)
-    pairs = [p for p in prepared if not isinstance(p, CrnError)]
-    estimates = iter(_estimate_pairs(pairs, trials, config, confidence, workers)
-                     if pairs else ())
-    results: list[ConditionResult | CrnError] = []
-    for condition, item in zip(conditions, prepared):
-        if not isinstance(item, CrnError):
-            item = next(estimates)
-        if isinstance(item, CrnError):
-            results.append(item)
+            pairs.append(exc)
+    arms = [arm for pair in pairs if not isinstance(pair, CrnError) for arm in pair]
+    if isinstance(player.utility, Indifferent):
+        estimates = [_exact_zero(trials, confidence)] * len(arms)
+    else:
+        counts = _run_pool(arms, player.utility, trials, config, workers) if arms else []
+        estimates = [c if isinstance(c, CrnError) else _estimate(*c, trials, confidence)
+                     for c in counts]
+    estimates = iter(estimates)
+    results: list[ConditionResult] = []
+    for condition, pair in zip(conditions, pairs):
+        if not isinstance(pair, CrnError):
+            pair = (next(estimates), next(estimates))
+            pair = next((arm for arm in pair if isinstance(arm, CrnError)), pair)
+        if isinstance(pair, CrnError):
+            results.append(ConditionResult(condition.label, error=pair))
             continue
-        est_with, est_base = item
+        est_with, est_base = pair
         bounds = ratio_bounds(est_with.lower, est_with.upper,
                               est_base.lower, est_base.upper)
         ratio = est_with.mean / est_base.mean if bounds is not None else None
-        results.append(ConditionResult(
-            condition.label, est_with, est_base, ratio,
-            bounds[0] if bounds else None, bounds[1] if bounds else None,
-            _condition_verdict(alpha, bounds)))
+        results.append(ConditionResult(condition.label, est_with, est_base, ratio,
+                                       *(bounds or (None, None))))
     return results
 
 
-def estimate_condition(player: Player, opponents: Sequence[Player],
-                       condition: Condition, condition_index: int, trials: int,
-                       config: SimConfig, alpha: float | None = None,
-                       confidence: float = 0.99, paired_seeds: bool = False,
-                       workers: int = 1) -> ConditionResult:
-    """Run both arms of one condition and compare them.
+def robustness_report(results: Sequence[ConditionResult],
+                      alpha: float | None) -> RobustnessReport:
+    """The robustness verdict on estimated conditions, against ``alpha``.
 
-    Seeds derive from ``condition_index`` (see :func:`_condition_arms`).
+    PASS when no condition's conservative ratio interval lies below
+    ``alpha`` and every point-estimate ratio clears it; FAIL when some
+    interval lies below it; INCONCLUSIVE otherwise; NOT-QUERIED without
+    ``alpha``. The first condition that failed raises its error.
     """
-    [result] = estimate_conditions(player, opponents, [condition], trials, config,
-                                   alpha, confidence, paired_seeds, workers,
-                                   first_index=condition_index)
-    if isinstance(result, CrnError):
-        raise result
-    return result
-
-
-def estimate_robustness(player: Player, opponents: Sequence[Player],
-                        conditions: Sequence[Condition], trials: int,
-                        config: SimConfig, alpha: float | None = None,
-                        confidence: float = 0.99, paired_seeds: bool = False,
-                        workers: int = 1) -> RobustnessReport:
-    """Estimate per-condition utility ratios against trivial-opponent baselines.
-
-    For each condition, the with-opponents arm and the baseline arm (every
-    opponent replaced by the empty CRN and the trivial distribution) are
-    estimated with ``trials`` trials each, all in one lane pool. Arms use
-    distinct child-seed streams unless ``paired_seeds``; pairing reuses the
-    with-arm stream in the baseline for variance reduction. If ``alpha`` is
-    given, the report carries a PASS/FAIL/INCONCLUSIVE verdict: PASS when
-    every condition's conservative ratio interval lies at or above
-    ``alpha``. The first condition that fails raises its error.
-    """
-    if not conditions:
+    if not results:
         raise GameConfigError("conditions must be nonempty")
-    results = estimate_conditions(player, opponents, conditions, trials, config,
-                                  alpha, confidence, paired_seeds, workers)
     for result in results:
-        if isinstance(result, CrnError):
-            raise result
-
+        if result.error is not None:
+            raise result.error
     defined = [r for r in results if r.ratio is not None]
     min_ratio = min((r.ratio for r in defined), default=None)
     min_ratio_lower = min((r.ratio_lower for r in defined), default=None)
     if alpha is None:
         verdict = "NOT-QUERIED"
-    elif any(r.verdict == "fails" for r in results):
+    elif any(r.verdict(alpha) == "fails" for r in results):
         verdict = "FAIL"
     elif (len(defined) == len(results)
           and all(r.ratio >= alpha for r in defined)):
@@ -634,4 +556,15 @@ def estimate_robustness(player: Player, opponents: Sequence[Player],
     else:
         verdict = "INCONCLUSIVE"
     return RobustnessReport(tuple(results), min_ratio, min_ratio_lower, alpha,
-                            verdict, trials, config.seed, confidence, paired_seeds)
+                            verdict, results[0].with_opponents.trials)
+
+
+def estimate_robustness(player: Player, opponents: Sequence[Player],
+                        conditions: Sequence[Condition], trials: int,
+                        config: SimConfig, alpha: float | None = None,
+                        confidence: float = 0.99, paired_seeds: bool = False,
+                        workers: int = 1) -> RobustnessReport:
+    """:func:`robustness_report` of :func:`estimate_conditions`."""
+    return robustness_report(
+        estimate_conditions(player, opponents, conditions, trials, config,
+                            confidence, paired_seeds, workers), alpha)

@@ -1,15 +1,15 @@
 """Dependency-free SVG rendering of sweep results.
 
-The plot is a pure function of the sweep rows: success frequency of both
-arms against the initial difference, in the layout usual for consensus
-sweeps (frequency on [0, 1], difference on the x axis, isolated curve vs
-with-opponents curve). No timestamps or environment data are embedded, so
-identical rows always produce identical bytes.
+The plot is a pure function of the sweep's condition results: success
+frequency of both arms against the initial difference, in the layout usual
+for consensus sweeps (frequency on [0, 1], difference on the x axis,
+isolated curve vs with-opponents curve). No timestamps or environment data
+are embedded, so identical results always produce identical bytes.
 """
 
 from __future__ import annotations
 
-from .experiment import SweepRow
+from .game import ConditionResult
 
 _WIDTH = 640
 _HEIGHT = 420
@@ -43,10 +43,14 @@ def _x_ticks(lo: int, hi: int) -> list[int]:
     return ticks
 
 
-def sweep_svg(rows: list[SweepRow]) -> str:
-    """Render both success-frequency curves against the initial difference."""
-    points = [(row.d, row.p_with, row.p_without)
-              for row in rows if not row.error and row.p_with is not None]
+def sweep_svg(results: list[ConditionResult]) -> str:
+    """Render both success-frequency curves against the initial difference.
+
+    A sweep labels each condition with its initial difference; conditions
+    that failed are left out.
+    """
+    points = [(int(r.label), r.with_opponents.mean, r.baseline.mean)
+              for r in results if r.error is None]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',

@@ -29,7 +29,8 @@ from crngame.cli import main as cli_main
 from crngame.config import load_config, resolve_input_path
 from crngame.crnfile import ParseError, load as load_crn
 from crngame.data import path as data_path
-from crngame.experiment import CSV_COLUMNS, run_robustness, run_sweep
+from crngame.experiment import CSV_COLUMNS, run_sweep
+from crngame.game import robustness_report
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import Observer, simulate
@@ -87,10 +88,10 @@ def test_criterion_3_full_population_point():
         assert config.total == 10000 and config.accepted_diffs() == [240]
         assert config.trials == 1000
         output = run_sweep(config, workers=WORKERS)
-        [row] = output.rows
-        assert not row.error
-        assert 0.97 <= row.p_without <= 1.00
-        assert 0.69 <= row.p_with <= 0.83
+        [row] = output.results
+        assert row.error is None
+        assert 0.97 <= row.baseline.mean <= 1.00
+        assert 0.69 <= row.with_opponents.mean <= 0.83
 
 
 def test_criterion_4_reduced_scale_gate():
@@ -98,21 +99,22 @@ def test_criterion_4_reduced_scale_gate():
         config = load_config(resolve_input_path("pkg:default_sweep.ini"))
         assert config.total == 1000 and config.trials == 500
         assert config.accepted_diffs() == list(range(0, 101, 10))
-        report, output = run_robustness(config, alpha=0.6, workers=WORKERS)
+        output = run_sweep(config, workers=WORKERS)
+        report = robustness_report(output.results, alpha=0.6)
 
         # (a) interference never confidently raises the success frequency
-        for row in output.rows:
-            assert row.p_with_lo <= row.p_without_hi
+        for row in output.results:
+            assert row.with_opponents.lower <= row.baseline.upper
 
         # (b) isolated success nondecreasing in the initial difference, up
         # to interval overlap. The tie condition d=0 measures a different
         # event (either species may take over, so success is ~certain) and
         # is checked against its own meaning.
-        rows = {row.d: row for row in output.rows}
-        assert rows[0].p_without >= 0.98
-        positive = [rows[d] for d in sorted(rows) if d > 0]
+        isolated = {int(row.label): row.baseline for row in output.results}
+        assert isolated[0].mean >= 0.98
+        positive = [isolated[d] for d in sorted(isolated) if d > 0]
         for previous, current in zip(positive, positive[1:]):
-            assert current.p_without_hi >= previous.p_without_lo
+            assert current.upper >= previous.lower
 
         # (c) the shipped configuration supports a 0.6 robustness claim
         assert report.alpha == 0.6

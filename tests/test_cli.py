@@ -264,7 +264,23 @@ class TestUsageErrors:
         def fail(*args, **kwargs):
             raise AssertionError("a lane ran before the output paths were checked")
         monkeypatch.setattr("crngame.cli.run_sweep", fail)
-        monkeypatch.setattr("crngame.cli.run_robustness", fail)
+
+    @pytest.mark.parametrize("command", ["sweep", "robustness"])
+    @pytest.mark.parametrize("diffs,fragment", [
+        ("30:10:10", "no condition"),
+        ("1, 3", "no condition"),
+        ("0, 40", "d = 40 and n = 30"),
+    ], ids=["empty-range", "all-odd", "d-over-n"])
+    def test_config_conditions(self, crn_dir, capsys, no_lanes, command, diffs,
+                               fragment):
+        # both commands reject a condition set at load, before any lane runs
+        path = crn_dir / "exp.ini"
+        path.write_text(path.read_text().replace("diffs = 0:10:10",
+                                                 f"diffs = {diffs}"))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: [sweep] diffs") and fragment in err
 
     @pytest.mark.parametrize("command", ["sweep", "robustness"])
     @pytest.mark.parametrize("flag", ["--out", "--svg"])
@@ -305,6 +321,20 @@ class TestRobustnessCommand:
                                "--alpha", "50")
         assert code == 3
         assert "verdict=FAIL" in out
+
+    def test_same_outputs_as_sweep(self, crn_dir, capsys):
+        # robustness runs the sweep and reads its results, so it writes the
+        # sweep's CSV and SVG byte for byte
+        ini = str(crn_dir / "exp.ini")
+        for command in ("sweep", "robustness"):
+            code, _, _ = run_cli(capsys, command, ini, "--threads", "2",
+                                 "--out", str(crn_dir / f"{command}.csv"),
+                                 "--svg", str(crn_dir / f"{command}.svg"))
+            assert code == 0
+        for suffix in (".csv", ".svg"):
+            sweep = (crn_dir / f"sweep{suffix}").read_bytes()
+            assert sweep == (crn_dir / f"robustness{suffix}").read_bytes()
+        assert sweep.count(b"<circle") == 2 * 2  # both conditions, both curves
 
     def test_paired_trivial_opponents_ratio_one(self, crn_dir, tmp_path, capsys):
         (tmp_path / "empty.crn").write_text("")

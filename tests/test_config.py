@@ -117,6 +117,17 @@ class TestIniConfig:
         (("diffs = 0:40:20", "diffs = 0, ten"), "[sweep] diffs = 'ten'"),
         (("init.A = 100", "init.A = lots"), "[player:main] init.A = 'lots'"),
         (("init.B = 90..110", "init.B = 90..z"), "[player:main] init.B = 'z'"),
+        (("seed = 7", "seeed = 7"), "unknown key(s) in [simulation]: seeed"),
+        (("[output]", "[outptu]"), "unknown config section [outptu]"),
+        (("[output]", "[DEFAULT]\nseed = 5\n[output]"), "unknown config section [DEFAULT]"),
+        (("crn = nature.crn", "crn = nature.crn\ncolour = red"),
+         "unknown key(s) in [player:nature]: colour"),
+        (("init.A = 100", "init.a = 100"), "init.a: species 'a' is not in player"),
+        (("init.A = 100", "init.Q = 100"), "init.Q: species 'Q' is not in player"),
+        (("diffs = 0:40:20", "diffs = -1200, 0"), "d = -1200 and n = 1000"),
+        (("total = 1000", "total = 30"), "d = 40 and n = 30"),
+        (("diffs = 0:40:20", "diffs = 30:10:10"), "no condition"),
+        (("diffs = 0:40:20", "diffs = 1, 3"), "no condition"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation
@@ -166,9 +177,24 @@ class TestJsonConfig:
         assert load_config(config_dir / "exp.json").diffs == [0, 5, 10]
 
     def test_bad_json_rejected(self, config_dir):
-        (config_dir / "exp.json").write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(config_dir / "exp.json")
+        main = {"name": "m", "crn": "main.crn", "utility": "takeover X Y"}
+        base = {"players": [main],
+                "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5}}
+        for text, fragment in [
+            ("{not json", "bad JSON"),
+            (json.dumps({**base, "simulaton": {"seed": 5}}),
+             "unknown config section [simulaton]"),
+            (json.dumps({**base, "simulation": {"seeed": 5}}),
+             "unknown key(s) in [simulation]: seeed"),
+            (json.dumps({**base, "players": [{**main, "utilty": "indifferent"}]}),
+             "unknown key(s) in [player:m]: utilty"),
+            (json.dumps({**base, "players": [{**main, "init": {"Q": 5}}]}),
+             "species 'Q' is not in player"),
+        ]:
+            (config_dir / "exp.json").write_text(text)
+            with pytest.raises(ConfigError) as err:
+                load_config(config_dir / "exp.json")
+            assert fragment.lower() in str(err.value).lower()
 
     def test_json_must_be_object(self, config_dir):
         (config_dir / "exp.json").write_text("[1, 2]")

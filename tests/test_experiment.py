@@ -1,15 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from crngame import game as game_module
 from crngame.config import load_config
-from crngame.experiment import (
-    CSV_COLUMNS,
-    SweepRow,
-    robustness_summary,
-    run_robustness,
-    run_sweep,
-)
-from crngame.game import GameConfigError
+from crngame.core import CrnError
+from crngame.experiment import CSV_COLUMNS, robustness_summary, run_sweep
+from crngame.game import ConditionResult, GameConfigError, robustness_report
 from crngame.svg import sweep_svg
 
 CONFIG = """
@@ -54,16 +51,16 @@ def write_config(tmp_path):
 class TestRunSweep:
     def test_row_per_accepted_condition(self, write_config):
         out = run_sweep(write_config(diffs="0, 5, 10, 20"))
-        assert [r.d for r in out.rows] == [0, 10, 20]
-        assert all(r.trials == 40 for r in out.rows)
-        assert all(r.succ_with <= r.trials for r in out.rows)
-        assert all(not r.error for r in out.rows)
+        assert [r.label for r in out.results] == ["0", "10", "20"]
+        assert all(r.with_opponents.trials == 40 for r in out.results)
+        assert all(r.with_opponents.successes <= 40 for r in out.results)
+        assert all(r.error is None for r in out.results)
 
     def test_single_trial_single_condition(self, write_config):
         out = run_sweep(write_config(diffs="10", trials=1))
-        [row] = out.rows
-        assert row.succ_with in (0, 1)
-        assert row.succ_without in (0, 1)
+        [row] = out.results
+        assert row.with_opponents.successes in (0, 1)
+        assert row.baseline.successes in (0, 1)
 
     def test_csv_shape_and_columns(self, write_config):
         out = run_sweep(write_config(diffs="0, 5, 10"))
@@ -87,14 +84,20 @@ class TestRunSweep:
         # with-opponents arm of d=0 ever sees; d=10 starts at a takeover
         (tmp_path / "nature.crn").write_text("A -> B @ 1e308\nB -> A @ 20\n")
         out = run_sweep(write_config(diffs="0 10", **{"total = 40": "total = 10"}))
-        tie, done = out.rows
-        assert tie.d == 0
-        assert tie.error == "trial 0: non-finite propensity in reaction 2"
-        assert (tie.succ_with, tie.succ_without, tie.p_with) == (0, 0, None)
-        assert done.d == 10 and done.error == ""
-        assert done.succ_with == done.succ_without == done.trials == 40
-        assert done.p_with == done.p_without == 1.0
-        assert done.trunc_with == done.trunc_without == 0
+        tie, done = out.results
+        assert tie.label == "0"
+        assert str(tie.error) == "trial 0: non-finite propensity in reaction 2"
+        assert (tie.with_opponents, tie.baseline, tie.ratio) == (None, None, None)
+        assert done.label == "10" and done.error is None
+        w, b = done.with_opponents, done.baseline
+        assert w.successes == b.successes == w.trials == b.trials == 40
+        assert w.mean == b.mean == 1.0
+        assert w.truncated == b.truncated == 0
+        # an error row keeps d, n and trials, counts zero and no estimates
+        assert out.to_csv().splitlines()[-2:] == [
+            "0,10,40,0,0,,,,,,,,,0,0,trial 0: non-finite propensity in reaction 2",
+            "10,10,40,40,40,1.0,0.8577267864924155,0.9999999999999999,1.0,"
+            "0.8577267864924155,0.9999999999999999,1.0,0.8577267864924156,0,0,"]
 
     def test_overflow_row_same_for_any_worker_count(self, write_config,
                                                     tmp_path, monkeypatch):
@@ -112,9 +115,10 @@ class TestRunSweep:
         monkeypatch.setattr(game_module, "_run_pool", spy)
         one = run_sweep(cfg, workers=1)
         assert pools == [6]
-        assert [row.error for row in one.rows] == [
-            "", "trial 0: non-finite propensity in reaction 2", ""]
-        assert [row.succ_with for row in one.rows] == [40, 0, 40]
+        assert [row.error and str(row.error) for row in one.results] == [
+            None, "trial 0: non-finite propensity in reaction 2", None]
+        assert [row.with_opponents and row.with_opponents.successes
+                for row in one.results] == [40, None, 40]
         for workers in (2, 3):
             assert run_sweep(cfg, workers=workers).to_csv() == one.to_csv()
         assert pools == [6, 6, 6]
@@ -128,33 +132,38 @@ class TestRunSweep:
 
 class TestRunRobustness:
     def test_report_and_rows_align(self, write_config):
-        report, output = run_robustness(write_config(), alpha=0.1)
-        assert len(report.conditions) == len(output.rows)
-        for cond, row in zip(report.conditions, output.rows):
-            assert cond.with_opponents.successes == row.succ_with
-            assert cond.ratio == row.ratio
+        output = run_sweep(write_config())
+        report = robustness_report(output.results, alpha=0.1)
+        rows = [dict(zip(CSV_COLUMNS, line.split(",")))
+                for line in output.to_csv().splitlines()
+                if not line.startswith(("#", "d,"))]
+        assert len(report.conditions) == len(rows)
+        for cond, row in zip(report.conditions, rows):
+            assert cond.with_opponents.successes == int(row["succ_with"])
+            assert cond.ratio == float(row["ratio"])
         assert report.verdict in ("PASS", "FAIL", "INCONCLUSIVE")
 
     def test_summary_line_mentions_verdict(self, write_config):
-        report, _ = run_robustness(write_config(), alpha=0.1)
+        report = robustness_report(run_sweep(write_config()).results, alpha=0.1)
         line = robustness_summary(report)
         assert line.startswith("robustness ")
         assert f"verdict={report.verdict}" in line
         assert "alpha=0.1" in line
 
     def test_impossible_alpha_fails(self, write_config):
-        report, _ = run_robustness(write_config(trials=200), alpha=50.0)
+        report = robustness_report(run_sweep(write_config(trials=200)).results,
+                                   alpha=50.0)
         assert report.verdict == "FAIL"
 
 
 class TestSvg:
     def test_pure_function_of_rows(self, write_config):
         out = run_sweep(write_config())
-        assert sweep_svg(out.rows) == sweep_svg(out.rows)
+        assert sweep_svg(out.results) == sweep_svg(out.results)
 
     def test_plots_both_curves(self, write_config):
         out = run_sweep(write_config())
-        svg = sweep_svg(out.rows)
+        svg = sweep_svg(out.results)
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
         assert "success frequency" in svg
@@ -162,12 +171,12 @@ class TestSvg:
         assert "isolated" in svg and "with opponents" in svg
 
     def test_error_rows_are_skipped(self):
-        rows = [SweepRow(d=0, n=10, trials=5, error="boom")]
+        rows = [ConditionResult("0", error=CrnError("boom"))]
         svg = sweep_svg(rows)
         assert "no plottable rows" in svg
 
     def test_svg_changes_with_data(self, write_config):
         out = run_sweep(write_config())
-        changed = [SweepRow(**{**row.__dict__, "p_with": 0.123})
-                   for row in out.rows]
-        assert sweep_svg(out.rows) != sweep_svg(changed)
+        changed = [replace(row, with_opponents=replace(row.with_opponents, mean=0.123))
+                   for row in out.results]
+        assert sweep_svg(out.results) != sweep_svg(changed)

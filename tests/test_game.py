@@ -18,22 +18,21 @@ from crngame import (
     StopReason,
     TakeoverSuccess,
     UniformCount,
+    catalytic_violations,
     compose,
     estimate_expected_utility,
     estimate_robustness,
-    infer_catalytic_partition,
     make_crn,
     sample_initial_state,
     simulate,
-    validate_catalytic,
 )
 from crngame.core import NumericOverflowError
-from crngame.experiment import estimate_condition
 import crngame.game as game_module
 from crngame.game import (
     _CONCLUSIVE,
     _Arm,
     _run_pool,
+    estimate_conditions,
     sample_initial_states,
     takeover_succeeded,
 )
@@ -180,32 +179,17 @@ class TestCatalyticValidation:
     def test_consensus_with_shuffler_is_catalytic(self, consensus_player,
                                                   nature_player):
         players = [consensus_player, nature_player]
-        partition = infer_catalytic_partition(players)
-        assert partition[0] == ({"X", "Y"}, {"A", "B"})
-        assert partition[1] == ({"A", "B"}, set())
-        assert validate_catalytic(players, partition) == []
+        assert catalytic_violations(players) == []
 
     def test_opponent_consuming_shared_species_is_violation(self, majority_crn):
         eater = player_for(make_crn([({"X": 1}, {"W": 1}, 1.0)]), name="eater")
         players = [player_for(majority_crn, name="main"), eater]
-        violations = validate_catalytic(players, infer_catalytic_partition(players))
-        assert any("X" in v for v in violations)
+        assert catalytic_violations(players) == [
+            "species X owned by both player main and player eater"]
 
     def test_single_player_valid_when_catalysts_conserved(self, catalyzed_crn):
         players = [player_for(catalyzed_crn, name="solo")]
-        assert validate_catalytic(players, infer_catalytic_partition(players)) == []
-
-    def test_declared_catalyst_changed_by_own_reaction(self, shuffler_crn):
-        players = [player_for(shuffler_crn, name="n")]
-        partition = [(set(), {"A", "B"})]  # wrongly declares A, B read-only
-        violations = validate_catalytic(players, partition)
-        # both reactions change both declared catalysts
-        assert len(violations) == 4
-
-    def test_partition_must_cover_species(self, catalyzed_crn):
-        players = [player_for(catalyzed_crn, name="solo")]
-        with pytest.raises(GameConfigError):
-            validate_catalytic(players, [({"X"}, set())])
+        assert catalytic_violations(players) == []
 
 
 class TestUtility:
@@ -250,7 +234,7 @@ class TestUtility:
         for result in report.conditions:
             for arm in (result.with_opponents, result.baseline):
                 assert (arm.mean, arm.lower, arm.upper, arm.successes) == (0, 0, 0, 0)
-            assert result.ratio is None and result.verdict == "undefined"
+            assert result.ratio is None and result.verdict(None) == "undefined"
 
 
 class TestEstimation:
@@ -289,9 +273,10 @@ class TestEstimation:
         assert (est.successes, est.truncated) == scalar_counts(game, 150, config)
         assert 0 < est.truncated and 0 < est.successes < 150 - est.truncated
 
-        result = estimate_condition(small, [nature],
-                                    Condition("d10", small.initial_distribution),
-                                    3, 150, config)
+        # the fourth condition, whose seeds come from condition index 3
+        result = estimate_conditions(
+            small, [nature], [Condition("d10", small.initial_distribution)] * 4,
+            150, config)[3]
         seed = child_seed(7, 3)
         base = compose([small, Player.trivial("trivial-0")])
         for arm, g, s in ((result.with_opponents, game, child_seed(seed, 0)),
@@ -495,7 +480,7 @@ class TestRobustness:
                                      50, SimConfig(seed=2), alpha=0.5)
         [cond] = report.conditions
         assert cond.ratio is None
-        assert cond.verdict == "undefined"
+        assert cond.verdict(report.alpha) == "undefined"
         assert report.verdict == "INCONCLUSIVE"
         assert report.min_ratio is None
 
