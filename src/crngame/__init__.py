@@ -45,17 +45,7 @@ from .oracle import (
     enumerate_states,
 )
 from .rng import Xoshiro256, XoshiroBatch, child_seed
-from .ssa import (
-    Observer,
-    SimConfig,
-    SimResult,
-    StopReason,
-    TrajectoryEvent,
-    TrajectoryRecorder,
-    ZeroCountMonitor,
-    simulate,
-    step,
-)
+from .ssa import SimConfig, SimResult, StopReason, simulate, step
 
 __version__ = "0.1.0"
 

@@ -19,9 +19,10 @@ the source (the hash covers the source and the compiler command), and
 loaded with :mod:`ctypes`. Where that directory is not writable the library
 goes to a private temporary directory that lives as long as the process.
 
-The batch engine supports no general observers; its one stop hook is
-"a watched species count reached zero", which is what final-state
-utilities need. Anything richer belongs on the scalar engine.
+Both engines have one stop hook, ``stop_when_zero``: "a watched species
+count reached zero", which is what final-state utilities need. The batch
+engine has no per-event callback; the scalar engine's ``on_event`` is the
+way to see a trajectory event by event.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .core import CompiledCrn, Crn, CrnError, NumericOverflowError
 from .rng import XoshiroBatch
-from .ssa import SimConfig, StopReason
+from .ssa import SimConfig, StopReason, watched_species
 
 # indexed by the stop codes of _lanes.c; the code after them is _OVERFLOW
 _REASON_CODES = (
@@ -152,8 +153,8 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     initial-state sampling; each lane's stream is advanced in place.
     ``stop_when_zero`` lists species indices; a trial stops with EARLY_STOP
     as soon as any listed count is zero (checked on the initial state and
-    after every event), mirroring a zero-count monitor observer on the
-    scalar engine. A non-finite exit rate raises
+    after every event), the same stop rule as scalar
+    :func:`~crngame.ssa.simulate`. A non-finite exit rate raises
     :class:`NumericOverflowError` naming the first trial that has one at the
     earliest event index at which any does (its ``lane`` and ``event``).
     With ``times=False`` the outcome's ``elapsed`` is None and, unless
@@ -169,9 +170,7 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     trials = initial_states.shape[0]
     if rng.size != trials:
         raise CrnError("rng lane count does not match trial count")
-    watch = np.array(stop_when_zero, dtype=np.int64)
-    if ((watch < 0) | (watch >= nspecies)).any():
-        raise CrnError("stop_when_zero names a species index out of range")
+    watch = np.array(watched_species(stop_when_zero, nspecies), dtype=np.int64)
 
     kin = CompiledCrn(crn.reactions, config.volume)
     nrxn = kin.size

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .game import (
     Player,
     compose,
     robustness_report,
-    sample_initial_state,
 )
 from .oracle import (
     NoAbsorptionError,
@@ -43,8 +43,7 @@ from .oracle import (
     absorption_probabilities,
     enumerate_states,
 )
-from .rng import Xoshiro256
-from .ssa import TrajectoryDumpObserver, ZeroCountMonitor, simulate
+from .ssa import simulate
 from .svg import sweep_svg
 
 EXIT_OK = 0
@@ -205,14 +204,15 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _load_merged_crn(paths: list[str]) -> tuple[Crn, np.ndarray]:
     """Union the files' CRNs and sum their declared initial counts."""
-    players = []
-    for i, spec in enumerate(paths):
-        doc = crnfile.load(resolve_input_path(spec))
-        dist = InitialDistribution.deterministic(doc.initial_state())
-        players.append(Player(doc.crn, dist, Indifferent(), f"file{i}"))
-    game = compose(players)
-    # constant entries draw nothing from the stream
-    return game.crn, sample_initial_state(game, Xoshiro256(0))
+    docs = [crnfile.load(resolve_input_path(spec)) for spec in paths]
+    game = compose([
+        Player(doc.crn, InitialDistribution.deterministic(doc.initial_state()),
+               Indifferent(), f"file{i}")
+        for i, doc in enumerate(docs)])
+    state = game.crn.species.zero_state()
+    for doc, emb in zip(docs, game.embeddings):
+        state[emb] += doc.initial_state()
+    return game.crn, state
 
 
 def _cmd_simulate(args) -> int:
@@ -224,20 +224,19 @@ def _cmd_simulate(args) -> int:
         max_events=args.max_events,
         seed=args.seed if args.seed is not None else 0,
     )
-    observers = []
-    dump_handle = None
-    if args.dump is not None:
-        dump_handle = sys.stdout if args.dump == "-" else open(args.dump, "w")
-        observers.append(TrajectoryDumpObserver(dump_handle, crn.species.names))
-    if args.takeover:
-        observers.append(ZeroCountMonitor(
-            tuple(_species(crn.species, n, "--takeover") for n in args.takeover)))
-    try:
-        result = simulate(crn, state, config, observers)
-    finally:
-        if dump_handle is not None and dump_handle is not sys.stdout:
-            dump_handle.close()
+    watched = tuple(_species(crn.species, name, "--takeover")
+                    for name in args.takeover or ())
     names = crn.species.names
+    if args.dump is None:
+        result = simulate(crn, state, config, watched)
+    else:
+        opened = nullcontext(sys.stdout) if args.dump == "-" else open(args.dump, "w")
+        with opened as dump:
+            # '#' and the species names, then one line per event: cumulative
+            # time, reaction index and every species count, tab-separated
+            dump.write("#\t" + "\t".join(names) + "\n")
+            result = simulate(crn, state, config, watched, lambda t, soj, j, counts: (
+                dump.write("\t".join([repr(t), str(j), *map(str, counts)]) + "\n")))
     print("species:", " ".join(names))
     print("final-state:", " ".join(f"{n}={c}" for n, c in
                                    zip(names, result.final_state)))

@@ -263,7 +263,10 @@ def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
         name = str(entry.get("name", f"player{i + 1}"))
         section = {key: str(value) for key, value in entry.items()
                    if key not in ("name", "init")}
-        for species, value in (entry.get("init") or {}).items():
+        init = entry.get("init")
+        if init is not None and not isinstance(init, dict):
+            raise ConfigError(f"[player:{name}] 'init' must be an object")
+        for species, value in (init or {}).items():
             section[f"init.{species}"] = str(value)
         sections[f"player:{name}"] = section
     for key in _SECTION_KEYS:

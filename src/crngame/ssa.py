@@ -10,9 +10,12 @@ reactant support intersects the fired reaction's changed species are
 recomputed; the exit rate is always re-summed left to right over the full
 propensity array so that batched and scalar runs agree bit for bit.
 
-Observers consume the event stream incrementally and may request an early
-stop (see :class:`Observer`). Estimators run many trials at once on the
-batch engine, whose lanes reproduce this loop bit for bit.
+The stop contract is the batch engine's: ``stop_when_zero`` lists species
+indices, and a run stops with EARLY_STOP as soon as any listed count is
+zero. One optional ``on_event`` callback sees each executed event; the
+``simulate`` command writes its trajectory dump with it. Estimators run
+many trials at once on the batch engine, whose lanes reproduce this loop
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +40,7 @@ class StopReason(Enum):
     TERMINAL = "terminal"  # exit rate 0: no reaction applicable
     TIME_EXHAUSTED = "time-exhausted"
     EVENT_CEILING = "event-ceiling"
-    EARLY_STOP = "early-stop"  # an observer requested the stop
+    EARLY_STOP = "early-stop"  # a watched species count is zero
 
 
 @dataclass(frozen=True)
@@ -68,96 +71,6 @@ class SimConfig:
         return self.max_events if self.max_events is not None else HARD_EVENT_GUARD
 
 
-@dataclass(frozen=True)
-class TrajectoryEvent:
-    """One executed reaction: its sojourn time and index.
-
-    ``resulting_state`` is filled only when an observer asks to retain
-    states; the live engine hands observers a view they must not keep.
-    """
-
-    sojourn: float
-    reaction_index: int
-    resulting_state: CountVector | None = None
-
-
-class Observer(object):
-    """Streaming consumer of a trajectory.
-
-    Subclasses override any of the hooks. ``on_start``/``on_event`` may
-    return True to request an early stop; the engine then reports
-    ``StopReason.EARLY_STOP`` without executing further reactions.
-    ``counts`` arguments are live engine state: read within the call,
-    copy if you need to keep them.
-    """
-
-    def on_start(self, counts: Sequence[int]) -> bool | None:
-        return None
-
-    def on_event(self, time: float, sojourn: float, reaction_index: int,
-                 counts: Sequence[int]) -> bool | None:
-        return None
-
-    def on_stop(self, reason: StopReason, counts: Sequence[int], time: float,
-                events: int) -> None:
-        return None
-
-
-class TrajectoryRecorder(Observer):
-    """Keeps the full event list; intended for tests and small runs."""
-
-    def __init__(self):
-        self.events: list[TrajectoryEvent] = []
-
-    def on_event(self, time, sojourn, reaction_index, counts):
-        state = np.array(counts, dtype=np.int64)
-        self.events.append(TrajectoryEvent(sojourn, reaction_index, state))
-
-
-class TrajectoryDumpObserver(Observer):
-    """Writes the tab-separated trajectory dump format.
-
-    Header line: ``#`` followed by the species names. Event lines:
-    cumulative time, reaction index, then all species counts in table order.
-    """
-
-    def __init__(self, stream, species_names: Sequence[str]):
-        self._stream = stream
-        self._names = tuple(species_names)
-
-    def on_start(self, counts):
-        self._stream.write("#\t" + "\t".join(self._names) + "\n")
-
-    def on_event(self, time, sojourn, reaction_index, counts):
-        row = [repr(time), str(reaction_index)]
-        row.extend(str(c) for c in counts)
-        self._stream.write("\t".join(row) + "\n")
-
-
-class ZeroCountMonitor(Observer):
-    """Requests a stop as soon as any watched species count is zero.
-
-    Used to end runs whose remaining dynamics cannot matter anymore, e.g.
-    a consensus pair where one side has died out. Mirrors the
-    ``stop_when_zero`` hook of the batch engine.
-    """
-
-    def __init__(self, species_indices: Sequence[int]):
-        self._watched = tuple(species_indices)
-
-    def _tripped(self, counts: Sequence[int]) -> bool:
-        for i in self._watched:
-            if counts[i] == 0:
-                return True
-        return False
-
-    def on_start(self, counts):
-        return self._tripped(counts)
-
-    def on_event(self, time, sojourn, reaction_index, counts):
-        return self._tripped(counts)
-
-
 @dataclass
 class SimResult:
     final_state: CountVector
@@ -166,41 +79,58 @@ class SimResult:
     elapsed: float
 
 
+def watched_species(stop_when_zero: Sequence[int], nspecies: int) -> tuple[int, ...]:
+    """``stop_when_zero`` as a tuple of ints; each must index a species."""
+    watched = tuple(int(i) for i in stop_when_zero)
+    if any(not 0 <= i < nspecies for i in watched):
+        raise CrnError("stop_when_zero names a species index out of range")
+    return watched
+
+
 def step(crn: Crn, state: CountVector, volume: float,
-         rng: Xoshiro256) -> tuple[TrajectoryEvent, CountVector] | None:
+         rng: Xoshiro256) -> tuple[float, int, CountVector] | None:
     """Execute one event of :func:`simulate`'s loop on ``rng``; None if terminal.
 
-    The stream advances exactly as in the first event of :func:`simulate`:
-    one uniform for the sojourn, then one for the reaction choice.
+    Returns ``(sojourn, reaction_index, resulting_state)``. The stream
+    advances exactly as in the first event of :func:`simulate`: one uniform
+    for the sojourn, then one for the reaction choice.
     """
-    recorder = TrajectoryRecorder()
-    result = _core_loop(crn, state, SimConfig(volume, max_events=1), (recorder,), rng)
-    if not recorder.events:
+    fired = []
+    result = _core_loop(crn, state, SimConfig(volume, max_events=1), rng,
+                        on_event=lambda t, soj, j, counts: fired.append((soj, j)))
+    if not fired:
         return None
-    return recorder.events[0], result.final_state
+    return (*fired[0], result.final_state)
 
 
 def simulate(crn: Crn, initial_state: CountVector, config: SimConfig,
-             observers: Iterable[Observer] = ()) -> SimResult:
+             stop_when_zero: Sequence[int] = (),
+             on_event: Callable[[float, float, int, Sequence[int]], object]
+             | None = None) -> SimResult:
     """Run one trajectory from ``initial_state`` until a stop condition.
 
-    Stop conditions, checked in this order: an observer requests a stop
-    (EARLY_STOP); the exit rate is 0 (TERMINAL); the next sojourn would pass
-    ``max_time`` (TIME_EXHAUSTED, reported at ``max_time`` with the pending
-    reaction not executed); the event ceiling is reached (EVENT_CEILING).
-    Observers see each executed event exactly once, in order. With a fixed
-    seed, config, CRN, and initial state the trajectory is reproducible.
+    Stop conditions, checked in this order: a species listed in
+    ``stop_when_zero`` has count zero (EARLY_STOP; checked on the initial
+    state and after every event); the exit rate is 0 (TERMINAL); the next
+    sojourn would pass ``max_time`` (TIME_EXHAUSTED, reported at
+    ``max_time`` with the pending reaction not executed); the event ceiling
+    is reached (EVENT_CEILING). ``on_event(time, sojourn, reaction_index,
+    counts)`` is called once per executed event, in order, before the stop
+    checks; ``counts`` is the live state, to be read within the call. With a
+    fixed seed, config, CRN, and initial state the trajectory is
+    reproducible.
     """
-    return _core_loop(crn, initial_state, config, tuple(observers),
-                      Xoshiro256(config.seed))
+    return _core_loop(crn, initial_state, config, Xoshiro256(config.seed),
+                      stop_when_zero, on_event)
 
 
-def _core_loop(crn, initial_state, config, observers, rng):
+def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None):
     """Direct-method loop on a caller-provided, possibly pre-advanced stream."""
     if len(initial_state) != len(crn.species):
         raise CrnError("initial state dimension does not match CRN")
     if (np.asarray(initial_state) < 0).any():
         raise CrnError("initial counts must be nonnegative")
+    watched = watched_species(stop_when_zero, len(crn.species))
     compiled = CompiledCrn(crn.reactions, config.volume)
     nrxn = compiled.size
     counts = [int(c) for c in initial_state]
@@ -208,17 +138,11 @@ def _core_loop(crn, initial_state, config, observers, rng):
     ceiling = config.event_ceiling
 
     def finish(reason, t, events):
-        final = np.array(counts, dtype=np.int64)
-        for obs in observers:
-            obs.on_stop(reason, final, t, events)
-        return SimResult(final, reason, events, t)
+        return SimResult(np.array(counts, dtype=np.int64), reason, events, t)
 
-    stop = False
-    for obs in observers:
-        if obs.on_start(counts):
-            stop = True
-    if stop:
-        return finish(StopReason.EARLY_STOP, 0.0, 0)
+    for i in watched:
+        if counts[i] == 0:
+            return finish(StopReason.EARLY_STOP, 0.0, 0)
 
     props = [compiled.propensity(j, counts) for j in range(nrxn)]
     deltas = compiled.deltas
@@ -253,13 +177,11 @@ def _core_loop(crn, initial_state, config, observers, rng):
         events += 1
         for j in dependents[chosen]:
             props[j] = prop_of(j, counts)
-        if observers:
-            stop = False
-            for obs in observers:
-                if obs.on_event(t, sojourn, chosen, counts):
-                    stop = True
-            if stop:
+        if on_event is not None:
+            on_event(t, sojourn, chosen, counts)
+        # a plain loop: a generator expression here makes every event slower
+        for i in watched:
+            if counts[i] == 0:
                 return finish(StopReason.EARLY_STOP, t, events)
         if events >= ceiling:
             return finish(StopReason.EVENT_CEILING, t, events)
-

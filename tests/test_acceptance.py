@@ -33,7 +33,7 @@ from crngame.experiment import CSV_COLUMNS, run_sweep
 from crngame.game import robustness_report
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
-from crngame.ssa import Observer, simulate
+from crngame.ssa import simulate
 
 WORKERS = 2
 
@@ -121,22 +121,10 @@ def test_criterion_4_reduced_scale_gate():
         assert report.verdict == "PASS"
 
 
-class _ConservationObserver(Observer):
-    """Asserts the two linear invariants at every event."""
-
-    def __init__(self, pair_total, catalyst_total):
-        self.pair_total = pair_total
-        self.catalyst_total = catalyst_total
-
-    def _check(self, counts):
-        assert counts[0] + counts[1] == self.pair_total
-        assert counts[2] + counts[3] == self.catalyst_total
-
-    def on_start(self, counts):
-        self._check(counts)
-
-    def on_event(self, time, sojourn, reaction_index, counts):
-        self._check(counts)
+def _check_conservation(counts, pair_total=60, catalyst_total=16):
+    """Asserts the two linear invariants on one state."""
+    assert counts[0] + counts[1] == pair_total
+    assert counts[2] + counts[3] == catalyst_total
 
 
 def test_criterion_5_conservation_suite():
@@ -149,11 +137,13 @@ def test_criterion_5_conservation_suite():
         ])
         table = composed.species
         initial = table.state_from({"X": 36, "Y": 24, "A": 8, "B": 8})
-        from crngame.ssa import ZeroCountMonitor
+        _check_conservation(initial)
 
         for seed in range(100):
-            observers = [_ConservationObserver(60, 16), ZeroCountMonitor((0, 1))]
-            res = simulate(composed, initial, SimConfig(seed=seed), observers)
+            # the invariants hold at every event
+            res = simulate(composed, initial, SimConfig(seed=seed),
+                           stop_when_zero=(0, 1),
+                           on_event=lambda t, soj, j, c: _check_conservation(c))
             # every run reaches a takeover, and afterwards neither
             # consensus reaction can ever fire again
             assert res.stop_reason in (StopReason.EARLY_STOP, StopReason.TERMINAL)
@@ -218,9 +208,8 @@ def test_criterion_7_sampler_statistics():
         sojourns = np.empty(draws)
         picks = np.zeros(len(props), dtype=np.int64)
         for i in range(draws):
-            event, _ = step(fixture, frozen, 1.0, rng)
-            sojourns[i] = event.sojourn
-            picks[event.reaction_index] += 1
+            sojourns[i], index, _ = step(fixture, frozen, 1.0, rng)
+            picks[index] += 1
 
         mean = sojourns.mean()
         typical = 1.0 / total

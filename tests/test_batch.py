@@ -13,14 +13,13 @@ from crngame import Crn, SimConfig, StopReason, batch, make_crn
 from crngame.batch import simulate_batch
 from crngame.core import NumericOverflowError
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
-from crngame.ssa import ZeroCountMonitor, _core_loop
+from crngame.ssa import _core_loop
 
 
 def scalar_reference(crn, initial, config, seeds, watch=()):
     finals, reasons, events, elapsed = [], [], [], []
-    observers = (ZeroCountMonitor(watch),) if watch else ()
     for seed in seeds:
-        res = _core_loop(crn, initial, config, observers, Xoshiro256(seed))
+        res = _core_loop(crn, initial, config, Xoshiro256(seed), watch)
         finals.append(res.final_state)
         reasons.append(res.stop_reason)
         events.append(res.events)

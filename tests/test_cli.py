@@ -80,6 +80,31 @@ class TestSimulate:
                           if l.startswith("events:")).split()[1])
         assert len(lines) == 1 + events
 
+    @pytest.mark.parametrize("argv, lines, digest", [
+        (("pkg:r_prime.crn", "--init", "X=60", "--init", "Y=40", "--volume", "2.5",
+          "--seed", "3", "--takeover", "X", "Y"), 83,
+         "ad919429923bc78705068fc61194f828e2d6a9342264d3e9c7b8252d019c45df"),
+        (("pkg:r_prime.crn", "pkg:nature.crn", "--seed", "3", "--max-events", "5000"),
+         5005, "55e5685d7008882d85f8e7b559d90fe82da0088f87df11c1892f05fbf532afe5"),
+    ], ids=["takeover", "with-nature"])
+    def test_dump_text_unchanged(self, capsys, argv, lines, digest):
+        # against a recorded digest of stdout without the parts that pass
+        # through libm log: the elapsed line and each event line's time
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--dump", "-")
+        assert code == 0
+        kept, times = [], []
+        for line in out.splitlines():
+            if line.startswith("elapsed:"):
+                continue
+            if "\t" in line and not line.startswith("#"):
+                time, line = line.split("\t", 1)
+                times.append(float(time))
+            kept.append(line)
+        assert len(kept) == lines
+        assert all(a < b for a, b in zip([0.0] + times, times))
+        text = "\n".join(kept) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_empty_crn_zero_events(self, tmp_path, capsys):
         empty = tmp_path / "empty.crn"
         empty.write_text("")

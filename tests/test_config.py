@@ -190,6 +190,10 @@ class TestJsonConfig:
              "unknown key(s) in [player:m]: utilty"),
             (json.dumps({**base, "players": [{**main, "init": {"Q": 5}}]}),
              "species 'Q' is not in player"),
+            (json.dumps({**base, "players": [{**main, "init": [1]}]}),
+             "[player:m] 'init' must be an object"),
+            (json.dumps({**base, "players": [{**main, "init": "A=5"}]}),
+             "[player:m] 'init' must be an object"),
         ]:
             (config_dir / "exp.json").write_text(text)
             with pytest.raises(ConfigError) as err:

@@ -37,7 +37,6 @@ from crngame.game import (
     takeover_succeeded,
 )
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
-from crngame.ssa import TrajectoryRecorder, ZeroCountMonitor
 
 
 def player_for(crn, counts=None, utility=None, name="p"):
@@ -63,13 +62,12 @@ def scalar_counts(game, trials, config):
     """(successes, truncations) of player 1, from scalar runs on child_seed streams."""
     spec = game.players[0].utility
     table = game.crn.species
-    monitor = ZeroCountMonitor((table.index_of(spec.x_species),
-                                table.index_of(spec.y_species)))
+    watched = (table.index_of(spec.x_species), table.index_of(spec.y_species))
     successes = truncated = 0
     for j in range(trials):
         stream = child_seed(config.seed, j)
         initial = sample_initial_state(game, Xoshiro256(stream))
-        res = simulate(game.crn, initial, replace(config, seed=stream), [monitor])
+        res = simulate(game.crn, initial, replace(config, seed=stream), watched)
         successes += bool(won(table, initial, res.final_state, res.stop_reason, spec))
         truncated += res.stop_reason not in (StopReason.TERMINAL,
                                              StopReason.EARLY_STOP)
@@ -441,16 +439,15 @@ class TestRobustness:
         alone = compose([consensus_player])
         padded = compose([consensus_player, Player.trivial()])
         initial = sample_initial_state(alone, Xoshiro256(0))
-        rec_a, rec_b = TrajectoryRecorder(), TrajectoryRecorder()
+        events_a, events_b = [], []
         res_a = simulate(alone.crn, initial, SimConfig(seed=55, max_events=2000),
-                         [rec_a])
+                         on_event=lambda t, soj, j, counts: events_a.append((j, soj)))
         res_b = simulate(padded.crn, initial, SimConfig(seed=55, max_events=2000),
-                         [rec_b])
+                         on_event=lambda t, soj, j, counts: events_b.append((j, soj)))
         assert res_a.final_state.tolist() == res_b.final_state.tolist()
-        assert len(rec_a.events) == len(rec_b.events)
-        for ea, eb in zip(rec_a.events, rec_b.events):
-            assert ea.reaction_index == eb.reaction_index
-            assert ea.sojourn == eb.sojourn
+        assert len(events_a) == len(events_b)
+        # same reaction index and sojourn at every event
+        assert events_a == events_b
 
     def test_opponent_order_does_not_change_utilities(self, consensus_player,
                                                       shuffler_crn):

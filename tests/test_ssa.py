@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,32 +5,43 @@ import pytest
 
 from crngame import (
     Crn,
+    CrnError,
     NumericOverflowError,
     SimConfig,
     StopReason,
-    TrajectoryRecorder,
-    ZeroCountMonitor,
     make_crn,
     simulate,
     step,
 )
-from crngame.rng import Xoshiro256
-from crngame.ssa import HARD_EVENT_GUARD, Observer, TrajectoryDumpObserver
+from crngame.batch import simulate_batch
+from crngame.cli import main
+from crngame.rng import Xoshiro256, XoshiroBatch
+from crngame.ssa import HARD_EVENT_GUARD
 
 
 def state_of(crn, **counts):
     return crn.species.state_from(counts)
 
 
+def recorded(crn, initial, config, stop_when_zero=()):
+    """simulate's result and its events as (time, sojourn, index, state copy)."""
+    events = []
+
+    def on_event(t, sojourn, reaction_index, counts):
+        events.append((t, sojourn, reaction_index, np.array(counts)))
+
+    return simulate(crn, initial, config, stop_when_zero, on_event), events
+
+
 class TestStep:
     def test_forced_jump(self, majority_crn):
         # at (2, 1) only 2X+Y->3X is applicable (rates 2 and 0)
         rng = Xoshiro256(5)
-        event, new_state = step(majority_crn, state_of(majority_crn, X=2, Y=1),
-                                1.0, rng)
-        assert event.reaction_index == 0
+        sojourn, index, new_state = step(majority_crn,
+                                         state_of(majority_crn, X=2, Y=1), 1.0, rng)
+        assert index == 0
         assert new_state.tolist() == [3, 0]
-        assert event.sojourn > 0.0
+        assert sojourn > 0.0
 
     def test_terminal_state_returns_none(self, majority_crn):
         rng = Xoshiro256(5)
@@ -41,7 +51,7 @@ class TestStep:
         # both reactions have rate 4 at (2, 2); selection should be ~50/50
         rng = Xoshiro256(13)
         s = state_of(majority_crn, X=2, Y=2)
-        picks = [step(majority_crn, s, 1.0, rng)[0].reaction_index
+        picks = [step(majority_crn, s, 1.0, rng)[1]
                  for _ in range(4000)]
         frac = sum(picks) / len(picks)
         assert abs(frac - 0.5) < 4 * 0.5 / math.sqrt(len(picks))
@@ -50,7 +60,7 @@ class TestStep:
         # mean sojourn at total rate 18 should be near 1/18
         rng = Xoshiro256(3)
         s = state_of(majority_crn, X=3, Y=2)
-        sojourns = [step(majority_crn, s, 1.0, rng)[0].sojourn
+        sojourns = [step(majority_crn, s, 1.0, rng)[0]
                     for _ in range(20000)]
         mean = sum(sojourns) / len(sojourns)
         assert abs(mean - 1 / 18) < 4 * (1 / 18) / math.sqrt(len(sojourns))
@@ -70,16 +80,15 @@ class TestStep:
         ])
         start = crn.species.state_from(counts)
         for seed in range(6):
-            recorder = TrajectoryRecorder()
-            result = simulate(crn, start, SimConfig(volume, max_events=25, seed=seed),
-                              [recorder])
+            result, events = recorded(crn, start,
+                                      SimConfig(volume, max_events=25, seed=seed))
             rng = Xoshiro256(seed)
             state = start
-            for event in recorder.events:
-                stepped, state = step(crn, state, volume, rng)
-                assert stepped.sojourn == event.sojourn
-                assert stepped.reaction_index == event.reaction_index
-                assert state.tolist() == event.resulting_state.tolist()
+            for _, sojourn, index, resulting in events:
+                stepped_sojourn, stepped_index, state = step(crn, state, volume, rng)
+                assert stepped_sojourn == sojourn
+                assert stepped_index == index
+                assert state.tolist() == resulting.tolist()
             if result.stop_reason is StopReason.TERMINAL:
                 assert step(crn, state, volume, rng) is None
 
@@ -117,14 +126,12 @@ class TestSimulate:
         assert res.elapsed == cutoff
         assert res.events < full.events
         # the trajectory prefix matches the unbounded run
-        rec_full = TrajectoryRecorder()
-        simulate(majority_crn, s, SimConfig(seed=9), [rec_full])
-        rec_cut = TrajectoryRecorder()
-        simulate(majority_crn, s, SimConfig(seed=9, max_time=cutoff), [rec_cut])
-        assert len(rec_cut.events) == res.events
-        for got, want in zip(rec_cut.events, rec_full.events):
-            assert got.reaction_index == want.reaction_index
-            assert got.sojourn == want.sojourn
+        _, full_events = recorded(majority_crn, s, SimConfig(seed=9))
+        _, cut_events = recorded(majority_crn, s, SimConfig(seed=9, max_time=cutoff))
+        assert len(cut_events) == res.events
+        for got, want in zip(cut_events, full_events):
+            assert got[2] == want[2]  # reaction index
+            assert got[1] == want[1]  # sojourn
 
     def test_event_ceiling_reported_not_raised(self, majority_crn):
         s = state_of(majority_crn, X=30, Y=25)
@@ -145,14 +152,13 @@ class TestSimulate:
 
     def test_zero_count_monitor_stops_early(self, majority_crn):
         s = state_of(majority_crn, X=6, Y=3)
-        monitor = ZeroCountMonitor((0, 1))
-        res = simulate(majority_crn, s, SimConfig(seed=8), [monitor])
+        res = simulate(majority_crn, s, SimConfig(seed=8), stop_when_zero=(0, 1))
         assert res.stop_reason is StopReason.EARLY_STOP
         assert res.final_state.min() == 0
 
     def test_monitor_trips_on_initial_state(self, majority_crn):
         s = state_of(majority_crn, X=6, Y=0)
-        res = simulate(majority_crn, s, SimConfig(seed=8), [ZeroCountMonitor((0, 1))])
+        res = simulate(majority_crn, s, SimConfig(seed=8), stop_when_zero=(0, 1))
         assert res.stop_reason is StopReason.EARLY_STOP
         assert res.events == 0
 
@@ -172,47 +178,56 @@ class TestSimulate:
         assert str(err.value) == text
 
 
-class _CountingObserver(Observer):
-    def __init__(self):
-        self.events = 0
-        self.stopped = None
-
-    def on_event(self, time, sojourn, reaction_index, counts):
-        self.events += 1
-
-    def on_stop(self, reason, counts, time, events):
-        self.stopped = (reason, events)
-
-
 class TestObservers:
+    """The on_event callback, and the dump the simulate command writes with it."""
+
     def test_each_event_seen_exactly_once(self, majority_crn):
         s = state_of(majority_crn, X=12, Y=9)
-        obs = _CountingObserver()
-        res = simulate(majority_crn, s, SimConfig(seed=2), [obs])
-        assert obs.events == res.events
-        assert obs.stopped == (res.stop_reason, res.events)
+        res, events = recorded(majority_crn, s, SimConfig(seed=2))
+        assert len(events) == res.events
+        times = [t for t, _, _, _ in events]
+        assert times == sorted(set(times))
+        # the last event is the one the run stopped on
+        assert times[-1] == res.elapsed
+        assert events[-1][3].tolist() == res.final_state.tolist()
 
     def test_recorder_conserves_population(self, majority_crn):
         s = state_of(majority_crn, X=12, Y=9)
-        rec = TrajectoryRecorder()
-        simulate(majority_crn, s, SimConfig(seed=2), [rec])
-        for event in rec.events:
-            assert event.resulting_state.sum() == 21
+        _, events = recorded(majority_crn, s, SimConfig(seed=2))
+        assert events
+        for _, _, _, state in events:
+            assert state.sum() == 21
 
-    def test_dump_format(self, majority_crn):
+    def test_dump_format(self, majority_crn, capsys):
+        # pkg:r.crn is majority_crn; the dump is one line per simulate event
         s = state_of(majority_crn, X=3, Y=2)
-        buf = io.StringIO()
-        res = simulate(majority_crn, s, SimConfig(seed=6),
-                       [TrajectoryDumpObserver(buf, majority_crn.species.names)])
-        lines = buf.getvalue().splitlines()
+        res, events = recorded(majority_crn, s, SimConfig(seed=6))
+        assert main(["simulate", "pkg:r.crn", "--init", "X=3", "--init", "Y=2",
+                     "--seed", "6", "--dump", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "#\tX\tY"
-        assert len(lines) == 1 + res.events
+        assert len(lines) == 1 + res.events + 5  # the five summary lines
         previous_time = 0.0
-        for line in lines[1:]:
+        for line, (t, _, index, state) in zip(lines[1:], events):
             cells = line.split("\t")
             assert len(cells) == 2 + 2
-            t = float(cells[0])
-            assert t > previous_time
+            assert float(cells[0]) == t > previous_time
             previous_time = t
-            assert int(cells[1]) in (0, 1)
+            assert int(cells[1]) == index in (0, 1)
+            assert [int(c) for c in cells[2:]] == state.tolist()
             assert int(cells[2]) + int(cells[3]) == 5
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+@pytest.mark.parametrize("watch", [(2,), (-1,), (0, 7)])
+def test_stop_when_zero_rejects_bad_indices(majority_crn, engine, watch):
+    # a negative index must not wrap around to the last species
+    initial = state_of(majority_crn, X=3, Y=2)
+    config = SimConfig(seed=1)
+    with pytest.raises(CrnError, match="stop_when_zero names a species index"):
+        if engine == "scalar":
+            simulate(majority_crn, initial, config, stop_when_zero=watch)
+        else:
+            simulate_batch(majority_crn, initial[None, :], config,
+                           XoshiroBatch(np.array([1], dtype=np.uint64)),
+                           stop_when_zero=watch)
