@@ -13,29 +13,35 @@ pair at fixed total ``n``: each condition starts the pair at
 rejected at load time (silent rounding would bias the tie condition) and
 reported alongside the accepted ones; a ``d`` with ``|d| > n``, or a sweep
 left with no condition, is a load error. So is a section or key that the
-schema does not have, rather than a setting dropped without a word.
+schema does not have, rather than a setting dropped without a word, and so
+is a game that cannot be composed (a utility species that no player has, or
+that the baseline, with the first player alone, lacks) or, with
+``catalytic`` set, one that is not catalytic.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import CrnError
-from .crnfile import CrnDocument, load as load_crn
+from .crnfile import load as load_crn
+from .data import path as data_path
 from .game import (
     Condition,
     ConstantCount,
     CountDistribution,
+    GameConfigError,
     Indifferent,
     InitialDistribution,
     Player,
     TakeoverSuccess,
     UniformCount,
     UtilitySpec,
+    catalytic_violations,
+    compose,
 )
 from .ssa import SimConfig
 
@@ -47,9 +53,7 @@ class ConfigError(CrnError):
 def resolve_input_path(spec: str, base_dir: Path | None = None) -> Path:
     """Resolve a config-referenced path; ``pkg:NAME`` names a shipped data file."""
     if spec.startswith("pkg:"):
-        name = spec[len("pkg:"):]
-        path = resources.files("crngame.data").joinpath(name)
-        return Path(str(path))
+        return Path(data_path(spec[len("pkg:"):]))
     path = Path(spec)
     if not path.is_absolute() and base_dir is not None:
         path = base_dir / path
@@ -101,17 +105,18 @@ def _convert(kind, value, where: str):
 
 def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        return UniformCount(_convert(int, lo_text, where), _convert(int, hi_text, where))
-    return ConstantCount(_convert(int, text, where))
+    try:
+        if ".." in text:
+            low, high = (_convert(int, part, where) for part in text.split("..", 1))
+            return UniformCount(low, high)
+        return ConstantCount(_convert(int, text, where))
+    except GameConfigError as exc:
+        raise ConfigError(f"{where} = {text!r}: {exc}") from None
 
 
-def _parse_diffs(text) -> list[int]:
+def _parse_diffs(text: str) -> list[int]:
     where = "[sweep] diffs"
-    if isinstance(text, list):
-        return [_convert(int, d, where) for d in text]
-    text = str(text).strip()
+    text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -133,36 +138,10 @@ def sim_config(volume: float = 1.0, max_time: float | None = None,
 
 
 @dataclass
-class PlayerConfig:
-    name: str
-    document: CrnDocument
-    utility: UtilitySpec
-    init_overrides: dict[str, CountDistribution] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for species in self.init_overrides:
-            if species not in self.document.crn.species:
-                raise ConfigError(
-                    f"[player:{self.name}] init.{species}: species {species!r} is "
-                    f"not in player {self.name!r}'s CRN")
-
-    def build_player(self) -> Player:
-        table = self.document.crn.species
-        entries: list[CountDistribution] = []
-        for name in table.names:
-            if name in self.init_overrides:
-                entries.append(self.init_overrides[name])
-            else:
-                entries.append(ConstantCount(self.document.initial_counts.get(name, 0)))
-        return Player(self.document.crn, InitialDistribution(tuple(entries)),
-                      self.utility, self.name)
-
-
-@dataclass
 class ExperimentConfig:
     """Everything a sweep or robustness run needs, fully resolved."""
 
-    players: list[PlayerConfig]
+    players: list[Player]
     pair: tuple[str, str]
     total: int
     diffs: list[int]
@@ -196,10 +175,18 @@ class ExperimentConfig:
         self.sim_config()  # rejects a bad volume, max_time or max_events
         first = self.players[0]
         for name in self.pair:
-            if name not in first.document.crn.species:
+            if name not in first.strategy.species:
                 raise ConfigError(
                     f"sweep pair species {name!r} is not in player "
                     f"{first.name!r}'s CRN")
+        try:  # a utility species outside the game, or outside the baseline's
+            for players in (self.players, self.players[:1]):
+                compose(players, self.volume)
+        except GameConfigError as exc:
+            raise ConfigError(str(exc)) from None
+        violations = catalytic_violations(self.players) if self.catalytic else []
+        if violations:
+            raise ConfigError("catalytic validation failed: " + "; ".join(violations))
 
     def sim_config(self, seed: int | None = None) -> SimConfig:
         return sim_config(self.volume, self.max_time, self.max_events,
@@ -213,7 +200,7 @@ class ExperimentConfig:
 
     def conditions(self) -> list[Condition]:
         """One condition per accepted diff, pinning the pair's initial counts."""
-        player = self.players[0].build_player()
+        player = self.players[0]
         x_name, y_name = self.pair
         out = []
         for d in self.accepted_diffs():
@@ -224,10 +211,10 @@ class ExperimentConfig:
         return out
 
     def main_player(self) -> Player:
-        return self.players[0].build_player()
+        return self.players[0]
 
     def opponent_players(self) -> list[Player]:
-        return [p.build_player() for p in self.players[1:]]
+        return self.players[1:]
 
 
 def _sections_from_ini(text: str) -> dict[str, dict[str, str]]:
@@ -240,6 +227,18 @@ def _sections_from_ini(text: str) -> dict[str, dict[str, str]]:
     if parser.defaults():  # they would be read as keys of every section
         raise ConfigError(f"unknown config section [{parser.default_section}]")
     return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+# The settings that a JSON list may give, as its items joined with spaces.
+_JSON_LISTS = {("sweep", "pair"), ("sweep", "diffs")}
+
+
+def _ini_text(value, section: str, key: str) -> str:
+    """The INI text of a JSON value: a scalar as ``str`` writes it."""
+    items = value if isinstance(value, list) and (section, key) in _JSON_LISTS else [value]
+    if any(isinstance(item, (list, dict)) for item in items):
+        raise ConfigError(f"[{section}] {key} = {json.dumps(value)} is not a single value")
+    return " ".join(map(str, items))
 
 
 def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
@@ -261,23 +260,20 @@ def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
         if not isinstance(entry, dict):
             raise ConfigError("each player must be an object")
         name = str(entry.get("name", f"player{i + 1}"))
-        section = {key: str(value) for key, value in entry.items()
-                   if key not in ("name", "init")}
         init = entry.get("init")
         if init is not None and not isinstance(init, dict):
             raise ConfigError(f"[player:{name}] 'init' must be an object")
-        for species, value in (init or {}).items():
-            section[f"init.{species}"] = str(value)
-        sections[f"player:{name}"] = section
+        body = {key: value for key, value in entry.items() if key not in ("name", "init")}
+        body.update((f"init.{species}", value) for species, value in (init or {}).items())
+        sections[f"player:{name}"] = {
+            key: _ini_text(value, f"player:{name}", key) for key, value in body.items()}
     for key in _SECTION_KEYS:
         block = data.get(key)
         if block is None:
             continue
         if not isinstance(block, dict):
             raise ConfigError(f"'{key}' must be an object")
-        sections[key] = {
-            k: (v if isinstance(v, list) else str(v)) for k, v in block.items()
-        }
+        sections[key] = {k: _ini_text(v, key, k) for k, v in block.items()}
     return sections
 
 
@@ -302,7 +298,7 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         sections = _sections_from_ini(text)
     _check_keys(sections)
 
-    players: list[PlayerConfig] = []
+    players: list[Player] = []
     for section_name, body in sections.items():
         if not section_name.startswith("player:"):
             continue
@@ -311,12 +307,19 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
             raise ConfigError(f"[{section_name}] is missing crn = <path>")
         document = load_crn(resolve_input_path(body["crn"], base_dir))
         utility = _parse_utility(body.get("utility", "indifferent"))
-        overrides = {}
+        # the .crn file's init lines, then the init.<S> overrides
+        table = document.crn.species
+        entries = list(InitialDistribution.deterministic(document.initial_state()).entries)
         for key, value in body.items():
             if key.startswith("init."):
-                overrides[key[len("init."):]] = _parse_count_distribution(
-                    value, f"[{section_name}] {key}")
-        players.append(PlayerConfig(name, document, utility, overrides))
+                count = _parse_count_distribution(value, f"[{section_name}] {key}")
+                species = key[len("init."):]
+                if species not in table:
+                    raise ConfigError(f"[{section_name}] {key}: species {species!r} "
+                                      f"is not in player {name!r}'s CRN")
+                entries[table.index_of(species)] = count
+        players.append(Player(document.crn, InitialDistribution(tuple(entries)),
+                              utility, name))
 
     sweep = sections.get("sweep")
     if sweep is None:
@@ -324,7 +327,7 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     for key in ("pair", "total", "diffs", "trials"):
         if key not in sweep:
             raise ConfigError(f"[sweep] is missing {key}")
-    pair_parts = str(sweep["pair"]).split()
+    pair_parts = sweep["pair"].split()
     if len(pair_parts) != 2:
         raise ConfigError("sweep pair must name two species, e.g. 'X Y'")
 

@@ -57,16 +57,10 @@ class ParseError(CrnError):
 
 @dataclass
 class CrnDocument:
-    """A parsed CRN plus declared initial counts and source positions.
-
-    ``reaction_lines`` maps each reaction (by index) to the 1-based source
-    line it came from; synthetic documents may leave it empty. Positions
-    are diagnostics only and do not participate in equality.
-    """
+    """A parsed CRN plus its declared initial counts."""
 
     crn: Crn
     initial_counts: dict[str, int] = field(default_factory=dict)
-    reaction_lines: tuple[int, ...] = ()
 
     def __post_init__(self):
         for name, count in self.initial_counts.items():
@@ -74,13 +68,6 @@ class CrnDocument:
                 raise CrnError(f"init for undeclared species {name!r}")
             if count < 0:
                 raise CrnError(f"negative init for species {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CrnDocument)
-            and self.crn == other.crn
-            and self.initial_counts == other.initial_counts
-        )
 
     def initial_state(self):
         """Dense initial count vector (zero for species without an init)."""
@@ -215,7 +202,6 @@ def parse(text: str) -> CrnDocument:
     """
     reactions: list[tuple[dict[str, int], dict[str, int], float]] = []
     reaction_keys: set[tuple] = set()
-    reaction_lines: list[int] = []
     inits: list[tuple[int, _Token, int]] = []  # line, name token, count
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -253,7 +239,6 @@ def parse(text: str) -> CrnDocument:
             raise ParseError(lineno, first.column, "duplicate reaction")
         reaction_keys.add(key)
         reactions.append((reactants, products, rate))
-        reaction_lines.append(lineno)
 
     crn = make_crn(reactions)
     initial_counts: dict[str, int] = {}
@@ -266,7 +251,7 @@ def parse(text: str) -> CrnDocument:
                              "duplicate init for species", name_tok.text)
         initial_counts[name_tok.text] = count
 
-    return CrnDocument(crn, initial_counts, tuple(reaction_lines))
+    return CrnDocument(crn, initial_counts)
 
 
 def _format_rate(k: float) -> str:

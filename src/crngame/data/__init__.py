@@ -10,10 +10,3 @@ from importlib import resources
 def path(name: str) -> str:
     """Filesystem path of a shipped data file."""
     return str(resources.files(__name__).joinpath(name))
-
-
-def listing() -> list[str]:
-    return sorted(
-        entry.name for entry in resources.files(__name__).iterdir()
-        if entry.name.endswith((".crn", ".ini"))
-    )

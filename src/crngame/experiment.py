@@ -15,13 +15,7 @@ import io
 from dataclasses import dataclass
 
 from .config import ExperimentConfig
-from .game import (
-    ConditionResult,
-    GameConfigError,
-    RobustnessReport,
-    catalytic_violations,
-    estimate_conditions,
-)
+from .game import ConditionResult, RobustnessReport, estimate_conditions
 
 
 def _arm(name: str, field: str, empty=None):
@@ -98,19 +92,14 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
               paired_seeds: bool = False) -> SweepOutput:
     """Run both arms of every accepted condition, all in one lane pool.
 
-    Per-condition failures land in that condition's result (the CSV's
-    ``error`` column) and the run continues; configuration-level errors
-    (bad species names, catalytic violations when requested) raise instead.
+    The config was checked when it was loaded (species names, composition,
+    the catalytic check when requested). A lane overflow lands in its
+    condition's result (the CSV's ``error`` column) and the run continues.
     ``paired_seeds`` reuses the with-opponents streams in the baseline arms.
     """
-    player, opponents = config.main_player(), config.opponent_players()
-    violations = catalytic_violations([player] + opponents) if config.catalytic else []
-    if violations:
-        raise GameConfigError(
-            "catalytic validation failed: " + "; ".join(violations))
     return SweepOutput(config, estimate_conditions(
-        player, opponents, config.conditions(), config.trials, config.sim_config(),
-        config.confidence, paired_seeds, workers))
+        config.main_player(), config.opponent_players(), config.conditions(),
+        config.trials, config.sim_config(), config.confidence, paired_seeds, workers))
 
 
 def robustness_summary(report: RobustnessReport) -> str:

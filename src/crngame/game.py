@@ -487,35 +487,27 @@ def estimate_conditions(player: Player, opponents: Sequence[Player],
     ``i`` takes its seeds from index ``i`` (see :func:`_condition_arms`):
     the arms use distinct child-seed streams unless ``paired_seeds``, which
     reuses the with-arm stream in the baseline for variance reduction. A
-    condition that cannot be composed or simulated yields a result that
-    carries its error, the with-opponents arm's first; the others are
-    unaffected.
+    game that cannot be composed raises before any lane runs. A lane
+    overflow yields a result that carries its error, the with-opponents
+    arm's first; the other conditions are unaffected.
     """
     if trials < 1:
         raise GameConfigError("trials must be >= 1")
     opponents = tuple(opponents)
-    pairs: list[tuple[_Arm, _Arm] | CrnError] = []
-    for i, condition in enumerate(conditions):
-        try:
-            pairs.append(_condition_arms(player, opponents, condition, i, config,
-                                         paired_seeds))
-        except CrnError as exc:
-            pairs.append(exc)
-    arms = [arm for pair in pairs if not isinstance(pair, CrnError) for arm in pair]
+    arms = [arm for i, condition in enumerate(conditions)
+            for arm in _condition_arms(player, opponents, condition, i, config,
+                                       paired_seeds)]
     if isinstance(player.utility, Indifferent):
         estimates = [_exact_zero(trials, confidence)] * len(arms)
     else:
         counts = _run_pool(arms, player.utility, trials, config, workers) if arms else []
         estimates = [c if isinstance(c, CrnError) else _estimate(*c, trials, confidence)
                      for c in counts]
-    estimates = iter(estimates)
     results: list[ConditionResult] = []
-    for condition, pair in zip(conditions, pairs):
-        if not isinstance(pair, CrnError):
-            pair = (next(estimates), next(estimates))
-            pair = next((arm for arm in pair if isinstance(arm, CrnError)), pair)
-        if isinstance(pair, CrnError):
-            results.append(ConditionResult(condition.label, error=pair))
+    for condition, pair in zip(conditions, zip(estimates[::2], estimates[1::2])):
+        error = next((arm for arm in pair if isinstance(arm, CrnError)), None)
+        if error is not None:
+            results.append(ConditionResult(condition.label, error=error))
             continue
         est_with, est_base = pair
         bounds = ratio_bounds(est_with.lower, est_with.upper,

@@ -308,6 +308,32 @@ class TestUsageErrors:
         assert err.startswith("error: [sweep] diffs") and fragment in err
 
     @pytest.mark.parametrize("command", ["sweep", "robustness"])
+    @pytest.mark.parametrize("edits,message", [
+        ([("exp.ini", "takeover X Y", "takeover X Z")],
+         "utility species 'Z' not in the composed game"),
+        # C is in the game but not in the baseline, which has only player main
+        ([("exp.ini", "takeover X Y", "takeover X C"),
+          ("nature.crn", "A -> B @ 10", "A -> B @ 10\nC -> D @ 10")],
+         "utility species 'C' not in the composed game"),
+        ([("nature.crn", "A -> B @ 10\nB -> A @ 10", "X -> B @ 10\nB -> X @ 10")],
+         "catalytic validation failed: species X owned by both player main "
+         "and player nature"),
+    ], ids=["utility-species", "utility-species-opponent-only", "catalytic"])
+    def test_game_checked_at_load(self, crn_dir, capsys, no_lanes, command, edits,
+                                  message):
+        # a game that cannot be played is one error line, whichever command
+        for file, old, new in edits:
+            path = crn_dir / file
+            path.write_text(path.read_text().replace(old, new))
+        target = crn_dir / "rows.csv"
+        code, out, err = run_cli(capsys, command, str(crn_dir / "exp.ini"),
+                                 "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "robustness"])
     @pytest.mark.parametrize("flag", ["--out", "--svg"])
     def test_output_directory_missing(self, crn_dir, capsys, no_lanes, command, flag):
         target = crn_dir / "no-such-dir" / "rows.out"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from crngame.config import ConfigError, load_config
+from crngame.experiment import run_sweep
 from crngame.game import ConstantCount, Indifferent, TakeoverSuccess, UniformCount
 
 INI_TEXT = """
@@ -67,7 +68,7 @@ class TestIniConfig:
         path = config_dir / "exp.ini"
         path.write_text(INI_TEXT)
         cfg = load_config(path)
-        player = cfg.players[0].build_player()
+        player = cfg.players[0]
         entries = dict(zip(player.strategy.species.names,
                            player.initial_distribution.entries))
         assert entries["A"] == ConstantCount(100)
@@ -86,7 +87,7 @@ class TestIniConfig:
         cfg = load_config(config_dir / "exp.ini")
         conditions = cfg.conditions()
         assert [c.label for c in conditions] == ["0", "20", "40"]
-        player = cfg.players[0].build_player()
+        player = cfg.players[0]
         x_index = player.strategy.species.index_of("X")
         y_index = player.strategy.species.index_of("Y")
         assert conditions[1].distribution.entries[x_index] == ConstantCount(510)
@@ -128,6 +129,12 @@ class TestIniConfig:
         (("total = 1000", "total = 30"), "d = 40 and n = 30"),
         (("diffs = 0:40:20", "diffs = 30:10:10"), "no condition"),
         (("diffs = 0:40:20", "diffs = 1, 3"), "no condition"),
+        (("init.A = 100", "init.A = -5"),
+         "[player:main] init.A = '-5': initial count must be nonnegative"),
+        (("init.B = 90..110", "init.B = 5..3"),
+         "[player:main] init.B = '5..3': bad uniform range [5, 3]"),
+        (("init.B = 90..110", "init.B = -2..4"),
+         "[player:main] init.B = '-2..4': bad uniform range [-2, 4]"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation
@@ -151,7 +158,7 @@ class TestJsonConfig:
                  "init": {"A": 100, "B": "90..110"}},
                 {"name": "nature", "crn": "nature.crn"},
             ],
-            "sweep": {"pair": "X Y", "total": 1000, "diffs": [0, 20, 40],
+            "sweep": {"pair": ["X", "Y"], "total": 1000, "diffs": [0, 20, 40],
                       "trials": 50},
             "simulation": {"seed": 7, "volume": 2.0, "confidence": 0.95,
                            "catalytic": True, "engine": "batch", "threads": 2},
@@ -162,9 +169,10 @@ class TestJsonConfig:
         a = load_config(config_dir / "exp.json")
         b = load_config(config_dir / "exp.ini")
         assert [p.name for p in a.players] == [p.name for p in b.players]
+        assert a.pair == b.pair
         assert a.diffs == b.diffs
         assert a.seed == b.seed
-        assert a.players[0].init_overrides == b.players[0].init_overrides
+        assert a.players[0].initial_distribution == b.players[0].initial_distribution
 
     def test_diff_range_string_accepted(self, config_dir):
         data = {
@@ -194,11 +202,40 @@ class TestJsonConfig:
              "[player:m] 'init' must be an object"),
             (json.dumps({**base, "players": [{**main, "init": "A=5"}]}),
              "[player:m] 'init' must be an object"),
+            (json.dumps({**base, "output": {"csv": ["a.csv"]}}),
+             '[output] csv = ["a.csv"] is not a single value'),
+            (json.dumps({**base, "sweep": {**base["sweep"], "diffs": [0, 10.7]}}),
+             "[sweep] diffs = '10.7' is not an integer"),
+            (json.dumps({**base, "sweep": {**base["sweep"], "diffs": [0, True]}}),
+             "[sweep] diffs = 'True' is not an integer"),
         ]:
             (config_dir / "exp.json").write_text(text)
             with pytest.raises(ConfigError) as err:
                 load_config(config_dir / "exp.json")
             assert fragment.lower() in str(err.value).lower()
+
+    def test_lists_run_as_the_ini_text(self, config_dir):
+        # pair and diffs as JSON lists give the INI twin's CSV byte for byte
+        ini = INI_TEXT.replace("total = 1000", "total = 20").replace(
+            "diffs = 0:40:20", "diffs = 0, 10").replace("trials = 50", "trials = 8")
+        data = {
+            "players": [
+                {"name": "main", "crn": "main.crn", "utility": "takeover X Y",
+                 "init": {"A": 100, "B": "90..110"}},
+                {"name": "nature", "crn": "nature.crn"},
+            ],
+            "sweep": {"pair": ["X", "Y"], "total": 20, "diffs": [0, 10], "trials": 8},
+            "simulation": {"seed": 7, "volume": 2.0, "confidence": 0.95,
+                           "catalytic": True, "engine": "batch", "threads": 2},
+            "output": {"csv": "out.csv", "svg": "out.svg"},
+        }
+        (config_dir / "nature.crn").write_text("A -> B @ 20\nB -> A @ 20\n")
+        (config_dir / "exp.ini").write_text(ini)
+        (config_dir / "exp.json").write_text(json.dumps(data))
+        csv = [run_sweep(load_config(config_dir / name)).to_csv()
+               for name in ("exp.ini", "exp.json")]
+        assert csv[0] == csv[1]
+        assert len(csv[0].splitlines()) == 5  # two comments, the header, two rows
 
     def test_json_must_be_object(self, config_dir):
         (config_dir / "exp.json").write_text("[1, 2]")

@@ -3,10 +3,10 @@ from dataclasses import replace
 import pytest
 
 from crngame import game as game_module
-from crngame.config import load_config
+from crngame.config import ConfigError, load_config
 from crngame.core import CrnError
 from crngame.experiment import CSV_COLUMNS, robustness_summary, run_sweep
-from crngame.game import ConditionResult, GameConfigError, robustness_report
+from crngame.game import ConditionResult, robustness_report
 from crngame.svg import sweep_svg
 
 CONFIG = """
@@ -125,9 +125,8 @@ class TestRunSweep:
 
     def test_catalytic_violation_raises(self, write_config, tmp_path):
         (tmp_path / "nature.crn").write_text("X -> B @ 20\nB -> X @ 20\n")
-        cfg = write_config()
-        with pytest.raises(GameConfigError):
-            run_sweep(cfg)
+        with pytest.raises(ConfigError, match="catalytic validation failed"):
+            write_config()
 
 
 class TestRunRobustness:
