@@ -27,7 +27,7 @@ from .config import (
     resolve_input_path,
     sim_config,
 )
-from .core import Crn, CrnError, NumericOverflowError, SpeciesTable
+from .core import MAX_COUNT, Crn, CrnError, SpeciesTable
 from .experiment import robustness_summary, run_sweep
 from .game import (
     GameConfigError,
@@ -38,7 +38,6 @@ from .game import (
     robustness_report,
 )
 from .oracle import (
-    NoAbsorptionError,
     StateSpaceTooLargeError,
     absorption_probabilities,
     enumerate_states,
@@ -142,6 +141,8 @@ def _parse_init_overrides(pairs: list[str]) -> dict[str, int]:
             raise ConfigError(f"bad --init count {value!r}") from None
         if count < 0:
             raise ConfigError("--init counts must be nonnegative")
+        if count > MAX_COUNT:
+            raise ConfigError(f"--init counts must be at most {MAX_COUNT}")
         out[name] = count
     return out
 
@@ -181,24 +182,15 @@ def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
     return value
 
 
+# Each override flag's argparse dest -> the ExperimentConfig field it sets.
+_OVERRIDES = {"seed": "seed", "volume": "volume", "max_time": "max_time",
+              "max_events": "max_events", "confidence": "confidence",
+              "threads": "threads", "out": "csv_path", "svg": "svg_path"}
+
+
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.volume is not None:
-        updates["volume"] = args.volume
-    if args.max_time is not None:
-        updates["max_time"] = args.max_time
-    if args.max_events is not None:
-        updates["max_events"] = args.max_events
-    if args.confidence is not None:
-        updates["confidence"] = args.confidence
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    if args.out is not None:
-        updates["csv_path"] = args.out
-    if args.svg is not None:
-        updates["svg_path"] = args.svg
+    updates = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+               if getattr(args, flag) is not None}
     return replace(config, **updates) if updates else config
 
 
@@ -349,25 +341,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except crnfile.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, GameConfigError) as exc:
+    except (crnfile.ParseError, ConfigError, GameConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StateSpaceTooLargeError as exc:
         print(f"error: {exc}; use the stochastic simulator "
               f"(simulate / sweep) instead", file=sys.stderr)
         return EXIT_RUNTIME
-    except (NoAbsorptionError, NumericOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except CrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 CountVector = np.ndarray  # 1-D int64, one entry per species index
+MAX_COUNT = 2**63 - 1  # the largest count an int64 holds
 
 
 class CrnError(Exception):

@@ -11,7 +11,13 @@ Species identifiers are case-sensitive, start with a letter, and continue
 with letters, digits, or underscores; they are registered in first
 appearance order. ``init`` is a reserved word at the start of a statement.
 Rate constants are positive finite decimals (scientific notation allowed).
-Initial counts may only name species that appear in some reaction.
+Initial counts are at most 2**63 - 1 and may only name species that appear
+in some reaction.
+
+Each line is scanned once into ``(kind, text, column)`` tokens ended by an
+``end`` marker one column past the line; a short recursive descent reads
+them. Every error is a :class:`ParseError` naming a line and column: the
+offending token's, or the end marker's when a token is missing.
 
 The writer emits a canonical form: within each side species follow table
 order, coefficient 1 is omitted, tokens are separated by single spaces, and
@@ -24,21 +30,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import Crn, CrnError, make_crn
+from .core import MAX_COUNT, Crn, CrnError, make_crn
 
+# One token per match: optional blanks, then the token. ``bad`` is any
+# other non-blank character; trailing blanks match nothing.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[^\S\n]+)
-      | (?P<arrow>->)
+    r"""[^\S\n]*(?:
+        (?P<arrow>->)
       | (?P<plus>\+)
       | (?P<at>@)
       | (?P<eq>=)
       | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<bad>\S))
     """,
     re.VERBOSE,
 )
 
-_INT_RE = re.compile(r"\d+\Z")
+# A number token in side position: an integer count, possibly glued to an
+# identifier (``2E0`` is two of species ``E0``, not the number 2e0).
+_TERM_RE = re.compile(r"(\d+)([A-Za-z][A-Za-z0-9_]*)?\Z")
 
 
 class ParseError(CrnError):
@@ -74,124 +85,45 @@ class CrnDocument:
         return self.crn.species.state_from(self.initial_counts)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    column: int
+def _error(lineno: int, token: tuple[str, str, int], message: str) -> ParseError:
+    return ParseError(lineno, token[2], message, token[1])
 
 
-def _tokenize(line: str, lineno: int) -> list[_Token]:
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    line = line.rstrip("\r")
-    tokens = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            raise ParseError(lineno, pos + 1, "unexpected character", line[pos])
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), m.start() + 1))
-        pos = m.end()
-    return tokens
+def _expect(tokens: list, i: int, kind: str, what: str, lineno: int) -> str:
+    """The text of ``tokens[i]``, which must be of ``kind``."""
+    if tokens[i][0] != kind:
+        raise _error(lineno, tokens[i], f"expected {what}")
+    return tokens[i][1]
 
 
-class _Cursor(object):
-    def __init__(self, tokens: list[_Token], lineno: int, line_len: int):
-        self._tokens = tokens
-        self._i = 0
-        self.lineno = lineno
-        self._end_col = line_len + 1
+def _side(tokens: list, i: int, lineno: int) -> tuple[dict[str, int], int]:
+    """The side at ``tokens[i]`` as name -> count, and the index after it.
 
-    def peek(self, ahead: int = 0) -> _Token | None:
-        i = self._i + ahead
-        return self._tokens[i] if i < len(self._tokens) else None
-
-    def next(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self._i += 1
-        return tok
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return ParseError(self.lineno, self._end_col, message)
-        return ParseError(self.lineno, tok.column, message, tok.text)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise self.fail(f"expected {what}")
-        self._i += 1
-        return tok
-
-    def at_end(self) -> bool:
-        return self._i >= len(self._tokens)
-
-
-_DIGITS_RE = re.compile(r"\d+")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-def _parse_term(cur: _Cursor) -> tuple[int, str]:
-    """One ``[COUNT] IDENT`` term.
-
-    In side context a number token is an integer count, possibly glued to
-    an identifier: ``2E0`` is two of species ``E0``, not the number 2e0
-    (scientific notation is meaningful only in rate position).
+    A "0" that no identifier follows is the empty side.
     """
-    tok = cur.peek()
-    if tok is None:
-        raise cur.fail("expected a species term")
-    count = 1
-    name: str | None = None
-    if tok.kind == "number":
-        digits = _DIGITS_RE.match(tok.text).group()
-        rest = tok.text[len(digits):]
-        count = int(digits)
-        if rest:
-            if not _IDENT_RE.match(rest):
-                raise cur.fail("stoichiometric count must be a plain integer")
-            name = rest
-        cur.next()
-        if count == 0:
-            raise ParseError(cur.lineno, tok.column,
-                             "zero stoichiometric coefficient", tok.text)
-    if name is None:
-        name = cur.expect("ident", "a species identifier").text
-    return count, name
-
-
-def _parse_side(cur: _Cursor) -> dict[str, int]:
-    """Parse a reaction side into name -> count. Empty dict for "0"."""
-    tok = cur.peek()
-    if tok is not None and tok.kind == "number" and tok.text == "0":
-        following = cur.peek(1)
-        if following is None or following.kind != "ident":
-            cur.next()
-            return {}
+    if tokens[i][1] == "0" and tokens[i + 1][0] != "ident":
+        return {}, i + 1
     side: dict[str, int] = {}
     while True:
-        count, name = _parse_term(cur)
+        kind, text, _ = token = tokens[i]
+        if kind == "end":
+            raise _error(lineno, token, "expected a species term")
+        count, name = 1, None
+        if kind == "number":
+            term = _TERM_RE.match(text)
+            if term is None:
+                raise _error(lineno, token, "stoichiometric count must be a plain integer")
+            count, name = int(term[1]), term[2]
+            i += 1
+            if count == 0:
+                raise _error(lineno, token, "zero stoichiometric coefficient")
+        if name is None:
+            name = _expect(tokens, i, "ident", "a species identifier", lineno)
+            i += 1
         side[name] = side.get(name, 0) + count
-        tok = cur.peek()
-        if tok is None or tok.kind != "plus":
-            return side
-        cur.next()
-
-
-def _parse_rate(cur: _Cursor) -> float:
-    tok = cur.peek()
-    if tok is None or tok.kind != "number":
-        raise cur.fail("expected a rate constant")
-    value = float(tok.text)
-    if not (value > 0.0) or value == float("inf"):
-        raise cur.fail("rate constant must be positive and finite")
-    cur.next()
-    return value
+        if tokens[i][0] != "plus":
+            return side, i
+        i += 1
 
 
 def parse(text: str) -> CrnDocument:
@@ -202,54 +134,63 @@ def parse(text: str) -> CrnDocument:
     """
     reactions: list[tuple[dict[str, int], dict[str, int], float]] = []
     reaction_keys: set[tuple] = set()
-    inits: list[tuple[int, _Token, int]] = []  # line, name token, count
+    inits: list[tuple[int, tuple, int]] = []  # line, name token, count
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        tokens = _tokenize(raw, lineno)
+        tokens = []
+        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0].rstrip("\r")):
+            kind = m.lastgroup
+            token = (kind, m[kind], m.start(kind) + 1)
+            if kind == "bad":
+                raise _error(lineno, token, "unexpected character")
+            tokens.append(token)
         if not tokens:
             continue
-        cur = _Cursor(tokens, lineno, len(raw))
-        first = tokens[0]
-        if first.kind == "ident" and first.text == "init":
-            cur.next()
-            name_tok = cur.expect("ident", "a species identifier")
-            cur.expect("eq", "'='")
-            count_tok = cur.expect("number", "a count")
-            if not _INT_RE.match(count_tok.text):
-                raise ParseError(lineno, count_tok.column,
-                                 "initial count must be a plain integer",
-                                 count_tok.text)
-            if not cur.at_end():
-                raise cur.fail("unexpected trailing input")
-            inits.append((lineno, name_tok, int(count_tok.text)))
+        tokens.append(("end", "", len(raw) + 1))
+
+        if tokens[0][1] == "init":
+            _expect(tokens, 1, "ident", "a species identifier", lineno)
+            _expect(tokens, 2, "eq", "'='", lineno)
+            count = _expect(tokens, 3, "number", "a count", lineno)
+            if not count.isdecimal():
+                raise _error(lineno, tokens[3], "initial count must be a plain integer")
+            if int(count) > MAX_COUNT:
+                raise _error(lineno, tokens[3], f"initial count must be at most {MAX_COUNT}")
+            if tokens[4][0] != "end":
+                raise _error(lineno, tokens[4], "unexpected trailing input")
+            inits.append((lineno, tokens[1], int(count)))
             continue
 
-        reactants = _parse_side(cur)
-        cur.expect("arrow", "'->'")
-        products = _parse_side(cur)
-        cur.expect("at", "'@'")
-        rate = _parse_rate(cur)
-        if not cur.at_end():
-            raise cur.fail("unexpected trailing input")
+        reactants, i = _side(tokens, 0, lineno)
+        _expect(tokens, i, "arrow", "'->'", lineno)
+        products, i = _side(tokens, i + 1, lineno)
+        _expect(tokens, i, "at", "'@'", lineno)
+        kind, rate_text, _ = tokens[i + 1]
+        if kind != "number":
+            raise _error(lineno, tokens[i + 1], "expected a rate constant")
+        rate = float(rate_text)
+        if not (rate > 0.0) or rate == float("inf"):
+            raise _error(lineno, tokens[i + 1], "rate constant must be positive and finite")
+        if tokens[i + 2][0] != "end":
+            raise _error(lineno, tokens[i + 2], "unexpected trailing input")
         if reactants == products:
-            raise ParseError(lineno, first.column,
+            raise ParseError(lineno, tokens[0][2],
                              "reactant and product vectors are equal")
         key = (tuple(sorted(reactants.items())), tuple(sorted(products.items())), rate)
         if key in reaction_keys:
-            raise ParseError(lineno, first.column, "duplicate reaction")
+            raise ParseError(lineno, tokens[0][2], "duplicate reaction")
         reaction_keys.add(key)
         reactions.append((reactants, products, rate))
 
     crn = make_crn(reactions)
     initial_counts: dict[str, int] = {}
     for lineno, name_tok, count in inits:
-        if name_tok.text not in crn.species:
-            raise ParseError(lineno, name_tok.column,
-                             "init for undeclared species", name_tok.text)
-        if name_tok.text in initial_counts:
-            raise ParseError(lineno, name_tok.column,
-                             "duplicate init for species", name_tok.text)
-        initial_counts[name_tok.text] = count
+        name = name_tok[1]
+        if name not in crn.species:
+            raise _error(lineno, name_tok, "init for undeclared species")
+        if name in initial_counts:
+            raise _error(lineno, name_tok, "duplicate init for species")
+        initial_counts[name] = count
 
     return CrnDocument(crn, initial_counts)
 

@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    MAX_COUNT,
     Crn,
     CountVector,
     CrnError,
@@ -61,6 +62,8 @@ class ConstantCount:
     def __post_init__(self):
         if self.value < 0:
             raise GameConfigError("initial count must be nonnegative")
+        if self.value > MAX_COUNT:
+            raise GameConfigError(f"initial count must be at most {MAX_COUNT}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,8 @@ class UniformCount:
     def __post_init__(self):
         if self.low < 0 or self.high < self.low:
             raise GameConfigError(f"bad uniform range [{self.low}, {self.high}]")
+        if self.high > MAX_COUNT:
+            raise GameConfigError(f"initial count must be at most {MAX_COUNT}")
 
 
 CountDistribution = ConstantCount | UniformCount

@@ -226,6 +226,27 @@ class TestUsageErrors:
         assert code == 1
         assert "volume" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("simulate", "huge.crn"), "line 2, column 10: initial count must be at "
+         "most 9223372036854775807 (near '9223372036854775808')"),
+        (("oracle", "huge.crn", "--winner", "X", "--loser", "Y"),
+         "line 2, column 10: initial count must be at most 9223372036854775807 "
+         "(near '9223372036854775808')"),
+        (("simulate", "pkg:r.crn", "--init", "X=9223372036854775808"),
+         "--init counts must be at most 9223372036854775807"),
+        (("sweep", "exp.ini"), "[player:main] init.A = '9223372036854775808': "
+         "initial count must be at most 9223372036854775807"),
+    ], ids=["simulate-crn", "oracle-crn", "simulate-flag", "sweep-config"])
+    def test_count_above_int64(self, crn_dir, capsys, monkeypatch, argv, message):
+        # one past the largest int64 count is one error line, not a traceback
+        (crn_dir / "huge.crn").write_text("X + Y -> 2X @ 1\ninit X = 9223372036854775808\n")
+        path = crn_dir / "exp.ini"
+        path.write_text(path.read_text().replace(
+            "utility = takeover X Y", "utility = takeover X Y\ninit.A = 9223372036854775808"))
+        monkeypatch.chdir(crn_dir)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_config_non_numeric(self, crn_dir, capsys):
         path = crn_dir / "exp.ini"
         path.write_text(path.read_text().replace("seed = 5150",

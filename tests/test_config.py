@@ -135,6 +135,12 @@ class TestIniConfig:
          "[player:main] init.B = '5..3': bad uniform range [5, 3]"),
         (("init.B = 90..110", "init.B = -2..4"),
          "[player:main] init.B = '-2..4': bad uniform range [-2, 4]"),
+        (("init.A = 100", "init.A = 9223372036854775808"),
+         "[player:main] init.A = '9223372036854775808': initial count must be at "
+         "most 9223372036854775807"),
+        (("init.B = 90..110", "init.B = 90..99999999999999999999"),
+         "[player:main] init.B = '90..99999999999999999999': initial count must be "
+         "at most 9223372036854775807"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation

@@ -90,6 +90,8 @@ class TestParseErrors:
         ("init X = 1.5", "plain integer"),
         ("0X -> Y @ 1", "zero"),
         ("x? -> Y @ 1", "unexpected character"),
+        ("X -> Y @ 1\ninit X = 9223372036854775808",
+         "line 2, column 10: initial count must be at most 9223372036854775807"),
     ])
     def test_rejects_with_position(self, text, fragment):
         with pytest.raises(ParseError) as err:
