@@ -34,7 +34,6 @@ from .game import (
     catalytic_violations,
     compose,
     estimate_expected_utility,
-    estimate_robustness,
     sample_initial_state,
 )
 from .oracle import (

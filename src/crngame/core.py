@@ -22,6 +22,9 @@ import numpy as np
 
 CountVector = np.ndarray  # 1-D int64, one entry per species index
 MAX_COUNT = 2**63 - 1  # the largest count an int64 holds
+# Each unit of a reactant's coefficient is one falling factor of the
+# reaction's propensity, so this caps the work of compiling and evaluating it.
+MAX_COEFFICIENT = 10**6
 
 
 class CrnError(Exception):
@@ -114,9 +117,10 @@ class Reaction:
     """One stoichiometric reaction: reactant counts, product counts, rate.
 
     ``reactants`` and ``products`` are dense tuples over the owning species
-    table. The reactant and product vectors must differ and the rate
-    constant must be positive and finite. ``arity`` (total reactant count)
-    and ``delta`` (product minus reactant vector) are derived once.
+    table, with counts at most ``MAX_COEFFICIENT``. The reactant and product
+    vectors must differ and the rate constant must be positive and finite.
+    ``arity`` (total reactant count) and ``delta`` (product minus reactant
+    vector) are derived once.
     """
 
     reactants: tuple[int, ...]
@@ -131,6 +135,8 @@ class Reaction:
             raise CrnError("reactant/product vectors differ in dimension")
         if any(c < 0 for c in r) or any(c < 0 for c in p):
             raise CrnError("stoichiometric counts must be nonnegative")
+        if max(r + p, default=0) > MAX_COEFFICIENT:
+            raise CrnError(f"stoichiometric coefficient must be at most {MAX_COEFFICIENT}")
         if r == p:
             raise CrnError("reactant and product vectors are equal")
         k = self.rate_constant

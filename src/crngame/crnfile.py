@@ -11,8 +11,11 @@ Species identifiers are case-sensitive, start with a letter, and continue
 with letters, digits, or underscores; they are registered in first
 appearance order. ``init`` is a reserved word at the start of a statement.
 Rate constants are positive finite decimals (scientific notation allowed).
-Initial counts are at most 2**63 - 1 and may only name species that appear
-in some reaction.
+Stoichiometric coefficients, summed per species and side, are at most
+``core.MAX_COEFFICIENT`` (10**6), the bound every reaction keeps. Initial
+counts are at most 2**63 - 1 and may only name species that appear in some
+reaction. A count of any length past its bound is a :class:`ParseError`;
+its digits are counted before it is converted.
 
 Each line is scanned once into ``(kind, text, column)`` tokens ended by an
 ``end`` marker one column past the line; a short recursive descent reads
@@ -28,9 +31,10 @@ reproduces ``doc``; serializing a parsed text is idempotent.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
-from .core import MAX_COUNT, Crn, CrnError, make_crn
+from .core import MAX_COEFFICIENT, MAX_COUNT, Crn, CrnError, make_crn
 
 # One token per match: optional blanks, then the token. ``bad`` is any
 # other non-blank character; trailing blanks match nothing.
@@ -89,6 +93,23 @@ def _error(lineno: int, token: tuple[str, str, int], message: str) -> ParseError
     return ParseError(lineno, token[2], message, token[1])
 
 
+def _bounded(lineno: int, token: tuple[str, str, int], digits: str,
+             bound: int, what: str) -> int:
+    """``int(digits)``, which must be at most ``bound``.
+
+    The digits after the leading zeros, of any script, are counted first,
+    so a count of any length is an error here, not at ``int``'s 4,300-digit
+    limit.
+    """
+    lead = 0
+    while lead < len(digits) - 1 and unicodedata.decimal(digits[lead]) == 0:
+        lead += 1
+    digits = digits[lead:]
+    if len(digits) > len(str(bound)) or int(digits) > bound:
+        raise _error(lineno, token, f"{what} must be at most {bound}")
+    return int(digits)
+
+
 def _expect(tokens: list, i: int, kind: str, what: str, lineno: int) -> str:
     """The text of ``tokens[i]``, which must be of ``kind``."""
     if tokens[i][0] != kind:
@@ -113,7 +134,9 @@ def _side(tokens: list, i: int, lineno: int) -> tuple[dict[str, int], int]:
             term = _TERM_RE.match(text)
             if term is None:
                 raise _error(lineno, token, "stoichiometric count must be a plain integer")
-            count, name = int(term[1]), term[2]
+            count = _bounded(lineno, token, term[1], MAX_COEFFICIENT,
+                             "stoichiometric coefficient")
+            name = term[2]
             i += 1
             if count == 0:
                 raise _error(lineno, token, "zero stoichiometric coefficient")
@@ -121,6 +144,9 @@ def _side(tokens: list, i: int, lineno: int) -> tuple[dict[str, int], int]:
             name = _expect(tokens, i, "ident", "a species identifier", lineno)
             i += 1
         side[name] = side.get(name, 0) + count
+        if side[name] > MAX_COEFFICIENT:
+            raise _error(lineno, token,
+                         f"stoichiometric coefficient must be at most {MAX_COEFFICIENT}")
         if tokens[i][0] != "plus":
             return side, i
         i += 1
@@ -154,11 +180,10 @@ def parse(text: str) -> CrnDocument:
             count = _expect(tokens, 3, "number", "a count", lineno)
             if not count.isdecimal():
                 raise _error(lineno, tokens[3], "initial count must be a plain integer")
-            if int(count) > MAX_COUNT:
-                raise _error(lineno, tokens[3], f"initial count must be at most {MAX_COUNT}")
+            count = _bounded(lineno, tokens[3], count, MAX_COUNT, "initial count")
             if tokens[4][0] != "end":
                 raise _error(lineno, tokens[4], "unexpected trailing input")
-            inits.append((lineno, tokens[1], int(count)))
+            inits.append((lineno, tokens[1], count))
             continue
 
         reactants, i = _side(tokens, 0, lineno)

@@ -555,13 +555,3 @@ def robustness_report(results: Sequence[ConditionResult],
     return RobustnessReport(tuple(results), min_ratio, min_ratio_lower, alpha,
                             verdict, results[0].with_opponents.trials)
 
-
-def estimate_robustness(player: Player, opponents: Sequence[Player],
-                        conditions: Sequence[Condition], trials: int,
-                        config: SimConfig, alpha: float | None = None,
-                        confidence: float = 0.99, paired_seeds: bool = False,
-                        workers: int = 1) -> RobustnessReport:
-    """:func:`robustness_report` of :func:`estimate_conditions`."""
-    return robustness_report(
-        estimate_conditions(player, opponents, conditions, trials, config,
-                            confidence, paired_seeds, workers), alpha)

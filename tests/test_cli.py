@@ -484,8 +484,11 @@ class TestOracleCommand:
                              "X=22 Y=18 B=0 p=0.738801309752",
                              "X=22 Y=17 B=1 p=0.791153904582"]
         assert len(lines) == 1 + 860
+        # exactly 1 - 2**-13 = 0.9998779296875 (rational iterative refinement);
+        # a solve 4 ulp low, 0.9998779296874996, prints ...687
+        assert lines[608] == "X=13 Y=1 B=26 p=0.999877929688"
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a9f7e64f8e924fb44b30e97149f1143159dd953da096f6f23b0ee7beaee54030")
+            "c4ab69d6867b88b51eea52b60a3703b7dae82d9fda66d06107ca59eea5764d7c")
 
     def test_cap_exceeded_is_runtime_error(self, tmp_path, capsys):
         grower = tmp_path / "grow.crn"
@@ -518,6 +521,14 @@ class TestFmtCommand:
         code, _, _ = run_cli(capsys, "fmt", str(messy), "--out", str(out_path))
         assert code == 0
         assert out_path.read_text() == "A -> B @ 2\n"
+
+    def test_count_past_int_digit_limit_is_one_error_line(self, tmp_path, capsys):
+        long_count = tmp_path / "long.crn"
+        long_count.write_text("X -> Y @ 1\ninit X = " + "1" * 5000 + "\n")
+        code, out, err = run_cli(capsys, "fmt", str(long_count))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 2, column 10: initial count must be at most")
+        assert len(err.splitlines()) == 1
 
 
 class TestNoScipyOutsideOracle:

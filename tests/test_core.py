@@ -8,8 +8,10 @@ from crngame import (
     CrnError,
     Reaction,
     SpeciesTable,
+    make_crn,
     propensity,
 )
+from crngame.core import MAX_COEFFICIENT
 
 
 def state(*counts):
@@ -51,6 +53,13 @@ class TestReaction:
     def test_rejects_negative_counts(self):
         with pytest.raises(CrnError):
             Reaction((-1, 0), (0, 1), 1.0)
+
+    def test_coefficient_bound(self):
+        # the bound holds for every constructor, not only the .crn reader
+        assert Reaction((MAX_COEFFICIENT, 0), (0, MAX_COEFFICIENT), 1.0).arity == 10**6
+        for reactants, products in [({"X": 10**20}, {"Y": 1}), ({"X": 1}, {"Y": 10**6 + 1})]:
+            with pytest.raises(CrnError, match="stoichiometric coefficient must be at most 1000000"):
+                make_crn([(reactants, products, 1.0)])
 
 
 class TestCrn:

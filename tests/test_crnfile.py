@@ -67,6 +67,18 @@ class TestParse:
         assert doc.crn.is_empty()
         assert doc.initial_counts == {}
 
+    def test_coefficient_bound_is_inclusive(self):
+        doc = parse("1000000X -> 0001000000Y @ 1\nX -> 400000Y + 600000Y @ 1\n")
+        assert doc.crn.reactions[0].reactants == (10**6, 0)
+        assert doc.crn.reactions[0].products == (0, 10**6)
+        assert doc.crn.reactions[1].products == (0, 10**6)
+
+    def test_leading_zeros_of_any_script(self):
+        # U+0660 is ARABIC-INDIC DIGIT ZERO; int() reads the counts as 5 and 3
+        doc = parse("\u0660" * 20 + "0\u06603X -> Y @ 1\ninit X = " + "\u0660" * 20 + "5\n")
+        assert doc.crn.reactions[0].reactants == (3, 0)
+        assert doc.initial_counts == {"X": 5}
+
     def test_first_appearance_order(self):
         doc = parse("B + A -> C @ 1\nD -> A @ 2\n")
         assert doc.crn.species.names == ("B", "A", "C", "D")
@@ -92,6 +104,30 @@ class TestParseErrors:
         ("x? -> Y @ 1", "unexpected character"),
         ("X -> Y @ 1\ninit X = 9223372036854775808",
          "line 2, column 10: initial count must be at most 9223372036854775807"),
+        # counts past int()'s 4,300-digit limit
+        pytest.param(
+            "X -> Y @ 1\ninit X = " + "1" * 5000,
+            "line 2, column 10: initial count must be at most 9223372036854775807",
+            id="init-count-of-5000-digits"),
+        pytest.param(
+            "1" * 5000 + "X -> Y @ 1",
+            "line 1, column 1: stoichiometric coefficient must be at most 1000000",
+            id="reactant-count-of-5000-digits"),
+        pytest.param(
+            "X -> Y + " + "2" * 5000 + " Z @ 1",
+            "line 1, column 10: stoichiometric coefficient must be at most 1000000",
+            id="product-count-of-5000-digits"),
+        ("1000001X -> Y @ 1",
+         "line 1, column 1: stoichiometric coefficient must be at most 1000000"),
+        ("100000000000000000000X -> Y @ 1",
+         "stoichiometric coefficient must be at most 1000000"),
+        # the bound holds for the sum of a species' terms on one side
+        ("X -> 500000Y + 500001Y @ 1",
+         "line 1, column 16: stoichiometric coefficient must be at most 1000000"),
+        pytest.param(
+            "X -> Y @ 1\ninit X = " + "\u0660" * 20 + "9" * 20,
+            "line 2, column 10: initial count must be at most 9223372036854775807",
+            id="init-count-past-unicode-zeros"),
     ])
     def test_rejects_with_position(self, text, fragment):
         with pytest.raises(ParseError) as err:

@@ -21,7 +21,6 @@ from crngame import (
     catalytic_violations,
     compose,
     estimate_expected_utility,
-    estimate_robustness,
     make_crn,
     sample_initial_state,
     simulate,
@@ -33,6 +32,7 @@ from crngame.game import (
     _Arm,
     _run_pool,
     estimate_conditions,
+    robustness_report,
     sample_initial_states,
     takeover_succeeded,
 )
@@ -228,7 +228,8 @@ class TestUtility:
         player = player_for(majority_crn, {"X": 1, "Y": 1}, Indifferent())
         conditions = [Condition(f"x{x}", InitialDistribution.deterministic([x, 5 - x]))
                       for x in (1, 4)]
-        report = estimate_robustness(player, [], conditions, 50, SimConfig(seed=1))
+        report = robustness_report(
+            estimate_conditions(player, [], conditions, 50, SimConfig(seed=1)), None)
         for result in report.conditions:
             for arm in (result.with_opponents, result.baseline):
                 assert (arm.mean, arm.lower, arm.upper, arm.successes) == (0, 0, 0, 0)
@@ -400,9 +401,9 @@ class TestRobustness:
             self, consensus_player):
         small = consensus_player.with_counts({"X": 24, "Y": 16, "A": 3, "B": 3})
         conditions = [Condition("d8", small.initial_distribution)]
-        report = estimate_robustness(
+        report = robustness_report(estimate_conditions(
             small, [Player.trivial()], conditions, 200, SimConfig(seed=12),
-            alpha=1.0, paired_seeds=True)
+            paired_seeds=True), alpha=1.0)
         [cond] = report.conditions
         assert cond.ratio == 1.0
         assert cond.with_opponents.successes == cond.baseline.successes
@@ -418,8 +419,9 @@ class TestRobustness:
             Condition(f"d{d}", player.with_counts(
                 {"X": 25 + d // 2, "Y": 25 - d // 2}).initial_distribution)
             for d in (-6, 0, 6)]
-        report = estimate_robustness(player, [pusher], conditions, 60,
-                                     SimConfig(seed=21), workers=2)
+        report = robustness_report(
+            estimate_conditions(player, [pusher], conditions, 60,
+                                SimConfig(seed=21), workers=2), None)
         for ci, (cond, result) in enumerate(zip(conditions, report.conditions)):
             p1 = replace(player, initial_distribution=cond.distribution)
             seed = child_seed(21, ci)
@@ -473,8 +475,9 @@ class TestRobustness:
         player = player_for(majority_crn, {"X": 1, "Y": 1},
                             TakeoverSuccess("X", "Y"))
         conditions = [Condition("c", player.initial_distribution)]
-        report = estimate_robustness(player, [Player.trivial()], conditions,
-                                     50, SimConfig(seed=2), alpha=0.5)
+        report = robustness_report(
+            estimate_conditions(player, [Player.trivial()], conditions, 50,
+                                SimConfig(seed=2)), alpha=0.5)
         [cond] = report.conditions
         assert cond.ratio is None
         assert cond.verdict(report.alpha) == "undefined"
@@ -483,4 +486,6 @@ class TestRobustness:
 
     def test_conditions_must_be_nonempty(self, consensus_player):
         with pytest.raises(GameConfigError):
-            estimate_robustness(consensus_player, [], [], 10, SimConfig(seed=1))
+            robustness_report(
+                estimate_conditions(consensus_player, [], [], 10, SimConfig(seed=1)),
+                None)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from crngame import (
 )
 from crngame.batch import simulate_batch
 from crngame.core import CompiledCrn, NumericOverflowError, Reaction, SpeciesTable
+from crngame.crnfile import load
+from crngame.data import path as data_path
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.rng import XoshiroBatch, child_seed
 
@@ -379,6 +382,40 @@ class TestAbsorption:
         space = enumerate_states(crn, crn.species.state_from({"X": 1, "Y": 1}))
         with pytest.raises(NumericOverflowError, match="non-finite propensity sum"):
             absorption_probabilities(space, lambda s: s[1] > s[0])
+
+
+class TestSolve:
+    def test_birth_death_chain_equals_gamblers_ruin(self):
+        # r.crn on x + y = n: from 0 < x < n, X gains with probability
+        # (x - 1)/(n - 2) and loses with (y - 1)/(n - 2), so the ratios
+        # q_k / p_k multiply out to C(n - 3, j - 1) and the ruin formula
+        # (Karlin & Taylor, 1975) gives P(X takes over from x) =
+        # P(Binomial(n - 3, 1/2) <= x - 2), exactly, for every 0 <= x <= n
+        n = 2000
+        doc = load(data_path("r.crn"))
+        space = enumerate_states(doc.crn, doc.crn.species.state_from(
+            {"X": n // 2, "Y": n // 2}))
+        assert len(space) == n + 1
+        p = absorption_probabilities(space, lambda s: s[1] == 0)
+        cdf = list(itertools.accumulate(math.comb(n - 3, i) for i in range(n - 2)))
+        exact = {x: float(Fraction(cdf[x - 2], 2 ** (n - 3))) if x >= 2 else 0.0
+                 for x in range(n)}
+        exact[n] = 1.0
+        assert max(abs(p[i] - exact[x]) for i, x in enumerate(space.states[:, 0])) <= 1e-12
+
+    def test_one_way_crn(self):
+        # each X independently becomes Y with probability 1/3, else Z, so
+        # from (x, y, z) the final Y is y + Binomial(x, 1/3)
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 1}, {"Z": 1}, 2.0)])
+        space = enumerate_states(crn, crn.species.state_from({"X": 60}))
+        p = absorption_probabilities(space, lambda s: s[1] > s[2])
+
+        def exact(x, y, z):
+            return float(sum(Fraction(math.comb(x, k) * 2 ** (x - k), 3 ** x)
+                             for k in range(x + 1) if y + k > z + x - k))
+
+        assert max(abs(p[i] - exact(*state))
+                   for i, state in enumerate(space.states.tolist())) <= 1e-12
 
 
 class TestAgreementWithSimulation:
