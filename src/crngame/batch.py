@@ -11,8 +11,15 @@ counts, stop reasons and elapsed times. A caller that reads no time
 and gets no elapsed times; the sojourn's uniform is still drawn, so every
 other output stays the same.
 
-The loop is the C function in ``_lanes.c``; it runs each lane to its stop,
-one lane after another, and a lane whose exit rate overflows stops alone.
+The loop is the C function in ``_lanes.c``. It keeps eight lanes abreast
+in slots and walks the reaction tables once per step for all of them, the
+slot index innermost. Lanes enter the slots in lane order as slots free; a
+lane draws only what the scalar engine draws (nothing once terminal or
+overflowing, the sojourn's uniform alone once out of time); and once no
+lane is left to load, the survivors drain one after another at width 1.
+A lane whose exit rate overflows stops alone. On the benchmark's
+``sweep_n1000`` calls an event costs about 17 ns, against about 28 ns
+when lanes ran one after another.
 It is compiled on first import with the C compiler Python was built with
 (``sysconfig`` ``CC``), cached as ``__pycache__/_lanes.<sha256>.so`` beside
 the source (the hash covers the source and the compiler command), and
@@ -58,7 +65,7 @@ _OVERFLOW = len(_REASON_CODES)
 _SOURCE = Path(__file__).with_name("_lanes.c")
 # No -ffast-math, and no fused multiply-adds (aarch64 compilers fuse by
 # default): either would change the last bits of propensities and times.
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _LIBS = ("-lm",)
 
 
@@ -125,14 +132,18 @@ def _load_kernel() -> ctypes.CDLL:
         ints, ints, ints,  # changes
         ints, i64,  # watched species
         floats, f64, i64, i64,  # kv, max_time, ceiling, timed
-        array(np.uint64), ints, floats,  # streams, counts, running-sum scratch
+        array(np.uint64), ints,  # streams, counts
         ints, ints, floats,  # reasons, events, elapsed
+        floats, floats,  # scratch: counts as doubles, running sums
     ]
     lib.crngame_run_lanes.restype = None
     return lib
 
 
-_run_lanes = _load_kernel().crngame_run_lanes
+_kernel = _load_kernel()
+_run_lanes = _kernel.crngame_run_lanes
+# lanes the kernel keeps in flight; its scratch holds this many rows
+_WIDTH = ctypes.c_int64.in_dll(_kernel, "crngame_lane_width").value
 
 
 def _flat(rows, dtypes) -> tuple[np.ndarray, ...]:
@@ -187,8 +198,8 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
             watch, watch.size,
             np.array(kin.kv, dtype=np.float64), max_time, config.event_ceiling,
             times,
-            rng._state, counts, np.empty(max(nrxn, 1)),
-            reasons, events, elapsed)
+            rng._state, counts, reasons, events, elapsed,
+            np.empty(_WIDTH * max(nspecies, 1)), np.empty(_WIDTH * max(nrxn, 1)))
         bad = np.flatnonzero(reasons == _OVERFLOW)
         if bad.size:
             lane = int(bad[np.argmin(events[bad])])

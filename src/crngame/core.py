@@ -146,10 +146,6 @@ class Reaction:
         object.__setattr__(self, "arity", sum(r))
         object.__setattr__(self, "delta", tuple(pj - rj for rj, pj in zip(r, p)))
 
-    def reactant_support(self) -> tuple[int, ...]:
-        """Species indices with positive reactant count."""
-        return tuple(i for i, c in enumerate(self.reactants) if c > 0)
-
     def changed_species(self) -> tuple[int, ...]:
         """Species indices whose count this reaction changes."""
         return tuple(i for i, d in enumerate(self.delta) if d != 0)
@@ -214,11 +210,12 @@ class CompiledCrn(object):
     propensity is ``kv[j]`` times them, multiplied left to right, and
     engines that keep this order agree bit for bit.
     ``deltas[j]`` holds ``(species, change)`` for each species that reaction
-    ``j`` changes, and ``dependents[j]`` the reactions whose propensity can
-    change when ``j`` fires.
+    ``j`` changes. ``dependents()`` maps each reaction to the reactions whose
+    propensity its firing can change; only the scalar engine needs it, so it
+    is built on request.
     """
 
-    __slots__ = ("size", "kv", "factors", "deltas", "dependents")
+    __slots__ = ("size", "kv", "factors", "deltas")
 
     def __init__(self, reactions: Sequence[Reaction], volume: float = 1.0):
         if not volume > 0.0:
@@ -232,12 +229,17 @@ class CompiledCrn(object):
         ]
         self.deltas = [tuple((i, d) for i, d in enumerate(r.delta) if d)
                        for r in reactions]
-        self.dependents = []
-        for fired in reactions:
-            changed = set(fired.changed_species())
-            self.dependents.append(tuple(
-                j for j, r in enumerate(reactions)
-                if changed.intersection(r.reactant_support())))
+
+    def dependents(self) -> list[tuple[int, ...]]:
+        """For each reaction ``j``, the reactions whose propensity can change
+        when ``j`` fires, in index order: those with a reactant ``j`` changes.
+        """
+        readers: dict[int, list[int]] = {}
+        for j, factors in enumerate(self.factors):
+            for si in dict.fromkeys(si for si, _ in factors):
+                readers.setdefault(si, []).append(j)
+        return [tuple(sorted({j for si, _ in delta for j in readers.get(si, ())}))
+                for delta in self.deltas]
 
     def propensity(self, j: int, counts: Sequence) -> float:
         """Reaction ``j``'s propensity at ``counts``.

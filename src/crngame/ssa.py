@@ -146,7 +146,7 @@ def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None
 
     props = [compiled.propensity(j, counts) for j in range(nrxn)]
     deltas = compiled.deltas
-    dependents = compiled.dependents
+    dependents = compiled.dependents()
     prop_of = compiled.propensity
     log = math.log
     u01 = rng.next_u01

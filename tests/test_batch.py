@@ -2,6 +2,7 @@
 
 import math
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crngame import Crn, SimConfig, StopReason, batch, make_crn
+from crngame import (Crn, InitialDistribution, Player, SimConfig, StopReason,
+                     TakeoverSuccess, batch, compose, make_crn)
 from crngame.batch import simulate_batch
 from crngame.core import NumericOverflowError
+from crngame.game import _Arm, _run_pool
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import _core_loop
 
@@ -319,3 +322,112 @@ class TestKernelBuild:
         with pytest.raises(RuntimeError, match="no-such-compiler-cc"):
             batch._load_kernel()
         assert list((source_copy.parent / "__pycache__").iterdir()) == []
+
+
+def assert_lanes_equal_scalar(crn, inits, config, seeds, watch=(), times=True):
+    """Each lane must equal its scalar run, its stream after the call included."""
+    rng = XoshiroBatch(np.array(seeds, dtype=np.uint64))
+    out = simulate_batch(crn, inits, config, rng, stop_when_zero=watch, times=times)
+    for j, seed in enumerate(seeds):
+        stream = Xoshiro256(seed)
+        res = _core_loop(crn, inits[j], config, stream, watch)
+        np.testing.assert_array_equal(out.final_states[j], res.final_state)
+        assert (out.stop_reasons[j], out.events[j]) == (res.stop_reason, res.events)
+        if times:
+            assert out.elapsed[j] == res.elapsed
+        assert rng._state[:, j].tolist() == [stream._s0, stream._s1, stream._s2, stream._s3]
+    return out
+
+
+def _game_inits(game, lanes):
+    """Initial states of the perturbed game that differ from lane to lane."""
+    return np.array([game.species.state_from({"X": 30 + j % 7, "Y": 26 + j % 5,
+                                              "A": 2 + j % 3, "B": 4})
+                     for j in range(lanes)], dtype=np.int64).reshape(lanes, 4)
+
+
+class TestKernelEdges:
+    """Lane counts and stops around the kernel's slots, against scalar runs."""
+
+    @pytest.mark.parametrize("lanes", [0, 1, 7, 8, 9, 19])
+    @pytest.mark.parametrize("times", [True, False])
+    def test_lane_counts(self, perturbed_game, lanes, times):
+        out = assert_lanes_equal_scalar(
+            perturbed_game, _game_inits(perturbed_game, lanes),
+            SimConfig(seed=4, max_events=60), [child_seed(4, j) for j in range(lanes)],
+            watch=(0, 1), times=times)
+        if lanes == 19:
+            assert set(out.stop_reasons) == {StopReason.EARLY_STOP,
+                                             StopReason.EVENT_CEILING}
+
+    def test_lanes_stopping_at_event_zero_among_long_lanes(self, perturbed_game):
+        inits = _game_inits(perturbed_game, 19)
+        at_start = [0, 3, 7, 8, 9, 10, 18]
+        inits[at_start, 1] = 0
+        out = assert_lanes_equal_scalar(perturbed_game, inits, SimConfig(seed=6),
+                                        [child_seed(6, j) for j in range(19)],
+                                        watch=(0, 1))
+        assert out.events[at_start].tolist() == [0] * len(at_start)
+        assert (np.delete(out.events, at_start) > 20).all()
+
+    def test_terminal_lanes_free_their_slots(self, majority_crn):
+        # X = 0 or Y = 0 is terminal at once; X = 1, Y = 1 within a few events
+        xs = [0, 1, 30, 30, 30, 1, 30, 30, 30, 0, 30, 30, 1, 30, 30, 30, 30, 30, 0]
+        ys = [5, 1, 20, 20, 20, 1, 20, 20, 20, 4, 20, 20, 1, 20, 20, 20, 20, 20, 3]
+        inits = np.array([xs, ys], dtype=np.int64).T.copy()
+        out = assert_lanes_equal_scalar(majority_crn, inits, SimConfig(seed=2),
+                                        [child_seed(2, j) for j in range(19)])
+        assert set(out.stop_reasons) == {StopReason.TERMINAL}
+        assert out.events[0] == 0 and (out.events[[2, 3, 4]] > 20).all()
+
+    def test_overflowing_lanes_free_their_slots(self):
+        # 3X -> 4X overflows at X = 13: at event 0 from 13, after three events
+        # from 10; from 2 only X -> Y can fire, so those lanes end terminal
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 3}, {"X": 4}, 1.7e308 / 1500)])
+        xs = [10, 2, 2, 2, 2, 2, 2, 2, 10, 13, 2, 2, 2, 2, 2, 2, 2, 13, 2]
+        inits = np.array([crn.species.state_from({"X": x}) for x in xs])
+        seeds = [child_seed(8, j) for j in range(len(xs))]
+        rng = XoshiroBatch(np.array(seeds, dtype=np.uint64))
+        with pytest.raises(NumericOverflowError) as err:
+            simulate_batch(crn, inits, SimConfig(seed=8, max_events=50), rng)
+        assert (err.value.lane, err.value.event) == (9, 0)
+        overflowed = []
+        for j, seed in enumerate(seeds):
+            stream = Xoshiro256(seed)
+            try:
+                _core_loop(crn, inits[j], SimConfig(seed=8, max_events=50), stream)
+            except NumericOverflowError:
+                overflowed.append(j)
+            assert rng._state[:, j].tolist() == [stream._s0, stream._s1, stream._s2,
+                                                 stream._s3]
+        assert overflowed == [0, 8, 9, 17]
+
+    @pytest.mark.parametrize("times", [True, False])
+    def test_lanes_out_of_time_among_other_stops(self, perturbed_game, times):
+        inits = _game_inits(perturbed_game, 19)
+        inits[[4, 11], 1] = 0
+        out = assert_lanes_equal_scalar(perturbed_game, inits,
+                                        SimConfig(seed=12, max_time=5e-4, max_events=60),
+                                        [child_seed(12, j) for j in range(19)],
+                                        watch=(0, 1), times=times)
+        assert set(out.stop_reasons) >= {StopReason.TIME_EXHAUSTED,
+                                         StopReason.EARLY_STOP}
+        assert len(set(out.stop_reasons)) >= 3
+
+    def test_scratch_of_a_large_crn_comes_from_the_caller(self):
+        # 10,000 reactions need 640 kB of running sums for a call's eight
+        # lanes abreast, more than the 512 KiB stacks of the pool threads
+        # here: the kernel must take its scratch from the caller, not from
+        # the stack
+        n = 10_000
+        crn = make_crn([({"X": 1, "Y": 1}, {"X": 2}, 1.0 + i / n) for i in range(n)],
+                       species_order=["X", "Y"])
+        spec = TakeoverSuccess("X", "Y")
+        player = Player(crn, InitialDistribution.deterministic([30, 20]), spec, "p")
+        previous = threading.stack_size(512 * 1024)
+        try:
+            result = _run_pool([_Arm(compose([player]), 1)], spec, 16,
+                               SimConfig(seed=0, max_events=3), workers=2)
+        finally:
+            threading.stack_size(previous)
+        assert result == [(0, 16)]

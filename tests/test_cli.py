@@ -236,7 +236,11 @@ class TestUsageErrors:
          "--init counts must be at most 9223372036854775807"),
         (("sweep", "exp.ini"), "[player:main] init.A = '9223372036854775808': "
          "initial count must be at most 9223372036854775807"),
-    ], ids=["simulate-crn", "oracle-crn", "simulate-flag", "sweep-config"])
+        # past int()'s 4,300-digit limit: the count is not echoed
+        (("oracle", "pkg:r.crn", "--init", "X=" + "1" * 5000, "--winner", "X",
+          "--loser", "Y"), "--init counts must be at most 9223372036854775807"),
+    ], ids=["simulate-crn", "oracle-crn", "simulate-flag", "sweep-config",
+            "oracle-flag-5000-digits"])
     def test_count_above_int64(self, crn_dir, capsys, monkeypatch, argv, message):
         # one past the largest int64 count is one error line, not a traceback
         (crn_dir / "huge.crn").write_text("X + Y -> 2X @ 1\ninit X = 9223372036854775808\n")
