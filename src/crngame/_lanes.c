@@ -45,12 +45,18 @@
  *     max_time is finite. Otherwise nothing reads the time: u1 is still
  *     drawn, so the stream advances as before, and elapsed stays 0.
  *
- * On the lane calls of the benchmark's sweep_n1000 (four calls of 500 lanes,
- * 28,260,295 events; x86-64, gcc 12, -O3) an event costs about 17 ns, where
- * one lane after another cost about 28 ns.
+ * The wide loop is compiled once per x86-64 level (see CLONES). On the lane
+ * calls of the benchmark's sweep_n1000 (four calls of 500 lanes, 28,260,295
+ * events; a 2-vCPU Xeon guest with AVX-512, gcc 12, -O3; medians of 16
+ * interleaved rounds, BENCH_isa.json) an event costs about 19 ns in the
+ * default copy, 15 ns in the x86-64-v3 copy and 13 ns in the x86-64-v4
+ * copy.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
- * multiply-add or reassociation would change the last bits.
+ * multiply-add or reassociation would change the last bits. The v3 and v4
+ * targets have fused multiply-adds, so this holds for every copy; packed
+ * IEEE operations round as scalar ones do, so every copy gives the same
+ * bits.
  */
 
 #include <math.h>
@@ -58,13 +64,29 @@
 
 /* Lanes in flight. On the sweep_n1000 calls above (medians of three
  * interleaved runs, BENCH_lanes.json) an event cost 28.2 ns one lane after
- * another, 19.1 ns at 4 lanes abreast, 16.9 at 8 and 18.8 at 16. The
+ * another, 19.1 ns at 4 lanes abreast, 16.9 at 8 and 18.8 at 16. In the v4
+ * copy 16 lanes did not beat 8: 11.3 ns, against 11.8 and 11.2 ns for two
+ * copies of one 8-lane build (20 interleaved rounds, BENCH_isa.json). The
  * caller sizes the scratch by it (crngame_lane_width). */
 #define WIDTH 8
 
 const int64_t crngame_lane_width = WIDTH;
 
 #define INLINE static inline __attribute__((always_inline))
+
+/* GCC compiles a CLONES function once per x86-64 level (v4: AVX-512, v3:
+ * AVX2, default: the SSE2 baseline), and glibc picks the copy for the CPU by
+ * cpuid when the library is loaded (an ifunc), so the library runs on any
+ * x86-64 CPU. Elsewhere (another architecture or C library, clang, GCC
+ * before 12) there is one copy, the default. Only run_wide has copies: the
+ * width-1 drain measured no faster in them. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) \
+    && !defined(__clang__) && __GNUC__ >= 12
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
+                                            "default")))
+#else
+#define CLONES
+#endif
 
 enum {
     TERMINAL = 0, TIME_EXHAUSTED = 1, EVENT_CEILING = 2, EARLY_STOP = 3,
@@ -328,7 +350,7 @@ INLINE void run(const int W, struct run *k, struct slots *sl, int *live)
     *sl = in;
 }
 
-static void run_wide(struct run *k, struct slots *sl, int *live)
+CLONES static void run_wide(struct run *k, struct slots *sl, int *live)
 {
     run(WIDTH, k, sl, live);
 }

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import unicodedata
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +24,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     load_config,
+    parse_count,
     resolve_input_path,
     sim_config,
 )
@@ -130,38 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _init_count(value: str) -> int:
-    """``int(value)``, also for a number too long for ``int``.
-
-    ``int`` refuses more than 4,300 digits. Such a count is judged by its
-    digits after the leading zeros, of any script, as the ``.crn`` reader
-    does: either they are few enough to convert, or the count is out of
-    range, which the caller reports without echoing it.
-    """
-    try:
-        return int(value)
-    except ValueError:
-        text = value.strip()
-        negative = text.startswith("-")
-        digits = (text[1:] if text[:1] in ("+", "-") else text).replace("_", "")
-        if not digits.isdecimal():
-            raise ConfigError(f"bad --init count {value!r}") from None
-    lead = 0
-    while lead < len(digits) - 1 and unicodedata.decimal(digits[lead]) == 0:
-        lead += 1
-    digits = digits[lead:]
-    # more digits than MAX_COUNT has: any value past the bound stands in
-    magnitude = int(digits) if len(digits) <= len(str(MAX_COUNT)) else MAX_COUNT + 1
-    return -magnitude if negative else magnitude
-
-
 def _parse_init_overrides(pairs: list[str]) -> dict[str, int]:
     out = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ConfigError(f"bad --init {pair!r}: expected SPECIES=COUNT")
-        count = _init_count(value)
+        count = parse_count(value, "--init counts")
+        if count is None:
+            raise ConfigError(f"bad --init count {value!r}")
         if count < 0:
             raise ConfigError("--init counts must be nonnegative")
         if count > MAX_COUNT:

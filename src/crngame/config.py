@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import configparser
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CrnError
+from .core import MAX_COUNT, CrnError, bounded_count
 from .crnfile import load as load_crn
 from .data import path as data_path
 from .game import (
@@ -103,13 +104,41 @@ def _convert(kind, value, where: str):
         raise ConfigError(f"{where} = {value!r} is not {noun}") from None
 
 
+def parse_count(text: str, where: str) -> int | None:
+    """``int(text)`` for the count setting ``where``, or None if not an integer.
+
+    ``int`` refuses more than 4,300 digits. Such a count is judged by its
+    digits (:func:`~crngame.core.bounded_count`) and, if out of range,
+    reported as a :class:`ConfigError` without echoing it.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        # int()'s own grammar: an underscore only between two digits
+        match = re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)
+        if match is None:
+            return None
+    sign, digits = match.groups()
+    count = bounded_count(digits.replace("_", ""))
+    if count is None:
+        bound = "nonnegative" if sign == "-" else f"at most {MAX_COUNT}"
+        raise ConfigError(f"{where} must be {bound}")
+    return -count if sign == "-" else count
+
+
 def _parse_count_distribution(text: str, where: str) -> CountDistribution:
+    def count(part: str) -> int:
+        value = parse_count(part, where)
+        if value is None:
+            raise ConfigError(f"{where} = {part!r} is not an integer")
+        return value
+
     text = text.strip()
     try:
         if ".." in text:
-            low, high = (_convert(int, part, where) for part in text.split("..", 1))
+            low, high = (count(part) for part in text.split("..", 1))
             return UniformCount(low, high)
-        return ConstantCount(_convert(int, text, where))
+        return ConstantCount(count(text))
     except GameConfigError as exc:
         raise ConfigError(f"{where} = {text!r}: {exc}") from None
 

@@ -15,6 +15,7 @@ propensities are 64-bit floats.
 from __future__ import annotations
 
 import math
+import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,22 @@ MAX_COUNT = 2**63 - 1  # the largest count an int64 holds
 # Each unit of a reactant's coefficient is one falling factor of the
 # reaction's propensity, so this caps the work of compiling and evaluating it.
 MAX_COEFFICIENT = 10**6
+
+
+def bounded_count(digits: str, bound: int = MAX_COUNT) -> int | None:
+    """``int(digits)`` for decimal digits of any script, or None above ``bound``.
+
+    The digits after the leading zeros are counted first, so a number of any
+    length is judged here, not at ``int``'s 4,300-digit limit.
+    """
+    lead = 0
+    while lead < len(digits) - 1 and unicodedata.decimal(digits[lead]) == 0:
+        lead += 1
+    digits = digits[lead:]
+    if len(digits) > len(str(bound)):
+        return None
+    count = int(digits)
+    return count if count <= bound else None
 
 
 class CrnError(Exception):

@@ -31,10 +31,9 @@ reproduces ``doc``; serializing a parsed text is idempotent.
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass, field
 
-from .core import MAX_COEFFICIENT, MAX_COUNT, Crn, CrnError, make_crn
+from .core import MAX_COEFFICIENT, MAX_COUNT, Crn, CrnError, bounded_count, make_crn
 
 # One token per match: optional blanks, then the token. ``bad`` is any
 # other non-blank character; trailing blanks match nothing.
@@ -95,19 +94,11 @@ def _error(lineno: int, token: tuple[str, str, int], message: str) -> ParseError
 
 def _bounded(lineno: int, token: tuple[str, str, int], digits: str,
              bound: int, what: str) -> int:
-    """``int(digits)``, which must be at most ``bound``.
-
-    The digits after the leading zeros, of any script, are counted first,
-    so a count of any length is an error here, not at ``int``'s 4,300-digit
-    limit.
-    """
-    lead = 0
-    while lead < len(digits) - 1 and unicodedata.decimal(digits[lead]) == 0:
-        lead += 1
-    digits = digits[lead:]
-    if len(digits) > len(str(bound)) or int(digits) > bound:
+    """``int(digits)``, which must be at most ``bound`` (see :func:`bounded_count`)."""
+    count = bounded_count(digits, bound)
+    if count is None:
         raise _error(lineno, token, f"{what} must be at most {bound}")
-    return int(digits)
+    return count
 
 
 def _expect(tokens: list, i: int, kind: str, what: str, lineno: int) -> str:

@@ -1,7 +1,13 @@
 """The batch engine must reproduce the scalar engine trial for trial."""
 
+import copy
 import math
+import os
+import platform
+import shlex
 import shutil
+import subprocess
+import sysconfig
 import threading
 from pathlib import Path
 
@@ -13,8 +19,10 @@ from hypothesis import strategies as st
 from crngame import (Crn, InitialDistribution, Player, SimConfig, StopReason,
                      TakeoverSuccess, batch, compose, make_crn)
 from crngame.batch import simulate_batch
+from crngame.config import load_config
 from crngame.core import NumericOverflowError
-from crngame.game import _Arm, _run_pool
+from crngame.data import path as data_path
+from crngame.game import _Arm, _condition_arms, _run_pool, sample_initial_states
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import _core_loop
 
@@ -431,3 +439,82 @@ class TestKernelEdges:
         finally:
             threading.stack_size(previous)
         assert result == [(0, 16)]
+
+
+def _builds_clones() -> bool:
+    """Whether the kernel's compiler and platform are x86-64 glibc with GCC >= 12."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    macros = subprocess.run([*compiler, "-dM", "-E", "-x", "c", os.devnull],
+                            capture_output=True, text=True).stdout
+    defined = dict(line.split()[1:3] for line in macros.splitlines()
+                   if len(line.split()) >= 3)
+    return ("__x86_64__" in defined and "__clang__" not in defined
+            and int(defined.get("__GNUC__", 0)) >= 12)
+
+
+@pytest.fixture(scope="module")
+def other_builds(tmp_path_factory):
+    """The kernel built with one copy of the lane loop, and without its v4 copy.
+
+    Where the shipped library has a copy per x86-64 level, the first runs
+    the default copy and the second, on a host with AVX-512, the v3 copy.
+    """
+    text = batch._SOURCE.read_text()
+    assert "CLONES static void run_wide" in text and '"arch=x86-64-v4", ' in text
+    builds = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, edited in (
+                ("one copy", text.replace("CLONES static void run_wide",
+                                          "static void run_wide")),
+                ("no v4 copy", text.replace('"arch=x86-64-v4", ', ""))):
+            source = tmp_path_factory.mktemp("lanes") / "_lanes.c"
+            source.write_text(edited)
+            patch.setattr(batch, "_SOURCE", source)
+            builds[name] = batch._load_kernel().crngame_run_lanes
+    return builds
+
+
+class TestKernelEdgesInOtherBuilds(TestKernelEdges):
+    """The edge cases, each against scalar runs, in the other builds of the kernel."""
+
+    @pytest.fixture(autouse=True, params=["one copy", "no v4 copy"])
+    def build(self, request, other_builds, monkeypatch):
+        monkeypatch.setattr(batch, "_run_lanes", other_builds[request.param])
+
+
+class TestKernelCopies:
+    """Each copy of the lane loop gives the same bits as the shipped library."""
+
+    def assert_copies_agree(self, builds, monkeypatch, crn, inits, config, streams,
+                            watch=()):
+        runs = []
+        for run_lanes in (batch._run_lanes, *builds.values()):
+            monkeypatch.setattr(batch, "_run_lanes", run_lanes)
+            rng = copy.deepcopy(streams)
+            out = simulate_batch(crn, inits, config, rng, stop_when_zero=watch)
+            runs.append((out.final_states.tobytes(), out.events.tobytes(),
+                         out.stop_reasons, out.elapsed.tobytes(), rng._state.tobytes()))
+        assert runs[1:] == runs[:1] * len(builds)
+
+    def test_sweep_n1000_d0_arms(self, other_builds, monkeypatch):
+        # both arms of the default sweep's d = 0 condition at n = 1000, most
+        # of whose events are nature's shuffles
+        config = load_config(data_path("default_sweep.ini"))
+        spec = config.main_player().utility
+        arms = _condition_arms(config.main_player(), tuple(config.opponent_players()),
+                               config.conditions()[0], 0, config.sim_config(), False)
+        for arm in arms:
+            rng = XoshiroBatch(np.array([child_seed(arm.seed, j) for j in range(500)],
+                                        dtype=np.uint64))
+            inits = sample_initial_states(arm.game, rng)
+            watch = (arm.game.species_index(spec.x_species),
+                     arm.game.species_index(spec.y_species))
+            self.assert_copies_agree(other_builds, monkeypatch, arm.game.crn, inits,
+                                     config.sim_config(), rng, watch)
+
+    def test_shipped_library_has_the_v4_copy(self):
+        if not _builds_clones():
+            pytest.skip("one copy of the lane loop: not x86-64 glibc with GCC >= 12")
+        assert b"run_wide.arch_x86_64_v4\0" in Path(batch._kernel._name).read_bytes()

@@ -239,14 +239,17 @@ class TestUsageErrors:
         # past int()'s 4,300-digit limit: the count is not echoed
         (("oracle", "pkg:r.crn", "--init", "X=" + "1" * 5000, "--winner", "X",
           "--loser", "Y"), "--init counts must be at most 9223372036854775807"),
+        (("sweep", "long.ini"), "[player:main] init.A must be at most 9223372036854775807"),
     ], ids=["simulate-crn", "oracle-crn", "simulate-flag", "sweep-config",
-            "oracle-flag-5000-digits"])
+            "oracle-flag-5000-digits", "sweep-config-5000-digits"])
     def test_count_above_int64(self, crn_dir, capsys, monkeypatch, argv, message):
         # one past the largest int64 count is one error line, not a traceback
         (crn_dir / "huge.crn").write_text("X + Y -> 2X @ 1\ninit X = 9223372036854775808\n")
         path = crn_dir / "exp.ini"
         path.write_text(path.read_text().replace(
             "utility = takeover X Y", "utility = takeover X Y\ninit.A = 9223372036854775808"))
+        (crn_dir / "long.ini").write_text(path.read_text().replace(
+            "init.A = 9223372036854775808", "init.A = " + "1" * 5000))
         monkeypatch.chdir(crn_dir)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -272,8 +275,13 @@ class TestUsageErrors:
           "--loser", "Y", "--cap", "0"), "--cap"),
         (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
           "--loser", "Y", "--cap", "-3"), "--cap"),
+        # underscores only between two digits, as int() reads them
+        (("simulate", "pkg:r.crn", "--init", "X=_"), "error: bad --init count '_'\n"),
+        (("simulate", "pkg:r.crn", "--init", "X=1__2"), "error: bad --init count '1__2'\n"),
+        (("simulate", "pkg:r.crn", "--init", "X=+_5"), "error: bad --init count '+_5'\n"),
     ], ids=["simulate-max-time", "simulate-init", "simulate-takeover", "oracle-winner",
-            "oracle-volume", "oracle-cap-0", "oracle-cap-negative"])
+            "oracle-volume", "oracle-cap-0", "oracle-cap-negative", "simulate-init-underscore",
+            "simulate-init-double-underscore", "simulate-init-leading-underscore"])
     def test_flags(self, capsys, argv, fragment):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1

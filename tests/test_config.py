@@ -141,6 +141,14 @@ class TestIniConfig:
         (("init.B = 90..110", "init.B = 90..99999999999999999999"),
          "[player:main] init.B = '90..99999999999999999999': initial count must be "
          "at most 9223372036854775807"),
+        # past int()'s 4,300-digit limit: the count is not echoed
+        (("init.A = 100", "init.A = " + "1" * 5000),
+         "[player:main] init.A must be at most 9223372036854775807"),
+        # underscores only between two digits, as int() reads them
+        (("init.A = 100", "init.A = _"), "[player:main] init.A = '_' is not an integer"),
+        (("init.B = 90..110", "init.B = 1__2..90"),
+         "[player:main] init.B = '1__2' is not an integer"),
+        (("init.A = 100", "init.A = 5_"), "[player:main] init.A = '5_' is not an integer"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation
