@@ -33,7 +33,6 @@ from .game import (
     UtilityEstimate,
     catalytic_violations,
     compose,
-    estimate_expected_utility,
     sample_initial_state,
 )
 from .oracle import (

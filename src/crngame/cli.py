@@ -169,6 +169,7 @@ def _cpus() -> int:
 
 
 def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
+    """The worker count: the --threads flag if given, else the config's (checked at load)."""
     value = config_threads if threads is None else threads
     if value == 0:
         return _cpus()
@@ -176,16 +177,18 @@ def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
         raise ConfigError("--threads must be >= 0")
     cpus = _cpus()
     if value > cpus:
-        print(f"warning: --threads {value} is more than the {cpus} CPUs; the "
+        source = "[simulation] threads =" if threads is None else "--threads"
+        print(f"warning: {source} {value} is more than the {cpus} CPUs; the "
               f"workers will share them (results do not depend on the count)",
               file=sys.stderr)
     return value
 
 
 # Each override flag's argparse dest -> the ExperimentConfig field it sets.
+# --threads is not one: _resolve_threads reads it, so its error names the flag.
 _OVERRIDES = {"seed": "seed", "volume": "volume", "max_time": "max_time",
               "max_events": "max_events", "confidence": "confidence",
-              "threads": "threads", "out": "csv_path", "svg": "svg_path"}
+              "out": "csv_path", "svg": "svg_path"}
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:

@@ -127,20 +127,22 @@ def parse_count(text: str, where: str) -> int | None:
 
 
 def _parse_count_distribution(text: str, where: str) -> CountDistribution:
-    def count(part: str) -> int:
+    """A count (``5``) or an inclusive range (``90..110``) for the setting ``where``.
+
+    A rejected value is echoed as parsed, so a long zero-padded count is not
+    echoed digit by digit.
+    """
+    counts = []
+    for part in text.strip().split("..", 1):
         value = parse_count(part, where)
         if value is None:
             raise ConfigError(f"{where} = {part!r} is not an integer")
-        return value
-
-    text = text.strip()
+        counts.append(value)
     try:
-        if ".." in text:
-            low, high = (count(part) for part in text.split("..", 1))
-            return UniformCount(low, high)
-        return ConstantCount(count(text))
+        return UniformCount(*counts) if len(counts) == 2 else ConstantCount(*counts)
     except GameConfigError as exc:
-        raise ConfigError(f"{where} = {text!r}: {exc}") from None
+        parsed = "..".join(map(str, counts))
+        raise ConfigError(f"{where} = {parsed!r}: {exc}") from None
 
 
 def _parse_diffs(text: str) -> list[int]:
@@ -201,6 +203,8 @@ class ExperimentConfig:
                               f"(n = {self.total}, diffs = {self.diffs})")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must lie in (0, 1)")
+        if self.threads < 0:
+            raise ConfigError("[simulation] threads must be >= 0")
         self.sim_config()  # rejects a bad volume, max_time or max_events
         first = self.players[0]
         for name in self.pair:

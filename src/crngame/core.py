@@ -167,11 +167,6 @@ class Reaction:
         """Species indices whose count this reaction changes."""
         return tuple(i for i, d in enumerate(self.delta) if d != 0)
 
-    def is_catalyst(self, species_index: int) -> bool:
-        """True iff the species appears with equal positive count on both sides."""
-        r = self.reactants[species_index]
-        return r > 0 and r == self.products[species_index]
-
 
 class Crn(object):
     """A species table plus an ordered, duplicate-free tuple of reactions.
@@ -227,9 +222,8 @@ class CompiledCrn(object):
     propensity is ``kv[j]`` times them, multiplied left to right, and
     engines that keep this order agree bit for bit.
     ``deltas[j]`` holds ``(species, change)`` for each species that reaction
-    ``j`` changes. ``dependents()`` maps each reaction to the reactions whose
-    propensity its firing can change; only the scalar engine needs it, so it
-    is built on request.
+    ``j`` changes. Both simulators recompute every propensity at every
+    event.
     """
 
     __slots__ = ("size", "kv", "factors", "deltas")
@@ -246,17 +240,6 @@ class CompiledCrn(object):
         ]
         self.deltas = [tuple((i, d) for i, d in enumerate(r.delta) if d)
                        for r in reactions]
-
-    def dependents(self) -> list[tuple[int, ...]]:
-        """For each reaction ``j``, the reactions whose propensity can change
-        when ``j`` fires, in index order: those with a reactant ``j`` changes.
-        """
-        readers: dict[int, list[int]] = {}
-        for j, factors in enumerate(self.factors):
-            for si in dict.fromkeys(si for si, _ in factors):
-                readers.setdefault(si, []).append(j)
-        return [tuple(sorted({j for si, _ in delta for j in readers.get(si, ())}))
-                for delta in self.deltas]
 
     def propensity(self, j: int, counts: Sequence) -> float:
         """Reaction ``j``'s propensity at ``counts``.

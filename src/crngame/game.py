@@ -391,28 +391,6 @@ def _exact_zero(trials: int, confidence: float) -> UtilityEstimate:
     return UtilityEstimate(0.0, 0.0, 0.0, 0, trials, 0, confidence)
 
 
-def estimate_expected_utility(game: ComposedGame, player_index: int, trials: int,
-                              config: SimConfig, confidence: float = 0.99,
-                              workers: int = 1) -> UtilityEstimate:
-    """Monte Carlo estimate of a player's expected utility.
-
-    Trial ``j`` draws its initial state and trajectory from the stream
-    seeded with ``child_seed(config.seed, j)``, so the estimate is the same
-    for any worker count. Binary utilities get a Wilson score interval at
-    ``confidence``. The trials run as a one-arm lane pool (see
-    :func:`_run_pool`).
-    """
-    if trials < 1:
-        raise GameConfigError("trials must be >= 1")
-    spec = game.players[player_index].utility
-    if isinstance(spec, Indifferent):
-        return _exact_zero(trials, confidence)
-    [result] = _run_pool([_Arm(game, config.seed)], spec, trials, config, workers)
-    if isinstance(result, CrnError):
-        raise result
-    return _estimate(*result, trials, confidence)
-
-
 # ---------------------------------------------------------------------------
 # Robustness
 

@@ -1,14 +1,13 @@
 """Exact stochastic simulation of a CRN as a continuous-time Markov chain.
 
 This is the scalar direct-method engine, and the reference the batch
-engine (:mod:`crngame.batch`) is tested against: in each state the exit
-rate is the sum of all reaction propensities (see
-:class:`~crngame.core.CompiledCrn`), the sojourn time is exponential with
-that rate, and the fired reaction is selected by inverse-CDF over the
-propensities. After a firing, only the propensities of reactions whose
-reactant support intersects the fired reaction's changed species are
-recomputed; the exit rate is always re-summed left to right over the full
-propensity array so that batched and scalar runs agree bit for bit.
+engine (:mod:`crngame.batch`) is tested against, and the lane kernel's
+algorithm line for line. At every event each propensity is computed afresh
+(see :class:`~crngame.core.CompiledCrn`) and added to a left-to-right
+running sum, whose last value is the exit rate; the sojourn time is
+exponential with that rate, and the fired reaction is the first whose
+running sum reaches a uniform fraction of it. Both engines do these float
+operations in the same order, so batched and scalar runs agree bit for bit.
 
 The stop contract is the batch engine's: ``stop_when_zero`` lists species
 indices, and a run stops with EARLY_STOP as soon as any listed count is
@@ -132,7 +131,6 @@ def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None
         raise CrnError("initial counts must be nonnegative")
     watched = watched_species(stop_when_zero, len(crn.species))
     compiled = CompiledCrn(crn.reactions, config.volume)
-    nrxn = compiled.size
     counts = [int(c) for c in initial_state]
     max_time = config.max_time if config.max_time is not None else float("inf")
     ceiling = config.event_ceiling
@@ -144,18 +142,20 @@ def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None
         if counts[i] == 0:
             return finish(StopReason.EARLY_STOP, 0.0, 0)
 
-    props = [compiled.propensity(j, counts) for j in range(nrxn)]
+    rows = list(zip(compiled.kv, compiled.factors))
     deltas = compiled.deltas
-    dependents = compiled.dependents()
-    prop_of = compiled.propensity
     log = math.log
     u01 = rng.next_u01
     t = 0.0
     events = 0
     while True:
+        cum = []
         total = 0.0
-        for p in props:
+        for p, factors in rows:  # CompiledCrn.propensity, inlined
+            for si, m in factors:
+                p *= counts[si] - m
             total += p
+            cum.append(total)
         if total != total or total == float("inf"):
             raise NumericOverflowError(compiled.first_nonfinite(counts))
         if total == 0.0:
@@ -165,18 +165,14 @@ def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None
             return finish(StopReason.TIME_EXHAUSTED, max_time, events)
         t += sojourn
         threshold = u01() * total
-        cum = 0.0
-        chosen = nrxn - 1
-        for j in range(nrxn):
-            cum += props[j]
-            if threshold <= cum:
-                chosen = j
+        # the first reaction whose running sum reaches the threshold; if
+        # none does, the loop leaves the last one
+        for chosen, partial in enumerate(cum):
+            if threshold <= partial:
                 break
         for si, d in deltas[chosen]:
             counts[si] += d
         events += 1
-        for j in dependents[chosen]:
-            props[j] = prop_of(j, counts)
         if on_event is not None:
             on_event(t, sojourn, chosen, counts)
         # a plain loop: a generator expression here makes every event slower

@@ -183,6 +183,10 @@ class TestSweepCommand:
         assert [line for line in err.splitlines() if line.startswith("warning:")] == [
             "warning: --threads 2 is more than the 1 CPUs; the workers will share "
             "them (results do not depend on the count)"]
+        # a count from the config names its key, not the flag
+        assert cli._resolve_threads(None, 2) == 2
+        assert capsys.readouterr().err.startswith(
+            "warning: [simulation] threads = 2 is more than the 1 CPUs;")
 
     def test_threads_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 3)
@@ -262,6 +266,17 @@ class TestUsageErrors:
         assert code == 1
         assert "error: [simulation] volume = 'abc' is not a number" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting,flag,message", [
+        ("threads = -1", (), "[simulation] threads must be >= 0"),
+        ("threads = 2", ("--threads", "-1"), "--threads must be >= 0"),
+    ], ids=["config", "flag"])
+    def test_negative_threads_name_their_source(self, crn_dir, capsys, setting, flag,
+                                                message):
+        path = crn_dir / "exp.ini"
+        path.write_text(path.read_text().replace("seed = 5150",
+                                                 f"seed = 5150\n{setting}"))
+        assert run_cli(capsys, "sweep", str(path), *flag) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,fragment", [
         (("simulate", "pkg:r.crn", "--init", "X=3", "--max-time", "0"), "max_time"),

@@ -149,6 +149,11 @@ class TestIniConfig:
         (("init.B = 90..110", "init.B = 1__2..90"),
          "[player:main] init.B = '1__2' is not an integer"),
         (("init.A = 100", "init.A = 5_"), "[player:main] init.A = '5_' is not an integer"),
+        # a rejected count is echoed as parsed, not as its zero-padded text
+        (("init.A = 100", "init.A = -" + "0" * 5000 + "5"),
+         "[player:main] init.A = '-5': initial count must be nonnegative"),
+        (("init.B = 90..110", "init.B = " + "0" * 5000 + "5.." + "0" * 5000 + "3"),
+         "[player:main] init.B = '5..3': bad uniform range [5, 3]"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation

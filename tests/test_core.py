@@ -116,19 +116,6 @@ class TestPropensity:
             propensity(rxn, state(2, 5))
 
 
-class TestIsCatalyst:
-    def test_catalyst_species(self):
-        # X + C -> 2Y + C
-        rxn = Reaction((1, 0, 1), (0, 2, 1), 1.0)
-        assert rxn.is_catalyst(2)
-        assert not rxn.is_catalyst(0)  # consumed
-        assert not rxn.is_catalyst(1)  # produced only
-
-    def test_consumed_reactant_not_catalyst(self):
-        rxn = Reaction((2, 1), (3, 0), 1.0)
-        assert not rxn.is_catalyst(1)  # r=1, p=0
-
-
 # property strategies: small random reactions and states over <= 4 species
 
 def reactions(dim):
@@ -170,7 +157,8 @@ def test_catalyst_counts_preserved(rxn, s):
         return
     out = s + np.array(rxn.delta)
     for i in range(3):
-        if rxn.is_catalyst(i):
+        # a catalyst: equal positive counts on both sides
+        if rxn.reactants[i] > 0 and rxn.reactants[i] == rxn.products[i]:
             assert out[i] == s[i]
 
 

@@ -20,7 +20,6 @@ from crngame import (
     UniformCount,
     catalytic_violations,
     compose,
-    estimate_expected_utility,
     make_crn,
     sample_initial_state,
     simulate,
@@ -30,6 +29,7 @@ import crngame.game as game_module
 from crngame.game import (
     _CONCLUSIVE,
     _Arm,
+    _estimate,
     _run_pool,
     estimate_conditions,
     robustness_report,
@@ -44,6 +44,15 @@ def player_for(crn, counts=None, utility=None, name="p"):
     dist = InitialDistribution.deterministic(
         [counts.get(n, 0) for n in crn.species.names])
     return Player(crn, dist, utility or Indifferent(), name)
+
+
+def pool_estimate(game, trials, config, workers=1):
+    """Player 0's estimate on ``game`` as a one-arm lane pool seeded by ``config``."""
+    [result] = _run_pool([_Arm(game, config.seed)], game.players[0].utility, trials,
+                         config, workers)
+    if isinstance(result, NumericOverflowError):
+        raise result
+    return _estimate(*result, trials, 0.99)
 
 
 @pytest.fixture
@@ -241,7 +250,7 @@ class TestEstimation:
         player = player_for(majority_crn, {"X": 4, "Y": 1},
                             TakeoverSuccess("X", "Y"))
         game = compose([player])
-        est = estimate_expected_utility(game, 0, 300, SimConfig(seed=4))
+        est = pool_estimate(game, 300, SimConfig(seed=4))
         assert est.mean == 1.0
         assert est.successes == 300
 
@@ -249,14 +258,8 @@ class TestEstimation:
         player = player_for(majority_crn, {"X": 2, "Y": 2},
                             TakeoverSuccess("X", "Y"))
         game = compose([player])
-        est = estimate_expected_utility(game, 0, 500, SimConfig(seed=5))
+        est = pool_estimate(game, 500, SimConfig(seed=5))
         assert est.mean == 1.0
-
-    def test_indifferent_estimate_is_exactly_zero(self, majority_crn):
-        player = player_for(majority_crn, {"X": 4, "Y": 1}, Indifferent())
-        game = compose([player])
-        est = estimate_expected_utility(game, 0, 100, SimConfig(seed=6))
-        assert (est.mean, est.lower, est.upper) == (0.0, 0.0, 0.0)
 
     def test_pool_counts_equal_scalar_runs(self, consensus_player):
         # the scalar engine, trial by trial on child_seed(seed, j), against
@@ -268,7 +271,7 @@ class TestEstimation:
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
         config = SimConfig(seed=7, max_events=80)
         game = compose([small, nature])
-        est = estimate_expected_utility(game, 0, 150, config)
+        est = pool_estimate(game, 150, config)
         assert (est.successes, est.truncated) == scalar_counts(game, 150, config)
         assert 0 < est.truncated and 0 < est.successes < 150 - est.truncated
 
@@ -287,16 +290,16 @@ class TestEstimation:
     def test_worker_count_does_not_change_estimate(self, consensus_player):
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
         game = compose([small])
-        one = estimate_expected_utility(game, 0, 200, SimConfig(seed=8), workers=1)
-        four = estimate_expected_utility(game, 0, 200, SimConfig(seed=8), workers=4)
+        one = pool_estimate(game, 200, SimConfig(seed=8), workers=1)
+        four = pool_estimate(game, 200, SimConfig(seed=8), workers=4)
         assert one == four
 
     def test_more_workers_than_trials(self, consensus_player, nature_player):
         # three trials give three one-lane chunks, fewer than the eight workers
         small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
         game = compose([small, nature_player])
-        one = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=1)
-        eight = estimate_expected_utility(game, 0, 3, SimConfig(seed=9), workers=8)
+        one = pool_estimate(game, 3, SimConfig(seed=9), workers=1)
+        eight = pool_estimate(game, 3, SimConfig(seed=9), workers=8)
         assert one == eight
 
     def test_pool_runs_without_fork(self, consensus_player, nature_player, monkeypatch):
@@ -311,8 +314,8 @@ class TestEstimation:
         assert (_run_pool(arms, small.utility, 40, SimConfig(seed=0), 2)
                 == _run_pool(arms, small.utility, 40, SimConfig(seed=0), 1))
         game = arms[0].game
-        assert (estimate_expected_utility(game, 0, 40, SimConfig(seed=4), workers=2)
-                == estimate_expected_utility(game, 0, 40, SimConfig(seed=4), workers=1))
+        assert (pool_estimate(game, 40, SimConfig(seed=4), workers=2)
+                == pool_estimate(game, 40, SimConfig(seed=4), workers=1))
 
     def test_a_failing_chunk_stops_the_queued_chunks(self, consensus_player,
                                                      monkeypatch):
@@ -334,7 +337,7 @@ class TestEstimation:
         monkeypatch.setattr(game_module, "_SLICE_LANES", 1)
         game = compose([consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})])
         with pytest.raises(RuntimeError, match="first chunk fails"):
-            estimate_expected_utility(game, 0, 40, SimConfig(seed=5), workers=2)
+            pool_estimate(game, 40, SimConfig(seed=5), workers=2)
         assert 1 <= len(started) < 10
 
     def test_slices_do_not_change_the_counts(self, consensus_player, nature_player,
@@ -350,8 +353,7 @@ class TestEstimation:
             assert _run_pool(arms, small.utility, 40, SimConfig(seed=0),
                              workers) == whole
         for arm, (successes, truncated) in zip(arms, whole):
-            alone = estimate_expected_utility(arm.game, 0, 40,
-                                              SimConfig(seed=arm.seed))
+            alone = pool_estimate(arm.game, 40, SimConfig(seed=arm.seed))
             assert (alone.successes, alone.truncated) == (successes, truncated)
 
     def test_overflow_names_the_same_trial_for_any_slicing(self, monkeypatch):
@@ -366,8 +368,7 @@ class TestEstimation:
             monkeypatch.setattr(game_module, "_SLICE_LANES", slice_lanes)
             for workers in (1, 2, 3):
                 with pytest.raises(NumericOverflowError) as err:
-                    estimate_expected_utility(game, 0, 12, SimConfig(seed=3),
-                                              workers=workers)
+                    pool_estimate(game, 12, SimConfig(seed=3), workers=workers)
                 assert (err.value.lane, err.value.event) == (1, 0)
                 assert str(err.value) == "trial 1: non-finite propensity in reaction 0"
 
@@ -382,7 +383,7 @@ class TestEstimation:
         assert one[1].lane == 0
         assert str(one[1]) == "trial 0: non-finite propensity in reaction 2"
         for arm, counts in zip(arms[::2], one[::2]):
-            alone = estimate_expected_utility(calm, 0, 10, SimConfig(seed=arm.seed))
+            alone = pool_estimate(calm, 10, SimConfig(seed=arm.seed))
             assert counts == (alone.successes, alone.truncated)
         two = _run_pool(arms, calm.players[0].utility, 10, SimConfig(seed=0), 2)
         assert [str(r) for r in two] == [str(r) for r in one]
@@ -425,10 +426,10 @@ class TestRobustness:
         for ci, (cond, result) in enumerate(zip(conditions, report.conditions)):
             p1 = replace(player, initial_distribution=cond.distribution)
             seed = child_seed(21, ci)
-            alone_with = estimate_expected_utility(
-                compose([p1, pusher]), 0, 60, SimConfig(seed=child_seed(seed, 0)))
-            alone_base = estimate_expected_utility(
-                compose([p1, Player.trivial("trivial-0")]), 0, 60,
+            alone_with = pool_estimate(
+                compose([p1, pusher]), 60, SimConfig(seed=child_seed(seed, 0)))
+            alone_base = pool_estimate(
+                compose([p1, Player.trivial("trivial-0")]), 60,
                 SimConfig(seed=child_seed(seed, 1)))
             assert result.with_opponents == alone_with
             assert result.baseline == alone_base
@@ -460,10 +461,7 @@ class TestRobustness:
         fast = player_for(shuffler_crn, name="fast")
         small = consensus_player.with_counts({"X": 24, "Y": 16, "A": 4, "B": 4})
         games = [compose([small, slow, fast]), compose([small, fast, slow])]
-        estimates = [
-            estimate_expected_utility(g, 0, 3000, SimConfig(seed=31))
-            for g in games
-        ]
+        estimates = [pool_estimate(g, 3000, SimConfig(seed=31)) for g in games]
         # same distribution, independent draws: agree within joint 3 sigma
         p = (estimates[0].mean + estimates[1].mean) / 2
         sigma = math.sqrt(2 * p * (1 - p) / 3000)
