@@ -24,9 +24,11 @@ copy the CPU can run; every copy gives the same bits. On the benchmark's
 ``sweep_n1000`` calls an event costs about 13 ns in the v4 copy, 15 ns in
 the v3 copy and 19 ns in the baseline copy, which is the one loop built
 everywhere else.
-It is compiled on first import with the C compiler Python was built with
+The same library holds the exact oracle's state search (``_search.c``,
+called by :func:`crngame.oracle.enumerate_states`). It is compiled from
+both sources on first import with the C compiler Python was built with
 (``sysconfig`` ``CC``), cached as ``__pycache__/_lanes.<sha256>.so`` beside
-the source (the hash covers the source and the compiler command), and
+the sources (the hash covers the sources and the compiler command), and
 loaded with :mod:`ctypes`. Where that directory is not writable the library
 goes to a private temporary directory that lives as long as the process.
 
@@ -67,6 +69,8 @@ _REASON_CODES = (
 _OVERFLOW = len(_REASON_CODES)
 
 _SOURCE = Path(__file__).with_name("_lanes.c")
+# the exact oracle's state search, built into the same library
+_SEARCH_SOURCE = Path(__file__).with_name("_search.c")
 # No -ffast-math, and no fused multiply-adds (aarch64 compilers fuse by
 # default, and the kernel's x86-64-v3 and v4 copies could): either would
 # change the last bits of propensities and times.
@@ -101,19 +105,29 @@ def _writable_cache(cache: Path) -> Path:
         return _private_cache()
 
 
+class _Space(ctypes.Structure):
+    """``struct crngame_space`` of ``_search.c``: what a state search found."""
+
+    _fields_ = [("nstates", ctypes.c_int64), ("ntransitions", ctypes.c_int64),
+                ("states", ctypes.c_void_p), ("indptr", ctypes.c_void_p),
+                ("successors", ctypes.c_void_p), ("rates", ctypes.c_void_p),
+                ("reaction", ctypes.c_int64), ("species", ctypes.c_int64)]
+
+
 def _load_kernel() -> ctypes.CDLL:
-    """Build ``_SOURCE`` unless its library is cached, load it and type it."""
-    source = _SOURCE.read_bytes()
+    """Build the sources unless their library is cached, load it and type it."""
+    sources = (_SOURCE, _SEARCH_SOURCE)
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
     command = "\0".join(["", *compiler, *_FLAGS, *_LIBS]).encode()
-    name = f"_lanes.{hashlib.sha256(source + command).hexdigest()}.so"
+    text = b"\0".join(source.read_bytes() for source in sources)
+    name = f"_lanes.{hashlib.sha256(text + command).hexdigest()}.so"
     path = _SOURCE.parent / "__pycache__" / name
     if not path.exists():
         path = _writable_cache(path.parent) / name
     if not path.exists():
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
         os.close(fd)
-        cmd = [*compiler, *_FLAGS, "-o", tmp, str(_SOURCE), *_LIBS]
+        cmd = [*compiler, *_FLAGS, "-o", tmp, *map(str, sources), *_LIBS]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             failure = proc.stderr if proc.returncode else None
@@ -142,6 +156,16 @@ def _load_kernel() -> ctypes.CDLL:
         floats, floats,  # scratch: counts as doubles, running sums
     ]
     lib.crngame_run_lanes.restype = None
+    lib.crngame_search.argtypes = [
+        i64, i64,  # species, reactions
+        ints, ints, ints,  # falling factors
+        ints, ints, ints,  # changes
+        ints, floats, ints, i64,  # change groups, kv, initial state, cap
+        ctypes.POINTER(_Space),
+    ]
+    lib.crngame_search.restype = i64
+    lib.crngame_free_space.argtypes = [ctypes.POINTER(_Space)]
+    lib.crngame_free_space.restype = None
     return lib
 
 

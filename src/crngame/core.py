@@ -72,6 +72,16 @@ class NumericOverflowError(CrnError):
                    lane, event)
 
 
+class CountOverflowError(CrnError):
+    """A reaction would take a species count above ``MAX_COUNT``."""
+
+    def __init__(self, species: str, reaction_index: int):
+        self.species = species
+        self.reaction_index = reaction_index
+        super().__init__(f"reaction {reaction_index} takes the count of species "
+                         f"{species!r} above {MAX_COUNT}")
+
+
 def _overflow_text(reaction_index: int) -> str:
     if reaction_index < 0:
         return "non-finite propensity sum"

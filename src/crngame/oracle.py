@@ -1,10 +1,17 @@
 """Exact ground truth for small systems: reachable-state enumeration and
 absorption probabilities of the embedded jump chain.
 
+The reachable states are found by a breadth-first search in C
+(``_search.c``, built into the library of :mod:`crngame.batch`), one state
+at a time, with an open-addressing hash of the count vectors. It gives
+the states, numbered in order of discovery, and their transitions as CSR
+arrays, with the propensities of :class:`~crngame.core.CompiledCrn`.
+
 Working on the embedded chain (transition probabilities = rate ratios)
 rather than the generator keeps the numbers well scaled even when rate
 constants span many orders of magnitude; absorption probabilities do not
-depend on sojourn times.
+depend on sojourn times. The reachability check and the first-step system
+are built straight from the search's CSR arrays.
 
 The first-step system is solved by SuperLU with its columns ordered by
 minimum degree on Aᵀ+A. Reversible CRNs give diagonally dominant, nearly
@@ -17,14 +24,27 @@ minimum degree was measured several times slower than COLAMD.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import CompiledCrn, Crn, CountVector, CrnError, NumericOverflowError
+from .batch import _Space, _flat, _kernel
+from .core import (
+    MAX_COUNT,
+    CompiledCrn,
+    CountOverflowError,
+    Crn,
+    CountVector,
+    CrnError,
+    NumericOverflowError,
+)
 
 SOLVE_RESIDUAL_BOUND = 1e-10
+
+# the SEARCH_ status codes of _search.c
+_SEARCH_DONE, _SEARCH_CAP, _SEARCH_NONFINITE, _SEARCH_COUNT = range(4)
 
 
 class StateSpaceTooLargeError(CrnError):
@@ -84,12 +104,15 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
                      state_cap: int = 10**6) -> StateSpace:
     """Breadth-first closure of ``initial_state`` under applicable reactions.
 
-    The search takes one level at a time: every (state, reaction)
-    propensity of the frontier at once, then the successors in row-major
-    order, which numbers the states as a one-state-at-a-time search would.
-    Raises :class:`StateSpaceTooLargeError` once more than ``state_cap``
-    states have been discovered, or :class:`NumericOverflowError` at the
-    first non-finite propensity, whichever comes first in that order.
+    The search is the C function ``crngame_search`` (``_search.c``, in the
+    library :mod:`crngame.batch` builds). It takes one state at a time and
+    each state's reactions in order, so a state's number is its order of
+    first discovery; propensities are :class:`CompiledCrn`'s, multiplied
+    left to right. Raises, at whichever comes first in that order,
+    :class:`NumericOverflowError` at a non-finite propensity,
+    :class:`CountOverflowError` at a count above ``MAX_COUNT``, or
+    :class:`StateSpaceTooLargeError` once more than ``state_cap`` states
+    have been found (the initial state never counts).
     """
     initial = np.asarray(initial_state, dtype=np.int64)
     if initial.ndim != 1 or initial.size != len(crn.species):
@@ -98,72 +121,40 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
         raise CrnError("initial counts must be nonnegative")
 
     kin = CompiledCrn(crn.reactions, volume)
-    delta = np.array([r.delta for r in crn.reactions],
-                     dtype=np.int64).reshape(kin.size, initial.size)
     # reactions with the same change lead from any state to one successor
-    same_change: dict[tuple[int, ...], list[int]] = {}
-    for j, rxn in enumerate(crn.reactions):
-        same_change.setdefault(rxn.delta, []).append(j)
-    parallel_groups = [g for g in same_change.values() if len(g) > 1]
-    row_key = np.dtype((np.void, delta.itemsize * initial.size))
-
-    index_of = {initial.tobytes(): 0}
-    frontier = initial[None, :]
-    levels, degrees, successors, rates = [frontier], [], [], []
-    while frontier.shape[0]:
-        prop = np.empty((frontier.shape[0], kin.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(kin.size):
-                col = np.full(frontier.shape[0], kin.kv[j])
-                for si, m in kin.factors[j]:
-                    col *= frontier[:, si] - m
-                prop[:, j] = col
-            nonfinite = np.flatnonzero(~np.isfinite(prop))
-            for group in parallel_groups:
-                _merge_parallel(prop, group)
-        src, rxn = np.nonzero(prop)
-        if nonfinite.size:
-            # the states found before the first non-finite propensity may
-            # still cross the cap first
-            before = src * kin.size + rxn < nonfinite[0]
-            src, rxn = src[before], rxn[before]
-        succ = frontier[src] + delta[rxn]
-        known = len(index_of)
-        target = np.array([index_of.setdefault(key, len(index_of))
-                           for key in succ.view(row_key).ravel().tolist()],
-                          dtype=np.int64)
-        # the initial state never counts against the cap
-        if len(index_of) > max(state_cap, known):
+    first_with: dict[tuple[tuple[int, int], ...], int] = {}
+    group = np.array([first_with.setdefault(d, j) for j, d in enumerate(kin.deltas)],
+                     dtype=np.int64)
+    found = _Space()
+    status = _kernel.crngame_search(
+        initial.size, kin.size,
+        *_flat(kin.factors, (np.int64, np.int64)),
+        *_flat(kin.deltas, (np.int64, np.int64)),
+        group, np.array(kin.kv, dtype=np.float64), np.ascontiguousarray(initial),
+        min(state_cap, MAX_COUNT), ctypes.byref(found))
+    try:
+        if status == _SEARCH_CAP:
             raise StateSpaceTooLargeError(state_cap)
-        if nonfinite.size:
-            raise NumericOverflowError(int(nonfinite[0] % kin.size))
-        found, first = np.unique(target, return_index=True)
-        frontier = succ[first[found >= known]]
-        levels.append(frontier)
-        degrees.append(np.bincount(src, minlength=prop.shape[0]))
-        successors.append(target)
-        rates.append(prop[src, rxn])
+        if status == _SEARCH_NONFINITE:
+            raise NumericOverflowError(found.reaction)
+        if status == _SEARCH_COUNT:
+            raise CountOverflowError(crn.species.names[found.species], found.reaction)
+        if status != _SEARCH_DONE:
+            raise MemoryError("no memory left for the state search")
+        n, m = found.nstates, found.ntransitions
+        return StateSpace(_copied(found.states, (n, initial.size), np.int64),
+                          _copied(found.indptr, (n + 1,), np.int64),
+                          _copied(found.successors, (m,), np.int64),
+                          _copied(found.rates, (m,), np.float64))
+    finally:
+        _kernel.crngame_free_space(ctypes.byref(found))
 
-    indptr = np.zeros(len(index_of) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(degrees), out=indptr[1:])
-    return StateSpace(np.concatenate(levels), indptr, np.concatenate(successors),
-                      np.concatenate(rates))
 
-
-def _merge_parallel(prop: np.ndarray, group: list[int]) -> None:
-    """Sum the columns of reactions with the same change into one entry per row.
-
-    The sum runs in reaction order and lands in the row's first nonzero
-    column of the group, where a search in reaction order first meets it.
-    """
-    block = prop[:, group]
-    total = np.zeros(prop.shape[0])
-    for col in block.T:
-        total += col
-    first = (block != 0.0).argmax(axis=1)
-    block[:] = 0.0
-    block[np.arange(prop.shape[0]), first] = total
-    prop[:, group] = block
+def _copied(address: int | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A new array of ``shape`` holding the C buffer at ``address``."""
+    out = np.empty(shape, dtype)
+    ctypes.memmove(out.ctypes.data, address, out.nbytes)
+    return out
 
 
 def absorption_probabilities(space: StateSpace,
@@ -177,34 +168,18 @@ def absorption_probabilities(space: StateSpace,
     (as then no absorption probability is well defined), and
     :class:`NumericOverflowError` if a state's exit rate is not finite.
     """
-    n = len(space)
     absorbing_idx = np.flatnonzero(space.absorbing)
     if absorbing_idx.size == 0:
         raise NoAbsorptionError("no absorbing state is reachable")
 
-    # imported here, not with the module: the CLI imports this module for
-    # every command, and only the oracle needs scipy (loading it adds about
-    # 0.4 s and 30 MB to a command's start-up)
-    from scipy.sparse import csr_matrix, identity
-    from scipy.sparse.csgraph import breadth_first_order
+    # scipy is imported in the functions that use it, not with the module:
+    # the CLI imports this module for every command, and only the oracle
+    # needs scipy (loading it adds about 0.4 s and 30 MB to a command's
+    # start-up)
     from scipy.sparse.linalg import spsolve
 
-    # Every transient state must reach some absorbing state: search the
-    # reversed graph from a super-source (node n) linked to every absorbing state.
-    src, dst = space.sources(), space.successors
-    reverse = csr_matrix(
-        (np.ones(dst.size + absorbing_idx.size, dtype=np.int8),
-         (np.concatenate([dst, np.full(absorbing_idx.size, n)]),
-          np.concatenate([src, absorbing_idx]))),
-        shape=(n + 1, n + 1))
-    reached = np.zeros(n + 1, dtype=bool)
-    reached[breadth_first_order(reverse, n, return_predecessors=False)] = True
-    if not reached.all():
-        stranded = int(np.flatnonzero(~reached)[0])
-        raise NoAbsorptionError(
-            f"state {stranded} cannot reach any absorbing state")
-
-    hit = np.zeros(n)
+    _check_reachable(space, absorbing_idx)
+    hit = np.zeros(len(space))
     for ai in absorbing_idx:
         if predicate(space.states[ai]):
             hit[ai] = 1.0
@@ -216,16 +191,15 @@ def absorption_probabilities(space: StateSpace,
     exit_rates = space.exit_rates()
     if not np.isfinite(exit_rates).all():
         raise NumericOverflowError(-1)
+    src, dst = space.sources(), space.successors
     t_pos = np.cumsum(~space.absorbing) - 1
     prob = space.rates / exit_rates[src]
     into_absorbing = space.absorbing[dst]
     b = np.bincount(t_pos[src[into_absorbing]],
                     weights=prob[into_absorbing] * hit[dst[into_absorbing]],
                     minlength=transient.size)
-    inner = ~into_absorbing
-    p_tt = csr_matrix((prob[inner], (t_pos[src[inner]], t_pos[dst[inner]])),
-                      shape=(transient.size, transient.size))
-    system = (identity(transient.size, format="csr") - p_tt).tocsc()
+    system = _first_step_matrix(t_pos[src], t_pos[dst], prob, ~into_absorbing,
+                                transient.size)
     x = spsolve(system, b, permc_spec="MMD_AT_PLUS_A")
     x = np.atleast_1d(x)
     residual = np.abs(system @ x - b).max()
@@ -236,3 +210,59 @@ def absorption_probabilities(space: StateSpace,
     out[transient] = x
     return out
 
+
+def _check_reachable(space: StateSpace, absorbing_idx: np.ndarray) -> None:
+    """Raise :class:`NoAbsorptionError` unless every state reaches an absorbing one.
+
+    Searches the reversed graph from a super-source (node n) linked to every
+    absorbing state. Its column i is state i's row of the CSR arrays; an
+    absorbing state's column, empty there, gets the super-source's edge.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = len(space)
+    before = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(space.absorbing, out=before[1:])
+    colptr = np.append(space.indptr + before, space.indptr[-1] + before[-1])
+    rows = np.insert(space.successors, space.indptr[absorbing_idx], n)
+    reverse = csc_matrix((np.ones(rows.size, dtype=np.int8), rows, colptr),
+                         shape=(n + 1, n + 1))
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[breadth_first_order(reverse, n, return_predecessors=False)] = True
+    if not reached.all():
+        stranded = int(np.flatnonzero(~reached)[0])
+        raise NoAbsorptionError(
+            f"state {stranded} cannot reach any absorbing state")
+
+
+def _first_step_matrix(row: np.ndarray, col: np.ndarray, prob: np.ndarray,
+                       inner: np.ndarray, size: int):
+    """I − P_tt in CSC, each entry as scipy's ``identity - p_tt`` computes it.
+
+    ``row`` and ``col`` number each transition's source and successor among
+    the transient states, ``prob`` is its probability and ``inner`` marks
+    those between two transient states. An entry is ``1.0 - p`` on the
+    diagonal and ``-p`` off it, and one that comes to zero (a probability
+    that underflowed) is dropped.
+    """
+    from scipy.sparse import csr_matrix
+
+    loop = inner & (row == col)
+    off = inner & ~loop
+    diagonal = np.ones(size)
+    diagonal[row[loop]] = 1.0 - prob[loop]
+    # row i is its diagonal entry, then its other entries in transition
+    # order; the CSC form sorts each column
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[off], minlength=size) + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    indices[indptr[:-1]] = np.arange(size)
+    data[indptr[:-1]] = diagonal
+    at = np.arange(np.count_nonzero(off)) + row[off] + 1
+    indices[at] = col[off]
+    data[at] = -prob[off]
+    matrix = csr_matrix((data, indices, indptr), shape=(size, size))
+    matrix.eliminate_zeros()
+    return matrix.tocsc()

@@ -26,7 +26,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import CompiledCrn, Crn, CountVector, CrnError, NumericOverflowError
+from .core import (
+    MAX_COUNT,
+    CompiledCrn,
+    CountOverflowError,
+    Crn,
+    CountVector,
+    CrnError,
+    NumericOverflowError,
+)
 from .rng import Xoshiro256
 
 # Guard against nonterminating CRNs when the caller sets no limits at all.
@@ -115,9 +123,11 @@ def simulate(crn: Crn, initial_state: CountVector, config: SimConfig,
     ``max_time`` with the pending reaction not executed); the event ceiling
     is reached (EVENT_CEILING). ``on_event(time, sojourn, reaction_index,
     counts)`` is called once per executed event, in order, before the stop
-    checks; ``counts`` is the live state, to be read within the call. With a
-    fixed seed, config, CRN, and initial state the trajectory is
-    reproducible.
+    checks; ``counts`` is the live state, to be read within the call. An
+    event that would take a count above ``MAX_COUNT`` raises
+    :class:`~crngame.core.CountOverflowError` instead, before
+    ``on_event``. With a fixed seed, config, CRN, and initial state the
+    trajectory is reproducible.
     """
     return _core_loop(crn, initial_state, config, Xoshiro256(config.seed),
                       stop_when_zero, on_event)
@@ -145,6 +155,7 @@ def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None
     rows = list(zip(compiled.kv, compiled.factors))
     deltas = compiled.deltas
     log = math.log
+    max_count = MAX_COUNT
     u01 = rng.next_u01
     t = 0.0
     events = 0
@@ -171,7 +182,10 @@ def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None
             if threshold <= partial:
                 break
         for si, d in deltas[chosen]:
-            counts[si] += d
+            c = counts[si] + d
+            if c > max_count:
+                raise CountOverflowError(crn.species.names[si], chosen)
+            counts[si] = c
         events += 1
         if on_event is not None:
             on_event(t, sojourn, chosen, counts)

@@ -113,6 +113,16 @@ class TestSimulate:
         assert "stop-reason: terminal" in out
         assert "events: 0" in out
 
+    @pytest.mark.parametrize("argv", [["simulate", "--max-events", "3"],
+                                      ["oracle", "--winner", "X", "--loser", "X"]])
+    def test_count_above_int64_is_one_error_line(self, tmp_path, capsys, argv):
+        grow = tmp_path / "grow.crn"
+        grow.write_text("0 -> X @ 1\nX -> 0 @ 1e-30\ninit X = 9223372036854775806\n")
+        code, out, err = run_cli(capsys, argv[0], str(grow), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == ("error: reaction 0 takes the count of species 'X' above "
+                       "9223372036854775807\n")
+
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "no-such-file.crn")
         assert code == 1
@@ -516,6 +526,20 @@ class TestOracleCommand:
         assert lines[608] == "X=13 Y=1 B=26 p=0.999877929688"
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c4ab69d6867b88b51eea52b60a3703b7dae82d9fda66d06107ca59eea5764d7c")
+
+    def test_benchmark_crn_text_unchanged(self, tmp_path, capsys):
+        # the reaction lines of perfbench/am.crn at n = 40, from another
+        # split, against a recorded digest of the whole text
+        am = tmp_path / "am.crn"
+        am.write_text("X + Y -> X + B @ 1\nX + Y -> Y + B @ 1\n"
+                      "B + X -> 2X @ 1\nB + Y -> 2Y @ 1\n")
+        code, out, _ = run_cli(capsys, "oracle", str(am), "--init", "X=21",
+                               "--init", "Y=19", "--winner", "X", "--loser", "Y",
+                               "--all")
+        assert code == 0
+        assert len(out.splitlines()) == 861
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "93902e30fae33b659ed888fc88678086ce8d719dc94ce6374d1ae59bccd9e0f7")
 
     def test_cap_exceeded_is_runtime_error(self, tmp_path, capsys):
         grower = tmp_path / "grow.crn"

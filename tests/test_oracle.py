@@ -17,7 +17,14 @@ from crngame import (
     propensity,
 )
 from crngame.batch import simulate_batch
-from crngame.core import CompiledCrn, NumericOverflowError, Reaction, SpeciesTable
+from crngame.core import (
+    MAX_COUNT,
+    CompiledCrn,
+    CountOverflowError,
+    NumericOverflowError,
+    Reaction,
+    SpeciesTable,
+)
 from crngame.crnfile import load
 from crngame.data import path as data_path
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
@@ -65,6 +72,8 @@ def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6):
             if not math.isfinite(rate):
                 raise NumericOverflowError(ri)
             succ = tuple(c + d for c, d in zip(state, crn.reactions[ri].delta))
+            if max(succ, default=0) > MAX_COUNT:
+                raise CountOverflowError(crn.species.names[succ.index(max(succ))], ri)
             ti = index_of.get(succ)
             if ti is None:
                 ti = len(states)
@@ -187,6 +196,19 @@ class TestAgainstScalarSearch:
     def test_empty_crn(self):
         self.check(Crn.empty(), {})
 
+    def test_approximate_majority_past_the_first_buffers(self):
+        crn = make_crn([
+            ({"X": 1, "Y": 1}, {"X": 1, "B": 1}, 1.0),
+            ({"X": 1, "Y": 1}, {"Y": 1, "B": 1}, 1.0),
+            ({"B": 1, "X": 1}, {"X": 2}, 1.0),
+            ({"B": 1, "Y": 1}, {"Y": 2}, 1.0),
+        ])
+        assert len(self.check(crn, {"X": 31, "Y": 29})) == 1890
+
+    def test_one_state_per_level(self):
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0)])
+        assert len(self.check(crn, {"X": 20_000})) == 20_001
+
 
 class TestEnumerateErrors:
     def test_non_finite_propensity_names_reaction(self):
@@ -218,6 +240,23 @@ class TestEnumerateErrors:
                 assert got == outcome(scalar_enumerate, crn, initial, state_cap=cap)
                 seen.add(got[0])
         assert seen == {NumericOverflowError, StateSpaceTooLargeError}
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 10**6])
+    def test_count_above_int64_or_cap_first_in_search_order(self, cap):
+        # from 2^63 - 2 the first state finds 2^63 - 1 and 2^63 - 3; the
+        # second would reach 2^63
+        crn = make_crn([({}, {"X": 1}, 1.0), ({"X": 1}, {}, 1e-30)])
+        initial = crn.species.state_from({"X": MAX_COUNT - 1})
+        errors = (CountOverflowError, StateSpaceTooLargeError)
+        with pytest.raises(errors) as compiled:
+            enumerate_states(crn, initial, state_cap=cap)
+        with pytest.raises(errors) as scalar:
+            scalar_enumerate(crn, initial, state_cap=cap)
+        assert (type(compiled.value), str(compiled.value)) \
+            == (type(scalar.value), str(scalar.value))
+        if cap >= 3:
+            assert str(compiled.value) == (
+                "reaction 0 takes the count of species 'X' above 9223372036854775807")
 
 
 class TestStateSpaceArrays:
@@ -416,6 +455,83 @@ class TestSolve:
 
         assert max(abs(p[i] - exact(*state))
                    for i, state in enumerate(space.states.tolist())) <= 1e-12
+
+
+def identity_minus_p_tt(space):
+    """The first-step matrix as scipy's ``identity - p_tt`` builds it, in CSC."""
+    from scipy.sparse import csr_matrix, identity
+
+    src, dst = space.sources(), space.successors
+    t_pos = np.cumsum(~space.absorbing) - 1
+    prob = space.rates / space.exit_rates()[src]
+    inner = ~space.absorbing[dst]
+    size = int(np.count_nonzero(~space.absorbing))
+    p_tt = csr_matrix((prob[inner], (t_pos[src[inner]], t_pos[dst[inner]])),
+                      shape=(size, size))
+    return (identity(size, format="csr") - p_tt).tocsc()
+
+
+class TestFirstStepSystem:
+    """SuperLU gets the matrix ``identity - p_tt`` gives, array for array."""
+
+    class Solved(Exception):
+        pass
+
+    def system(self, monkeypatch, space):
+        import scipy.sparse.linalg
+
+        seen = []
+
+        def spsolve(system, b, permc_spec):
+            seen.append(system)
+            raise self.Solved
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
+        with pytest.raises(self.Solved):
+            absorption_probabilities(space, lambda s: True)
+        return seen[0]
+
+    def assert_same(self, monkeypatch, crn, counts):
+        space = enumerate_states(crn, crn.species.state_from(counts))
+        got, want = self.system(monkeypatch, space), identity_minus_p_tt(space)
+        assert got.format == want.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        return got
+
+    def test_approximate_majority(self, monkeypatch):
+        crn = make_crn([
+            ({"X": 1, "Y": 1}, {"X": 1, "B": 1}, 1.0),
+            ({"X": 1, "Y": 1}, {"Y": 1, "B": 1}, 1.0),
+            ({"B": 1, "X": 1}, {"X": 2}, 1.0),
+            ({"B": 1, "Y": 1}, {"Y": 2}, 1.0),
+        ])
+        self.assert_same(monkeypatch, crn, {"X": 31, "Y": 29})
+
+    def test_self_loops_on_the_diagonal(self, monkeypatch):
+        table = SpeciesTable(["X", "Y"])
+        crn = Crn(table, [Reaction((1, 0), (0, 1), 1.0),
+                          unchecked_reaction((1, 0), (1, 0), 2.0)])
+        self.assert_same(monkeypatch, crn, {"X": 3})
+
+    def test_diagonal_that_comes_to_zero_is_dropped(self, monkeypatch):
+        # each self-loop's probability rounds to 1.0, so 1 - p is 0: of the
+        # two transient states' entries only X = 2 -> X = 1's -1e-20 is left
+        table = SpeciesTable(["X", "Y"])
+        crn = Crn(table, [Reaction((1, 0), (0, 1), 1.0),
+                          unchecked_reaction((1, 0), (1, 0), 1e20)])
+        system = self.assert_same(monkeypatch, crn, {"X": 2})
+        assert system.toarray().tolist() == [[0.0, -1e-20], [0.0, 0.0]]
+        assert system.nnz == 1
+
+    def test_underflowed_probability_is_dropped(self, monkeypatch):
+        # 2e-320 / 2e10 underflows to 0.0: no entry for X = 2 -> X = 1, Y = 1
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1e-320), ({"X": 1}, {"W": 1}, 1e10),
+                        ({"Y": 1}, {"W": 1}, 1.0)])
+        system = self.assert_same(monkeypatch, crn, {"X": 2})
+        # column 1 (X = 1, Y = 1) has no entry in row 0 (X = 2)
+        assert system.indices[system.indptr[1]:system.indptr[2]].tolist() == [1]
 
 
 class TestAgreementWithSimulation:
