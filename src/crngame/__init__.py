@@ -16,7 +16,6 @@ from .core import (
     Reaction,
     SpeciesTable,
     make_crn,
-    propensity,
 )
 from .crnfile import CrnDocument, ParseError, parse, serialize
 from .game import (
@@ -44,7 +43,7 @@ from .oracle import (
     enumerate_states,
 )
 from .rng import Xoshiro256, XoshiroBatch, child_seed
-from .ssa import SimConfig, SimResult, StopReason, simulate, step
+from .ssa import SimConfig, SimResult, StopReason, simulate
 
 __version__ = "0.1.0"
 

@@ -17,10 +17,11 @@ slot index innermost. Lanes enter the slots in lane order as slots free; a
 lane draws only what the scalar engine draws (nothing once terminal or
 overflowing, the sojourn's uniform alone once out of time); and once no
 lane is left to load, the survivors drain one after another at width 1.
-A lane whose exit rate overflows stops alone. With x86-64, glibc and GCC
-12 or later, the wide loop is compiled three times, for the x86-64-v4,
-x86-64-v3 and baseline instruction sets, and the dynamic loader picks the
-copy the CPU can run; every copy gives the same bits. On the benchmark's
+A lane whose exit rate overflows, or whose next event would take a count
+past 2^63 - 1, stops alone. With x86-64, glibc and GCC 12 or later, the
+wide loop is compiled three times, for the x86-64-v4, x86-64-v3 and
+baseline instruction sets, and the dynamic loader picks the copy the CPU
+can run; every copy gives the same bits. On the benchmark's
 ``sweep_n1000`` calls an event costs about 13 ns in the v4 copy, 15 ns in
 the v3 copy and 19 ns in the baseline copy, which is the one loop built
 everywhere else.
@@ -55,11 +56,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CompiledCrn, Crn, CrnError, NumericOverflowError
+from .core import (MAX_COUNT, CompiledCrn, CountOverflowError, Crn, CrnError,
+                   NumericOverflowError)
 from .rng import XoshiroBatch
 from .ssa import SimConfig, StopReason, watched_species
 
-# indexed by the stop codes of _lanes.c; the code after them is _OVERFLOW
+# indexed by the stop codes of _lanes.c; the code after them is _OVERFLOW,
+# a non-finite exit rate, and _COUNT_OVERFLOW + r is a count overflow at
+# reaction r
 _REASON_CODES = (
     StopReason.TERMINAL,
     StopReason.TIME_EXHAUSTED,
@@ -67,6 +71,7 @@ _REASON_CODES = (
     StopReason.EARLY_STOP,
 )
 _OVERFLOW = len(_REASON_CODES)
+_COUNT_OVERFLOW = _OVERFLOW + 1
 
 _SOURCE = Path(__file__).with_name("_lanes.c")
 # the exact oracle's state search, built into the same library
@@ -194,9 +199,12 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     ``stop_when_zero`` lists species indices; a trial stops with EARLY_STOP
     as soon as any listed count is zero (checked on the initial state and
     after every event), the same stop rule as scalar
-    :func:`~crngame.ssa.simulate`. A non-finite exit rate raises
-    :class:`NumericOverflowError` naming the first trial that has one at the
-    earliest event index at which any does (its ``lane`` and ``event``).
+    :func:`~crngame.ssa.simulate`. A trial whose exit rate is not finite,
+    or whose next event would take a count above ``MAX_COUNT``, stops there
+    alone; then the error scalar ``simulate`` raises
+    (:class:`NumericOverflowError` or :class:`CountOverflowError`) is raised
+    for the lowest such trial at the earliest such event, with its ``lane``
+    and ``event``.
     With ``times=False`` the outcome's ``elapsed`` is None and, unless
     ``config.max_time`` is set, no sojourn time is computed; every other
     output, and each stream's advance, is the same as with ``times=True``.
@@ -229,12 +237,11 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
             times,
             rng._state, counts, reasons, events, elapsed,
             np.empty(_WIDTH * max(nspecies, 1)), np.empty(_WIDTH * max(nrxn, 1)))
-        bad = np.flatnonzero(reasons == _OVERFLOW)
+        bad = np.flatnonzero(reasons >= _OVERFLOW)
         if bad.size:
             lane = int(bad[np.argmin(events[bad])])
-            raise NumericOverflowError.in_trial(
-                lane, kin.first_nonfinite(counts[lane].tolist()), lane=lane,
-                event=int(events[lane]))
+            raise _lane_error(crn, kin, counts[lane].tolist(), int(reasons[lane]),
+                              lane, int(events[lane]))
 
     return BatchOutcome(
         final_states=counts,
@@ -242,3 +249,17 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
         events=events,
         elapsed=elapsed if times else None,
     )
+
+
+def _lane_error(crn: Crn, kin: CompiledCrn, counts: list[int], reason: int,
+                lane: int, event: int) -> CrnError:
+    """The error of a lane stopped with overflow code ``reason`` at ``counts``.
+
+    It is the error scalar :func:`~crngame.ssa.simulate` raises there,
+    numbered by lane.
+    """
+    if reason == _OVERFLOW:
+        return NumericOverflowError(kin.first_nonfinite(counts), lane, event)
+    reaction = reason - _COUNT_OVERFLOW
+    species = next(si for si, d in kin.deltas[reaction] if counts[si] + d > MAX_COUNT)
+    return CountOverflowError(crn.species.names[species], reaction, lane, event)

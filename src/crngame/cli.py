@@ -11,7 +11,6 @@ absorption probabilities for small systems), and ``fmt`` (canonicalize a
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -35,6 +34,7 @@ from .game import (
     Indifferent,
     InitialDistribution,
     Player,
+    _cpus,
     compose,
     robustness_report,
 )
@@ -160,14 +160,6 @@ def _apply_init(table: SpeciesTable, state: np.ndarray, pairs: list[str]) -> Non
         state[_species(table, name, "--init")] = count
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: the machine's, within its affinity mask."""
-    cpus = os.cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = min(cpus, len(os.sched_getaffinity(0)))
-    return cpus
-
-
 def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
     """The worker count: the --threads flag if given, else the config's (checked at load)."""
     value = config_threads if threads is None else threads
@@ -178,8 +170,8 @@ def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
     cpus = _cpus()
     if value > cpus:
         source = "[simulation] threads =" if threads is None else "--threads"
-        print(f"warning: {source} {value} is more than the {cpus} CPUs; the "
-              f"workers will share them (results do not depend on the count)",
+        print(f"warning: {source} {value} is more than the {cpus} CPUs; {cpus} "
+              f"threads will run (results do not depend on the count)",
               file=sys.stderr)
     return value
 
@@ -305,7 +297,8 @@ def _cmd_oracle(args) -> int:
     if args.cap < 1:
         raise ConfigError("--cap must be >= 1")
     space = enumerate_states(doc.crn, state, volume, state_cap=args.cap)
-    probs = absorption_probabilities(space, lambda s: s[winner] > s[loser])
+    won = space.states[:, winner] > space.states[:, loser]
+    probs = absorption_probabilities(space, won)
     print(f"p = {probs[0]:#.12g}")
     if args.all:
         for i in range(len(space)):

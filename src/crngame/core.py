@@ -48,44 +48,48 @@ class CrnError(Exception):
     """Base class for CRN construction and evaluation errors."""
 
 
-class NumericOverflowError(CrnError):
+class _TrialError(CrnError):
+    """An error that one trial met.
+
+    ``lane``, when set, is the index of that trial in the batch or lane pool
+    that raised the error, and the message then starts ``trial <lane>: ``;
+    ``event`` is the index of the event the trial could not take.
+    """
+
+    def __init__(self, message: str, lane: int | None, event: int | None):
+        self.lane = lane
+        self.event = event
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.lane is None else f"trial {self.lane}: {text}"
+
+
+class NumericOverflowError(_TrialError):
     """A propensity or rate sum left the finite float64 range.
 
     ``reaction_index`` is the first reaction whose propensity is not finite,
-    or -1 when only their sum is not. ``lane``, when set, is the index of the
-    overflowing trial in the batch that raised the error, and ``event`` the
-    index of the event it could not take.
+    or -1 when only their sum is not.
     """
 
-    def __init__(self, reaction_index: int, message: str | None = None,
-                 lane: int | None = None, event: int | None = None):
+    def __init__(self, reaction_index: int, lane: int | None = None,
+                 event: int | None = None):
         self.reaction_index = reaction_index
-        self.lane = lane
-        self.event = event
-        super().__init__(message or _overflow_text(reaction_index))
-
-    @classmethod
-    def in_trial(cls, trial: int, reaction_index: int, lane: int | None = None,
-                 event: int | None = None) -> "NumericOverflowError":
-        """The error of trial ``trial``, whose message names that trial."""
-        return cls(reaction_index, f"trial {trial}: {_overflow_text(reaction_index)}",
-                   lane, event)
+        text = (f"non-finite propensity in reaction {reaction_index}"
+                if reaction_index >= 0 else "non-finite propensity sum")
+        super().__init__(text, lane, event)
 
 
-class CountOverflowError(CrnError):
+class CountOverflowError(_TrialError):
     """A reaction would take a species count above ``MAX_COUNT``."""
 
-    def __init__(self, species: str, reaction_index: int):
+    def __init__(self, species: str, reaction_index: int, lane: int | None = None,
+                 event: int | None = None):
         self.species = species
         self.reaction_index = reaction_index
         super().__init__(f"reaction {reaction_index} takes the count of species "
-                         f"{species!r} above {MAX_COUNT}")
-
-
-def _overflow_text(reaction_index: int) -> str:
-    if reaction_index < 0:
-        return "non-finite propensity sum"
-    return f"non-finite propensity in reaction {reaction_index}"
+                         f"{species!r} above {MAX_COUNT}", lane, event)
 
 
 class SpeciesTable(object):
@@ -218,9 +222,6 @@ class Crn(object):
     def empty(cls) -> "Crn":
         return cls(SpeciesTable(()), ())
 
-    def is_empty(self) -> bool:
-        return not self.species.names and not self.reactions
-
 
 class CompiledCrn(object):
     """The mass-action kinetics of a reaction list at one volume.
@@ -270,42 +271,15 @@ class CompiledCrn(object):
         return -1
 
 
-def propensity(reaction: Reaction, state: CountVector, volume: float = 1.0) -> float:
-    """Stochastic mass-action rate of ``reaction`` in ``state``.
-
-    Computes k * V**(1-arity) * prod of per-species falling factorials, as
-    :class:`CompiledCrn` does. For integer states the product is exactly 0
-    whenever the reaction is not applicable (some factor hits 0), so no
-    applicability branch is needed. Raises :class:`NumericOverflowError` if
-    the product leaves the finite range.
-    """
-    if len(reaction.reactants) != len(state):
-        raise CrnError("reaction and state dimensions differ")
-    p = CompiledCrn((reaction,), volume).propensity(0, [int(c) for c in state])
-    if not math.isfinite(p):
-        raise NumericOverflowError(-1, "non-finite propensity")
-    # A state with fewer counts than required yields a zero factor; never negative.
-    return p if p > 0.0 else 0.0
-
-
-def make_crn(reaction_specs: Sequence[tuple[Mapping[str, int], Mapping[str, int], float]],
-             species_order: Sequence[str] | None = None) -> Crn:
+def make_crn(reaction_specs: Sequence[tuple[Mapping[str, int], Mapping[str, int], float]]
+             ) -> Crn:
     """Convenience constructor from sparse name -> count mappings.
 
     Species are registered in first-appearance order (reactants before
-    products, reaction by reaction) unless ``species_order`` pins the table.
+    products, reaction by reaction).
     """
-    if species_order is None:
-        names: list[str] = []
-        seen: set[str] = set()
-        for reactants, products, _ in reaction_specs:
-            for name in list(reactants) + list(products):
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
-    else:
-        names = list(species_order)
-    table = SpeciesTable(names)
+    table = SpeciesTable(dict.fromkeys(name for reactants, products, _ in reaction_specs
+                                       for name in (*reactants, *products)))
     dim = len(table)
     reactions = []
     for reactants, products, k in reaction_specs:

@@ -26,6 +26,7 @@ overflows stops only itself.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -35,6 +36,7 @@ import numpy as np
 
 from .core import (
     MAX_COUNT,
+    CountOverflowError,
     Crn,
     CountVector,
     CrnError,
@@ -323,12 +325,20 @@ class _Arm:
     seed: int
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: the machine's, within its affinity mask."""
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    return cpus
+
+
 def _run_chunk(arm: _Arm, spec: TakeoverSuccess, config: SimConfig, lo: int,
-               hi: int) -> tuple[int, int] | tuple[int, int, int]:
+               hi: int) -> tuple[int, int] | CrnError:
     """Trials ``lo``..``hi`` of one arm, as one :func:`simulate_batch` call.
 
-    Returns (successes, truncations), or the batch's overflow as
-    (event, trial, reaction).
+    Returns (successes, truncations), or the batch's overflow with its
+    ``lane`` numbered by trial of the arm.
     """
     game = arm.game
     rng = XoshiroBatch(np.array([child_seed(arm.seed, j) for j in range(lo, hi)],
@@ -338,8 +348,9 @@ def _run_chunk(arm: _Arm, spec: TakeoverSuccess, config: SimConfig, lo: int,
     try:
         outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=(xi, yi),
                                  times=False)
-    except NumericOverflowError as exc:
-        return exc.event, lo + exc.lane, exc.reaction_index
+    except (NumericOverflowError, CountOverflowError) as exc:
+        exc.lane += lo
+        return exc
     conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
     won = takeover_succeeded(inits[:, xi], inits[:, yi], outcome.final_states[:, xi],
                              outcome.final_states[:, yi], conclusive)
@@ -348,32 +359,30 @@ def _run_chunk(arm: _Arm, spec: TakeoverSuccess, config: SimConfig, lo: int,
 
 def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
               config: SimConfig, workers: int
-              ) -> list[tuple[int, int] | NumericOverflowError]:
+              ) -> list[tuple[int, int] | CrnError]:
     """(successes, truncations) of every arm, or its overflow, from one lane pool.
 
-    Each arm's trials are cut, in order, into chunks of at most
-    ``_SLICE_LANES``, and at most ``ceil(trials / workers)``, that run on
-    ``workers`` threads (the lane kernel releases the GIL). An arm with an
-    overflowing lane yields a :class:`NumericOverflowError` naming the
-    lowest trial at the earliest event index at which any of its trials
-    overflows, as one batch of the whole arm would, whatever the chunks.
-    A chunk that raises cancels the chunks not yet started.
+    The pool runs ``workers`` threads, but never more than there are CPUs
+    (the lane kernel releases the GIL). Each arm's trials are cut, in
+    order, into chunks of at most ``_SLICE_LANES``, and at most
+    ``ceil(trials / threads)``. An arm with an overflowing lane yields the
+    error of the lowest trial at the earliest event index at which any of
+    its trials overflows, as one batch of the whole arm would, whatever the
+    chunks. A chunk that raises cancels the chunks not yet started.
     """
-    workers = max(workers, 1)
+    workers = min(max(workers, 1), _cpus())
     size = min(_SLICE_LANES, -(-trials // workers))
     starts = range(0, trials, size)
     chunks = [(arm, spec, config, lo, min(lo + size, trials))
               for arm in arms for lo in starts]
     with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         parts = list(pool.map(lambda chunk: _run_chunk(*chunk), chunks))
-    results: list[tuple[int, int] | NumericOverflowError] = []
+    results: list[tuple[int, int] | CrnError] = []
     for a in range(len(arms)):
         arm_parts = parts[a * len(starts):(a + 1) * len(starts)]
-        overflows = [part for part in arm_parts if len(part) == 3]
-        if overflows:
-            event, trial, rxn = min(overflows)
-            results.append(NumericOverflowError.in_trial(trial, rxn, lane=trial,
-                                                         event=event))
+        errors = [part for part in arm_parts if isinstance(part, CrnError)]
+        if errors:
+            results.append(min(errors, key=lambda error: (error.event, error.lane)))
         else:
             results.append(tuple(map(sum, zip(*arm_parts))))
     return results

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -157,17 +156,22 @@ def _copied(address: int | None, shape: tuple[int, ...], dtype) -> np.ndarray:
     return out
 
 
-def absorption_probabilities(space: StateSpace,
-                             predicate: Callable[[CountVector], bool]) -> np.ndarray:
-    """Probability, per state, of eventually absorbing where ``predicate`` holds.
+def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
+    """Probability, per state, of eventually absorbing in a state marked ``won``.
 
-    Solves the first-step equations of the embedded jump chain by sparse LU
-    with partial pivoting, columns ordered by minimum degree on Aᵀ+A, and
+    ``won`` holds one boolean per state (any other shape is a
+    :class:`CrnError`); only the absorbing states' entries are read. Solves
+    the first-step equations of the embedded jump chain by sparse LU with
+    partial pivoting, columns ordered by minimum degree on Aᵀ+A, and
     verifies the residual is at most ``SOLVE_RESIDUAL_BOUND``. Raises
     :class:`NoAbsorptionError` if any state cannot reach an absorbing state
     (as then no absorption probability is well defined), and
     :class:`NumericOverflowError` if a state's exit rate is not finite.
     """
+    won = np.asarray(won, dtype=bool)
+    if won.shape != (len(space),):
+        raise CrnError(f"won must hold one entry per state ({len(space)}), "
+                       f"got shape {won.shape}")
     absorbing_idx = np.flatnonzero(space.absorbing)
     if absorbing_idx.size == 0:
         raise NoAbsorptionError("no absorbing state is reachable")
@@ -179,10 +183,8 @@ def absorption_probabilities(space: StateSpace,
     from scipy.sparse.linalg import spsolve
 
     _check_reachable(space, absorbing_idx)
-    hit = np.zeros(len(space))
-    for ai in absorbing_idx:
-        if predicate(space.states[ai]):
-            hit[ai] = 1.0
+    hit = np.zeros(len(space))  # pages that stay untouched cost no memory
+    hit[absorbing_idx[won[absorbing_idx]]] = 1.0
 
     transient = np.flatnonzero(~space.absorbing)
     if transient.size == 0:

@@ -72,6 +72,8 @@ class SimConfig:
             raise CrnError("max_time must be positive or None")
         if self.max_events is not None and self.max_events < 1:
             raise CrnError("max_events must be >= 1 or None")
+        if self.max_events is not None and self.max_events > MAX_COUNT:
+            raise CrnError(f"max_events must be at most {MAX_COUNT}")
 
     @property
     def event_ceiling(self) -> int:
@@ -92,22 +94,6 @@ def watched_species(stop_when_zero: Sequence[int], nspecies: int) -> tuple[int, 
     if any(not 0 <= i < nspecies for i in watched):
         raise CrnError("stop_when_zero names a species index out of range")
     return watched
-
-
-def step(crn: Crn, state: CountVector, volume: float,
-         rng: Xoshiro256) -> tuple[float, int, CountVector] | None:
-    """Execute one event of :func:`simulate`'s loop on ``rng``; None if terminal.
-
-    Returns ``(sojourn, reaction_index, resulting_state)``. The stream
-    advances exactly as in the first event of :func:`simulate`: one uniform
-    for the sojourn, then one for the reaction choice.
-    """
-    fired = []
-    result = _core_loop(crn, state, SimConfig(volume, max_events=1), rng,
-                        on_event=lambda t, soj, j, counts: fired.append((soj, j)))
-    if not fired:
-        return None
-    return (*fired[0], result.final_state)
 
 
 def simulate(crn: Crn, initial_state: CountVector, config: SimConfig,

@@ -22,20 +22,19 @@ from crngame import (
     enumerate_states,
     make_crn,
     parse,
-    propensity,
     serialize,
-    step,
 )
 from crngame.batch import simulate_batch
 from crngame.cli import main as cli_main
 from crngame.config import load_config, resolve_input_path
+from crngame.core import CompiledCrn
 from crngame.crnfile import ParseError, load as load_crn
 from crngame.data import path as data_path
 from crngame.experiment import CSV_COLUMNS, run_sweep
 from crngame.game import robustness_report
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
-from crngame.ssa import simulate
+from crngame.ssa import _core_loop, simulate
 
 WORKERS = 2
 
@@ -62,11 +61,11 @@ def test_criterion_1_propensity_exactness():
     with _report("1 (propensity exactness)"):
         # 3Y + Z at k=1, V=1, y=5, z=2: the worked falling-factorial value
         trimolecular = Reaction((3, 1), (0, 2), 1.0)
-        assert propensity(trimolecular, np.array([5, 2])) == 120.0
+        assert CompiledCrn((trimolecular,)).propensity(0, [5, 2]) == 120.0
         # first catalyzed-consensus reaction (2X + Y + A -> 3X + A) at
         # (x, y, a) = (3, 2, 10): a*x*(x-1)*y with no stoichiometry factorial
         catalyzed = Reaction((2, 1, 1), (3, 0, 1), 1.0)
-        assert propensity(catalyzed, np.array([3, 2, 10])) == 10 * 3 * 2 * 2
+        assert CompiledCrn((catalyzed,)).propensity(0, [3, 2, 10]) == 10 * 3 * 2 * 2
 
 
 def test_criterion_2_oracle_ground_truth(majority_crn):
@@ -77,7 +76,8 @@ def test_criterion_2_oracle_ground_truth(majority_crn):
         for counts, expected in cases:
             initial = table.state_from(counts)
             space = enumerate_states(majority_crn, initial)
-            exact = absorption_probabilities(space, lambda s: s[0] > s[1])[0]
+            exact = absorption_probabilities(
+                space, space.states[:, 0] > space.states[:, 1])[0]
             assert abs(exact - expected) <= SOLVE_RESIDUAL_BOUND
 
             trials = 10000
@@ -144,6 +144,7 @@ def test_criterion_5_conservation_suite():
             ({"B": 1}, {"A": 1}, 5000.0),
         ])
         table = composed.species
+        consensus = CompiledCrn(composed.reactions[:2])
         initial = table.state_from({"X": 36, "Y": 24, "A": 8, "B": 8})
         _check_conservation(initial)
 
@@ -159,8 +160,8 @@ def test_criterion_5_conservation_suite():
             assert x == 0 or y == 0
             assert x + y == 60
             assert res.final_state[2] + res.final_state[3] == 16
-            for rxn in composed.reactions[:2]:
-                assert propensity(rxn, res.final_state) == 0.0
+            for j in range(consensus.size):
+                assert consensus.propensity(j, res.final_state.tolist()) == 0.0
 
 
 def test_criterion_6_thread_determinism(tmp_path, capsys):
@@ -208,16 +209,21 @@ def test_criterion_7_sampler_statistics():
             ({"X": 1, "Y": 1}, {"W": 2}, 2.0),
         ])
         frozen = fixture.species.state_from({"X": 5, "Y": 4})
-        props = [propensity(r, frozen) for r in fixture.reactions]
+        kin = CompiledCrn(fixture.reactions)
+        props = [kin.propensity(j, frozen.tolist()) for j in range(kin.size)]
         total = sum(props)  # 5 + 20 + 40
 
+        # each draw is the one event of a max_events=1 run from the frozen
+        # state, all on one stream
         rng = Xoshiro256(777)
         draws = 100000
-        sojourns = np.empty(draws)
-        picks = np.zeros(len(props), dtype=np.int64)
-        for i in range(draws):
-            sojourns[i], index, _ = step(fixture, frozen, 1.0, rng)
-            picks[index] += 1
+        fired = []
+        for _ in range(draws):
+            _core_loop(fixture, frozen, SimConfig(1.0, max_events=1), rng,
+                       on_event=lambda t, sojourn, j, counts: fired.append((sojourn, j)))
+        assert len(fired) == draws
+        sojourns = np.array([sojourn for sojourn, _ in fired])
+        picks = np.bincount([j for _, j in fired], minlength=len(props))
 
         mean = sojourns.mean()
         typical = 1.0 / total

@@ -16,15 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crngame import (Crn, InitialDistribution, Player, SimConfig, StopReason,
-                     TakeoverSuccess, batch, compose, make_crn)
+from crngame import (Crn, InitialDistribution, Player, Reaction, SimConfig,
+                     SpeciesTable, StopReason, TakeoverSuccess, batch, compose,
+                     make_crn)
 from crngame.batch import simulate_batch
 from crngame.config import load_config
-from crngame.core import NumericOverflowError
+from crngame.core import MAX_COUNT, CountOverflowError, NumericOverflowError
 from crngame.data import path as data_path
 from crngame.game import _Arm, _condition_arms, _run_pool, sample_initial_states
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
-from crngame.ssa import _core_loop
+from crngame.ssa import _core_loop, simulate
 
 
 def scalar_reference(crn, initial, config, seeds, watch=()):
@@ -150,6 +151,11 @@ _live = st.tuples(_side, _side, _rate).filter(lambda rxn: rxn[0] != rxn[1])
 _dead = st.tuples(_side.map(lambda side: {**side, "Z": 1}), _side, _rate)
 
 
+def _vector(side):
+    """A reaction side as counts over ``_SPECIES``."""
+    return tuple(side.get(name, 0) for name in _SPECIES)
+
+
 @st.composite
 def _small_crns(draw):
     """A CRN of up to 6 reactions over (A, B, C, Z), at least one needing Z."""
@@ -158,8 +164,9 @@ def _small_crns(draw):
     # a CRN lists no reaction twice
     unique = {(tuple(sorted(r.items())), tuple(sorted(p.items())), k): (r, p, k)
               for r, p, k in live + dead}
-    return make_crn(draw(st.permutations(list(unique.values()))),
-                    species_order=_SPECIES)
+    return Crn(SpeciesTable(_SPECIES),
+               [Reaction(_vector(r), _vector(p), k)
+                for r, p, k in draw(st.permutations(list(unique.values())))])
 
 
 class TestRandomCrns:
@@ -410,6 +417,40 @@ class TestKernelEdges:
                                                  stream._s3]
         assert overflowed == [0, 8, 9, 17]
 
+    def test_count_overflow_stops_the_lane_before_its_event(self):
+        # 0 -> X takes X from 2^63 - 2 to 2^63 - 1 at event 0; event 1 would
+        # pass it, where scalar simulate raises. The lane must not wrap.
+        crn = make_crn([({}, {"X": 1}, 1.0), ({"X": 1}, {}, 1e-30)])
+        config = SimConfig(seed=7, max_events=3)
+        initial = crn.species.state_from({"X": MAX_COUNT - 1})
+        with pytest.raises(CountOverflowError) as scalar:
+            simulate(crn, initial, config)
+        with pytest.raises(CountOverflowError) as err:
+            simulate_batch(crn, initial[None, :], config,
+                           XoshiroBatch(np.array([7], dtype=np.uint64)))
+        assert (err.value.lane, err.value.event, err.value.reaction_index,
+                err.value.species) == (0, 1, 0, "X")
+        assert str(err.value) == f"trial 0: {scalar.value}" == (
+            "trial 0: reaction 0 takes the count of species 'X' above "
+            "9223372036854775807")
+        # among other lanes, in the wide slots and the width-1 drain: lanes
+        # 3 and 12 fail at event 1, lane 5 at event 0, the others run on
+        xs = [0] * 19
+        xs[3] = xs[12] = MAX_COUNT - 1
+        xs[5] = MAX_COUNT
+        inits = np.array([[x] for x in xs], dtype=np.int64)
+        seeds = [child_seed(7, j) for j in range(19)]
+        failing = []
+        for j, seed in enumerate(seeds):
+            try:
+                _core_loop(crn, inits[j], config, Xoshiro256(seed))
+            except CountOverflowError:
+                failing.append(j)
+        assert failing == [3, 5, 12]
+        with pytest.raises(CountOverflowError) as err:
+            simulate_batch(crn, inits, config, XoshiroBatch(np.array(seeds, dtype=np.uint64)))
+        assert (err.value.lane, err.value.event) == (5, 0)
+
     @pytest.mark.parametrize("times", [True, False])
     def test_lanes_out_of_time_among_other_stops(self, perturbed_game, times):
         inits = _game_inits(perturbed_game, 19)
@@ -428,8 +469,8 @@ class TestKernelEdges:
         # here: the kernel must take its scratch from the caller, not from
         # the stack
         n = 10_000
-        crn = make_crn([({"X": 1, "Y": 1}, {"X": 2}, 1.0 + i / n) for i in range(n)],
-                       species_order=["X", "Y"])
+        crn = Crn(SpeciesTable(["X", "Y"]),
+                  [Reaction((1, 1), (2, 0), 1.0 + i / n) for i in range(n)])
         spec = TakeoverSuccess("X", "Y")
         player = Player(crn, InitialDistribution.deterministic([30, 20]), spec, "p")
         previous = threading.stack_size(512 * 1024)
@@ -454,33 +495,48 @@ def _builds_clones() -> bool:
             and int(defined.get("__GNUC__", 0)) >= 12)
 
 
+# undefined behaviour, a signed overflow say, aborts the process
+_UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+
 @pytest.fixture(scope="module")
 def other_builds(tmp_path_factory):
-    """The kernel built with one copy of the lane loop, and without its v4 copy.
+    """The kernel built with one copy of the lane loop, without its v4 copy,
+    and under the undefined-behaviour sanitizer.
 
     Where the shipped library has a copy per x86-64 level, the first runs
     the default copy and the second, on a host with AVX-512, the v3 copy.
+    The sanitized build is left out where its runtime cannot be linked or
+    loaded.
     """
     text = batch._SOURCE.read_text()
     assert "CLONES static void run_wide" in text and '"arch=x86-64-v4", ' in text
     builds = {}
     with pytest.MonkeyPatch.context() as patch:
-        for name, edited in (
+        for name, edited, flags in (
                 ("one copy", text.replace("CLONES static void run_wide",
-                                          "static void run_wide")),
-                ("no v4 copy", text.replace('"arch=x86-64-v4", ', ""))):
+                                          "static void run_wide"), batch._FLAGS),
+                ("no v4 copy", text.replace('"arch=x86-64-v4", ', ""), batch._FLAGS),
+                ("ubsan", text, batch._FLAGS + _UBSAN)):
             source = tmp_path_factory.mktemp("lanes") / "_lanes.c"
             source.write_text(edited)
             patch.setattr(batch, "_SOURCE", source)
-            builds[name] = batch._load_kernel().crngame_run_lanes
+            patch.setattr(batch, "_FLAGS", flags)
+            try:
+                builds[name] = batch._load_kernel().crngame_run_lanes
+            except (RuntimeError, OSError):
+                if name != "ubsan":
+                    raise
     return builds
 
 
 class TestKernelEdgesInOtherBuilds(TestKernelEdges):
     """The edge cases, each against scalar runs, in the other builds of the kernel."""
 
-    @pytest.fixture(autouse=True, params=["one copy", "no v4 copy"])
+    @pytest.fixture(autouse=True, params=["one copy", "no v4 copy", "ubsan"])
     def build(self, request, other_builds, monkeypatch):
+        if request.param not in other_builds:
+            pytest.skip("the undefined-behaviour sanitizer's runtime is not available")
         monkeypatch.setattr(batch, "_run_lanes", other_builds[request.param])
 
 

@@ -164,8 +164,8 @@ class TestSweepCommand:
 
     def test_threads_above_cpu_count_warn_once(self, crn_dir, tmp_path, capsys,
                                                monkeypatch):
-        monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 2)
-        monkeypatch.setattr("crngame.cli.os.sched_getaffinity", lambda pid: {0, 1},
+        monkeypatch.setattr("crngame.game.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("crngame.game.os.sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -176,31 +176,31 @@ class TestSweepCommand:
                                "--out", str(b), "--threads", "3")
         assert code == 0
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
-        assert warnings == ["warning: --threads 3 is more than the 2 CPUs; the "
-                            "workers will share them (results do not depend on "
-                            "the count)"]
+        assert warnings == ["warning: --threads 3 is more than the 2 CPUs; 2 "
+                            "threads will run (results do not depend on the "
+                            "count)"]
         assert a.read_bytes() == b.read_bytes()
 
     def test_threads_follow_the_affinity_mask(self, crn_dir, tmp_path, capsys,
                                               monkeypatch):
-        monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 4)
-        monkeypatch.setattr("crngame.cli.os.sched_getaffinity", lambda pid: {0},
+        monkeypatch.setattr("crngame.game.os.cpu_count", lambda: 4)
+        monkeypatch.setattr("crngame.game.os.sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert cli._resolve_threads(0) == 1
         code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
                                "--out", str(tmp_path / "a.csv"), "--threads", "2")
         assert code == 0
         assert [line for line in err.splitlines() if line.startswith("warning:")] == [
-            "warning: --threads 2 is more than the 1 CPUs; the workers will share "
-            "them (results do not depend on the count)"]
+            "warning: --threads 2 is more than the 1 CPUs; 1 threads will run "
+            "(results do not depend on the count)"]
         # a count from the config names its key, not the flag
         assert cli._resolve_threads(None, 2) == 2
         assert capsys.readouterr().err.startswith(
             "warning: [simulation] threads = 2 is more than the 1 CPUs;")
 
     def test_threads_without_an_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr("crngame.cli.os.cpu_count", lambda: 3)
-        monkeypatch.delattr("crngame.cli.os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("crngame.game.os.cpu_count", lambda: 3)
+        monkeypatch.delattr("crngame.game.os.sched_getaffinity", raising=False)
         assert cli._resolve_threads(0) == 3
 
     def test_seed_override_changes_rows(self, crn_dir, tmp_path, capsys):
@@ -267,6 +267,16 @@ class TestUsageErrors:
         monkeypatch.chdir(crn_dir)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("simulate", "pkg:r.crn"), ("sweep", "exp.ini"),
+                                      ("robustness", "exp.ini")],
+                             ids=lambda argv: argv[0])
+    def test_max_events_above_int64(self, crn_dir, capsys, monkeypatch, argv):
+        # the lane kernel's event ceiling is an int64: 2^64 would wrap to 0
+        monkeypatch.chdir(crn_dir)
+        code, out, err = run_cli(capsys, *argv, "--max-events", str(2**64))
+        assert (code, out, err) == (
+            1, "", "error: max_events must be at most 9223372036854775807\n")
 
     def test_config_non_numeric(self, crn_dir, capsys):
         path = crn_dir / "exp.ini"

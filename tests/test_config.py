@@ -154,6 +154,9 @@ class TestIniConfig:
          "[player:main] init.A = '-5': initial count must be nonnegative"),
         (("init.B = 90..110", "init.B = " + "0" * 5000 + "5.." + "0" * 5000 + "3"),
          "[player:main] init.B = '5..3': bad uniform range [5, 3]"),
+        # the lane kernel's event ceiling is an int64
+        (("seed = 7", "seed = 7\nmax_events = 18446744073709551616"),
+         "max_events must be at most 9223372036854775807"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation

@@ -7,15 +7,21 @@ from crngame import (
     Crn,
     CrnError,
     Reaction,
+    SimConfig,
     SpeciesTable,
     make_crn,
-    propensity,
+    simulate,
 )
-from crngame.core import MAX_COEFFICIENT
+from crngame.core import MAX_COEFFICIENT, CompiledCrn
 
 
 def state(*counts):
     return np.array(counts, dtype=np.int64)
+
+
+def propensity(rxn, s, volume=1.0):
+    """``rxn``'s propensity at ``s``, as every engine computes it."""
+    return CompiledCrn((rxn,), volume).propensity(0, s.tolist())
 
 
 class TestSpeciesTable:
@@ -75,8 +81,9 @@ class TestCrn:
 
     def test_empty_crn(self):
         crn = Crn.empty()
-        assert crn.is_empty()
-        assert len(crn.species) == 0
+        assert crn == Crn(SpeciesTable(()), ())
+        assert len(crn.species) == 0 and crn.reactions == ()
+        assert crn != make_crn([({"X": 1}, {}, 1.0)])
 
 
 class TestPropensity:
@@ -111,9 +118,14 @@ class TestPropensity:
         assert propensity(fast, s) == 1e9 * propensity(slow, s)
 
     def test_dimension_mismatch_is_an_error(self):
+        # a propensity is only taken of a CRN's reactions at its states, and
+        # both are checked against its species table
         rxn = Reaction((3, 1, 0), (0, 0, 1), 1.0)
-        with pytest.raises(CrnError):
-            propensity(rxn, state(2, 5))
+        with pytest.raises(CrnError, match="reaction dimension does not match"):
+            Crn(SpeciesTable(("Y", "Z")), [rxn])
+        crn = Crn(SpeciesTable(("Y", "Z", "W")), [rxn])
+        with pytest.raises(CrnError, match="initial state dimension does not match"):
+            simulate(crn, state(2, 5), SimConfig())
 
 
 # property strategies: small random reactions and states over <= 4 species

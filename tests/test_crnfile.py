@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crngame import CrnDocument, ParseError, make_crn, parse, serialize
+from crngame import Crn, CrnDocument, ParseError, make_crn, parse, serialize
 from crngame.crnfile import load
 from crngame.data import path as data_path
 
@@ -64,7 +64,7 @@ class TestParse:
 
     def test_empty_text_is_empty_crn(self):
         doc = parse("")
-        assert doc.crn.is_empty()
+        assert doc.crn == Crn.empty()
         assert doc.initial_counts == {}
 
     def test_coefficient_bound_is_inclusive(self):

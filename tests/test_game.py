@@ -10,11 +10,14 @@ import pytest
 from crngame import (
     Condition,
     ConstantCount,
+    Crn,
     GameConfigError,
     Indifferent,
     InitialDistribution,
     Player,
+    Reaction,
     SimConfig,
+    SpeciesTable,
     StopReason,
     TakeoverSuccess,
     UniformCount,
@@ -24,11 +27,12 @@ from crngame import (
     sample_initial_state,
     simulate,
 )
-from crngame.core import NumericOverflowError
+from crngame.core import MAX_COUNT, CountOverflowError, NumericOverflowError
 import crngame.game as game_module
 from crngame.game import (
     _CONCLUSIVE,
     _Arm,
+    _condition_arms,
     _estimate,
     _run_pool,
     estimate_conditions,
@@ -360,7 +364,7 @@ class TestEstimation:
         # 3X -> 4X overflows once X reaches 13: at event 0 in trials that
         # start at 13, later in the others; every worker count and slice
         # size must name the lowest trial at the earliest event, trial 1
-        crn = make_crn([({"X": 3}, {"X": 4}, 1.7e308 / 1500)], species_order=["X", "Y"])
+        crn = Crn(SpeciesTable(["X", "Y"]), [Reaction((3, 0), (4, 0), 1.7e308 / 1500)])
         player = Player(crn, InitialDistribution((UniformCount(10, 13), ConstantCount(5))),
                         TakeoverSuccess("X", "Y"), "p")
         game = compose([player])
@@ -387,6 +391,59 @@ class TestEstimation:
             assert counts == (alone.successes, alone.truncated)
         two = _run_pool(arms, calm.players[0].utility, 10, SimConfig(seed=0), 2)
         assert [str(r) for r in two] == [str(r) for r in one]
+
+    def test_pool_threads_never_exceed_the_cpus(self, consensus_player, monkeypatch):
+        # two arms of 8 trials at workers=10**6 are 16 one-lane chunks,
+        # which would run on 16 threads; with 2 CPUs at most 2 may run
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        ran = set()
+        original = game_module.simulate_batch
+
+        def recorded(*args, **kwargs):
+            ran.add(threading.get_ident())
+            time.sleep(0.02)  # so that chunks overlap
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(game_module, "simulate_batch", recorded)
+        small = consensus_player.with_counts({"X": 30, "Y": 20, "A": 4, "B": 4})
+        arms = [_Arm(compose([small]), 1), _Arm(compose([small]), 2)]
+        many = _run_pool(arms, small.utility, 8, SimConfig(seed=0), 10**6)
+        assert 1 <= len(ran) <= 2
+        assert many == _run_pool(arms, small.utility, 8, SimConfig(seed=0), 1)
+
+    def test_count_overflow_fails_only_its_condition(self, monkeypatch):
+        # 0 -> X takes X past 2^63 - 1 after k events from 2^63 - 1 - k; Y
+        # never falls to 0 first. Every trial of the first condition fails,
+        # and its error names the lowest trial that starts at 2^63 - 2, at
+        # event 1, numbered by arm trial for any thread count and chunk
+        # size; the second condition runs to its event ceiling
+        crn = make_crn([({}, {"X": 1}, 1.0), ({"Y": 1}, {}, 1e-30)])
+        player = Player(crn, InitialDistribution.deterministic([10, 5]),
+                        TakeoverSuccess("X", "Y"), "p")
+        near = InitialDistribution((UniformCount(MAX_COUNT - 8, MAX_COUNT - 1),
+                                    ConstantCount(5)))
+        conditions = [Condition("near", near),
+                      Condition("far", player.initial_distribution)]
+        config = SimConfig(seed=9, max_events=40)
+        with_arm, _ = _condition_arms(player, (), conditions[0], 0, config, False)
+        rng = XoshiroBatch(np.array([child_seed(with_arm.seed, j) for j in range(40)],
+                                    dtype=np.uint64))
+        starts = sample_initial_states(with_arm.game, rng)[:, 0]
+        first = int(np.flatnonzero(starts == MAX_COUNT - 1)[0])
+        assert first >= 1  # so that one-lane chunks renumber it
+        for slice_lanes in (game_module._SLICE_LANES, 1, 7):
+            monkeypatch.setattr(game_module, "_SLICE_LANES", slice_lanes)
+            for workers in (1, 2):
+                failed, ran = estimate_conditions(player, [], conditions, 40, config,
+                                                  workers=workers)
+                assert isinstance(failed.error, CountOverflowError)
+                assert (failed.error.lane, failed.error.event) == (first, 1)
+                assert str(failed.error) == (
+                    f"trial {first}: reaction 0 takes the count of species 'X' "
+                    f"above 9223372036854775807")
+                assert ran.error is None
+                assert ran.with_opponents.truncated == ran.baseline.truncated == 40
 
     def test_random_initial_counts_redrawn_per_trial(self, majority_crn):
         dist = InitialDistribution((UniformCount(1, 40), ConstantCount(1)))

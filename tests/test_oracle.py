@@ -8,13 +8,13 @@ import pytest
 
 from crngame import (
     Crn,
+    CrnError,
     NoAbsorptionError,
     SimConfig,
     StateSpaceTooLargeError,
     absorption_probabilities,
     enumerate_states,
     make_crn,
-    propensity,
 )
 from crngame.batch import simulate_batch
 from crngame.core import (
@@ -31,15 +31,19 @@ from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.rng import XoshiroBatch, child_seed
 
 
-def x_takeover(state):
-    return state[0] > state[1]
+def x_takeover(space):
+    """Each state of ``space`` where species 0 outnumbers species 1."""
+    return space.states[:, 0] > space.states[:, 1]
 
 
-def value_iteration(space, predicate, sweeps=20000, tol=1e-13):
+def every_state(space):
+    return np.ones(len(space), dtype=bool)
+
+
+def value_iteration(space, won, sweeps=20000, tol=1e-13):
     """Independent absorption oracle: iterate p <- P p to a fixed point."""
     n = len(space)
-    p = np.array([1.0 if space.absorbing[i] and predicate(space.states[i])
-                  else 0.0 for i in range(n)])
+    p = np.array([1.0 if space.absorbing[i] and won[i] else 0.0 for i in range(n)])
     rows = space.transitions
     for _ in range(sweeps):
         nxt = p.copy()
@@ -181,7 +185,8 @@ class TestAgainstScalarSearch:
         names = [f"S{i}" for i in range(7)]
         crn = make_crn([({a: 1}, {b: 1}, 1.0 + i) for i, (a, b) in
                         enumerate(zip(names, names[1:]))]
-                       + [({"S0": 1, "S3": 1}, {"S6": 2}, 0.5)], names)
+                       + [({"S0": 1, "S3": 1}, {"S6": 2}, 0.5)])
+        assert crn.species.names == tuple(names)
         self.check(crn, {"S0": 2, "S3": 1})
 
     def test_approximate_majority(self):
@@ -229,11 +234,13 @@ class TestEnumerateErrors:
     def test_cap_or_overflow_first_in_search_order(self):
         # one level both crosses the cap and meets a non-finite propensity;
         # which error comes first depends on the reaction order and the cap
-        specs = [({"X": 1}, {"Y": 1}, 1.0), ({"Y": 1}, {"W": 1}, 1.0),
-                 ({"W": 1, "Z": 1}, {"W": 1}, 1e300)]
+        table = SpeciesTable(["X", "Y", "W", "Z"])
+        reactions = [Reaction((1, 0, 0, 0), (0, 1, 0, 0), 1.0),  # X -> Y
+                     Reaction((0, 1, 0, 0), (0, 0, 1, 0), 1.0),  # Y -> W
+                     Reaction((0, 0, 1, 1), (0, 0, 1, 0), 1e300)]  # W + Z -> W
         seen = set()
-        for order in itertools.permutations(specs):
-            crn = make_crn(list(order), ["X", "Y", "W", "Z"])
+        for order in itertools.permutations(reactions):
+            crn = Crn(table, order)
             initial = crn.species.state_from({"X": 2, "Z": 10**10})
             for cap in range(1, 7):
                 got = outcome(enumerate_states, crn, initial, state_cap=cap)
@@ -312,8 +319,8 @@ class TestEnumerate:
 
     def test_rates_are_summed_core_propensities(self):
         # two reactions share every successor (one of them 2X + Y) and V != 1:
-        # each merged rate is the left-to-right sum of core.propensity over
-        # the reactions that lead there
+        # each merged rate is the left-to-right sum of CompiledCrn.propensity
+        # over the reactions that lead there
         crn = make_crn([
             ({"X": 2, "Y": 1}, {"X": 3}, 1.5),
             ({"X": 1, "Y": 1}, {"X": 2}, 0.7),
@@ -323,10 +330,11 @@ class TestEnumerate:
         space = enumerate_states(crn, crn.species.state_from({"X": 3, "Y": 4}),
                                  volume)
         assert len(space) == 8
+        kin = CompiledCrn(crn.reactions, volume)
         for state, row in zip(space.states, space.transitions):
             expected = {}
-            for rxn in crn.reactions:
-                rate = propensity(rxn, state, volume)
+            for j, rxn in enumerate(crn.reactions):
+                rate = kin.propensity(j, state.tolist())
                 if rate > 0.0:
                     succ = tuple(state + np.array(rxn.delta))
                     expected[succ] = expected.get(succ, 0.0) + rate
@@ -342,40 +350,48 @@ class TestAbsorption:
     def test_exact_three_quarters(self, majority_crn):
         space = enumerate_states(majority_crn,
                                  majority_crn.species.state_from({"X": 3, "Y": 2}))
-        p = absorption_probabilities(space, x_takeover)
+        p = absorption_probabilities(space, x_takeover(space))
         assert abs(p[0] - 0.75) <= SOLVE_RESIDUAL_BOUND
         # cross-check against an independent fixed-point iteration
-        q = value_iteration(space, x_takeover)
+        q = value_iteration(space, x_takeover(space))
         np.testing.assert_allclose(p, q, atol=1e-9)
 
     def test_symmetric_start_is_half(self, majority_crn):
         space = enumerate_states(majority_crn,
                                  majority_crn.species.state_from({"X": 2, "Y": 2}))
-        p = absorption_probabilities(space, x_takeover)
+        p = absorption_probabilities(space, x_takeover(space))
         assert abs(p[0] - 0.5) <= SOLVE_RESIDUAL_BOUND
 
     def test_certain_takeover(self, majority_crn):
         space = enumerate_states(majority_crn,
                                  majority_crn.species.state_from({"X": 4, "Y": 1}))
-        p = absorption_probabilities(space, x_takeover)
+        p = absorption_probabilities(space, x_takeover(space))
         assert abs(p[0] - 1.0) <= SOLVE_RESIDUAL_BOUND
 
     def test_predicate_and_complement_sum_to_one(self, majority_crn):
         space = enumerate_states(majority_crn,
                                  majority_crn.species.state_from({"X": 5, "Y": 4}))
-        p = absorption_probabilities(space, x_takeover)
-        q = absorption_probabilities(space, lambda s: not x_takeover(s))
+        p = absorption_probabilities(space, x_takeover(space))
+        q = absorption_probabilities(space, ~x_takeover(space))
         np.testing.assert_allclose(p + q, np.ones(len(space)), atol=1e-10)
 
     def test_swap_symmetry(self, majority_crn):
         table = majority_crn.species
-        forward = absorption_probabilities(
-            enumerate_states(majority_crn, table.state_from({"X": 3, "Y": 2})),
-            x_takeover)
+        forward_space = enumerate_states(majority_crn, table.state_from({"X": 3, "Y": 2}))
+        forward = absorption_probabilities(forward_space, x_takeover(forward_space))
+        swapped_space = enumerate_states(majority_crn, table.state_from({"X": 2, "Y": 3}))
         swapped = absorption_probabilities(
-            enumerate_states(majority_crn, table.state_from({"X": 2, "Y": 3})),
-            lambda s: s[1] > s[0])
+            swapped_space, swapped_space.states[:, 1] > swapped_space.states[:, 0])
         assert forward[0] == pytest.approx(swapped[0], abs=1e-12)
+
+    @pytest.mark.parametrize("shape", ["short", "long", "column", "scalar"])
+    def test_won_needs_one_entry_per_state(self, majority_crn, shape):
+        space = enumerate_states(majority_crn,
+                                 majority_crn.species.state_from({"X": 3, "Y": 2}))
+        won = {"short": x_takeover(space)[:-1], "long": np.ones(len(space) + 1, bool),
+               "column": x_takeover(space)[:, None], "scalar": True}[shape]
+        with pytest.raises(CrnError, match="^won must hold one entry per state"):
+            absorption_probabilities(space, won)
 
     def test_embedded_chain_rows_are_stochastic(self, majority_crn):
         space = enumerate_states(majority_crn,
@@ -389,7 +405,7 @@ class TestAbsorption:
         space = enumerate_states(shuffler_crn,
                                  shuffler_crn.species.state_from({"A": 2, "B": 1}))
         with pytest.raises(NoAbsorptionError):
-            absorption_probabilities(space, lambda s: True)
+            absorption_probabilities(space, every_state(space))
 
     def test_stranded_transient_class_raises(self):
         # X flips forever between two forms; Z's death gives an absorbing
@@ -401,7 +417,7 @@ class TestAbsorption:
         ])
         space = enumerate_states(crn, crn.species.state_from({"X": 1, "Z": 2}))
         with pytest.raises(NoAbsorptionError):
-            absorption_probabilities(space, lambda s: True)
+            absorption_probabilities(space, every_state(space))
 
     def test_lowest_stranded_state_is_named(self):
         # W dies (absorbing) or becomes X, which then flips forever: state 2
@@ -412,7 +428,7 @@ class TestAbsorption:
         assert space.states[2].tolist() == [1, 1, 0]
         with pytest.raises(NoAbsorptionError,
                            match="^state 2 cannot reach any absorbing state$"):
-            absorption_probabilities(space, lambda s: True)
+            absorption_probabilities(space, every_state(space))
 
     def test_non_finite_exit_rate_raises(self):
         # each propensity is finite, their merged sum is not
@@ -420,7 +436,7 @@ class TestAbsorption:
                         ({"X": 1, "Y": 1}, {"Y": 2}, 1.0)])
         space = enumerate_states(crn, crn.species.state_from({"X": 1, "Y": 1}))
         with pytest.raises(NumericOverflowError, match="non-finite propensity sum"):
-            absorption_probabilities(space, lambda s: s[1] > s[0])
+            absorption_probabilities(space, space.states[:, 1] > space.states[:, 0])
 
 
 class TestSolve:
@@ -435,7 +451,7 @@ class TestSolve:
         space = enumerate_states(doc.crn, doc.crn.species.state_from(
             {"X": n // 2, "Y": n // 2}))
         assert len(space) == n + 1
-        p = absorption_probabilities(space, lambda s: s[1] == 0)
+        p = absorption_probabilities(space, space.states[:, 1] == 0)
         cdf = list(itertools.accumulate(math.comb(n - 3, i) for i in range(n - 2)))
         exact = {x: float(Fraction(cdf[x - 2], 2 ** (n - 3))) if x >= 2 else 0.0
                  for x in range(n)}
@@ -447,7 +463,7 @@ class TestSolve:
         # from (x, y, z) the final Y is y + Binomial(x, 1/3)
         crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"X": 1}, {"Z": 1}, 2.0)])
         space = enumerate_states(crn, crn.species.state_from({"X": 60}))
-        p = absorption_probabilities(space, lambda s: s[1] > s[2])
+        p = absorption_probabilities(space, space.states[:, 1] > space.states[:, 2])
 
         def exact(x, y, z):
             return float(sum(Fraction(math.comb(x, k) * 2 ** (x - k), 3 ** x)
@@ -488,7 +504,7 @@ class TestFirstStepSystem:
 
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
         with pytest.raises(self.Solved):
-            absorption_probabilities(space, lambda s: True)
+            absorption_probabilities(space, every_state(space))
         return seen[0]
 
     def assert_same(self, monkeypatch, crn, counts):
@@ -539,7 +555,7 @@ class TestAgreementWithSimulation:
     def test_ssa_frequencies_match_exact(self, majority_crn, x, y):
         initial = majority_crn.species.state_from({"X": x, "Y": y})
         space = enumerate_states(majority_crn, initial)
-        exact = absorption_probabilities(space, x_takeover)[0]
+        exact = absorption_probabilities(space, x_takeover(space))[0]
         trials = 4000
         seed = 1000 + x * 10 + y
         rng = XoshiroBatch([child_seed(seed, j) for j in range(trials)])

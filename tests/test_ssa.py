@@ -11,12 +11,12 @@ from crngame import (
     StopReason,
     make_crn,
     simulate,
-    step,
 )
 from crngame.batch import simulate_batch
 from crngame.cli import main
+from crngame.core import MAX_COUNT
 from crngame.rng import Xoshiro256, XoshiroBatch
-from crngame.ssa import HARD_EVENT_GUARD
+from crngame.ssa import HARD_EVENT_GUARD, _core_loop
 
 
 def state_of(crn, **counts):
@@ -31,6 +31,17 @@ def recorded(crn, initial, config, stop_when_zero=()):
         events.append((t, sojourn, reaction_index, np.array(counts)))
 
     return simulate(crn, initial, config, stop_when_zero, on_event), events
+
+
+def step(crn, state, volume, rng):
+    """The one event of a ``max_events=1`` run on ``rng``, or None if it is terminal.
+
+    Returns ``(sojourn, reaction_index, resulting_state)``.
+    """
+    fired = []
+    result = _core_loop(crn, state, SimConfig(volume, max_events=1), rng,
+                        on_event=lambda t, sojourn, j, counts: fired.append((sojourn, j)))
+    return (*fired[0], result.final_state) if fired else None
 
 
 class TestStep:
@@ -142,6 +153,14 @@ class TestSimulate:
     def test_hard_guard_for_nonterminating_crn(self):
         assert SimConfig(seed=1).event_ceiling == HARD_EVENT_GUARD
         assert SimConfig(seed=1, max_events=10).event_ceiling == 10
+
+    def test_max_events_at_most_int64(self):
+        # the lane kernel's event ceiling is an int64
+        assert SimConfig(max_events=MAX_COUNT).event_ceiling == MAX_COUNT
+        for too_many in (MAX_COUNT + 1, 2**64):
+            with pytest.raises(CrnError) as err:
+                SimConfig(max_events=too_many)
+            assert str(err.value) == "max_events must be at most 9223372036854775807"
 
     def test_nonterminating_crn_truncates(self, shuffler_crn):
         s = state_of(shuffler_crn, A=3, B=2)
