@@ -9,6 +9,7 @@ sweeps from config files and emits CSV results and SVG plots.
 """
 
 from .core import (
+    ConfigError,
     CountOverflowError,
     Crn,
     CrnError,

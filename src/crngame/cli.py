@@ -20,17 +20,14 @@ import numpy as np
 
 from . import crnfile
 from .config import (
-    ConfigError,
     ExperimentConfig,
     load_config,
     parse_count,
     resolve_input_path,
-    sim_config,
 )
-from .core import MAX_COUNT, Crn, CrnError, SpeciesTable
+from .core import MAX_COUNT, ConfigError, Crn, CrnError, SpeciesTable
 from .experiment import robustness_summary, run_sweep
 from .game import (
-    GameConfigError,
     Indifferent,
     InitialDistribution,
     Player,
@@ -43,7 +40,7 @@ from .oracle import (
     absorption_probabilities,
     enumerate_states,
 )
-from .ssa import simulate
+from .ssa import SimConfig, simulate
 from .svg import sweep_svg
 
 EXIT_OK = 0
@@ -205,7 +202,7 @@ def _load_merged_crn(paths: list[str]) -> tuple[Crn, np.ndarray]:
 def _cmd_simulate(args) -> int:
     crn, state = _load_merged_crn(args.crn_files)
     _apply_init(crn.species, state, args.init)
-    config = sim_config(
+    config = SimConfig(
         volume=args.volume if args.volume is not None else 1.0,
         max_time=args.max_time,
         max_events=args.max_events,
@@ -291,7 +288,7 @@ def _cmd_oracle(args) -> int:
     table = doc.crn.species
     state = table.state_from(doc.initial_counts)
     _apply_init(table, state, args.init)
-    volume = sim_config(args.volume if args.volume is not None else 1.0).volume
+    volume = SimConfig(args.volume if args.volume is not None else 1.0).volume
     winner = _species(table, args.winner, "--winner")
     loser = _species(table, args.loser, "--loser")
     if args.cap < 1:
@@ -337,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (crnfile.ParseError, ConfigError, GameConfigError, OSError) as exc:
+    except (ConfigError, OSError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StateSpaceTooLargeError as exc:

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import MAX_COUNT, CrnError, bounded_count
+from .core import MAX_COUNT, MAX_SEED, ConfigError, bounded_count
 from .crnfile import load as load_crn
 from .data import path as data_path
 from .game import (
@@ -45,10 +45,6 @@ from .game import (
     compose,
 )
 from .ssa import SimConfig
-
-
-class ConfigError(CrnError):
-    """Malformed or inconsistent experiment configuration."""
 
 
 def resolve_input_path(spec: str, base_dir: Path | None = None) -> Path:
@@ -95,21 +91,22 @@ def _parse_utility(text: str) -> UtilitySpec:
                       f"or 'takeover <X> <Y>'")
 
 
-def _convert(kind, value, where: str):
-    """``kind(value)`` for the setting ``where``; a value it rejects is a ConfigError."""
+def _number(text: str, where: str) -> float:
+    """``float(text)`` for the setting ``where``; text it rejects is a ConfigError."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} = {value!r} is not {noun}") from None
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{where} = {text!r} is not a number") from None
 
 
-def parse_count(text: str, where: str) -> int | None:
-    """``int(text)`` for the count setting ``where``, or None if not an integer.
+def parse_count(text: str, where: str, bound: int = MAX_COUNT,
+                signed: bool = False) -> int | None:
+    """``int(text)`` for the integer setting ``where``, or None if not an integer.
 
-    ``int`` refuses more than 4,300 digits. Such a count is judged by its
-    digits (:func:`~crngame.core.bounded_count`) and, if out of range,
-    reported as a :class:`ConfigError` without echoing it.
+    ``int`` refuses more than 4,300 digits. Such a value is judged by its
+    digits (:func:`~crngame.core.bounded_count`) and, if its magnitude
+    exceeds ``bound``, reported as a :class:`ConfigError` without echoing
+    it. The setting's owner checks the range of every value returned.
     """
     try:
         return int(text)
@@ -119,11 +116,20 @@ def parse_count(text: str, where: str) -> int | None:
         if match is None:
             return None
     sign, digits = match.groups()
-    count = bounded_count(digits.replace("_", ""))
+    count = bounded_count(digits.replace("_", ""), bound)
     if count is None:
-        bound = "nonnegative" if sign == "-" else f"at most {MAX_COUNT}"
-        raise ConfigError(f"{where} must be {bound}")
+        limit = (f"at most {bound}" if sign != "-"
+                 else f"at least {-bound}" if signed else "nonnegative")
+        raise ConfigError(f"{where} must be {limit}")
     return -count if sign == "-" else count
+
+
+def _integer(text: str, where: str, bound: int = MAX_COUNT, signed: bool = False) -> int:
+    """:func:`parse_count` for the config key ``where``; no integer is an error."""
+    value = parse_count(text, where, bound, signed)
+    if value is None:
+        raise ConfigError(f"{where} = {text!r} is not an integer")
+    return value
 
 
 def _parse_count_distribution(text: str, where: str) -> CountDistribution:
@@ -132,12 +138,7 @@ def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     A rejected value is echoed as parsed, so a long zero-padded count is not
     echoed digit by digit.
     """
-    counts = []
-    for part in text.strip().split("..", 1):
-        value = parse_count(part, where)
-        if value is None:
-            raise ConfigError(f"{where} = {part!r} is not an integer")
-        counts.append(value)
+    counts = [_integer(part, where) for part in text.strip().split("..", 1)]
     try:
         return UniformCount(*counts) if len(counts) == 2 else ConstantCount(*counts)
     except GameConfigError as exc:
@@ -145,27 +146,19 @@ def _parse_count_distribution(text: str, where: str) -> CountDistribution:
         raise ConfigError(f"{where} = {parsed!r}: {exc}") from None
 
 
-def _parse_diffs(text: str) -> list[int]:
+def _parse_diffs(text: str) -> range | list[int]:
+    """The diffs of ``text``; ``start:stop:step`` stays a range, unlisted until checked."""
     where = "[sweep] diffs"
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad diff range {text!r}: expected start:stop:step")
-        start, stop, step = (_convert(int, p, where) for p in parts)
+        start, stop, step = (_integer(p, where, signed=True) for p in parts)
         if step <= 0:
             raise ConfigError("diff step must be positive")
-        return list(range(start, stop + 1, step))
-    return [_convert(int, p, where) for p in text.replace(",", " ").split()]
-
-
-def sim_config(volume: float = 1.0, max_time: float | None = None,
-               max_events: int | None = None, seed: int = 0) -> SimConfig:
-    """Simulation settings given by a user; a bad value is a :class:`ConfigError`."""
-    try:
-        return SimConfig(volume, max_time, max_events, seed)
-    except CrnError as exc:
-        raise ConfigError(str(exc)) from None
+        return range(start, stop + 1, step)
+    return [_integer(p, where, signed=True) for p in text.replace(",", " ").split()]
 
 
 @dataclass
@@ -194,10 +187,13 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.total < 0:
             raise ConfigError("total must be nonnegative")
-        for d in self.diffs:
+        if self.total > MAX_COUNT:
+            raise ConfigError(f"[sweep] total must be at most {MAX_COUNT}")
+        for d in self.diffs:  # a range stops at its first bad d, before it is listed
             if abs(d) > self.total:
                 raise ConfigError(f"[sweep] diffs: |d| must not exceed n, but "
                                   f"d = {d} and n = {self.total}")
+        self.diffs = list(self.diffs)
         if not self.accepted_diffs():
             raise ConfigError(f"[sweep] diffs gives no condition with n + d even "
                               f"(n = {self.total}, diffs = {self.diffs})")
@@ -205,25 +201,23 @@ class ExperimentConfig:
             raise ConfigError("confidence must lie in (0, 1)")
         if self.threads < 0:
             raise ConfigError("[simulation] threads must be >= 0")
-        self.sim_config()  # rejects a bad volume, max_time or max_events
+        self.sim_config()  # rejects a bad volume, max_time, max_events or seed
         first = self.players[0]
         for name in self.pair:
             if name not in first.strategy.species:
                 raise ConfigError(
                     f"sweep pair species {name!r} is not in player "
                     f"{first.name!r}'s CRN")
-        try:  # a utility species outside the game, or outside the baseline's
-            for players in (self.players, self.players[:1]):
-                compose(players, self.volume)
-        except GameConfigError as exc:
-            raise ConfigError(str(exc)) from None
+        # a utility species outside the game, or outside the baseline's
+        for players in (self.players, self.players[:1]):
+            compose(players, self.volume)
         violations = catalytic_violations(self.players) if self.catalytic else []
         if violations:
             raise ConfigError("catalytic validation failed: " + "; ".join(violations))
 
     def sim_config(self, seed: int | None = None) -> SimConfig:
-        return sim_config(self.volume, self.max_time, self.max_events,
-                          self.seed if seed is None else seed)
+        return SimConfig(self.volume, self.max_time, self.max_events,
+                         self.seed if seed is None else seed)
 
     def accepted_diffs(self) -> list[int]:
         return [d for d in self.diffs if (self.total + d) % 2 == 0]
@@ -310,19 +304,6 @@ def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _as_bool(value: str, key: str) -> bool:
-    lowered = str(value).strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ConfigError(f"bad boolean for {key}: {value!r}")
-
-
 def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -372,23 +353,28 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
             f"unknown engine {engine!r}: 'batch' is the only engine (the scalar "
             f"'reference' engine was removed; it gave identical counts)")
 
-    def number(kind, section: str, key: str, default=None):
-        value = sections.get(section, {}).get(key, default)
-        return None if value is None else _convert(kind, value, f"[{section}] {key}")
+    def setting(parse, key: str, default=None, **bounds):
+        text = sim.get(key)
+        return default if text is None else parse(text, f"[simulation] {key}", **bounds)
+
+    word = sim.get("catalytic", "false")
+    catalytic = configparser.ConfigParser.BOOLEAN_STATES.get(word.strip().lower())
+    if catalytic is None:
+        raise ConfigError(f"bad boolean for catalytic: {word!r}")
 
     return ExperimentConfig(
         players=players,
         pair=(pair_parts[0], pair_parts[1]),
-        total=number(int, "sweep", "total"),
+        total=_integer(sweep["total"], "[sweep] total"),
         diffs=_parse_diffs(sweep["diffs"]),
-        trials=number(int, "sweep", "trials"),
-        seed=number(int, "simulation", "seed", 0),
-        volume=number(float, "simulation", "volume", 1.0),
-        max_time=number(float, "simulation", "max_time"),
-        max_events=number(int, "simulation", "max_events"),
-        confidence=number(float, "simulation", "confidence", 0.99),
-        catalytic=_as_bool(sim.get("catalytic", "false"), "catalytic"),
-        threads=number(int, "simulation", "threads", 1),
+        trials=_integer(sweep["trials"], "[sweep] trials"),
+        seed=setting(_integer, "seed", 0, bound=MAX_SEED),
+        volume=setting(_number, "volume", 1.0),
+        max_time=setting(_number, "max_time"),
+        max_events=setting(_integer, "max_events"),
+        confidence=setting(_number, "confidence", 0.99),
+        catalytic=catalytic,
+        threads=setting(_integer, "threads", 1),
         csv_path=out.get("csv"),
         svg_path=out.get("svg"),
     )

@@ -23,6 +23,7 @@ import numpy as np
 
 CountVector = np.ndarray  # 1-D int64, one entry per species index
 MAX_COUNT = 2**63 - 1  # the largest count an int64 holds
+MAX_SEED = 2**64 - 1  # seeds are 64-bit words
 # Each unit of a reactant's coefficient is one falling factor of the
 # reaction's propensity, so this caps the work of compiling and evaluating it.
 MAX_COEFFICIENT = 10**6
@@ -46,6 +47,14 @@ def bounded_count(digits: str, bound: int = MAX_COUNT) -> int | None:
 
 class CrnError(Exception):
     """Base class for CRN construction and evaluation errors."""
+
+    def __reduce__(self):
+        # copy and pickle rebuild from args and fields, not through __init__
+        return (CrnError.__new__, (type(self), *self.args), self.__dict__)
+
+
+class ConfigError(CrnError):
+    """Bad input: a config, a ``.crn`` file, a flag or a setting out of range."""
 
 
 class _TrialError(CrnError):

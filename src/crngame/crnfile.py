@@ -33,7 +33,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import MAX_COEFFICIENT, MAX_COUNT, Crn, CrnError, bounded_count, make_crn
+from .core import (MAX_COEFFICIENT, MAX_COUNT, ConfigError, Crn, CrnError,
+                   bounded_count, make_crn)
 
 # One token per match: optional blanks, then the token. ``bad`` is any
 # other non-blank character; trailing blanks match nothing.
@@ -55,7 +56,7 @@ _TOKEN_RE = re.compile(
 _TERM_RE = re.compile(r"(\d+)([A-Za-z][A-Za-z0-9_]*)?\Z")
 
 
-class ParseError(CrnError):
+class ParseError(ConfigError):
     """Syntax or consistency error in ``.crn`` text, with its position."""
 
     def __init__(self, line: int, column: int, message: str, token: str = ""):

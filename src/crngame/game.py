@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import (
     MAX_COUNT,
+    ConfigError,
     CountOverflowError,
     Crn,
     CountVector,
@@ -50,7 +51,7 @@ from .batch import simulate_batch
 from .stats import ratio_bounds, wilson_interval
 
 
-class GameConfigError(CrnError):
+class GameConfigError(ConfigError):
     """A game references species or settings that do not exist."""
 
 
@@ -451,19 +452,18 @@ class RobustnessReport:
 def _condition_arms(player: Player, opponents: tuple[Player, ...],
                     condition: Condition, condition_index: int,
                     config: SimConfig, paired_seeds: bool) -> tuple[_Arm, _Arm]:
-    """The with-opponents arm and the trivial-opponent baseline of a condition.
+    """The with-opponents arm of a condition and its baseline, the player alone.
 
     Seeds derive from the condition index: the with-opponents arm uses
     ``child_seed(child_seed(seed, index), 0)``, the baseline uses child 1
     (or child 0 again when ``paired_seeds``).
     """
-    trivial = tuple(Player.trivial(f"trivial-{i}") for i in range(len(opponents)))
     p1 = replace(player, initial_distribution=condition.distribution)
     cond_seed = child_seed(config.seed, condition_index)
     with_seed = child_seed(cond_seed, 0)
     base_seed = with_seed if paired_seeds else child_seed(cond_seed, 1)
     return (_Arm(compose((p1,) + opponents, config.volume), with_seed),
-            _Arm(compose((p1,) + trivial, config.volume), base_seed))
+            _Arm(compose((p1,), config.volume), base_seed))
 
 
 def estimate_conditions(player: Player, opponents: Sequence[Player],

@@ -28,7 +28,9 @@ import numpy as np
 
 from .core import (
     MAX_COUNT,
+    MAX_SEED,
     CompiledCrn,
+    ConfigError,
     CountOverflowError,
     Crn,
     CountVector,
@@ -57,7 +59,7 @@ class SimConfig:
     ``max_time``/``max_events`` of None mean unbounded, but an unbounded
     event count is still capped by :data:`HARD_EVENT_GUARD` so a
     nonterminating CRN surfaces as an EVENT_CEILING truncation instead of a
-    hang.
+    hang. ``seed`` is a 64-bit word. A bad value is a ``ConfigError``.
     """
 
     volume: float = 1.0
@@ -67,13 +69,15 @@ class SimConfig:
 
     def __post_init__(self):
         if not self.volume > 0.0:
-            raise CrnError(f"volume must be positive, got {self.volume!r}")
+            raise ConfigError(f"volume must be positive, got {self.volume!r}")
         if self.max_time is not None and not self.max_time > 0.0:
-            raise CrnError("max_time must be positive or None")
+            raise ConfigError("max_time must be positive or None")
         if self.max_events is not None and self.max_events < 1:
-            raise CrnError("max_events must be >= 1 or None")
+            raise ConfigError("max_events must be >= 1 or None")
         if self.max_events is not None and self.max_events > MAX_COUNT:
-            raise CrnError(f"max_events must be at most {MAX_COUNT}")
+            raise ConfigError(f"max_events must be at most {MAX_COUNT}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be between 0 and {MAX_SEED}")
 
     @property
     def event_ceiling(self) -> int:

@@ -35,6 +35,7 @@ from crngame.game import robustness_report
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 from crngame.ssa import _core_loop, simulate
+from crngame.svg import sweep_svg
 
 WORKERS = 2
 
@@ -43,6 +44,17 @@ WORKERS = 2
 # token)) when it does not.
 PARSER_FUZZ_DIGEST = (
     "f72fc7103e6349860effe1593f6adbcac9f394678696054be7bbfb5e23f5f051")
+
+# sha256 of the shipped outputs, which no change to the engine may move
+# without saying so: the CSV of pkg:takeover_point.ini, and the CSV and SVG
+# of pkg:default_sweep.ini (the same at any worker count)
+TAKEOVER_POINT_CSV = "4f90e874422f385ec049386371de2f2182f77b4942be6949488ed437e4b3a7c1"
+DEFAULT_SWEEP_CSV = "9917d449b46fc0b0e5cb30d86883ad2420ce92a13aa56906e97f6821ba9d0d45"
+DEFAULT_SWEEP_SVG = "7e2613c625e03012a52f3e2c9e75d1240fab05fad52f624082a185fe0530b10c"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _report(label):
@@ -100,6 +112,7 @@ def test_criterion_3_full_population_point():
         assert row.error is None
         assert 0.97 <= row.baseline.mean <= 1.00
         assert 0.69 <= row.with_opponents.mean <= 0.83
+        assert _sha256(output.to_csv()) == TAKEOVER_POINT_CSV
 
 
 def test_criterion_4_reduced_scale_gate():
@@ -127,6 +140,10 @@ def test_criterion_4_reduced_scale_gate():
         # (c) the shipped configuration supports a 0.6 robustness claim
         assert report.alpha == 0.6
         assert report.verdict == "PASS"
+
+        # (d) the shipped bytes
+        assert _sha256(output.to_csv()) == DEFAULT_SWEEP_CSV
+        assert _sha256(sweep_svg(output.results)) == DEFAULT_SWEEP_SVG
 
 
 def _check_conservation(counts, pair_total=60, catalyst_total=16):

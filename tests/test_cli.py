@@ -298,6 +298,37 @@ class TestUsageErrors:
                                                  f"seed = 5150\n{setting}"))
         assert run_cli(capsys, "sweep", str(path), *flag) == (1, "", f"error: {message}\n")
 
+    SEED_RANGE = "seed must be between 0 and 18446744073709551615"
+
+    @pytest.mark.parametrize("argv,edit,message", [
+        (("simulate", "pkg:r.crn", "--seed", "-1"), None, SEED_RANGE),
+        (("simulate", "pkg:r.crn", "--seed", str(2**64)), None, SEED_RANGE),
+        (("sweep", "exp.ini", "--seed", "-1"), None, SEED_RANGE),
+        (("robustness", "exp.ini", "--seed", str(2**64)), None, SEED_RANGE),
+        (("sweep", "exp.ini"), ("seed = 5150", "seed = -7"), SEED_RANGE),
+        (("sweep", "exp.ini"), ("seed = 5150", "seed = " + "1" * 5000),
+         "[simulation] seed must be at most 18446744073709551615"),
+        (("sweep", "exp.ini"), ("trials = 30", "trials = " + "1" * 5000),
+         "[sweep] trials must be at most 9223372036854775807"),
+        (("sweep", "exp.ini"), ("total = 30", "total = " + "1" * 5000),
+         "[sweep] total must be at most 9223372036854775807"),
+        (("sweep", "exp.ini"), ("total = 30", "total = 100000000000000000000"),
+         "[sweep] total must be at most 9223372036854775807"),
+    ], ids=["simulate-seed-negative", "simulate-seed-2^64", "sweep-seed-flag",
+            "robustness-seed-flag", "config-seed-negative", "config-seed-5000-digits",
+            "config-trials-5000-digits", "config-total-5000-digits", "config-total-1e20"])
+    def test_integer_out_of_range_is_one_short_line(self, crn_dir, capsys, monkeypatch,
+                                                    argv, edit, message):
+        # the seed is a 64-bit word; a key past int()'s digit limit is named,
+        # not echoed
+        if edit is not None:
+            path = crn_dir / "exp.ini"
+            path.write_text(path.read_text().replace(*edit))
+        monkeypatch.chdir(crn_dir)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert len(err) < 200
+
     @pytest.mark.parametrize("argv,fragment", [
         (("simulate", "pkg:r.crn", "--init", "X=3", "--max-time", "0"), "max_time"),
         (("simulate", "pkg:r.crn", "--init", "Q=3"), "'Q'"),

@@ -1,4 +1,6 @@
+import configparser
 import json
+import tracemalloc
 
 import pytest
 
@@ -157,6 +159,28 @@ class TestIniConfig:
         # the lane kernel's event ceiling is an int64
         (("seed = 7", "seed = 7\nmax_events = 18446744073709551616"),
          "max_events must be at most 9223372036854775807"),
+        # seeds are 64-bit words
+        (("seed = 7", "seed = -7"), "seed must be between 0 and 18446744073709551615"),
+        (("seed = 7", "seed = 18446744073709551616"),
+         "seed must be between 0 and 18446744073709551615"),
+        (("total = 1000", "total = 100000000000000000000"),
+         "[sweep] total must be at most 9223372036854775807"),
+        # every integer key past int()'s 4,300-digit limit: named, not echoed
+        (("total = 1000", "total = " + "1" * 5000),
+         "[sweep] total must be at most 9223372036854775807"),
+        (("trials = 50", "trials = " + "1" * 5000),
+         "[sweep] trials must be at most 9223372036854775807"),
+        (("seed = 7", "seed = " + "1" * 5000),
+         "[simulation] seed must be at most 18446744073709551615"),
+        (("seed = 7", "seed = -" + "1" * 5000), "[simulation] seed must be nonnegative"),
+        (("seed = 7", "seed = 7\nmax_events = " + "1" * 5000),
+         "[simulation] max_events must be at most 9223372036854775807"),
+        (("threads = 2", "threads = " + "1" * 5000),
+         "[simulation] threads must be at most 9223372036854775807"),
+        (("diffs = 0:40:20", "diffs = 0, -" + "1" * 5000),
+         "[sweep] diffs must be at least -9223372036854775807"),
+        (("diffs = 0:40:20", "diffs = 0:" + "1" * 5000 + ":20"),
+         "[sweep] diffs must be at most 9223372036854775807"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation
@@ -164,6 +188,44 @@ class TestIniConfig:
         with pytest.raises((ConfigError, FileNotFoundError)) as err:
             load_config(config_dir / "exp.ini")
         assert fragment.lower() in str(err.value).lower()
+        assert "1" * 100 not in str(err.value)  # a long value is not echoed
+
+    def test_every_integer_key_reads_a_long_zero_padded_value(self, config_dir):
+        # leading zeros past int()'s digit limit do not change a value
+        pad = "0" * 5000
+        text = INI_TEXT
+        for old in ("total = 1000", "trials = 50", "seed = 7", "threads = 2",
+                    "diffs = 0:40:20"):
+            key, value = old.split(" = ")
+            text = text.replace(old, f"{key} = " + ":".join(
+                pad + part for part in value.split(":")))
+        (config_dir / "exp.ini").write_text(text)
+        config = load_config(config_dir / "exp.ini")
+        assert (config.total, config.trials, config.seed, config.threads,
+                config.diffs) == (1000, 50, 7, 2, [0, 20, 40])
+
+    def test_diff_range_is_checked_before_it_is_listed(self, config_dir):
+        # ten million diffs against n = 1000: the load fails at d = 1001
+        # without building the list
+        (config_dir / "exp.ini").write_text(
+            INI_TEXT.replace("diffs = 0:40:20", "diffs = 0:10000000:1"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                load_config(config_dir / "exp.ini")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == ("[sweep] diffs: |d| must not exceed n, but "
+                                  "d = 1001 and n = 1000")
+        assert peak < 10 * 2**20
+
+    def test_catalytic_reads_configparser_booleans(self, config_dir):
+        for word, value in configparser.ConfigParser.BOOLEAN_STATES.items():
+            for spelling in (word, word.upper(), f" {word.title()} "):
+                (config_dir / "exp.ini").write_text(
+                    INI_TEXT.replace("catalytic = true", f"catalytic = {spelling}"))
+                assert load_config(config_dir / "exp.ini").catalytic is value
 
     def test_missing_sweep_section(self, config_dir):
         (config_dir / "exp.ini").write_text(

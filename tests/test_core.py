@@ -1,18 +1,28 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from crngame import (
+    ConfigError,
+    CountOverflowError,
     Crn,
     CrnError,
+    GameConfigError,
+    NumericOverflowError,
+    ParseError,
     Reaction,
+    StateSpaceTooLargeError,
     SimConfig,
     SpeciesTable,
     make_crn,
     simulate,
 )
 from crngame.core import MAX_COEFFICIENT, CompiledCrn
+import crngame.config
 
 
 def state(*counts):
@@ -182,3 +192,30 @@ def test_unit_volume_removes_arity_correction(rxn, s):
         for m in range(need):
             expect *= float(s[i]) - m
     assert propensity(rxn, s, 1.0) == expect
+
+
+class TestErrors:
+    def test_bad_input_is_one_class(self):
+        # a .crn file, a game and a config all fail as ConfigError, which
+        # crngame.config still exports
+        assert issubclass(ParseError, ConfigError)
+        assert issubclass(GameConfigError, ConfigError)
+        assert crngame.config.ConfigError is ConfigError
+        assert issubclass(ConfigError, CrnError)
+
+    @pytest.mark.parametrize("error", [
+        NumericOverflowError(2, lane=3, event=7),
+        NumericOverflowError(-1),
+        CountOverflowError("X", 1, lane=0, event=4),
+        CountOverflowError("Y", 0),
+        ParseError(2, 10, "initial count must be at most 9", "10"),
+        ParseError(1, 1, "not valid UTF-8 (invalid start byte)"),
+        StateSpaceTooLargeError(5),
+    ], ids=lambda error: type(error).__name__)
+    def test_copy_and_pickle_keep_message_and_fields(self, error):
+        for clone in (copy.copy(error), copy.deepcopy(error),
+                      pickle.loads(pickle.dumps(error))):
+            assert type(clone) is type(error)
+            assert str(clone) == str(error)
+            assert clone.args == error.args
+            assert vars(clone) == vars(error)

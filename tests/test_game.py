@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import threading
@@ -9,6 +10,7 @@ import pytest
 
 from crngame import (
     Condition,
+    ConditionResult,
     ConstantCount,
     Crn,
     GameConfigError,
@@ -544,3 +546,21 @@ class TestRobustness:
             robustness_report(
                 estimate_conditions(consensus_player, [], [], 10, SimConfig(seed=1)),
                 None)
+
+
+def test_baseline_arm_is_the_player_alone(consensus_player, nature_player):
+    # the same CRN as the player beside one empty opponent, which draws nothing
+    condition = Condition("d", consensus_player.initial_distribution)
+    with_arm, base = _condition_arms(consensus_player, (nature_player,), condition, 0,
+                                     SimConfig(seed=3), False)
+    assert base.game.players == (consensus_player,)
+    assert base.game.crn == compose([consensus_player, Player.trivial()]).crn
+    assert with_arm.game.players == (consensus_player, nature_player)
+
+
+def test_condition_result_holding_an_overflow_deep_copies():
+    result = ConditionResult("d", error=CountOverflowError("X", 0, lane=3, event=1))
+    clone = copy.deepcopy(result)
+    assert type(clone.error) is CountOverflowError
+    assert str(clone.error) == str(result.error)
+    assert vars(clone.error) == vars(result.error)

@@ -14,7 +14,7 @@ from crngame import (
 )
 from crngame.batch import simulate_batch
 from crngame.cli import main
-from crngame.core import MAX_COUNT
+from crngame.core import MAX_COUNT, ConfigError
 from crngame.rng import Xoshiro256, XoshiroBatch
 from crngame.ssa import HARD_EVENT_GUARD, _core_loop
 
@@ -161,6 +161,21 @@ class TestSimulate:
             with pytest.raises(CrnError) as err:
                 SimConfig(max_events=too_many)
             assert str(err.value) == "max_events must be at most 9223372036854775807"
+
+    def test_seed_is_a_64_bit_word(self):
+        # a wider or negative seed would wrap onto another seed's streams
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert SimConfig(seed=seed).seed == seed
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError) as err:
+                SimConfig(seed=seed)
+            assert str(err.value) == "seed must be between 0 and 18446744073709551615"
+
+    @pytest.mark.parametrize("kwargs", [dict(volume=0.0), dict(max_time=-1.0),
+                                        dict(max_events=0), dict(seed=-1)])
+    def test_every_bad_setting_is_a_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            SimConfig(**kwargs)
 
     def test_nonterminating_crn_truncates(self, shuffler_crn):
         s = state_of(shuffler_crn, A=3, B=2)
