@@ -6,11 +6,18 @@ PASS/FAIL/INCONCLUSIVE verdict for a queried threshold), ``oracle`` (exact
 absorption probabilities for small systems), and ``fmt`` (canonicalize a
 ``.crn`` file). Exit codes: 0 success, 1 usage or configuration error,
 2 runtime error, 3 robustness verdict FAIL.
+
+argparse only collects each flag's text. A flag that sets a config key is
+read by that key's reader (:func:`~crngame.config.read_setting`), with the
+key's grammar and bounds and errors that name the flag; ``--cap`` and
+``--alpha`` go through the same integer and number readers. An unset flag
+leaves the config's value, or the :class:`~crngame.ssa.SimConfig` default.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -23,6 +30,9 @@ from .config import (
     ExperimentConfig,
     load_config,
     parse_count,
+    read_integer,
+    read_number,
+    read_setting,
     resolve_input_path,
 )
 from .core import MAX_COUNT, ConfigError, Crn, CrnError, SpeciesTable
@@ -36,6 +46,7 @@ from .game import (
     robustness_report,
 )
 from .oracle import (
+    STATE_CAP,
     StateSpaceTooLargeError,
     absorption_probabilities,
     enumerate_states,
@@ -49,20 +60,18 @@ EXIT_RUNTIME = 2
 EXIT_ROBUSTNESS_FAIL = 3
 
 
-# Each flag is defined once; a subcommand accepts only the flags it reads.
+# Each flag is defined once, with the config key it sets and its help; a
+# subcommand accepts only the flags it reads. (``fmt --out`` is only a path.)
 _FLAGS = {
-    "--seed": dict(type=int, help="master seed (overrides config)"),
-    "--volume": dict(type=float,
-                     help="solution volume for propensities (default 1)"),
-    "--max-time": dict(type=float,
-                       help="stop a trajectory after this much simulated time"),
-    "--max-events": dict(type=int,
-                         help="stop a trajectory after this many reaction events"),
-    "--threads": dict(type=int, help="worker threads; 0 = one per CPU"),
-    "--out": dict(help="output path (CSV or text)"),
-    "--svg": dict(help="also write an SVG plot here"),
-    "--confidence": dict(type=float,
-                         help="confidence level for intervals, in (0, 1)"),
+    "--seed": ("seed", "master seed (overrides config)"),
+    "--volume": ("volume", f"solution volume for propensities "
+                           f"(default {SimConfig.volume:g})"),
+    "--max-time": ("max_time", "stop a trajectory after this much simulated time"),
+    "--max-events": ("max_events", "stop a trajectory after this many reaction events"),
+    "--threads": ("threads", "worker threads; 0 = one per CPU"),
+    "--out": ("csv", "output path (CSV or text)"),
+    "--svg": ("svg", "also write an SVG plot here"),
+    "--confidence": ("confidence", "confidence level for intervals, in (0, 1)"),
 }
 _RUN_FLAGS = ("--seed", "--volume", "--max-time", "--max-events")
 _SWEEP_FLAGS = _RUN_FLAGS + ("--threads", "--out", "--svg", "--confidence")
@@ -70,7 +79,18 @@ _SWEEP_FLAGS = _RUN_FLAGS + ("--threads", "--out", "--svg", "--confidence")
 
 def _add_flags(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     for name in names:
-        parser.add_argument(name, default=None, **_FLAGS[name])
+        parser.add_argument(name, help=_FLAGS[name][1])
+
+
+def _settings(args) -> dict:
+    """The config fields that the given flags set, each read as its key is."""
+    settings = {}
+    for flag, (key, _) in _FLAGS.items():
+        text = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
+        if text is not None:
+            field, value = read_setting(key, text, flag)
+            settings[field] = value
+    return settings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="estimate per-condition utility ratios")
     _add_flags(p_rob, _SWEEP_FLAGS)
     p_rob.add_argument("config", help="experiment config (.ini or .json)")
-    p_rob.add_argument("--alpha", type=float, default=None,
-                       help="robustness threshold to gate on")
+    p_rob.add_argument("--alpha", help="robustness threshold to gate on")
     p_rob.add_argument("--paired-seeds", action="store_true",
                        help="reuse the with-opponents seeds in the baseline arm")
 
@@ -115,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="success = absorbing states where this species "
                                "outnumbers --loser")
     p_oracle.add_argument("--loser", required=True)
-    p_oracle.add_argument("--cap", type=int, default=10**6,
+    p_oracle.add_argument("--cap", default=str(STATE_CAP),
                           help="abort if more states are reachable")
     p_oracle.add_argument("--all", action="store_true",
                           help="print one line per reachable state")
@@ -157,13 +176,12 @@ def _apply_init(table: SpeciesTable, state: np.ndarray, pairs: list[str]) -> Non
         state[_species(table, name, "--init")] = count
 
 
-def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
-    """The worker count: the --threads flag if given, else the config's (checked at load)."""
+def _resolve_threads(threads: int | None,
+                     config_threads: int = ExperimentConfig.threads) -> int:
+    """The worker count: the --threads flag if given, else the config's."""
     value = config_threads if threads is None else threads
     if value == 0:
         return _cpus()
-    if value < 0:
-        raise ConfigError("--threads must be >= 0")
     cpus = _cpus()
     if value > cpus:
         source = "[simulation] threads =" if threads is None else "--threads"
@@ -171,19 +189,6 @@ def _resolve_threads(threads: int | None, config_threads: int = 1) -> int:
               f"threads will run (results do not depend on the count)",
               file=sys.stderr)
     return value
-
-
-# Each override flag's argparse dest -> the ExperimentConfig field it sets.
-# --threads is not one: _resolve_threads reads it, so its error names the flag.
-_OVERRIDES = {"seed": "seed", "volume": "volume", "max_time": "max_time",
-              "max_events": "max_events", "confidence": "confidence",
-              "out": "csv_path", "svg": "svg_path"}
-
-
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
-               if getattr(args, flag) is not None}
-    return replace(config, **updates) if updates else config
 
 
 def _load_merged_crn(paths: list[str]) -> tuple[Crn, np.ndarray]:
@@ -200,14 +205,9 @@ def _load_merged_crn(paths: list[str]) -> tuple[Crn, np.ndarray]:
 
 
 def _cmd_simulate(args) -> int:
+    config = SimConfig(**_settings(args))
     crn, state = _load_merged_crn(args.crn_files)
     _apply_init(crn.species, state, args.init)
-    config = SimConfig(
-        volume=args.volume if args.volume is not None else 1.0,
-        max_time=args.max_time,
-        max_events=args.max_events,
-        seed=args.seed if args.seed is not None else 0,
-    )
     watched = tuple(_species(crn.species, name, "--takeover")
                     for name in args.takeover or ())
     names = crn.species.names
@@ -256,21 +256,30 @@ def _write_outputs(output, csv_path: str | None, svg_path: str | None) -> None:
         print(f"wrote {svg_path}")
 
 
-def _cmd_sweep(args) -> int:
-    config = _apply_overrides(load_config(resolve_input_path(args.config)), args)
-    workers = _resolve_threads(args.threads, config.threads)
+def _load_sweep(args) -> tuple[ExperimentConfig, int]:
+    """The config with the flags applied, and the worker count, checked with the
+    output paths before any lane runs."""
+    settings = _settings(args)
+    config = replace(load_config(resolve_input_path(args.config)), **settings)
+    workers = _resolve_threads(settings.get("threads"), config.threads)
     _check_outputs(config.csv_path, config.svg_path)
+    return config, workers
+
+
+def _cmd_sweep(args) -> int:
+    config, workers = _load_sweep(args)
     output = run_sweep(config, workers=workers)
     _write_outputs(output, config.csv_path, config.svg_path)
     return EXIT_OK
 
 
 def _cmd_robustness(args) -> int:
-    config = _apply_overrides(load_config(resolve_input_path(args.config)), args)
-    workers = _resolve_threads(args.threads, config.threads)
-    _check_outputs(config.csv_path, config.svg_path)
+    alpha = None if args.alpha is None else read_number(args.alpha, "--alpha")
+    if alpha is not None and not math.isfinite(alpha):
+        raise ConfigError(f"--alpha must be a finite number, got {alpha!r}")
+    config, workers = _load_sweep(args)
     output = run_sweep(config, workers=workers, paired_seeds=args.paired_seeds)
-    report = robustness_report(output.results, args.alpha)
+    report = robustness_report(output.results, alpha)
     if config.csv_path or config.svg_path:
         _write_outputs(output, config.csv_path, config.svg_path)
     for cond in report.conditions:
@@ -288,12 +297,13 @@ def _cmd_oracle(args) -> int:
     table = doc.crn.species
     state = table.state_from(doc.initial_counts)
     _apply_init(table, state, args.init)
-    volume = SimConfig(args.volume if args.volume is not None else 1.0).volume
+    volume = SimConfig(**_settings(args)).volume
     winner = _species(table, args.winner, "--winner")
     loser = _species(table, args.loser, "--loser")
-    if args.cap < 1:
+    cap = read_integer(args.cap, "--cap")
+    if cap < 1:
         raise ConfigError("--cap must be >= 1")
-    space = enumerate_states(doc.crn, state, volume, state_cap=args.cap)
+    space = enumerate_states(doc.crn, state, volume, state_cap=cap)
     won = space.states[:, winner] > space.states[:, loser]
     probs = absorption_probabilities(space, won)
     print(f"p = {probs[0]:#.12g}")

@@ -15,8 +15,15 @@ reported alongside the accepted ones; a ``d`` with ``|d| > n``, or a sweep
 left with no condition, is a load error. So is a section or key that the
 schema does not have, rather than a setting dropped without a word, and so
 is a game that cannot be composed (a utility species that no player has, or
-that the baseline, with the first player alone, lacks) or, with
-``catalytic`` set, one that is not catalytic.
+that the baseline, with the first player alone, lacks), one with a reaction
+whose rate the volume takes to 0, or, with ``catalytic`` set, one that is
+not catalytic.
+
+Every ``[simulation]`` and ``[output]`` setting that a command-line flag
+may also give has one reader, :func:`read_setting`: the loader reads each
+key with it and the CLI reads each flag with it, so a flag takes the same
+grammar and bounds as its key and its errors name the flag. A setting
+left unset takes its :class:`ExperimentConfig` field default.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ import configparser
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .core import MAX_COUNT, MAX_SEED, ConfigError, bounded_count
+from .core import MAX_COUNT, MAX_SEED, CompiledCrn, ConfigError, bounded_count
 from .crnfile import load as load_crn
 from .data import path as data_path
 from .game import (
@@ -91,7 +99,7 @@ def _parse_utility(text: str) -> UtilitySpec:
                       f"or 'takeover <X> <Y>'")
 
 
-def _number(text: str, where: str) -> float:
+def read_number(text: str, where: str) -> float:
     """``float(text)`` for the setting ``where``; text it rejects is a ConfigError."""
     try:
         return float(text)
@@ -124,8 +132,9 @@ def parse_count(text: str, where: str, bound: int = MAX_COUNT,
     return -count if sign == "-" else count
 
 
-def _integer(text: str, where: str, bound: int = MAX_COUNT, signed: bool = False) -> int:
-    """:func:`parse_count` for the config key ``where``; no integer is an error."""
+def read_integer(text: str, where: str, bound: int = MAX_COUNT,
+                 signed: bool = False) -> int:
+    """:func:`parse_count` for the setting ``where``; no integer is an error."""
     value = parse_count(text, where, bound, signed)
     if value is None:
         raise ConfigError(f"{where} = {text!r} is not an integer")
@@ -138,7 +147,7 @@ def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     A rejected value is echoed as parsed, so a long zero-padded count is not
     echoed digit by digit.
     """
-    counts = [_integer(part, where) for part in text.strip().split("..", 1)]
+    counts = [read_integer(part, where) for part in text.strip().split("..", 1)]
     try:
         return UniformCount(*counts) if len(counts) == 2 else ConstantCount(*counts)
     except GameConfigError as exc:
@@ -154,11 +163,47 @@ def _parse_diffs(text: str) -> range | list[int]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad diff range {text!r}: expected start:stop:step")
-        start, stop, step = (_integer(p, where, signed=True) for p in parts)
+        start, stop, step = (read_integer(p, where, signed=True) for p in parts)
         if step <= 0:
             raise ConfigError("diff step must be positive")
         return range(start, stop + 1, step)
-    return [_integer(p, where, signed=True) for p in text.replace(",", " ").split()]
+    return [read_integer(p, where, signed=True) for p in text.replace(",", " ").split()]
+
+
+def _read_threads(text: str, where: str) -> int:
+    """A worker count: 0 (one per CPU) to 2^63 - 1."""
+    threads = read_integer(text, where)
+    if threads < 0:
+        raise ConfigError(f"{where} must be >= 0")
+    if threads > MAX_COUNT:
+        raise ConfigError(f"{where} must be at most {MAX_COUNT}")
+    return threads
+
+
+# The [simulation] and [output] keys that a command-line flag may also set:
+# each key's ExperimentConfig field and the reader of its text. A reader
+# names the setting it reads in its errors; the ranges that do not need that
+# name are checked where the value is used (SimConfig, ExperimentConfig).
+_SETTINGS = {
+    "seed": ("seed", partial(read_integer, bound=MAX_SEED)),
+    "volume": ("volume", read_number),
+    "max_time": ("max_time", read_number),
+    "max_events": ("max_events", read_integer),
+    "confidence": ("confidence", read_number),
+    "threads": ("threads", _read_threads),
+    "csv": ("csv_path", lambda text, where: text),
+    "svg": ("svg_path", lambda text, where: text),
+}
+
+
+def read_setting(key: str, text: str, where: str) -> tuple[str, object]:
+    """The ExperimentConfig field that the setting ``key`` sets, and its value.
+
+    ``text`` is read as the key's config value is; errors name ``where``,
+    the config key or the flag that gave it.
+    """
+    field, read = _SETTINGS[key]
+    return field, read(text, where)
 
 
 @dataclass
@@ -170,10 +215,10 @@ class ExperimentConfig:
     total: int
     diffs: list[int]
     trials: int
-    seed: int
-    volume: float = 1.0
-    max_time: float | None = None
-    max_events: int | None = None
+    seed: int = SimConfig.seed
+    volume: float = SimConfig.volume
+    max_time: float | None = SimConfig.max_time
+    max_events: int | None = SimConfig.max_events
     confidence: float = 0.99
     catalytic: bool = False
     threads: int = 1
@@ -185,11 +230,16 @@ class ExperimentConfig:
             raise ConfigError("at least one [player:*] section is required")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.trials > MAX_COUNT:
+            raise ConfigError(f"[sweep] trials must be at most {MAX_COUNT}")
         if self.total < 0:
             raise ConfigError("total must be nonnegative")
         if self.total > MAX_COUNT:
             raise ConfigError(f"[sweep] total must be at most {MAX_COUNT}")
         for d in self.diffs:  # a range stops at its first bad d, before it is listed
+            if abs(d) > MAX_COUNT:  # so |d| > n, but too long to echo
+                limit = f"at most {MAX_COUNT}" if d > 0 else f"at least {-MAX_COUNT}"
+                raise ConfigError(f"[sweep] diffs must be {limit}")
             if abs(d) > self.total:
                 raise ConfigError(f"[sweep] diffs: |d| must not exceed n, but "
                                   f"d = {d} and n = {self.total}")
@@ -199,8 +249,6 @@ class ExperimentConfig:
                               f"(n = {self.total}, diffs = {self.diffs})")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must lie in (0, 1)")
-        if self.threads < 0:
-            raise ConfigError("[simulation] threads must be >= 0")
         self.sim_config()  # rejects a bad volume, max_time, max_events or seed
         first = self.players[0]
         for name in self.pair:
@@ -208,9 +256,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"sweep pair species {name!r} is not in player "
                     f"{first.name!r}'s CRN")
-        # a utility species outside the game, or outside the baseline's
+        # a utility species outside the game, or outside the baseline's, or a
+        # rate that the volume takes to 0
         for players in (self.players, self.players[:1]):
-            compose(players, self.volume)
+            CompiledCrn(compose(players, self.volume).crn.reactions, self.volume)
         violations = catalytic_violations(self.players) if self.catalytic else []
         if violations:
             raise ConfigError("catalytic validation failed: " + "; ".join(violations))
@@ -353,30 +402,22 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
             f"unknown engine {engine!r}: 'batch' is the only engine (the scalar "
             f"'reference' engine was removed; it gave identical counts)")
 
-    def setting(parse, key: str, default=None, **bounds):
-        text = sim.get(key)
-        return default if text is None else parse(text, f"[simulation] {key}", **bounds)
-
     word = sim.get("catalytic", "false")
     catalytic = configparser.ConfigParser.BOOLEAN_STATES.get(word.strip().lower())
     if catalytic is None:
         raise ConfigError(f"bad boolean for catalytic: {word!r}")
 
+    settings = dict(read_setting(key, text, f"[{section}] {key}")
+                    for section, body in (("simulation", sim), ("output", out))
+                    for key, text in body.items() if key in _SETTINGS)
     return ExperimentConfig(
         players=players,
         pair=(pair_parts[0], pair_parts[1]),
-        total=_integer(sweep["total"], "[sweep] total"),
+        total=read_integer(sweep["total"], "[sweep] total"),
         diffs=_parse_diffs(sweep["diffs"]),
-        trials=_integer(sweep["trials"], "[sweep] trials"),
-        seed=setting(_integer, "seed", 0, bound=MAX_SEED),
-        volume=setting(_number, "volume", 1.0),
-        max_time=setting(_number, "max_time"),
-        max_events=setting(_integer, "max_events"),
-        confidence=setting(_number, "confidence", 0.99),
+        trials=read_integer(sweep["trials"], "[sweep] trials"),
         catalytic=catalytic,
-        threads=setting(_integer, "threads", 1),
-        csv_path=out.get("csv"),
-        svg_path=out.get("svg"),
+        **settings,
     )
 
 

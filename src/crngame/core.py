@@ -243,17 +243,31 @@ class CompiledCrn(object):
     engines that keep this order agree bit for bit.
     ``deltas[j]`` holds ``(species, change)`` for each species that reaction
     ``j`` changes. Both simulators recompute every propensity at every
-    event.
+    event. The volume must be positive and finite, and so must every
+    ``kv[j]``: for a reaction of arity 2 or more, ``V**(1 - arity)``
+    underflows to 0 at a large volume, and the reaction would silently
+    never fire, or overflows at a small one.
     """
 
     __slots__ = ("size", "kv", "factors", "deltas")
 
     def __init__(self, reactions: Sequence[Reaction], volume: float = 1.0):
-        if not volume > 0.0:
-            raise CrnError(f"volume must be positive, got {volume!r}")
+        if not 0.0 < volume < math.inf:
+            raise ConfigError(f"volume must be positive and finite, got {volume!r}")
         reactions = tuple(reactions)
         self.size = len(reactions)
-        self.kv = [r.rate_constant * volume ** (1 - r.arity) for r in reactions]
+        self.kv = []
+        for j, r in enumerate(reactions):
+            power = 1 - r.arity
+            try:
+                kv = r.rate_constant * volume ** power
+            except OverflowError:  # float ** raises where float * gives inf
+                kv = math.inf
+            if not 0.0 < kv < math.inf:
+                raise ConfigError(
+                    f"reaction {j}: k * V**{power} = {r.rate_constant!r} * {volume!r}"
+                    f"**{power} {'underflows to 0' if kv == 0.0 else 'overflows'}")
+            self.kv.append(kv)
         self.factors = [
             tuple((i, m) for i, need in enumerate(r.reactants) for m in range(need))
             for r in reactions

@@ -41,6 +41,7 @@ from .core import (
 )
 
 SOLVE_RESIDUAL_BOUND = 1e-10
+STATE_CAP = 10**6  # enumerate_states' default bound on the states it finds
 
 # the SEARCH_ status codes of _search.c
 _SEARCH_DONE, _SEARCH_CAP, _SEARCH_NONFINITE, _SEARCH_COUNT = range(4)
@@ -100,7 +101,7 @@ class StateSpace:
 
 
 def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
-                     state_cap: int = 10**6) -> StateSpace:
+                     state_cap: int = STATE_CAP) -> StateSpace:
     """Breadth-first closure of ``initial_state`` under applicable reactions.
 
     The search is the C function ``crngame_search`` (``_search.c``, in the

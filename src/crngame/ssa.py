@@ -59,7 +59,8 @@ class SimConfig:
     ``max_time``/``max_events`` of None mean unbounded, but an unbounded
     event count is still capped by :data:`HARD_EVENT_GUARD` so a
     nonterminating CRN surfaces as an EVENT_CEILING truncation instead of a
-    hang. ``seed`` is a 64-bit word. A bad value is a ``ConfigError``.
+    hang. ``volume`` is positive and finite; ``seed`` is a 64-bit word. A bad
+    value is a ``ConfigError``.
     """
 
     volume: float = 1.0
@@ -68,8 +69,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.volume > 0.0:
-            raise ConfigError(f"volume must be positive, got {self.volume!r}")
+        if not 0.0 < self.volume < math.inf:
+            raise ConfigError(f"volume must be positive and finite, got {self.volume!r}")
         if self.max_time is not None and not self.max_time > 0.0:
             raise ConfigError("max_time must be positive or None")
         if self.max_events is not None and self.max_events < 1:

@@ -314,9 +314,30 @@ class TestUsageErrors:
          "[sweep] total must be at most 9223372036854775807"),
         (("sweep", "exp.ini"), ("total = 30", "total = 100000000000000000000"),
          "[sweep] total must be at most 9223372036854775807"),
+        # each flag is read as its config key: a long value is named, not echoed
+        (("simulate", "pkg:r.crn", "--seed", "1" * 5000), None,
+         "--seed must be at most 18446744073709551615"),
+        (("sweep", "exp.ini", "--seed", "1" * 5000), None,
+         "--seed must be at most 18446744073709551615"),
+        (("simulate", "pkg:r.crn", "--max-events", "1" * 5000), None,
+         "--max-events must be at most 9223372036854775807"),
+        (("sweep", "exp.ini", "--max-events", "1" * 5000), None,
+         "--max-events must be at most 9223372036854775807"),
+        (("sweep", "exp.ini", "--threads", "1" * 5000), None,
+         "--threads must be at most 9223372036854775807"),
+        (("sweep", "exp.ini", "--threads", "1" + "0" * 3000), None,
+         "--threads must be at most 9223372036854775807"),
+        (("sweep", "exp.ini"), ("seed = 5150", "seed = 5150\nthreads = 1" + "0" * 3000),
+         "[simulation] threads must be at most 9223372036854775807"),
+        (("oracle", "pkg:r.crn", "--winner", "X", "--loser", "Y", "--cap", "1" * 5000),
+         None, "--cap must be at most 9223372036854775807"),
     ], ids=["simulate-seed-negative", "simulate-seed-2^64", "sweep-seed-flag",
             "robustness-seed-flag", "config-seed-negative", "config-seed-5000-digits",
-            "config-trials-5000-digits", "config-total-5000-digits", "config-total-1e20"])
+            "config-trials-5000-digits", "config-total-5000-digits", "config-total-1e20",
+            "simulate-seed-5000-digits", "sweep-seed-5000-digits",
+            "simulate-max-events-5000-digits", "sweep-max-events-5000-digits",
+            "sweep-threads-5000-digits", "sweep-threads-3001-digits",
+            "config-threads-3001-digits", "oracle-cap-5000-digits"])
     def test_integer_out_of_range_is_one_short_line(self, crn_dir, capsys, monkeypatch,
                                                     argv, edit, message):
         # the seed is a 64-bit word; a key past int()'s digit limit is named,
@@ -345,9 +366,26 @@ class TestUsageErrors:
         (("simulate", "pkg:r.crn", "--init", "X=_"), "error: bad --init count '_'\n"),
         (("simulate", "pkg:r.crn", "--init", "X=1__2"), "error: bad --init count '1__2'\n"),
         (("simulate", "pkg:r.crn", "--init", "X=+_5"), "error: bad --init count '+_5'\n"),
+        # V**-2 underflows to 0 at V = 1e200, and is 0 at V = inf: no reaction fires
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
+          "--loser", "Y", "--volume", "1e200"),
+         "error: reaction 0: k * V**-2 = 1.0 * 1e+200**-2 underflows to 0\n"),
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
+          "--loser", "Y", "--volume", "inf"),
+         "error: volume must be positive and finite, got inf\n"),
+        (("simulate", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--volume", "1e200"),
+         "error: reaction 0: k * V**-2 = 1.0 * 1e+200**-2 underflows to 0\n"),
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
+          "--loser", "Y", "--volume", "1e-200"),
+         "error: reaction 0: k * V**-2 = 1.0 * 1e-200**-2 overflows\n"),
+        # were the sweep to run, it would write nowhere
+        (("robustness", "pkg:takeover_point.ini", "--alpha", "nan", "--out", os.devnull,
+          "--threads", "1"), "error: --alpha must be a finite number, got nan\n"),
     ], ids=["simulate-max-time", "simulate-init", "simulate-takeover", "oracle-winner",
             "oracle-volume", "oracle-cap-0", "oracle-cap-negative", "simulate-init-underscore",
-            "simulate-init-double-underscore", "simulate-init-leading-underscore"])
+            "simulate-init-double-underscore", "simulate-init-leading-underscore",
+            "oracle-volume-1e200", "oracle-volume-inf", "simulate-volume-1e200",
+            "oracle-volume-1e-200", "robustness-alpha-nan"])
     def test_flags(self, capsys, argv, fragment):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
@@ -388,6 +426,15 @@ class TestUsageErrors:
         def fail(*args, **kwargs):
             raise AssertionError("a lane ran before the output paths were checked")
         monkeypatch.setattr("crngame.cli.run_sweep", fail)
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_alpha_must_be_finite(self, crn_dir, capsys, no_lanes, alpha):
+        # a NaN threshold would never fail the gate; it is rejected before any
+        # lane runs
+        code, out, err = run_cli(capsys, "robustness", str(crn_dir / "exp.ini"),
+                                 "--alpha", alpha)
+        assert (code, out, err) == (
+            1, "", f"error: --alpha must be a finite number, got {alpha}\n")
 
     @pytest.mark.parametrize("command", ["sweep", "robustness"])
     @pytest.mark.parametrize("diffs,fragment", [

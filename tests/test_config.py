@@ -181,6 +181,18 @@ class TestIniConfig:
          "[sweep] diffs must be at least -9223372036854775807"),
         (("diffs = 0:40:20", "diffs = 0:" + "1" * 5000 + ":20"),
          "[sweep] diffs must be at most 9223372036854775807"),
+        # a volume that is not finite, or that takes a rate to 0
+        (("volume = 2.0", "volume = inf"), "volume must be positive and finite"),
+        (("volume = 2.0", "volume = 1e200"), "reaction 0: k * V**-3"),
+        # integers that int() reads but that are above 2^63 - 1: not echoed
+        (("trials = 50", "trials = 100000000000000000000"),
+         "[sweep] trials must be at most 9223372036854775807"),
+        (("threads = 2", "threads = " + "1" * 3000),
+         "[simulation] threads must be at most 9223372036854775807"),
+        (("diffs = 0:40:20", "diffs = 0, " + "1" * 4000),
+         "[sweep] diffs must be at most 9223372036854775807"),
+        (("diffs = 0:40:20", "diffs = 0, -" + "1" * 4000),
+         "[sweep] diffs must be at least -9223372036854775807"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -126,6 +127,19 @@ class TestPropensity:
         fast = Reaction((1, 0), (0, 1), 1e9)
         s = state(100, 0)
         assert propensity(fast, s) == 1e9 * propensity(slow, s)
+
+    def test_volume_that_stops_a_reaction_is_rejected(self):
+        # V**-2 underflows at V = 1e200 and is 0 at V = inf, so reaction 1
+        # could never fire; at V = 1e-200 it overflows. The error names it
+        reactions = (Reaction((1, 0), (0, 1), 1.0), Reaction((2, 1), (3, 0), 1.0))
+        assert CompiledCrn(reactions, 1e150).kv[1] > 0.0
+        assert CompiledCrn(reactions, 1e-150).kv[1] < math.inf
+        with pytest.raises(ConfigError, match=r"^reaction 1: .* underflows to 0$"):
+            CompiledCrn(reactions, 1e200)
+        with pytest.raises(ConfigError, match=r"^reaction 1: .* overflows$"):
+            CompiledCrn(reactions, 1e-200)
+        with pytest.raises(ConfigError, match="volume must be positive and finite"):
+            CompiledCrn(reactions, float("inf"))
 
     def test_dimension_mismatch_is_an_error(self):
         # a propensity is only taken of a CRN's reactions at its states, and

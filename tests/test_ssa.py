@@ -172,7 +172,8 @@ class TestSimulate:
             assert str(err.value) == "seed must be between 0 and 18446744073709551615"
 
     @pytest.mark.parametrize("kwargs", [dict(volume=0.0), dict(max_time=-1.0),
-                                        dict(max_events=0), dict(seed=-1)])
+                                        dict(max_events=0), dict(seed=-1),
+                                        dict(volume=float("inf"))])
     def test_every_bad_setting_is_a_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
