@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (MAX_COUNT, CompiledCrn, CountOverflowError, Crn, CrnError,
-                   NumericOverflowError)
+                   NumericOverflowError, start_state)
 from .rng import XoshiroBatch
 from .ssa import SimConfig, StopReason, watched_species
 
@@ -209,12 +209,8 @@ def simulate_batch(crn: Crn, initial_states: np.ndarray, config: SimConfig,
     ``config.max_time`` is set, no sojourn time is computed; every other
     output, and each stream's advance, is the same as with ``times=True``.
     """
-    initial_states = np.asarray(initial_states, dtype=np.int64)
     nspecies = len(crn.species)
-    if initial_states.ndim != 2 or initial_states.shape[1] != nspecies:
-        raise CrnError("initial_states must be (trials, species)")
-    if (initial_states < 0).any():
-        raise CrnError("initial counts must be nonnegative")
+    initial_states = start_state(initial_states, nspecies, ndim=2)
     trials = initial_states.shape[0]
     if rng.size != trials:
         raise CrnError("rng lane count does not match trial count")

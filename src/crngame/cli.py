@@ -23,8 +23,6 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import crnfile
 from .config import (
     ExperimentConfig,
@@ -125,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reuse the with-opponents seeds in the baseline arm")
 
     p_oracle = sub.add_parser("oracle",
-                              help="exact absorption probabilities (small systems)")
+                              help="exact absorption probabilities of the union "
+                                   "of CRN files (small systems)")
     _add_flags(p_oracle, ("--volume",))
-    p_oracle.add_argument("crn_file", metavar="FILE.crn")
+    p_oracle.add_argument("crn_files", nargs="+", metavar="FILE.crn")
     p_oracle.add_argument("--init", action="append", default=[],
                           metavar="SPECIES=COUNT")
     p_oracle.add_argument("--winner", required=True,
@@ -170,7 +169,7 @@ def _species(table: SpeciesTable, name: str, flag: str) -> int:
     return table.index_of(name)
 
 
-def _apply_init(table: SpeciesTable, state: np.ndarray, pairs: list[str]) -> None:
+def _apply_init(table: SpeciesTable, state: list[int], pairs: list[str]) -> None:
     """Apply ``--init SPECIES=COUNT`` overrides to ``state`` in place."""
     for name, count in _parse_init_overrides(pairs).items():
         state[_species(table, name, "--init")] = count
@@ -191,17 +190,19 @@ def _resolve_threads(threads: int | None,
     return value
 
 
-def _load_merged_crn(paths: list[str]) -> tuple[Crn, np.ndarray]:
-    """Union the files' CRNs and sum their declared initial counts."""
+def _load_merged_crn(paths: list[str]) -> tuple[Crn, list[int]]:
+    """Union the files' CRNs and sum their declared initial counts, as Python
+    ints: a sum past ``MAX_COUNT`` fails the engines' start-state check."""
     docs = [crnfile.load(resolve_input_path(spec)) for spec in paths]
-    game = compose([
+    crn = compose([
         Player(doc.crn, InitialDistribution.deterministic(doc.initial_state()),
                Indifferent(), f"file{i}")
-        for i, doc in enumerate(docs)])
-    state = game.crn.species.zero_state()
-    for doc, emb in zip(docs, game.embeddings):
-        state[emb] += doc.initial_state()
-    return game.crn, state
+        for i, doc in enumerate(docs)]).crn
+    state = [0] * len(crn.species)
+    for doc in docs:
+        for name, count in doc.initial_counts.items():
+            state[crn.species.index_of(name)] += count
+    return crn, state
 
 
 def _cmd_simulate(args) -> int:
@@ -293,9 +294,8 @@ def _cmd_robustness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    doc = crnfile.load(resolve_input_path(args.crn_file))
-    table = doc.crn.species
-    state = table.state_from(doc.initial_counts)
+    crn, state = _load_merged_crn(args.crn_files)
+    table = crn.species
     _apply_init(table, state, args.init)
     volume = SimConfig(**_settings(args)).volume
     winner = _species(table, args.winner, "--winner")
@@ -303,7 +303,7 @@ def _cmd_oracle(args) -> int:
     cap = read_integer(args.cap, "--cap")
     if cap < 1:
         raise ConfigError("--cap must be >= 1")
-    space = enumerate_states(doc.crn, state, volume, state_cap=cap)
+    space = enumerate_states(crn, state, volume, state_cap=cap)
     won = space.states[:, winner] > space.states[:, loser]
     probs = absorption_probabilities(space, won)
     print(f"p = {probs[0]:#.12g}")

@@ -1,9 +1,11 @@
 """Core chemical-reaction-network types and stochastic mass-action kinetics.
 
 A CRN is a finite species table plus a set of reactions. Each reaction is a
-triple (reactant vector, product vector, rate constant); states are count
-vectors over the species table. The propensity of a reaction in a state is
-the pure falling-factorial form
+triple (reactant terms, product terms, rate constant), a term being a
+``(species index, count)`` pair with a nonzero count, so a reaction's size
+is its number of terms, not the table's. States are count vectors over the
+species table. The propensity of a reaction in a state is the pure
+falling-factorial form
 
     k * V**(1 - arity) * prod_Y x(Y) * (x(Y) - 1) * ... * (x(Y) - r(Y) + 1)
 
@@ -139,56 +141,76 @@ class SpeciesTable(object):
         except KeyError:
             raise CrnError(f"unknown species {name!r}") from None
 
-    def zero_state(self) -> CountVector:
-        return np.zeros(len(self.names), dtype=np.int64)
-
     def state_from(self, counts: Mapping[str, int]) -> CountVector:
         """Build a count vector from a name -> count mapping."""
-        state = self.zero_state()
+        state = [0] * len(self.names)
         for name, count in counts.items():
-            if count < 0:
-                raise CrnError(f"negative count for species {name!r}")
             state[self.index_of(name)] = count
-        return state
+        return start_state(state, len(self.names))
+
+
+def start_state(states, nspecies: int, ndim: int = 1) -> np.ndarray:
+    """``states`` as int64 counts: ``ndim`` axes, the last one per species.
+
+    Every engine checks its start here. A count must be an integer in
+    ``[0, MAX_COUNT]``, and is checked before it is converted, so 2**63 or
+    NaN is a :class:`CrnError`, not an ``OverflowError`` or a wrapped count.
+    """
+    states = np.asarray(states)
+    if states.ndim != ndim or states.shape[-1] != nspecies:
+        raise CrnError("initial state dimension does not match CRN")
+    if (states < 0).any():
+        raise CrnError("initial counts must be nonnegative")
+    if states.dtype != np.int64:
+        # as Python numbers: numpy would compare MAX_COUNT as the float 2**63
+        values = states.ravel().tolist()
+        if any(v % 1 for v in values):  # NaN % 1 is NaN, which is true
+            raise CrnError("initial counts must be integers")
+        if any(v > MAX_COUNT for v in values):
+            raise CrnError(f"initial counts must be at most {MAX_COUNT}")
+    return states.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
 class Reaction:
-    """One stoichiometric reaction: reactant counts, product counts, rate.
+    """One stoichiometric reaction: reactant terms, product terms, rate.
 
-    ``reactants`` and ``products`` are dense tuples over the owning species
-    table, with counts at most ``MAX_COEFFICIENT``. The reactant and product
-    vectors must differ and the rate constant must be positive and finite.
-    ``arity`` (total reactant count) and ``delta`` (product minus reactant
-    vector) are derived once.
+    Each side is given as a species-index -> count mapping, or as the pairs
+    it stores: ``reactants`` and ``products`` are the ``(species, count)``
+    pairs with a nonzero count, sorted by species, with counts at most
+    ``MAX_COEFFICIENT``. The two sides must differ and the rate constant
+    must be positive and finite. ``arity`` (total reactant count) and
+    ``delta`` (the sorted ``(species, change)`` pairs with a nonzero change)
+    are derived once.
     """
 
-    reactants: tuple[int, ...]
-    products: tuple[int, ...]
+    reactants: tuple[tuple[int, int], ...]
+    products: tuple[tuple[int, int], ...]
     rate_constant: float
     arity: int = field(init=False, compare=False)
-    delta: tuple[int, ...] = field(init=False, compare=False)
+    delta: tuple[tuple[int, int], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        r, p = self.reactants, self.products
-        if len(r) != len(p):
-            raise CrnError("reactant/product vectors differ in dimension")
-        if any(c < 0 for c in r) or any(c < 0 for c in p):
+        r, p = (tuple(sorted((i, c) for i, c in dict(side).items() if c))
+                for side in (self.reactants, self.products))
+        if any(c < 0 for _, c in r + p):
             raise CrnError("stoichiometric counts must be nonnegative")
-        if max(r + p, default=0) > MAX_COEFFICIENT:
+        if any(c > MAX_COEFFICIENT for _, c in r + p):
             raise CrnError(f"stoichiometric coefficient must be at most {MAX_COEFFICIENT}")
         if r == p:
             raise CrnError("reactant and product vectors are equal")
         k = self.rate_constant
         if not (k > 0.0) or k != k or k == float("inf"):
             raise CrnError(f"rate constant must be positive and finite, got {k!r}")
+        change = {i: -c for i, c in r}
+        for i, c in p:
+            change[i] = change.get(i, 0) + c
+        object.__setattr__(self, "reactants", r)
+        object.__setattr__(self, "products", p)
         object.__setattr__(self, "rate_constant", float(k))
-        object.__setattr__(self, "arity", sum(r))
-        object.__setattr__(self, "delta", tuple(pj - rj for rj, pj in zip(r, p)))
-
-    def changed_species(self) -> tuple[int, ...]:
-        """Species indices whose count this reaction changes."""
-        return tuple(i for i, d in enumerate(self.delta) if d != 0)
+        object.__setattr__(self, "arity", sum(c for _, c in r))
+        object.__setattr__(self, "delta", tuple(sorted(
+            (i, d) for i, d in change.items() if d)))
 
 
 class Crn(object):
@@ -206,7 +228,7 @@ class Crn(object):
         dim = len(species)
         seen: set[Reaction] = set()
         for rxn in reactions:
-            if len(rxn.reactants) != dim:
+            if any(not 0 <= i < dim for i, _ in rxn.reactants + rxn.products):
                 raise CrnError("reaction dimension does not match species table")
             if rxn in seen:
                 raise CrnError("duplicate reaction (the reaction list is a set)")
@@ -268,12 +290,9 @@ class CompiledCrn(object):
                     f"reaction {j}: k * V**{power} = {r.rate_constant!r} * {volume!r}"
                     f"**{power} {'underflows to 0' if kv == 0.0 else 'overflows'}")
             self.kv.append(kv)
-        self.factors = [
-            tuple((i, m) for i, need in enumerate(r.reactants) for m in range(need))
-            for r in reactions
-        ]
-        self.deltas = [tuple((i, d) for i, d in enumerate(r.delta) if d)
-                       for r in reactions]
+        self.factors = [tuple((i, m) for i, need in r.reactants for m in range(need))
+                        for r in reactions]
+        self.deltas = [r.delta for r in reactions]
 
     def propensity(self, j: int, counts: Sequence) -> float:
         """Reaction ``j``'s propensity at ``counts``.
@@ -303,14 +322,7 @@ def make_crn(reaction_specs: Sequence[tuple[Mapping[str, int], Mapping[str, int]
     """
     table = SpeciesTable(dict.fromkeys(name for reactants, products, _ in reaction_specs
                                        for name in (*reactants, *products)))
-    dim = len(table)
-    reactions = []
-    for reactants, products, k in reaction_specs:
-        r = [0] * dim
-        p = [0] * dim
-        for name, c in reactants.items():
-            r[table.index_of(name)] = c
-        for name, c in products.items():
-            p[table.index_of(name)] = c
-        reactions.append(Reaction(tuple(r), tuple(p), k))
-    return Crn(table, reactions)
+    return Crn(table, [
+        Reaction({table.index_of(name): c for name, c in reactants.items()},
+                 {table.index_of(name): c for name, c in products.items()}, k)
+        for reactants, products, k in reaction_specs])

@@ -22,7 +22,7 @@ Each line is scanned once into ``(kind, text, column)`` tokens ended by an
 them. Every error is a :class:`ParseError` naming a line and column: the
 offending token's, or the end marker's when a token is missing.
 
-The writer emits a canonical form: within each side species follow table
+The writer emits a canonical form: each side lists its terms in table
 order, coefficient 1 is omitted, tokens are separated by single spaces, and
 rates use their shortest round-tripping decimal. ``parse(serialize(doc))``
 reproduces ``doc``; serializing a parsed text is idempotent.
@@ -220,16 +220,16 @@ def _format_rate(k: float) -> str:
 _GLUE_AMBIGUOUS_RE = re.compile(r"[eE]\d")
 
 
-def _format_side(counts: tuple[int, ...], names: tuple[str, ...]) -> str:
-    terms = []
-    for i, c in enumerate(counts):
+def _format_side(terms: tuple[tuple[int, int], ...], names: tuple[str, ...]) -> str:
+    parts = []
+    for i, c in terms:
         if c == 1:
-            terms.append(names[i])
-        elif c > 1:
+            parts.append(names[i])
+        else:
             # "2E0" would lex as the number 2e0; keep such names separated
             sep = " " if _GLUE_AMBIGUOUS_RE.match(names[i]) else ""
-            terms.append(f"{c}{sep}{names[i]}")
-    return " + ".join(terms) if terms else "0"
+            parts.append(f"{c}{sep}{names[i]}")
+    return " + ".join(parts) if parts else "0"
 
 
 def serialize(document: CrnDocument) -> str:

@@ -214,7 +214,9 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
 
     The composed species table lists species in first-appearance order
     across players; the composed reaction list is the de-duplicated union
-    (identical triples merge). Every utility's species must exist in the
+    (identical triples merge), each reaction's terms renumbered through its
+    player's embedding, so composing costs the reactions' terms, not the
+    table's size per reaction. Every utility's species must exist in the
     composed table.
     """
     players = tuple(players)
@@ -228,22 +230,16 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
                 seen.add(name)
                 names.append(name)
     table = SpeciesTable(names)
-    dim = len(table)
 
     embeddings = []
     reactions: list[Reaction] = []
     known: set[Reaction] = set()
     for player in players:
-        emb = np.array([table.index_of(n) for n in player.strategy.species.names],
-                       dtype=np.int64)
-        embeddings.append(emb)
+        emb = [table.index_of(n) for n in player.strategy.species.names]
+        embeddings.append(np.array(emb, dtype=np.int64))
         for rxn in player.strategy.reactions:
-            r = [0] * dim
-            p = [0] * dim
-            for local, composed in enumerate(emb):
-                r[composed] = rxn.reactants[local]
-                p[composed] = rxn.products[local]
-            lifted = Reaction(tuple(r), tuple(p), rxn.rate_constant)
+            lifted = Reaction({emb[i]: c for i, c in rxn.reactants},
+                              {emb[i]: c for i, c in rxn.products}, rxn.rate_constant)
             if lifted not in known:
                 known.add(lifted)
                 reactions.append(lifted)
@@ -261,7 +257,7 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
 
 def sample_initial_state(game: ComposedGame, rng: Xoshiro256) -> CountVector:
     """Draw each player's initial vector, embed, and sum (shared species add)."""
-    state = game.crn.species.zero_state()
+    state = np.zeros(len(game.crn.species), dtype=np.int64)
     for player, emb in zip(game.players, game.embeddings):
         if emb.size:
             state[emb] += player.initial_distribution.sample(rng)
@@ -288,7 +284,7 @@ def catalytic_violations(players: Sequence[Player]) -> list[str]:
     reaction rates, never through counts.
     """
     owned = [{player.strategy.species.names[i] for rxn in player.strategy.reactions
-              for i in rxn.changed_species()} for player in players]
+              for i, _ in rxn.delta} for player in players]
     return [f"species {name} owned by both player {players[i].name or i} "
             f"and player {players[j].name or j}"
             for i, j in combinations(range(len(players)), 2)

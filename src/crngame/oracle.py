@@ -38,6 +38,7 @@ from .core import (
     CountVector,
     CrnError,
     NumericOverflowError,
+    start_state,
 )
 
 SOLVE_RESIDUAL_BOUND = 1e-10
@@ -114,11 +115,7 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
     :class:`StateSpaceTooLargeError` once more than ``state_cap`` states
     have been found (the initial state never counts).
     """
-    initial = np.asarray(initial_state, dtype=np.int64)
-    if initial.ndim != 1 or initial.size != len(crn.species):
-        raise CrnError("initial state dimension does not match CRN")
-    if (initial < 0).any():
-        raise CrnError("initial counts must be nonnegative")
+    initial = start_state(initial_state, len(crn.species))
 
     kin = CompiledCrn(crn.reactions, volume)
     # reactions with the same change lead from any state to one successor

@@ -36,6 +36,7 @@ from .core import (
     CountVector,
     CrnError,
     NumericOverflowError,
+    start_state,
 )
 from .rng import Xoshiro256
 
@@ -126,13 +127,9 @@ def simulate(crn: Crn, initial_state: CountVector, config: SimConfig,
 
 def _core_loop(crn, initial_state, config, rng, stop_when_zero=(), on_event=None):
     """Direct-method loop on a caller-provided, possibly pre-advanced stream."""
-    if len(initial_state) != len(crn.species):
-        raise CrnError("initial state dimension does not match CRN")
-    if (np.asarray(initial_state) < 0).any():
-        raise CrnError("initial counts must be nonnegative")
+    counts = start_state(initial_state, len(crn.species)).tolist()
     watched = watched_species(stop_when_zero, len(crn.species))
     compiled = CompiledCrn(crn.reactions, config.volume)
-    counts = [int(c) for c in initial_state]
     max_time = config.max_time if config.max_time is not None else float("inf")
     ceiling = config.event_ceiling
 

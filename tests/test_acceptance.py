@@ -72,11 +72,11 @@ def _report(label):
 def test_criterion_1_propensity_exactness():
     with _report("1 (propensity exactness)"):
         # 3Y + Z at k=1, V=1, y=5, z=2: the worked falling-factorial value
-        trimolecular = Reaction((3, 1), (0, 2), 1.0)
+        trimolecular = Reaction({0: 3, 1: 1}, {1: 2}, 1.0)
         assert CompiledCrn((trimolecular,)).propensity(0, [5, 2]) == 120.0
         # first catalyzed-consensus reaction (2X + Y + A -> 3X + A) at
         # (x, y, a) = (3, 2, 10): a*x*(x-1)*y with no stoichiometry factorial
-        catalyzed = Reaction((2, 1, 1), (3, 0, 1), 1.0)
+        catalyzed = Reaction({0: 2, 1: 1, 2: 1}, {0: 3, 2: 1}, 1.0)
         assert CompiledCrn((catalyzed,)).propensity(0, [3, 2, 10]) == 10 * 3 * 2 * 2
 
 

@@ -151,9 +151,9 @@ _live = st.tuples(_side, _side, _rate).filter(lambda rxn: rxn[0] != rxn[1])
 _dead = st.tuples(_side.map(lambda side: {**side, "Z": 1}), _side, _rate)
 
 
-def _vector(side):
-    """A reaction side as counts over ``_SPECIES``."""
-    return tuple(side.get(name, 0) for name in _SPECIES)
+def _terms(side):
+    """A reaction side as species index -> count over ``_SPECIES``."""
+    return {_SPECIES.index(name): c for name, c in side.items()}
 
 
 @st.composite
@@ -165,7 +165,7 @@ def _small_crns(draw):
     unique = {(tuple(sorted(r.items())), tuple(sorted(p.items())), k): (r, p, k)
               for r, p, k in live + dead}
     return Crn(SpeciesTable(_SPECIES),
-               [Reaction(_vector(r), _vector(p), k)
+               [Reaction(_terms(r), _terms(p), k)
                 for r, p, k in draw(st.permutations(list(unique.values())))])
 
 
@@ -470,7 +470,7 @@ class TestKernelEdges:
         # the stack
         n = 10_000
         crn = Crn(SpeciesTable(["X", "Y"]),
-                  [Reaction((1, 1), (2, 0), 1.0 + i / n) for i in range(n)])
+                  [Reaction({0: 1, 1: 1}, {0: 2}, 1.0 + i / n) for i in range(n)])
         spec = TakeoverSuccess("X", "Y")
         player = Player(crn, InitialDistribution.deterministic([30, 20]), spec, "p")
         previous = threading.stack_size(512 * 1024)

@@ -644,6 +644,28 @@ class TestOracleCommand:
         assert code == 2
         assert "absorbing" in err
 
+    def test_files_load_as_their_union(self, tmp_path, capsys):
+        # oracle reads FILE.crn... as simulate does: two files give, byte for
+        # byte, the table of one file with their reactions in the same order
+        first = "X + Y -> X + B @ 1\nX + Y -> Y + B @ 1\ninit X = 7\n"
+        second = "B + X -> 2X @ 1\nB + Y -> 2Y @ 1\ninit Y = 5\n"
+        (tmp_path / "a.crn").write_text(first)
+        (tmp_path / "b.crn").write_text(second)
+        (tmp_path / "ab.crn").write_text(first + second)
+        query = ("--winner", "X", "--loser", "Y", "--all")
+        code, split, _ = run_cli(capsys, "oracle", str(tmp_path / "a.crn"),
+                                 str(tmp_path / "b.crn"), *query)
+        assert code == 0
+        assert run_cli(capsys, "oracle", str(tmp_path / "ab.crn"), *query) == (0, split, "")
+        assert split.splitlines()[1].startswith("X=7 Y=5 B=0 p=")
+
+    def test_union_with_nature_never_absorbs(self, crn_dir, capsys):
+        code, _, err = run_cli(
+            capsys, "oracle", str(crn_dir / "main.crn"), str(crn_dir / "nature.crn"),
+            "--init", "X=2", "--init", "Y=1", "--winner", "X", "--loser", "Y")
+        assert code == 2
+        assert "absorbing" in err
+
 
 class TestFmtCommand:
     def test_canonicalizes(self, tmp_path, capsys):

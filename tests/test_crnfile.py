@@ -15,8 +15,8 @@ class TestParse:
         crn = doc.crn
         assert crn.species.names == ("X", "Y")
         assert len(crn.reactions) == 2
-        assert crn.reactions[0].reactants == (2, 1)
-        assert crn.reactions[0].products == (3, 0)
+        assert crn.reactions[0].reactants == ((0, 2), (1, 1))
+        assert crn.reactions[0].products == ((0, 3),)
         assert crn.reactions[0].rate_constant == 1.0
 
     def test_scientific_rate(self):
@@ -45,9 +45,9 @@ class TestParse:
 
     def test_empty_side_zero(self):
         doc = parse("0 -> X @ 2.5\nX -> 0 @ 1\n")
-        assert doc.crn.reactions[0].reactants == (0,)
+        assert doc.crn.reactions[0].reactants == ()
         assert doc.crn.reactions[0].arity == 0
-        assert doc.crn.reactions[1].products == (0,)
+        assert doc.crn.reactions[1].products == ()
 
     def test_init_lines(self):
         doc = parse("2X + Y -> 3X @ 1\ninit X = 5120\ninit Y = 4880\n")
@@ -60,7 +60,7 @@ class TestParse:
 
     def test_repeated_species_in_side_accumulates(self):
         doc = parse("X + X -> Y @ 1\n")
-        assert doc.crn.reactions[0].reactants == (2, 0)
+        assert doc.crn.reactions[0].reactants == ((0, 2),)
 
     def test_empty_text_is_empty_crn(self):
         doc = parse("")
@@ -69,14 +69,14 @@ class TestParse:
 
     def test_coefficient_bound_is_inclusive(self):
         doc = parse("1000000X -> 0001000000Y @ 1\nX -> 400000Y + 600000Y @ 1\n")
-        assert doc.crn.reactions[0].reactants == (10**6, 0)
-        assert doc.crn.reactions[0].products == (0, 10**6)
-        assert doc.crn.reactions[1].products == (0, 10**6)
+        assert doc.crn.reactions[0].reactants == ((0, 10**6),)
+        assert doc.crn.reactions[0].products == ((1, 10**6),)
+        assert doc.crn.reactions[1].products == ((1, 10**6),)
 
     def test_leading_zeros_of_any_script(self):
         # U+0660 is ARABIC-INDIC DIGIT ZERO; int() reads the counts as 5 and 3
         doc = parse("\u0660" * 20 + "0\u06603X -> Y @ 1\ninit X = " + "\u0660" * 20 + "5\n")
-        assert doc.crn.reactions[0].reactants == (3, 0)
+        assert doc.crn.reactions[0].reactants == ((0, 3),)
         assert doc.initial_counts == {"X": 5}
 
     def test_first_appearance_order(self):

@@ -120,8 +120,8 @@ class TestCompose:
             names = game.crn.species.names
             out = set()
             for rxn in game.crn.reactions:
-                r = tuple(sorted((names[i], c) for i, c in enumerate(rxn.reactants) if c))
-                p = tuple(sorted((names[i], c) for i, c in enumerate(rxn.products) if c))
+                r = tuple(sorted((names[i], c) for i, c in rxn.reactants))
+                p = tuple(sorted((names[i], c) for i, c in rxn.products))
                 out.add((r, p, rxn.rate_constant))
             return out
 
@@ -145,6 +145,29 @@ class TestCompose:
     def test_needs_a_player(self):
         with pytest.raises(GameConfigError):
             compose([])
+
+
+class TestSparseReactions:
+    """A reaction holds only its terms, whatever the size of the species table."""
+
+    def test_chain_holds_one_term_per_side(self, nature_player):
+        n = 3000
+        chain = make_crn([({f"S{i}": 1}, {f"S{i + 1}": 1}, 1.0) for i in range(n)])
+        game = compose([player_for(chain, {"S0": 1}), nature_player])
+        assert len(game.crn.species) == n + 3
+        for crn in (chain, game.crn):
+            assert [(r.reactants, r.products) for r in crn.reactions[:n]] \
+                == [(((i, 1),), ((i + 1, 1),)) for i in range(n)]
+        assert [(r.reactants, r.products) for r in game.crn.reactions[n:]] \
+            == [(((n + 1, 1),), ((n + 2, 1),)), (((n + 2, 1),), ((n + 1, 1),))]
+
+        start = sample_initial_state(game, Xoshiro256(0))
+        result = simulate(game.crn, start, SimConfig(seed=1, max_events=3))
+        assert result.events == 3
+        assert result.stop_reason is StopReason.EVENT_CEILING
+        assert np.flatnonzero(start).tolist() == [0]
+        assert np.flatnonzero(result.final_state).tolist() == [3]
+        assert result.final_state[3] == 1
 
 
 class TestInitialStates:
@@ -366,7 +389,7 @@ class TestEstimation:
         # 3X -> 4X overflows once X reaches 13: at event 0 in trials that
         # start at 13, later in the others; every worker count and slice
         # size must name the lowest trial at the earliest event, trial 1
-        crn = Crn(SpeciesTable(["X", "Y"]), [Reaction((3, 0), (4, 0), 1.7e308 / 1500)])
+        crn = Crn(SpeciesTable(["X", "Y"]), [Reaction({0: 3}, {0: 4}, 1.7e308 / 1500)])
         player = Player(crn, InitialDistribution((UniformCount(10, 13), ConstantCount(5))),
                         TakeoverSuccess("X", "Y"), "p")
         game = compose([player])

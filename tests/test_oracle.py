@@ -59,8 +59,12 @@ def value_iteration(space, won, sweeps=20000, tol=1e-13):
 
 
 def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6):
-    """Reference breadth-first search, one state and one reaction at a time."""
-    kin = CompiledCrn(crn.reactions, volume)
+    """Reference breadth-first search, one state and one reaction at a time.
+
+    Each propensity is taken from the reaction itself, ``k * V**(1 - arity)``
+    times its falling factors in species order, and each successor applies
+    the reaction's ``delta`` pairs.
+    """
     start = tuple(int(c) for c in initial)
     index_of = {start: 0}
     states = [start]
@@ -69,13 +73,16 @@ def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6):
     while queue:
         state = states[queue.popleft()]
         merged = {}
-        for ri in range(kin.size):
-            rate = kin.propensity(ri, state)
+        for ri, rxn in enumerate(crn.reactions):
+            rate = rxn.rate_constant * volume ** (1 - rxn.arity)
+            for si, need in rxn.reactants:
+                for m in range(need):
+                    rate *= state[si] - m
             if rate == 0.0:
                 continue
             if not math.isfinite(rate):
                 raise NumericOverflowError(ri)
-            succ = tuple(c + d for c, d in zip(state, crn.reactions[ri].delta))
+            succ = fire(state, rxn)
             if max(succ, default=0) > MAX_COUNT:
                 raise CountOverflowError(crn.species.names[succ.index(max(succ))], ri)
             ti = index_of.get(succ)
@@ -91,16 +98,26 @@ def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6):
     return states, transitions
 
 
+def fire(state, rxn):
+    """``state`` after one firing of ``rxn``, as a tuple of ints."""
+    succ = [int(c) for c in state]
+    for si, d in rxn.delta:
+        succ[si] += d
+    return tuple(succ)
+
+
 def bits(transitions):
     return [[(ti, rate.hex()) for ti, rate in row] for row in transitions]
 
 
 def unchecked_reaction(reactants, products, rate_constant):
     """A Reaction built past the constructor's reactants != products check."""
+    change = {i: products.get(i, 0) - reactants.get(i, 0) for i in {**reactants, **products}}
     rxn = object.__new__(Reaction)
-    for name, value in [("reactants", reactants), ("products", products),
-                        ("rate_constant", rate_constant), ("arity", sum(reactants)),
-                        ("delta", tuple(p - r for r, p in zip(reactants, products)))]:
+    for name, value in [("reactants", tuple(sorted(reactants.items()))),
+                        ("products", tuple(sorted(products.items()))),
+                        ("rate_constant", rate_constant), ("arity", sum(reactants.values())),
+                        ("delta", tuple(sorted((i, d) for i, d in change.items() if d)))]:
         object.__setattr__(rxn, name, value)
     return rxn
 
@@ -149,8 +166,8 @@ class TestAgainstScalarSearch:
         # Reaction rejects X -> X, so build one past that check: the search
         # must still treat a change of nothing as an edge back to the state
         table = SpeciesTable(["X", "Y"])
-        crn = Crn(table, [Reaction((1, 0), (0, 1), 1.0),
-                          unchecked_reaction((1, 0), (1, 0), 2.0)])
+        crn = Crn(table, [Reaction({0: 1}, {1: 1}, 1.0),
+                          unchecked_reaction({0: 1}, {0: 1}, 2.0)])
         space = self.check(crn, {"X": 2})
         assert space.transitions[0] == [(1, 2.0), (0, 4.0)]
 
@@ -235,9 +252,9 @@ class TestEnumerateErrors:
         # one level both crosses the cap and meets a non-finite propensity;
         # which error comes first depends on the reaction order and the cap
         table = SpeciesTable(["X", "Y", "W", "Z"])
-        reactions = [Reaction((1, 0, 0, 0), (0, 1, 0, 0), 1.0),  # X -> Y
-                     Reaction((0, 1, 0, 0), (0, 0, 1, 0), 1.0),  # Y -> W
-                     Reaction((0, 0, 1, 1), (0, 0, 1, 0), 1e300)]  # W + Z -> W
+        reactions = [Reaction({0: 1}, {1: 1}, 1.0),  # X -> Y
+                     Reaction({1: 1}, {2: 1}, 1.0),  # Y -> W
+                     Reaction({2: 1, 3: 1}, {2: 1}, 1e300)]  # W + Z -> W
         seen = set()
         for order in itertools.permutations(reactions):
             crn = Crn(table, order)
@@ -336,7 +353,7 @@ class TestEnumerate:
             for j, rxn in enumerate(crn.reactions):
                 rate = kin.propensity(j, state.tolist())
                 if rate > 0.0:
-                    succ = tuple(state + np.array(rxn.delta))
+                    succ = fire(state, rxn)
                     expected[succ] = expected.get(succ, 0.0) + rate
             assert {tuple(space.states[ti]): rate for ti, rate in row} == expected
 
@@ -527,16 +544,16 @@ class TestFirstStepSystem:
 
     def test_self_loops_on_the_diagonal(self, monkeypatch):
         table = SpeciesTable(["X", "Y"])
-        crn = Crn(table, [Reaction((1, 0), (0, 1), 1.0),
-                          unchecked_reaction((1, 0), (1, 0), 2.0)])
+        crn = Crn(table, [Reaction({0: 1}, {1: 1}, 1.0),
+                          unchecked_reaction({0: 1}, {0: 1}, 2.0)])
         self.assert_same(monkeypatch, crn, {"X": 3})
 
     def test_diagonal_that_comes_to_zero_is_dropped(self, monkeypatch):
         # each self-loop's probability rounds to 1.0, so 1 - p is 0: of the
         # two transient states' entries only X = 2 -> X = 1's -1e-20 is left
         table = SpeciesTable(["X", "Y"])
-        crn = Crn(table, [Reaction((1, 0), (0, 1), 1.0),
-                          unchecked_reaction((1, 0), (1, 0), 1e20)])
+        crn = Crn(table, [Reaction({0: 1}, {1: 1}, 1.0),
+                          unchecked_reaction({0: 1}, {0: 1}, 1e20)])
         system = self.assert_same(monkeypatch, crn, {"X": 2})
         assert system.toarray().tolist() == [[0.0, -1e-20], [0.0, 0.0]]
         assert system.nnz == 1
