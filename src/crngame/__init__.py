@@ -24,7 +24,6 @@ from .game import (
     Condition,
     ConditionResult,
     ConstantCount,
-    GameConfigError,
     Indifferent,
     InitialDistribution,
     Player,

@@ -33,7 +33,7 @@ from .config import (
     read_setting,
     resolve_input_path,
 )
-from .core import MAX_COUNT, ConfigError, Crn, CrnError, SpeciesTable
+from .core import MAX_COUNT, ConfigError, Crn, CountVector, CrnError, SpeciesTable
 from .experiment import robustness_summary, run_sweep
 from .game import (
     Indifferent,
@@ -42,6 +42,7 @@ from .game import (
     _cpus,
     compose,
     robustness_report,
+    sample_initial_state,
 )
 from .oracle import (
     STATE_CAP,
@@ -49,6 +50,7 @@ from .oracle import (
     absorption_probabilities,
     enumerate_states,
 )
+from .rng import Xoshiro256
 from .ssa import SimConfig, simulate
 from .svg import sweep_svg
 
@@ -169,40 +171,30 @@ def _species(table: SpeciesTable, name: str, flag: str) -> int:
     return table.index_of(name)
 
 
-def _apply_init(table: SpeciesTable, state: list[int], pairs: list[str]) -> None:
+def _apply_init(table: SpeciesTable, state: CountVector, pairs: list[str]) -> None:
     """Apply ``--init SPECIES=COUNT`` overrides to ``state`` in place."""
     for name, count in _parse_init_overrides(pairs).items():
         state[_species(table, name, "--init")] = count
 
 
-def _resolve_threads(threads: int | None,
-                     config_threads: int = ExperimentConfig.threads) -> int:
-    """The worker count: the --threads flag if given, else the config's."""
-    value = config_threads if threads is None else threads
-    if value == 0:
-        return _cpus()
+def _warn_threads(threads: int, source: str) -> None:
+    """Warn that a thread count above the CPU count runs as the CPU count."""
     cpus = _cpus()
-    if value > cpus:
-        source = "[simulation] threads =" if threads is None else "--threads"
-        print(f"warning: {source} {value} is more than the {cpus} CPUs; {cpus} "
+    if threads > cpus:
+        print(f"warning: {source} {threads} is more than the {cpus} CPUs; {cpus} "
               f"threads will run (results do not depend on the count)",
               file=sys.stderr)
-    return value
 
 
-def _load_merged_crn(paths: list[str]) -> tuple[Crn, list[int]]:
-    """Union the files' CRNs and sum their declared initial counts, as Python
-    ints: a sum past ``MAX_COUNT`` fails the engines' start-state check."""
+def _load_merged_crn(paths: list[str]) -> tuple[Crn, CountVector]:
+    """The union of the files' CRNs and its start, the sum of their declared
+    initial counts (all constants, so nothing is drawn)."""
     docs = [crnfile.load(resolve_input_path(spec)) for spec in paths]
-    crn = compose([
+    game = compose([
         Player(doc.crn, InitialDistribution.deterministic(doc.initial_state()),
                Indifferent(), f"file{i}")
-        for i, doc in enumerate(docs)]).crn
-    state = [0] * len(crn.species)
-    for doc in docs:
-        for name, count in doc.initial_counts.items():
-            state[crn.species.index_of(name)] += count
-    return crn, state
+        for i, doc in enumerate(docs)])
+    return game.crn, sample_initial_state(game, Xoshiro256(0))
 
 
 def _cmd_simulate(args) -> int:
@@ -257,19 +249,20 @@ def _write_outputs(output, csv_path: str | None, svg_path: str | None) -> None:
         print(f"wrote {svg_path}")
 
 
-def _load_sweep(args) -> tuple[ExperimentConfig, int]:
-    """The config with the flags applied, and the worker count, checked with the
-    output paths before any lane runs."""
+def _load_sweep(args) -> ExperimentConfig:
+    """The config with the flags applied, its output paths checked before any
+    lane runs."""
     settings = _settings(args)
     config = replace(load_config(resolve_input_path(args.config)), **settings)
-    workers = _resolve_threads(settings.get("threads"), config.threads)
+    _warn_threads(config.threads,
+                  "--threads" if "threads" in settings else "[simulation] threads =")
     _check_outputs(config.csv_path, config.svg_path)
-    return config, workers
+    return config
 
 
 def _cmd_sweep(args) -> int:
-    config, workers = _load_sweep(args)
-    output = run_sweep(config, workers=workers)
+    config = _load_sweep(args)
+    output = run_sweep(config)
     _write_outputs(output, config.csv_path, config.svg_path)
     return EXIT_OK
 
@@ -278,8 +271,8 @@ def _cmd_robustness(args) -> int:
     alpha = None if args.alpha is None else read_number(args.alpha, "--alpha")
     if alpha is not None and not math.isfinite(alpha):
         raise ConfigError(f"--alpha must be a finite number, got {alpha!r}")
-    config, workers = _load_sweep(args)
-    output = run_sweep(config, workers=workers, paired_seeds=args.paired_seeds)
+    config = _load_sweep(args)
+    output = run_sweep(config, paired_seeds=args.paired_seeds)
     report = robustness_report(output.results, alpha)
     if config.csv_path or config.svg_path:
         _write_outputs(output, config.csv_path, config.svg_path)

@@ -42,7 +42,6 @@ from .game import (
     Condition,
     ConstantCount,
     CountDistribution,
-    GameConfigError,
     Indifferent,
     InitialDistribution,
     Player,
@@ -150,7 +149,7 @@ def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     counts = [read_integer(part, where) for part in text.strip().split("..", 1)]
     try:
         return UniformCount(*counts) if len(counts) == 2 else ConstantCount(*counts)
-    except GameConfigError as exc:
+    except ConfigError as exc:
         parsed = "..".join(map(str, counts))
         raise ConfigError(f"{where} = {parsed!r}: {exc}") from None
 

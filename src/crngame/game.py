@@ -2,10 +2,13 @@
 
 Each player contributes a CRN strategy, a distribution over its own initial
 counts, and a utility. Playing a profile means taking the union of the
-players' CRNs (species identified by name) and summing the embedded initial
-draws; utilities are evaluated on the resulting trajectories and expected
-utilities are estimated by Monte Carlo. A game is catalytic when no species
-is changed by reactions of two different players
+players' CRNs (species identified by name) in one solution, so a species'
+start is the sum of every player's draw for it. The composed game owns that
+start (:attr:`ComposedGame.start`, one entry per player species), and
+:func:`compose` rejects a species whose largest possible sum does not fit an
+int64 count; utilities are evaluated on the resulting trajectories and
+expected utilities are estimated by Monte Carlo. A game is catalytic when no
+species is changed by reactions of two different players
 (:func:`catalytic_violations`).
 
 The robustness of player 1 against its opponents is the ratio of its
@@ -51,10 +54,6 @@ from .batch import simulate_batch
 from .stats import ratio_bounds, wilson_interval
 
 
-class GameConfigError(ConfigError):
-    """A game references species or settings that do not exist."""
-
-
 # ---------------------------------------------------------------------------
 # Initial distributions
 
@@ -64,9 +63,9 @@ class ConstantCount:
 
     def __post_init__(self):
         if self.value < 0:
-            raise GameConfigError("initial count must be nonnegative")
+            raise ConfigError("initial count must be nonnegative")
         if self.value > MAX_COUNT:
-            raise GameConfigError(f"initial count must be at most {MAX_COUNT}")
+            raise ConfigError(f"initial count must be at most {MAX_COUNT}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,9 @@ class UniformCount:
 
     def __post_init__(self):
         if self.low < 0 or self.high < self.low:
-            raise GameConfigError(f"bad uniform range [{self.low}, {self.high}]")
+            raise ConfigError(f"bad uniform range [{self.low}, {self.high}]")
         if self.high > MAX_COUNT:
-            raise GameConfigError(f"initial count must be at most {MAX_COUNT}")
+            raise ConfigError(f"initial count must be at most {MAX_COUNT}")
 
 
 CountDistribution = ConstantCount | UniformCount
@@ -104,26 +103,6 @@ class InitialDistribution:
     @classmethod
     def trivial(cls) -> "InitialDistribution":
         return cls(())
-
-    def sample(self, rng: Xoshiro256) -> np.ndarray:
-        """Draw one vector; random entries consume one u64 each, in order."""
-        out = np.empty(len(self.entries), dtype=np.int64)
-        for i, entry in enumerate(self.entries):
-            if isinstance(entry, ConstantCount):
-                out[i] = entry.value
-            else:
-                out[i] = entry.low + rng.next_below(entry.high - entry.low + 1)
-        return out
-
-    def sample_batch(self, rng: XoshiroBatch) -> np.ndarray:
-        """Vectorized :meth:`sample`: one row per lane, identical draws."""
-        out = np.empty((rng.size, len(self.entries)), dtype=np.int64)
-        for i, entry in enumerate(self.entries):
-            if isinstance(entry, ConstantCount):
-                out[:, i] = entry.value
-            else:
-                out[:, i] = entry.low + rng.next_below(entry.high - entry.low + 1)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +158,7 @@ class Player:
 
     def __post_init__(self):
         if len(self.initial_distribution.entries) != len(self.strategy.species):
-            raise GameConfigError(
+            raise ConfigError(
                 f"player {self.name or '?'}: initial distribution covers "
                 f"{len(self.initial_distribution.entries)} species, strategy has "
                 f"{len(self.strategy.species)}")
@@ -198,11 +177,16 @@ class Player:
 
 @dataclass(frozen=True)
 class ComposedGame:
-    """The union CRN of a strategy profile plus per-player embeddings."""
+    """The union CRN of a strategy profile and its start.
+
+    ``start`` holds one ``(composed species index, distribution)`` pair per
+    entry of every player's initial distribution, in player order and then
+    entry order; a species' start is the sum of its pairs' draws.
+    """
 
     players: tuple[Player, ...]
     crn: Crn
-    embeddings: tuple[np.ndarray, ...]
+    start: tuple[tuple[int, CountDistribution], ...]
     volume: float
 
     def species_index(self, name: str) -> int:
@@ -217,11 +201,12 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
     (identical triples merge), each reaction's terms renumbered through its
     player's embedding, so composing costs the reactions' terms, not the
     table's size per reaction. Every utility's species must exist in the
-    composed table.
+    composed table, and every species' largest possible start (the sum of
+    its entries' constants and upper ends) must be an int64 count.
     """
     players = tuple(players)
     if not players:
-        raise GameConfigError("a game needs at least one player")
+        raise ConfigError("a game needs at least one player")
     names: list[str] = []
     seen: set[str] = set()
     for player in players:
@@ -231,12 +216,12 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
                 names.append(name)
     table = SpeciesTable(names)
 
-    embeddings = []
+    start: list[tuple[int, CountDistribution]] = []
     reactions: list[Reaction] = []
     known: set[Reaction] = set()
     for player in players:
         emb = [table.index_of(n) for n in player.strategy.species.names]
-        embeddings.append(np.array(emb, dtype=np.int64))
+        start.extend(zip(emb, player.initial_distribution.entries))
         for rxn in player.strategy.reactions:
             lifted = Reaction({emb[i]: c for i, c in rxn.reactants},
                               {emb[i]: c for i, c in rxn.products}, rxn.rate_constant)
@@ -244,32 +229,46 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
                 known.add(lifted)
                 reactions.append(lifted)
 
-    game = ComposedGame(players, Crn(table, reactions), tuple(embeddings), volume)
+    largest = [0] * len(table)  # as Python ints: an int64 sum would wrap
+    for i, entry in start:
+        largest[i] += entry.value if isinstance(entry, ConstantCount) else entry.high
+    for name, total in zip(names, largest):
+        if total > MAX_COUNT:
+            raise ConfigError(f"species {name!r}: the players' initial counts can "
+                              f"sum to {total}, but initial counts must be at most "
+                              f"{MAX_COUNT}")
+    game = ComposedGame(players, Crn(table, reactions), tuple(start), volume)
     for player in players:
         spec = player.utility
         if isinstance(spec, TakeoverSuccess):
             for name in (spec.x_species, spec.y_species):
                 if name not in table:
-                    raise GameConfigError(
+                    raise ConfigError(
                         f"utility species {name!r} not in the composed game")
     return game
 
 
+def _draw(entry: CountDistribution, rng: Xoshiro256 | XoshiroBatch):
+    """One entry's count: a constant draws nothing, a range one u64 (per lane)."""
+    if isinstance(entry, ConstantCount):
+        return entry.value
+    return entry.low + rng.next_below(entry.high - entry.low + 1)
+
+
 def sample_initial_state(game: ComposedGame, rng: Xoshiro256) -> CountVector:
-    """Draw each player's initial vector, embed, and sum (shared species add)."""
+    """The game's start: each :attr:`ComposedGame.start` entry drawn in order and
+    added to its species (shared species add)."""
     state = np.zeros(len(game.crn.species), dtype=np.int64)
-    for player, emb in zip(game.players, game.embeddings):
-        if emb.size:
-            state[emb] += player.initial_distribution.sample(rng)
+    for i, entry in game.start:
+        state[i] += _draw(entry, rng)
     return state
 
 
 def sample_initial_states(game: ComposedGame, rng: XoshiroBatch) -> np.ndarray:
     """Batch twin of :func:`sample_initial_state`, one row per lane."""
     states = np.zeros((rng.size, len(game.crn.species)), dtype=np.int64)
-    for player, emb in zip(game.players, game.embeddings):
-        if emb.size:
-            states[:, emb] += player.initial_distribution.sample_batch(rng)
+    for i, entry in game.start:
+        states[:, i] += _draw(entry, rng)
     return states
 
 
@@ -359,15 +358,16 @@ def _run_pool(arms: Sequence[_Arm], spec: TakeoverSuccess, trials: int,
               ) -> list[tuple[int, int] | CrnError]:
     """(successes, truncations) of every arm, or its overflow, from one lane pool.
 
-    The pool runs ``workers`` threads, but never more than there are CPUs
-    (the lane kernel releases the GIL). Each arm's trials are cut, in
-    order, into chunks of at most ``_SLICE_LANES``, and at most
+    The pool runs ``workers`` threads (0 = one per CPU), but never more than
+    there are CPUs (the lane kernel releases the GIL). Each arm's trials are
+    cut, in order, into chunks of at most ``_SLICE_LANES``, and at most
     ``ceil(trials / threads)``. An arm with an overflowing lane yields the
     error of the lowest trial at the earliest event index at which any of
     its trials overflows, as one batch of the whole arm would, whatever the
     chunks. A chunk that raises cancels the chunks not yet started.
     """
-    workers = min(max(workers, 1), _cpus())
+    cpus = _cpus()
+    workers = min(workers or cpus, cpus)
     size = min(_SLICE_LANES, -(-trials // workers))
     starts = range(0, trials, size)
     chunks = [(arm, spec, config, lo, min(lo + size, trials))
@@ -474,13 +474,14 @@ def estimate_conditions(player: Player, opponents: Sequence[Player],
     estimated with ``trials`` trials each, all in one lane pool. Condition
     ``i`` takes its seeds from index ``i`` (see :func:`_condition_arms`):
     the arms use distinct child-seed streams unless ``paired_seeds``, which
-    reuses the with-arm stream in the baseline for variance reduction. A
-    game that cannot be composed raises before any lane runs. A lane
+    reuses the with-arm stream in the baseline for variance reduction. The
+    pool runs ``workers`` threads, 0 for one per CPU (see :func:`_run_pool`).
+    A game that cannot be composed raises before any lane runs. A lane
     overflow yields a result that carries its error, the with-opponents
     arm's first; the other conditions are unaffected.
     """
     if trials < 1:
-        raise GameConfigError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     opponents = tuple(opponents)
     arms = [arm for i, condition in enumerate(conditions)
             for arm in _condition_arms(player, opponents, condition, i, config,
@@ -516,7 +517,7 @@ def robustness_report(results: Sequence[ConditionResult],
     ``alpha``. The first condition that failed raises its error.
     """
     if not results:
-        raise GameConfigError("conditions must be nonempty")
+        raise ConfigError("conditions must be nonempty")
     for result in results:
         if result.error is not None:
             raise result.error

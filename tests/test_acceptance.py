@@ -10,6 +10,7 @@ runtime; the whole module takes about 40 seconds on a 2-vCPU x86-64 host.
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_criterion_3_full_population_point():
         config = load_config(resolve_input_path("pkg:takeover_point.ini"))
         assert config.total == 10000 and config.accepted_diffs() == [240]
         assert config.trials == 1000
-        output = run_sweep(config, workers=WORKERS)
+        output = run_sweep(replace(config, threads=WORKERS))
         [row] = output.results
         assert row.error is None
         assert 0.97 <= row.baseline.mean <= 1.00
@@ -120,7 +121,7 @@ def test_criterion_4_reduced_scale_gate():
         config = load_config(resolve_input_path("pkg:default_sweep.ini"))
         assert config.total == 1000 and config.trials == 500
         assert config.accepted_diffs() == list(range(0, 101, 10))
-        output = run_sweep(config, workers=WORKERS)
+        output = run_sweep(replace(config, threads=WORKERS))
         report = robustness_report(output.results, alpha=0.6)
 
         # (a) interference never confidently raises the success frequency

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import crngame
-from crngame import cli
+from crngame import game as game_module
 from crngame.cli import main
 
 
@@ -43,6 +43,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_pool_threads(monkeypatch) -> list[int]:
+    """The thread count of each lane pool started from now on, in order."""
+    pools = []
+    executor = game_module.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(game_module, "ThreadPoolExecutor", recorded)
+    return pools
 
 
 class TestSimulate:
@@ -186,22 +199,31 @@ class TestSweepCommand:
         monkeypatch.setattr("crngame.game.os.cpu_count", lambda: 4)
         monkeypatch.setattr("crngame.game.os.sched_getaffinity", lambda pid: {0},
                             raising=False)
-        assert cli._resolve_threads(0) == 1
+        pools = record_pool_threads(monkeypatch)
+        code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
+                               "--out", str(tmp_path / "a.csv"), "--threads", "0")
+        assert (code, err, pools) == (0, "", [1])
         code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
                                "--out", str(tmp_path / "a.csv"), "--threads", "2")
-        assert code == 0
+        assert (code, pools) == (0, [1, 1])
         assert [line for line in err.splitlines() if line.startswith("warning:")] == [
             "warning: --threads 2 is more than the 1 CPUs; 1 threads will run "
             "(results do not depend on the count)"]
         # a count from the config names its key, not the flag
-        assert cli._resolve_threads(None, 2) == 2
-        assert capsys.readouterr().err.startswith(
-            "warning: [simulation] threads = 2 is more than the 1 CPUs;")
+        path = crn_dir / "exp.ini"
+        path.write_text(path.read_text().replace("seed = 5150", "seed = 5150\nthreads = 2"))
+        code, _, err = run_cli(capsys, "sweep", str(path), "--out", str(tmp_path / "a.csv"))
+        assert (code, pools) == (0, [1, 1, 1])
+        assert err.startswith("warning: [simulation] threads = 2 is more than the 1 CPUs;")
 
-    def test_threads_without_an_affinity_mask(self, monkeypatch):
+    def test_threads_without_an_affinity_mask(self, crn_dir, tmp_path, capsys,
+                                              monkeypatch):
         monkeypatch.setattr("crngame.game.os.cpu_count", lambda: 3)
         monkeypatch.delattr("crngame.game.os.sched_getaffinity", raising=False)
-        assert cli._resolve_threads(0) == 3
+        pools = record_pool_threads(monkeypatch)
+        code, _, err = run_cli(capsys, "sweep", str(crn_dir / "exp.ini"),
+                               "--out", str(tmp_path / "a.csv"), "--threads", "0")
+        assert (code, err, pools) == (0, "", [3])
 
     def test_seed_override_changes_rows(self, crn_dir, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -267,6 +289,39 @@ class TestUsageErrors:
         monkeypatch.chdir(crn_dir)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "robustness"])
+    def test_shared_count_past_int64_fails_at_load(self, crn_dir, capsys, monkeypatch,
+                                                   command):
+        # 2^62 + 2^62 of a species that both players start with would wrap to
+        # -2^63 in an int64 start; it is a config error before any lane runs
+        def fail(*args, **kwargs):
+            raise AssertionError("a lane ran")
+        monkeypatch.setattr(game_module, "simulate_batch", fail)
+        path = crn_dir / "exp.ini"
+        half = "\ninit.A = 4611686018427387904"
+        path.write_text(path.read_text()
+                        .replace("utility = takeover X Y", "utility = takeover X Y" + half)
+                        .replace("crn = nature.crn", "crn = nature.crn" + half))
+        assert run_cli(capsys, command, str(path)) == (
+            1, "", "error: species 'A': the players' initial counts can sum to "
+                   "9223372036854775808, but initial counts must be at most "
+                   "9223372036854775807\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate",), ("simulate", "--init", "X=1"),
+        ("oracle", "--winner", "X", "--loser", "Y")],
+        ids=["simulate", "simulate-init", "oracle"])
+    def test_files_summing_past_int64_are_one_error_line(self, tmp_path, capsys, argv):
+        # the files' start is checked when they are composed, so an --init
+        # that would lower the sum comes too late
+        for name in ("a.crn", "b.crn"):
+            (tmp_path / name).write_text("X -> Y @ 1\ninit X = 4611686018427387904\n")
+        assert run_cli(capsys, argv[0], str(tmp_path / "a.crn"), str(tmp_path / "b.crn"),
+                       *argv[1:]) == (
+            1, "", "error: species 'X': the players' initial counts can sum to "
+                   "9223372036854775808, but initial counts must be at most "
+                   "9223372036854775807\n")
 
     @pytest.mark.parametrize("argv", [("simulate", "pkg:r.crn"), ("sweep", "exp.ini"),
                                       ("robustness", "exp.ini")],

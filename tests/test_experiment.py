@@ -75,8 +75,8 @@ class TestRunSweep:
 
     def test_csv_deterministic_across_workers(self, write_config):
         cfg = write_config()
-        a = run_sweep(cfg, workers=1).to_csv()
-        b = run_sweep(cfg, workers=3).to_csv()
+        a = run_sweep(replace(cfg, threads=1)).to_csv()
+        b = run_sweep(replace(cfg, threads=3)).to_csv()
         assert a == b
 
     def test_overflow_stays_in_its_own_row(self, write_config, tmp_path):
@@ -113,14 +113,14 @@ class TestRunSweep:
             return run_pool(arms, *args)
 
         monkeypatch.setattr(game_module, "_run_pool", spy)
-        one = run_sweep(cfg, workers=1)
+        one = run_sweep(replace(cfg, threads=1))
         assert pools == [6]
         assert [row.error and str(row.error) for row in one.results] == [
             None, "trial 0: non-finite propensity in reaction 2", None]
         assert [row.with_opponents and row.with_opponents.successes
                 for row in one.results] == [40, None, 40]
         for workers in (2, 3):
-            assert run_sweep(cfg, workers=workers).to_csv() == one.to_csv()
+            assert run_sweep(replace(cfg, threads=workers)).to_csv() == one.to_csv()
         assert pools == [6, 6, 6]
 
     def test_catalytic_violation_raises(self, write_config, tmp_path):

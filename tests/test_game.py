@@ -13,7 +13,6 @@ from crngame import (
     ConditionResult,
     ConstantCount,
     Crn,
-    GameConfigError,
     Indifferent,
     InitialDistribution,
     Player,
@@ -29,7 +28,7 @@ from crngame import (
     sample_initial_state,
     simulate,
 )
-from crngame.core import MAX_COUNT, CountOverflowError, NumericOverflowError
+from crngame.core import MAX_COUNT, ConfigError, CountOverflowError, NumericOverflowError
 import crngame.game as game_module
 from crngame.game import (
     _CONCLUSIVE,
@@ -139,11 +138,12 @@ class TestCompose:
 
     def test_unknown_utility_species_rejected_at_build(self, shuffler_crn):
         bad = player_for(shuffler_crn, {}, TakeoverSuccess("X", "Y"))
-        with pytest.raises(GameConfigError):
+        with pytest.raises(ConfigError,
+                           match="^utility species 'X' not in the composed game$"):
             compose([bad])
 
     def test_needs_a_player(self):
-        with pytest.raises(GameConfigError):
+        with pytest.raises(ConfigError, match="^a game needs at least one player$"):
             compose([])
 
 
@@ -209,6 +209,35 @@ class TestInitialStates:
             assert batch[j].tolist() == single.tolist()
         assert batch[:, 0].min() >= 10 and batch[:, 0].max() <= 20
         assert (batch[:, 1] == 3).all()
+
+    def test_shared_species_sums_to_the_largest_count(self, majority_crn):
+        # X starts as the sum of both players' counts: MAX_COUNT fits, one more
+        # is a composition error, not a wrapped int64
+        drain = make_crn([({"X": 1}, {"Z": 1}, 1.0)])
+        a = player_for(majority_crn, {"X": MAX_COUNT - 5}, name="a")
+        game = compose([a, player_for(drain, {"X": 5}, name="b")])
+        x = game.species_index("X")
+        assert sample_initial_state(game, Xoshiro256(3))[x] == MAX_COUNT
+        batch = sample_initial_states(game, XoshiroBatch(np.arange(4, dtype=np.uint64)))
+        assert batch[:, x].tolist() == [MAX_COUNT] * 4
+        with pytest.raises(ConfigError, match="^species 'X': .* initial counts must "
+                                              "be at most 9223372036854775807$"):
+            compose([a, player_for(drain, {"X": 6}, name="b")])
+
+    def test_a_range_counts_at_its_upper_end(self, majority_crn):
+        # 2^62 + a draw from [0, 2^62] can reach 2^63, past the largest count
+        wide = Player(majority_crn, InitialDistribution((UniformCount(0, 2**62),
+                                                         ConstantCount(0))), name="a")
+        fixed = player_for(make_crn([({"X": 1}, {"Z": 1}, 1.0)]), {"X": 2**62}, name="b")
+        with pytest.raises(ConfigError, match="^species 'X': .* initial counts must "
+                                              "be at most 9223372036854775807$"):
+            compose([wide, fixed])
+        narrower = replace(wide, initial_distribution=InitialDistribution(
+            (UniformCount(0, 2**62 - 1), ConstantCount(0))))
+        assert compose([narrower, fixed]).start == ((0, UniformCount(0, 2**62 - 1)),
+                                                    (1, ConstantCount(0)),
+                                                    (0, ConstantCount(2**62)),
+                                                    (2, ConstantCount(0)))
 
 
 class TestCatalyticValidation:
@@ -565,7 +594,7 @@ class TestRobustness:
         assert report.min_ratio is None
 
     def test_conditions_must_be_nonempty(self, consensus_player):
-        with pytest.raises(GameConfigError):
+        with pytest.raises(ConfigError, match="^conditions must be nonempty$"):
             robustness_report(
                 estimate_conditions(consensus_player, [], [], 10, SimConfig(seed=1)),
                 None)
