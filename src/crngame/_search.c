@@ -13,6 +13,10 @@
  *     one successor, and their nonzero propensities are summed in reaction
  *     order (0.0 + p_a + p_b ...) into the entry of the first of them.
  *
+ * A state where a watched species is zero is stopped, as a lane is: it gets
+ * no transitions, and none of its propensities or successors is computed,
+ * so it raises neither error below.
+ *
  * The first of these, in search order, stops the search with an error:
  *
  *   - a propensity that is not finite (SEARCH_NONFINITE, its reaction);
@@ -155,14 +159,15 @@ static int add_state(struct search *sr, const int64_t *c, int64_t *slot)
  * Reaction r's falling factors are (fspecies[k], fshift[k]) for k in
  * [fstart[r], fstart[r + 1]), and its changes (dspecies[k], dchange[k]) for
  * k in [dstart[r], dstart[r + 1]). group[r] is the first reaction whose
- * changes equal r's. Returns a SEARCH_ status; `out` holds what was found.
+ * changes equal r's. The watched species are watch[0..nwatch). Returns a
+ * SEARCH_ status; `out` holds what was found.
  */
 int64_t crngame_search(
     int64_t nspecies, int64_t nreactions,
     const int64_t *fstart, const int64_t *fspecies, const int64_t *fshift,
     const int64_t *dstart, const int64_t *dspecies, const int64_t *dchange,
-    const int64_t *group, const double *kv, const int64_t *initial, int64_t cap,
-    struct crngame_space *out)
+    const int64_t *group, const double *kv, const int64_t *watch, int64_t nwatch,
+    const int64_t *initial, int64_t cap, struct crngame_space *out)
 {
     const size_t row = (size_t)(nspecies ? nspecies : 1) * sizeof *initial;
     const size_t per_reaction = (size_t)(nreactions ? nreactions : 1) * sizeof *initial;
@@ -202,7 +207,12 @@ int64_t crngame_search(
         /* a copy: adding a state may move the states buffer */
         memcpy(cur, out->states + i * nspecies, (size_t)nspecies * sizeof *cur);
         const uint64_t sum = key_sum(&sr, cur);
-        for (int64_t r = 0; r < nreactions; r++) {
+        /* a stopped state, a watched count at zero, tries no reaction */
+        int64_t live = nreactions;
+        for (int64_t w = 0; w < nwatch; w++)
+            if (cur[watch[w]] == 0)
+                live = 0;
+        for (int64_t r = 0; r < live; r++) {
             double p = kv[r];
             for (int64_t f = fstart[r]; f < fstart[r + 1]; f++)
                 p *= (double)(cur[fspecies[f]] - fshift[f]);

@@ -33,10 +33,11 @@ the sources (the hash covers the sources and the compiler command), and
 loaded with :mod:`ctypes`. Where that directory is not writable the library
 goes to a private temporary directory that lives as long as the process.
 
-Both engines have one stop hook, ``stop_when_zero``: "a watched species
-count reached zero", which is what final-state utilities need. The batch
-engine has no per-event callback; the scalar engine's ``on_event`` is the
-way to see a trajectory event by event.
+Both engines, and the oracle's state search, have one stop hook,
+``stop_when_zero``: "a watched species count reached zero", which is what
+final-state utilities need (see :meth:`crngame.game.TakeoverSuccess.stop_set`).
+The batch engine has no per-event callback; the scalar engine's
+``on_event`` is the way to see a trajectory event by event.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ def _load_kernel() -> ctypes.CDLL:
         i64, i64,  # species, reactions
         ints, ints, ints,  # falling factors
         ints, ints, ints,  # changes
-        ints, floats, ints, i64,  # change groups, kv, initial state, cap
+        ints, floats,  # change groups, kv
+        ints, i64,  # watched species
+        ints, i64,  # initial state, cap
         ctypes.POINTER(_Space),
     ]
     lib.crngame_search.restype = i64

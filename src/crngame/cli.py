@@ -39,10 +39,12 @@ from .game import (
     Indifferent,
     InitialDistribution,
     Player,
+    TakeoverSuccess,
     _cpus,
     compose,
     robustness_report,
     sample_initial_state,
+    took_over,
 )
 from .oracle import (
     STATE_CAP,
@@ -132,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--init", action="append", default=[],
                           metavar="SPECIES=COUNT")
     p_oracle.add_argument("--winner", required=True,
-                          help="success = absorbing states where this species "
-                               "outnumbers --loser")
+                          help="success = absorbing states where --loser is 0 "
+                               "and this species is positive")
     p_oracle.add_argument("--loser", required=True)
     p_oracle.add_argument("--cap", default=str(STATE_CAP),
                           help="abort if more states are reachable")
@@ -201,8 +203,8 @@ def _cmd_simulate(args) -> int:
     config = SimConfig(**_settings(args))
     crn, state = _load_merged_crn(args.crn_files)
     _apply_init(crn.species, state, args.init)
-    watched = tuple(_species(crn.species, name, "--takeover")
-                    for name in args.takeover or ())
+    watched = (TakeoverSuccess(*args.takeover).stop_set(crn.species) if args.takeover
+               else ())
     names = crn.species.names
     if args.dump is None:
         result = simulate(crn, state, config, watched)
@@ -297,8 +299,8 @@ def _cmd_oracle(args) -> int:
     if cap < 1:
         raise ConfigError("--cap must be >= 1")
     space = enumerate_states(crn, state, volume, state_cap=cap)
-    won = space.states[:, winner] > space.states[:, loser]
-    probs = absorption_probabilities(space, won)
+    probs = absorption_probabilities(space, took_over(space.states[:, winner],
+                                                      space.states[:, loser]))
     print(f"p = {probs[0]:#.12g}")
     if args.all:
         for i in range(len(space)):

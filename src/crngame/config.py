@@ -15,9 +15,10 @@ reported alongside the accepted ones; a ``d`` with ``|d| > n``, or a sweep
 left with no condition, is a load error. So is a section or key that the
 schema does not have, rather than a setting dropped without a word, and so
 is a game that cannot be composed (a utility species that no player has, or
-that the baseline, with the first player alone, lacks), one with a reaction
-whose rate the volume takes to 0, or, with ``catalytic`` set, one that is
-not catalytic.
+that the baseline, with the first player alone, lacks, or a condition whose
+start can pass 2^63 - 1), one with a reaction whose rate the volume takes
+to 0, or, with ``catalytic`` set, one that is not catalytic. So is an
+``init.S = LO..HI`` range that holds more than 2^53 values.
 
 Every ``[simulation]`` and ``[output]`` setting that a command-line flag
 may also give has one reader, :func:`read_setting`: the loader reads each
@@ -31,7 +32,7 @@ from __future__ import annotations
 import configparser
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -140,18 +141,27 @@ def read_integer(text: str, where: str, bound: int = MAX_COUNT,
     return value
 
 
+# The most values a range may hold: a range's draw is Xoshiro256.next_below,
+# which scales one 53-bit uniform, so a wider range would leave values out.
+_RANGE_VALUES = 2**53
+
+
 def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     """A count (``5``) or an inclusive range (``90..110``) for the setting ``where``.
 
-    A rejected value is echoed as parsed, so a long zero-padded count is not
-    echoed digit by digit.
+    A range holds at most ``2**53`` values. A rejected value is echoed as
+    parsed, so a long zero-padded count is not echoed digit by digit.
     """
     counts = [read_integer(part, where) for part in text.strip().split("..", 1)]
+    parsed = "..".join(map(str, counts))
     try:
-        return UniformCount(*counts) if len(counts) == 2 else ConstantCount(*counts)
+        entry = UniformCount(*counts) if len(counts) == 2 else ConstantCount(*counts)
     except ConfigError as exc:
-        parsed = "..".join(map(str, counts))
         raise ConfigError(f"{where} = {parsed!r}: {exc}") from None
+    if isinstance(entry, UniformCount) and entry.high - entry.low >= _RANGE_VALUES:
+        raise ConfigError(f"{where} = {parsed!r}: a range may hold at most 2**53 "
+                          f"= {_RANGE_VALUES} values")
+    return entry
 
 
 def _parse_diffs(text: str) -> range | list[int]:
@@ -255,10 +265,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"sweep pair species {name!r} is not in player "
                     f"{first.name!r}'s CRN")
-        # a utility species outside the game, or outside the baseline's, or a
-        # rate that the volume takes to 0
-        for players in (self.players, self.players[:1]):
-            CompiledCrn(compose(players, self.volume).crn.reactions, self.volume)
+        # each arm of the conditions whose pair counts are largest, x at the
+        # largest d and y at the smallest: this rejects a start that can pass
+        # 2^63 - 1, a utility species outside the game or outside the
+        # baseline's, and a rate that the volume takes to 0
+        accepted = self.accepted_diffs()
+        for d in sorted({min(accepted), max(accepted)}):
+            p1 = replace(first, initial_distribution=self.condition(d).distribution)
+            for players in ((p1, *self.players[1:]), (p1,)):
+                CompiledCrn(compose(players, self.volume).crn.reactions, self.volume)
         violations = catalytic_violations(self.players) if self.catalytic else []
         if violations:
             raise ConfigError("catalytic validation failed: " + "; ".join(violations))
@@ -273,17 +288,16 @@ class ExperimentConfig:
     def rejected_diffs(self) -> list[int]:
         return [d for d in self.diffs if (self.total + d) % 2 == 1]
 
+    def condition(self, d: int) -> Condition:
+        """The condition of diff ``d``: the pair pinned to (n + d) / 2 and (n - d) / 2."""
+        x_name, y_name = self.pair
+        varied = self.players[0].with_counts({x_name: (self.total + d) // 2,
+                                              y_name: (self.total - d) // 2})
+        return Condition(str(d), varied.initial_distribution)
+
     def conditions(self) -> list[Condition]:
         """One condition per accepted diff, pinning the pair's initial counts."""
-        player = self.players[0]
-        x_name, y_name = self.pair
-        out = []
-        for d in self.accepted_diffs():
-            x0 = (self.total + d) // 2
-            y0 = (self.total - d) // 2
-            varied = player.with_counts({x_name: x0, y_name: y0})
-            out.append(Condition(str(d), varied.initial_distribution))
-        return out
+        return [self.condition(d) for d in self.accepted_diffs()]
 
     def main_player(self) -> Player:
         return self.players[0]

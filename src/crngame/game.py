@@ -113,35 +113,51 @@ class Indifferent:
     """Utility 0 on every trajectory (a disinterested player)."""
 
 
+def took_over(winner, loser):
+    """The takeover test, on one pair of counts or elementwise over arrays: the
+    loser is 0 and the winner is positive."""
+    return (loser == 0) & (winner > 0)
+
+
 @dataclass(frozen=True)
 class TakeoverSuccess:
     """Utility 1 iff the designated pair ends in a takeover.
 
-    The trajectory must stop for a conclusive reason (no reaction applicable,
-    or a monitor detected that the pair is frozen) with the initially larger
-    species holding the pair's entire initial population; on an initial tie,
-    either species may take over. Truncated runs score 0.
+    The pair is the utility's stop set (:meth:`stop_set`): a trial stops as
+    soon as either count is zero, after which no consensus reaction can fire.
+    A trial succeeds (:meth:`succeeded`) when it stops for a conclusive
+    reason (no reaction applicable, or a count of the pair at zero) and the
+    initially larger species took over (:func:`took_over`): the other one is
+    0 and it is positive. On an initial tie either species may take over; a
+    pair that starts at 0 and 0 never does. Truncated runs score 0.
     """
 
     x_species: str
     y_species: str
 
+    def stop_set(self, table: SpeciesTable) -> tuple[int, int]:
+        """The pair's indices in ``table``; a species it lacks is a ConfigError."""
+        for name in (self.x_species, self.y_species):
+            if name not in table:
+                raise ConfigError(f"utility species {name!r} not in the composed game")
+        return table.index_of(self.x_species), table.index_of(self.y_species)
+
+    def succeeded(self, table: SpeciesTable, start, final, conclusive=True):
+        """The rule on count vectors over ``table``, elementwise over their rows.
+
+        ``start`` and ``final`` each hold one state or one state per row (they
+        broadcast), and ``conclusive`` says whether the run stopped for a
+        conclusive reason.
+        """
+        x, y = self.stop_set(table)
+        x0, y0 = start[..., x], start[..., y]
+        return (((x0 >= y0) & took_over(final[..., x], final[..., y]))
+                | ((y0 >= x0) & took_over(final[..., y], final[..., x]))) & conclusive
+
 
 UtilitySpec = Indifferent | TakeoverSuccess
 
 _CONCLUSIVE = (StopReason.TERMINAL, StopReason.EARLY_STOP)
-
-
-def takeover_succeeded(x0, y0, x_final, y_final, conclusive):
-    """The :class:`TakeoverSuccess` rule, for one trial or elementwise over arrays.
-
-    ``conclusive`` says whether the run stopped for a conclusive reason.
-    """
-    total = x0 + y0
-    won = np.where(x0 > y0, x_final == total,
-                   np.where(y0 > x0, y_final == total,
-                            (x_final == total) | (y_final == total)))
-    return won & conclusive
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +253,10 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
             raise ConfigError(f"species {name!r}: the players' initial counts can "
                               f"sum to {total}, but initial counts must be at most "
                               f"{MAX_COUNT}")
-    game = ComposedGame(players, Crn(table, reactions), tuple(start), volume)
     for player in players:
-        spec = player.utility
-        if isinstance(spec, TakeoverSuccess):
-            for name in (spec.x_species, spec.y_species):
-                if name not in table:
-                    raise ConfigError(
-                        f"utility species {name!r} not in the composed game")
-    return game
+        if isinstance(player.utility, TakeoverSuccess):
+            player.utility.stop_set(table)  # rejects a species the game lacks
+    return ComposedGame(players, Crn(table, reactions), tuple(start), volume)
 
 
 def _draw(entry: CountDistribution, rng: Xoshiro256 | XoshiroBatch):
@@ -340,16 +351,15 @@ def _run_chunk(arm: _Arm, spec: TakeoverSuccess, config: SimConfig, lo: int,
     rng = XoshiroBatch(np.array([child_seed(arm.seed, j) for j in range(lo, hi)],
                                 dtype=np.uint64))
     inits = sample_initial_states(game, rng)
-    xi, yi = game.species_index(spec.x_species), game.species_index(spec.y_species)
     try:
-        outcome = simulate_batch(game.crn, inits, config, rng, stop_when_zero=(xi, yi),
+        outcome = simulate_batch(game.crn, inits, config, rng,
+                                 stop_when_zero=spec.stop_set(game.crn.species),
                                  times=False)
     except (NumericOverflowError, CountOverflowError) as exc:
         exc.lane += lo
         return exc
     conclusive = np.array([r in _CONCLUSIVE for r in outcome.stop_reasons], dtype=bool)
-    won = takeover_succeeded(inits[:, xi], inits[:, yi], outcome.final_states[:, xi],
-                             outcome.final_states[:, yi], conclusive)
+    won = spec.succeeded(game.crn.species, inits, outcome.final_states, conclusive)
     return int(won.sum()), int((~conclusive).sum())
 
 

@@ -5,7 +5,9 @@ The reachable states are found by a breadth-first search in C
 (``_search.c``, built into the library of :mod:`crngame.batch`), one state
 at a time, with an open-addressing hash of the count vectors. It gives
 the states, numbered in order of discovery, and their transitions as CSR
-arrays, with the propensities of :class:`~crngame.core.CompiledCrn`.
+arrays, with the propensities of :class:`~crngame.core.CompiledCrn`. It
+takes the simulators' stop contract, ``stop_when_zero``: a state where a
+listed species is zero is absorbing, as a trial stops there.
 
 Working on the embedded chain (transition probabilities = rate ratios)
 rather than the generator keeps the numbers well scaled even when rate
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .core import (
     NumericOverflowError,
     start_state,
 )
+from .ssa import watched_species
 
 SOLVE_RESIDUAL_BOUND = 1e-10
 STATE_CAP = 10**6  # enumerate_states' default bound on the states it finds
@@ -102,20 +106,24 @@ class StateSpace:
 
 
 def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
-                     state_cap: int = STATE_CAP) -> StateSpace:
+                     state_cap: int = STATE_CAP,
+                     stop_when_zero: Sequence[int] = ()) -> StateSpace:
     """Breadth-first closure of ``initial_state`` under applicable reactions.
 
     The search is the C function ``crngame_search`` (``_search.c``, in the
     library :mod:`crngame.batch` builds). It takes one state at a time and
     each state's reactions in order, so a state's number is its order of
     first discovery; propensities are :class:`CompiledCrn`'s, multiplied
-    left to right. Raises, at whichever comes first in that order,
-    :class:`NumericOverflowError` at a non-finite propensity,
+    left to right. ``stop_when_zero`` is the simulators' stop contract: a
+    state where a listed species is zero is absorbing, and none of its
+    propensities or successors is computed. Raises, at whichever comes first
+    in that order, :class:`NumericOverflowError` at a non-finite propensity,
     :class:`CountOverflowError` at a count above ``MAX_COUNT``, or
     :class:`StateSpaceTooLargeError` once more than ``state_cap`` states
     have been found (the initial state never counts).
     """
     initial = start_state(initial_state, len(crn.species))
+    watch = np.array(watched_species(stop_when_zero, len(crn.species)), dtype=np.int64)
 
     kin = CompiledCrn(crn.reactions, volume)
     # reactions with the same change lead from any state to one successor
@@ -127,8 +135,8 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
         initial.size, kin.size,
         *_flat(kin.factors, (np.int64, np.int64)),
         *_flat(kin.deltas, (np.int64, np.int64)),
-        group, np.array(kin.kv, dtype=np.float64), np.ascontiguousarray(initial),
-        min(state_cap, MAX_COUNT), ctypes.byref(found))
+        group, np.array(kin.kv, dtype=np.float64), watch, watch.size,
+        np.ascontiguousarray(initial), min(state_cap, MAX_COUNT), ctypes.byref(found))
     try:
         if status == _SEARCH_CAP:
             raise StateSpaceTooLargeError(state_cap)

@@ -9,9 +9,10 @@ exponential with that rate, and the fired reaction is the first whose
 running sum reaches a uniform fraction of it. Both engines do these float
 operations in the same order, so batched and scalar runs agree bit for bit.
 
-The stop contract is the batch engine's: ``stop_when_zero`` lists species
-indices, and a run stops with EARLY_STOP as soon as any listed count is
-zero. One optional ``on_event`` callback sees each executed event; the
+The stop contract is the batch engine's and the oracle's state search's:
+``stop_when_zero`` lists species indices, and a run stops with EARLY_STOP
+as soon as any listed count is zero (the search makes such a state
+absorbing). One optional ``on_event`` callback sees each executed event; the
 ``simulate`` command writes its trajectory dump with it. Estimators run
 many trials at once on the batch engine, whose lanes reproduce this loop
 bit for bit.

@@ -714,6 +714,20 @@ class TestOracleCommand:
         assert run_cli(capsys, "oracle", str(tmp_path / "ab.crn"), *query) == (0, split, "")
         assert split.splitlines()[1].startswith("X=7 Y=5 B=0 p=")
 
+    def test_winner_scores_only_where_the_loser_is_zero(self, tmp_path, capsys):
+        # 2Y -> Z leaves one Y whatever happens: X never takes over, though
+        # it outnumbers Y in the one absorbing state
+        (tmp_path / "y.crn").write_text("2Y -> Z @ 1\n")
+        (tmp_path / "x.crn").write_text("X + Z -> X + W @ 1\n")
+        code, out, _ = run_cli(capsys, "oracle", str(tmp_path / "y.crn"),
+                               str(tmp_path / "x.crn"), "--init", "X=2", "--init", "Y=3",
+                               "--winner", "X", "--loser", "Y", "--all")
+        assert code == 0
+        assert out.splitlines() == ["p = 0.00000000000",
+                                    "Y=3 Z=0 X=2 W=0 p=0.00000000000",
+                                    "Y=1 Z=1 X=2 W=0 p=0.00000000000",
+                                    "Y=1 Z=0 X=2 W=1 p=0.00000000000"]
+
     def test_union_with_nature_never_absorbs(self, crn_dir, capsys):
         code, _, err = run_cli(
             capsys, "oracle", str(crn_dir / "main.crn"), str(crn_dir / "nature.crn"),

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from crngame.config import ConfigError, load_config
+from crngame.core import MAX_COUNT
 from crngame.experiment import run_sweep
 from crngame.game import ConstantCount, Indifferent, TakeoverSuccess, UniformCount
 
@@ -244,6 +245,35 @@ class TestIniConfig:
             "[player:main]\ncrn = main.crn\n")
         with pytest.raises(ConfigError):
             load_config(config_dir / "exp.ini")
+
+    @pytest.mark.parametrize("species,count", [("X", MAX_COUNT - 519),
+                                               ("Y", MAX_COUNT - 499)])
+    def test_a_condition_start_past_the_largest_count_fails_the_load(
+            self, config_dir, species, count):
+        # an opponent that reads the pair: x = 520 at d = 40 and y = 500 at
+        # d = 0 each take the summed start one past 2^63 - 1; one less loads
+        (config_dir / "opp.crn").write_text(f"{species} + W -> {species} + V @ 1\n")
+        opponent = f"[player:opp]\ncrn = opp.crn\ninit.{species} = "
+        (config_dir / "exp.ini").write_text(f"{INI_TEXT}{opponent}{count}\n")
+        with pytest.raises(ConfigError, match=f"^species '{species}': the players' "
+                                              f"initial counts can sum to {MAX_COUNT + 1},"):
+            load_config(config_dir / "exp.ini")
+        (config_dir / "exp.ini").write_text(f"{INI_TEXT}{opponent}{count - 1}\n")
+        assert load_config(config_dir / "exp.ini").players[2].name == "opp"
+
+    def test_a_range_holds_at_most_2_to_the_53_values(self, config_dir):
+        # a draw scales one 53-bit uniform: a wider range would skip values
+        (config_dir / "exp.ini").write_text(
+            INI_TEXT.replace("init.B = 90..110", f"init.B = 5..{2**53 + 5}"))
+        with pytest.raises(ConfigError) as err:
+            load_config(config_dir / "exp.ini")
+        assert str(err.value) == (f"[player:main] init.B = '5..{2**53 + 5}': a range "
+                                  f"may hold at most 2**53 = {2**53} values")
+        (config_dir / "exp.ini").write_text(
+            INI_TEXT.replace("init.B = 90..110", f"init.B = 5..{2**53 + 4}"))
+        main = load_config(config_dir / "exp.ini").players[0]
+        b = main.strategy.species.index_of("B")
+        assert main.initial_distribution.entries[b] == UniformCount(5, 2**53 + 4)
 
 
 class TestJsonConfig:

@@ -39,7 +39,6 @@ from crngame.game import (
     estimate_conditions,
     robustness_report,
     sample_initial_states,
-    takeover_succeeded,
 )
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 
@@ -89,10 +88,8 @@ def scalar_counts(game, trials, config):
 
 
 def won(table, initial, final, reason, spec=TakeoverSuccess("X", "Y")):
-    """:func:`takeover_succeeded` for one trial of a takeover utility."""
-    xi, yi = table.index_of(spec.x_species), table.index_of(spec.y_species)
-    return takeover_succeeded(int(initial[xi]), int(initial[yi]), int(final[xi]),
-                              int(final[yi]), reason in _CONCLUSIVE)
+    """:meth:`TakeoverSuccess.succeeded` for one trial of a takeover utility."""
+    return spec.succeeded(table, initial, final, reason in _CONCLUSIVE)
 
 
 class TestCompose:
@@ -289,6 +286,45 @@ class TestUtility:
         initial = table.state_from({"X": 5120, "Y": 4880})
         final = table.state_from({"X": 10000})
         assert won(table, initial, final, StopReason.EARLY_STOP)
+
+    def test_both_counts_positive_scores_zero(self, majority_crn):
+        # a CRN that does not conserve x + y can stop with the winner at the
+        # pair's whole start and the loser still positive: no takeover
+        table = majority_crn.species
+        initial = table.state_from({"X": 5120, "Y": 4880})
+        final = table.state_from({"X": 10000, "Y": 5})
+        assert not won(table, initial, final, StopReason.TERMINAL)
+
+    def test_loser_at_zero_wins_below_the_whole_start(self, majority_crn):
+        table = majority_crn.species
+        initial = table.state_from({"X": 3, "Y": 2})
+        final = table.state_from({"X": 1})
+        assert won(table, initial, final, StopReason.EARLY_STOP)
+
+    def test_start_at_zero_and_zero_scores_zero(self, majority_crn):
+        # the tie at 0 and 0 stops at once, and nothing took over
+        table = majority_crn.species
+        zero = table.state_from({})
+        assert not won(table, zero, zero, StopReason.EARLY_STOP)
+        player = player_for(majority_crn, {}, TakeoverSuccess("X", "Y"))
+        est = pool_estimate(compose([player]), 20, SimConfig(seed=2))
+        assert (est.successes, est.truncated) == (0, 0)
+
+    def test_rule_broadcasts_one_start_over_many_states(self, majority_crn):
+        table = majority_crn.species
+        finals = np.array([[5, 0], [0, 5], [3, 2], [0, 0]])
+        spec = TakeoverSuccess("Y", "X")
+        assert spec.succeeded(table, table.state_from({"X": 3, "Y": 2}),
+                              finals).tolist() == [True, False, False, False]
+        assert spec.succeeded(table, table.state_from({"X": 2, "Y": 2}),
+                              finals).tolist() == [True, True, False, False]
+
+    def test_stop_set_is_the_pair_in_the_table(self, catalyzed_crn):
+        table = catalyzed_crn.species  # X, Y, A, B
+        assert TakeoverSuccess("B", "X").stop_set(table) == (3, 0)
+        with pytest.raises(ConfigError,
+                           match="^utility species 'Z' not in the composed game$"):
+            TakeoverSuccess("X", "Z").stop_set(table)
 
     def test_indifferent_always_zero(self, majority_crn):
         # both arms of every condition score exactly 0, so no ratio exists

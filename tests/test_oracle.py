@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from crngame import (
+    Condition,
     Crn,
     CrnError,
+    Indifferent,
+    InitialDistribution,
     NoAbsorptionError,
+    Player,
     SimConfig,
     StateSpaceTooLargeError,
+    TakeoverSuccess,
     absorption_probabilities,
+    compose,
     enumerate_states,
     make_crn,
 )
@@ -28,7 +34,8 @@ from crngame.core import (
 from crngame.crnfile import load
 from crngame.data import path as data_path
 from crngame.oracle import SOLVE_RESIDUAL_BOUND
-from crngame.rng import XoshiroBatch, child_seed
+from crngame.game import estimate_conditions, sample_initial_state
+from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 
 
 def x_takeover(space):
@@ -58,12 +65,13 @@ def value_iteration(space, won, sweeps=20000, tol=1e-13):
     return p
 
 
-def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6):
+def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6, stop_when_zero=()):
     """Reference breadth-first search, one state and one reaction at a time.
 
     Each propensity is taken from the reaction itself, ``k * V**(1 - arity)``
     times its falling factors in species order, and each successor applies
-    the reaction's ``delta`` pairs.
+    the reaction's ``delta`` pairs. A state where a species listed in
+    ``stop_when_zero`` is zero tries no reaction.
     """
     start = tuple(int(c) for c in initial)
     index_of = {start: 0}
@@ -73,7 +81,8 @@ def scalar_enumerate(crn, initial, volume=1.0, state_cap=10**6):
     while queue:
         state = states[queue.popleft()]
         merged = {}
-        for ri, rxn in enumerate(crn.reactions):
+        stopped = any(state[i] == 0 for i in stop_when_zero)
+        for ri, rxn in enumerate([] if stopped else crn.reactions):
             rate = rxn.rate_constant * volume ** (1 - rxn.arity)
             for si, need in rxn.reactants:
                 for m in range(need):
@@ -230,6 +239,91 @@ class TestAgainstScalarSearch:
     def test_one_state_per_level(self):
         crn = make_crn([({"X": 1}, {"Y": 1}, 1.0)])
         assert len(self.check(crn, {"X": 20_000})) == 20_001
+
+
+def shipped_game(total, diff, catalysts, nature_rate):
+    """The default sweep's players at a small scale: ``r_prime.crn`` with the
+    pair at (total + diff) / 2 and (total - diff) / 2 and A = B = ``catalysts``,
+    and a nature that flips A and B at ``nature_rate``."""
+    doc = load(data_path("r_prime.crn"))
+    counts = {"X": (total + diff) // 2, "Y": (total - diff) // 2, "A": catalysts,
+              "B": catalysts}
+    main = Player(doc.crn, InitialDistribution.deterministic(
+        doc.crn.species.state_from(counts)), TakeoverSuccess("X", "Y"), "main")
+    flip = make_crn([({"A": 1}, {"B": 1}, nature_rate), ({"B": 1}, {"A": 1}, nature_rate)])
+    nature = Player(flip, InitialDistribution.deterministic([0, 0]), Indifferent(),
+                    "nature")
+    return main, nature
+
+
+class TestStoppingSearch:
+    """A search with a stop set equals the reference search with the same stop rule."""
+
+    def check(self, crn, counts, stop_names):
+        initial = crn.species.state_from(counts)
+        stop = [crn.species.index_of(name) for name in stop_names]
+        states, transitions = scalar_enumerate(crn, initial, stop_when_zero=stop)
+        space = enumerate_states(crn, initial, stop_when_zero=stop)
+        assert [tuple(s) for s in space.states.tolist()] == states
+        assert bits(space.transitions) == bits(transitions)
+        return space
+
+    def test_majority_stops_where_it_absorbs(self, majority_crn):
+        # x + y is conserved: a zero of the pair is absorbing anyway
+        space = self.check(majority_crn, {"X": 9, "Y": 7}, ("X", "Y"))
+        plain = enumerate_states(majority_crn, majority_crn.species.state_from(
+            {"X": 9, "Y": 7}))
+        assert space.states.tolist() == plain.states.tolist()
+        assert bits(space.transitions) == bits(plain.transitions)
+
+    def test_approximate_majority_stops_before_it_absorbs(self):
+        # a state with Y = 0 and B > 0 still converts B, unless it is stopped
+        crn = make_crn([
+            ({"X": 1, "Y": 1}, {"X": 1, "B": 1}, 1.0),
+            ({"X": 1, "Y": 1}, {"Y": 1, "B": 1}, 1.0),
+            ({"B": 1, "X": 1}, {"X": 2}, 1.0),
+            ({"B": 1, "Y": 1}, {"Y": 2}, 1.0),
+        ])
+        space = self.check(crn, {"X": 9, "Y": 7}, ("X", "Y"))
+        plain = enumerate_states(crn, crn.species.state_from({"X": 9, "Y": 7}))
+        assert len(space) < len(plain) == 152
+
+    def test_shipped_game_absorbs_only_with_the_stop_set(self):
+        game = compose(shipped_game(40, 4, 3, 1000.0))
+        counts = {"X": 22, "Y": 18, "A": 3, "B": 3}
+        space = self.check(game.crn, counts, ("X", "Y"))
+        # x + y = 40 and a + b = 6; a catalysed step reaches X = 0 only with
+        # B > 0 and Y = 0 only with A > 0
+        assert len(space) == 41 * 7 - 2
+        plain = enumerate_states(game.crn, game.crn.species.state_from(counts))
+        assert not plain.absorbing.any()
+
+    def test_start_with_a_watched_zero_is_one_absorbing_state(self):
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0)])
+        space = self.check(crn, {"X": 5}, ("Y",))
+        assert (len(space), space.absorbing.tolist()) == (1, [True])
+
+    @pytest.mark.parametrize("bad", ["non-finite", "count"])
+    def test_stopped_state_computes_nothing(self, bad):
+        # X -> Y stops at X = 0, where reaction 1 would be non-finite or
+        # would take W past 2^63 - 1; unstopped, the search raises there
+        if bad == "non-finite":
+            crn = make_crn([({"X": 1}, {"Y": 1}, 1.0),
+                            ({"Y": 1, "W": 1}, {"Y": 1}, 1e300)])
+            counts, error = {"X": 1, "W": 10**10}, NumericOverflowError
+        else:
+            crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"Y": 1}, {"Y": 1, "W": 1}, 1.0)])
+            counts, error = {"X": 1, "W": MAX_COUNT}, CountOverflowError
+        assert len(self.check(crn, counts, ("X",))) == 2
+        with pytest.raises(error):
+            enumerate_states(crn, crn.species.state_from(counts))
+
+    @pytest.mark.parametrize("stop", [(2,), (-1,), (0, 5)])
+    def test_index_out_of_range(self, majority_crn, stop):
+        with pytest.raises(CrnError,
+                           match="^stop_when_zero names a species index out of range$"):
+            enumerate_states(majority_crn, majority_crn.species.state_from({"X": 1}),
+                             stop_when_zero=stop)
 
 
 class TestEnumerateErrors:
@@ -581,3 +675,38 @@ class TestAgreementWithSimulation:
         wins = int((finals[:, 0] > finals[:, 1]).sum())
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
         assert abs(wins / trials - exact) <= max(3 * sigma, 1e-9)
+
+
+class TestShippedGameGate:
+    """The lane pool's success counts on the shipped game agree with the exact
+    takeover probabilities of both arms, at a scale the oracle solves."""
+
+    # Declared before the run: each arm's success count must lie inside the
+    # two-sided binomial tail of probability 1e-6 around the exact p.
+    ALPHA = 1e-6
+    TRIALS = 10_000
+
+    def test_pool_agrees_with_the_exact_takeover_probability(self):
+        from scipy.stats import binom
+
+        main, nature = shipped_game(40, 4, 3, 1000.0)
+        spec = main.utility
+        exact = []
+        for players in ((main, nature), (main,)):
+            game = compose(players)
+            table = game.crn.species
+            start = sample_initial_state(game, Xoshiro256(0))  # all constants
+            space = enumerate_states(game.crn, start, stop_when_zero=spec.stop_set(table))
+            won = spec.succeeded(table, start, space.states)
+            exact.append(absorption_probabilities(space, won)[0])
+        # nature moves p by more than either arm's allowance, so a baseline
+        # lane run with nature, or the other way round, would fail the gate
+        assert exact[1] - exact[0] > 0.08
+
+        condition = Condition("4", main.initial_distribution)
+        [result] = estimate_conditions(main, [nature], [condition], self.TRIALS,
+                                       SimConfig(seed=26))
+        for arm, p in zip((result.with_opponents, result.baseline), exact):
+            assert arm.truncated == 0
+            assert binom.cdf(arm.successes, self.TRIALS, p) > self.ALPHA / 2
+            assert binom.sf(arm.successes - 1, self.TRIALS, p) > self.ALPHA / 2
