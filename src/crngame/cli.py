@@ -123,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_rob, _SWEEP_FLAGS)
     p_rob.add_argument("config", help="experiment config (.ini or .json)")
     p_rob.add_argument("--alpha", help="robustness threshold to gate on")
-    p_rob.add_argument("--paired-seeds", action="store_true",
-                       help="reuse the with-opponents seeds in the baseline arm")
 
     p_oracle = sub.add_parser("oracle",
                               help="exact absorption probabilities of the union "
@@ -274,7 +272,7 @@ def _cmd_robustness(args) -> int:
     if alpha is not None and not math.isfinite(alpha):
         raise ConfigError(f"--alpha must be a finite number, got {alpha!r}")
     config = _load_sweep(args)
-    output = run_sweep(config, paired_seeds=args.paired_seeds)
+    output = run_sweep(config)
     report = robustness_report(output.results, alpha)
     if config.csv_path or config.svg_path:
         _write_outputs(output, config.csv_path, config.svg_path)
@@ -289,6 +287,9 @@ def _cmd_robustness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.winner == args.loser:
+        raise ConfigError(f"--winner and --loser must be two different species, "
+                          f"not {args.winner!r} twice")
     crn, state = _load_merged_crn(args.crn_files)
     table = crn.species
     _apply_init(table, state, args.init)

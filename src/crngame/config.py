@@ -32,7 +32,7 @@ from __future__ import annotations
 import configparser
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -49,8 +49,8 @@ from .game import (
     TakeoverSuccess,
     UniformCount,
     UtilitySpec,
+    _condition_arms,
     catalytic_violations,
-    compose,
 )
 from .ssa import SimConfig
 
@@ -141,11 +141,6 @@ def read_integer(text: str, where: str, bound: int = MAX_COUNT,
     return value
 
 
-# The most values a range may hold: a range's draw is Xoshiro256.next_below,
-# which scales one 53-bit uniform, so a wider range would leave values out.
-_RANGE_VALUES = 2**53
-
-
 def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     """A count (``5``) or an inclusive range (``90..110``) for the setting ``where``.
 
@@ -158,9 +153,6 @@ def _parse_count_distribution(text: str, where: str) -> CountDistribution:
         entry = UniformCount(*counts) if len(counts) == 2 else ConstantCount(*counts)
     except ConfigError as exc:
         raise ConfigError(f"{where} = {parsed!r}: {exc}") from None
-    if isinstance(entry, UniformCount) and entry.high - entry.low >= _RANGE_VALUES:
-        raise ConfigError(f"{where} = {parsed!r}: a range may hold at most 2**53 "
-                          f"= {_RANGE_VALUES} values")
     return entry
 
 
@@ -258,8 +250,11 @@ class ExperimentConfig:
                               f"(n = {self.total}, diffs = {self.diffs})")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must lie in (0, 1)")
-        self.sim_config()  # rejects a bad volume, max_time, max_events or seed
+        sim = self.sim_config()  # rejects a bad volume, max_time, max_events or seed
         first = self.players[0]
+        if self.pair[0] == self.pair[1]:
+            raise ConfigError(f"sweep pair must be two different species, "
+                              f"not {self.pair[0]!r} twice")
         for name in self.pair:
             if name not in first.strategy.species:
                 raise ConfigError(
@@ -268,12 +263,13 @@ class ExperimentConfig:
         # each arm of the conditions whose pair counts are largest, x at the
         # largest d and y at the smallest: this rejects a start that can pass
         # 2^63 - 1, a utility species outside the game or outside the
-        # baseline's, and a rate that the volume takes to 0
+        # baseline's, and a rate that the volume takes to 0 (no lane runs, so
+        # the arms' seeds, here those of condition 0, go unused)
         accepted = self.accepted_diffs()
         for d in sorted({min(accepted), max(accepted)}):
-            p1 = replace(first, initial_distribution=self.condition(d).distribution)
-            for players in ((p1, *self.players[1:]), (p1,)):
-                CompiledCrn(compose(players, self.volume).crn.reactions, self.volume)
+            for arm in _condition_arms(first, tuple(self.players[1:]),
+                                       self.condition(d), 0, sim):
+                CompiledCrn(arm.game.crn.reactions, self.volume)
         violations = catalytic_violations(self.players) if self.catalytic else []
         if violations:
             raise ConfigError("catalytic validation failed: " + "; ".join(violations))

@@ -88,19 +88,17 @@ class SweepOutput:
         return buf.getvalue()
 
 
-def run_sweep(config: ExperimentConfig, paired_seeds: bool = False) -> SweepOutput:
+def run_sweep(config: ExperimentConfig) -> SweepOutput:
     """Run both arms of every accepted condition, all in one lane pool.
 
     The config was checked when it was loaded (species names, composition,
     the catalytic check when requested). The pool runs ``config.threads``
     threads (0 = one per CPU). A lane overflow lands in its condition's
     result (the CSV's ``error`` column) and the run continues.
-    ``paired_seeds`` reuses the with-opponents streams in the baseline arms.
     """
     return SweepOutput(config, estimate_conditions(
         config.main_player(), config.opponent_players(), config.conditions(),
-        config.trials, config.sim_config(), config.confidence, paired_seeds,
-        config.threads))
+        config.trials, config.sim_config(), config.confidence, config.threads))
 
 
 def robustness_summary(report: RobustnessReport) -> str:

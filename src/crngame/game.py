@@ -70,7 +70,7 @@ class ConstantCount:
 
 @dataclass(frozen=True)
 class UniformCount:
-    """Uniform over the inclusive integer range [low, high]."""
+    """Uniform over the inclusive integer range [low, high] of at most 2**53 values."""
 
     low: int
     high: int
@@ -80,6 +80,8 @@ class UniformCount:
             raise ConfigError(f"bad uniform range [{self.low}, {self.high}]")
         if self.high > MAX_COUNT:
             raise ConfigError(f"initial count must be at most {MAX_COUNT}")
+        if self.high - self.low >= 2**53:  # a draw scales one 53-bit uniform
+            raise ConfigError(f"a range may hold at most 2**53 = {2**53} values")
 
 
 CountDistribution = ConstantCount | UniformCount
@@ -121,7 +123,7 @@ def took_over(winner, loser):
 
 @dataclass(frozen=True)
 class TakeoverSuccess:
-    """Utility 1 iff the designated pair ends in a takeover.
+    """Utility 1 iff the designated pair, two different species, ends in a takeover.
 
     The pair is the utility's stop set (:meth:`stop_set`): a trial stops as
     soon as either count is zero, after which no consensus reaction can fire.
@@ -134,6 +136,11 @@ class TakeoverSuccess:
 
     x_species: str
     y_species: str
+
+    def __post_init__(self):
+        if self.x_species == self.y_species:
+            raise ConfigError(f"a takeover pair must be two different species, "
+                              f"not {self.x_species!r} twice")
 
     def stop_set(self, table: SpeciesTable) -> tuple[int, int]:
         """The pair's indices in ``table``; a species it lacks is a ConfigError."""
@@ -457,34 +464,29 @@ class RobustnessReport:
 
 def _condition_arms(player: Player, opponents: tuple[Player, ...],
                     condition: Condition, condition_index: int,
-                    config: SimConfig, paired_seeds: bool) -> tuple[_Arm, _Arm]:
-    """The with-opponents arm of a condition and its baseline, the player alone.
+                    config: SimConfig) -> tuple[_Arm, _Arm]:
+    """The two arms of a condition: the player with the opponents, and its
+    baseline, the player alone.
 
-    Seeds derive from the condition index: the with-opponents arm uses
-    ``child_seed(child_seed(seed, index), 0)``, the baseline uses child 1
-    (or child 0 again when ``paired_seeds``).
+    Arm ``k`` (0 with the opponents, 1 the baseline) draws from
+    ``child_seed(child_seed(seed, condition_index), k)``.
     """
     p1 = replace(player, initial_distribution=condition.distribution)
     cond_seed = child_seed(config.seed, condition_index)
-    with_seed = child_seed(cond_seed, 0)
-    base_seed = with_seed if paired_seeds else child_seed(cond_seed, 1)
-    return (_Arm(compose((p1,) + opponents, config.volume), with_seed),
-            _Arm(compose((p1,), config.volume), base_seed))
+    return (_Arm(compose((p1,) + opponents, config.volume), child_seed(cond_seed, 0)),
+            _Arm(compose((p1,), config.volume), child_seed(cond_seed, 1)))
 
 
 def estimate_conditions(player: Player, opponents: Sequence[Player],
                         conditions: Sequence[Condition], trials: int,
                         config: SimConfig, confidence: float = 0.99,
-                        paired_seeds: bool = False,
                         workers: int = 1) -> list[ConditionResult]:
     """Run both arms of every condition and compare them.
 
     For each condition, the with-opponents arm and the baseline arm (every
     opponent replaced by the empty CRN and the trivial distribution) are
     estimated with ``trials`` trials each, all in one lane pool. Condition
-    ``i`` takes its seeds from index ``i`` (see :func:`_condition_arms`):
-    the arms use distinct child-seed streams unless ``paired_seeds``, which
-    reuses the with-arm stream in the baseline for variance reduction. The
+    ``i`` takes its seeds from index ``i`` (see :func:`_condition_arms`). The
     pool runs ``workers`` threads, 0 for one per CPU (see :func:`_run_pool`).
     A game that cannot be composed raises before any lane runs. A lane
     overflow yields a result that carries its error, the with-opponents
@@ -494,8 +496,7 @@ def estimate_conditions(player: Player, opponents: Sequence[Player],
         raise ConfigError("trials must be >= 1")
     opponents = tuple(opponents)
     arms = [arm for i, condition in enumerate(conditions)
-            for arm in _condition_arms(player, opponents, condition, i, config,
-                                       paired_seeds)]
+            for arm in _condition_arms(player, opponents, condition, i, config)]
     if isinstance(player.utility, Indifferent):
         estimates = [_exact_zero(trials, confidence)] * len(arms)
     else:

@@ -97,8 +97,9 @@ class Xoshiro256(object):
 
         Uses the scaled-float construction ``floor(u * bound)`` with one
         u64 draw, matching :meth:`XoshiroBatch.next_below` exactly. The
-        bias is at most ``bound * 2**-53`` and ``bound`` must stay well
-        below 2**53.
+        bias is at most ``bound * 2**-53``. Past ``2**53`` some values are
+        never drawn, so a :class:`~crngame.game.UniformCount`, whose draw
+        this is, holds at most ``2**53`` values.
         """
         u = (self.next_u64() >> 11) * _U01_SCALE  # in [0, 1)
         i = int(u * bound)
@@ -154,7 +155,8 @@ class XoshiroBatch(object):
         return ((self.next_u64() >> _U11) + 1.0) * _U01_SCALE
 
     def next_below(self, bound: int) -> np.ndarray:
-        """Uniform integers in [0, bound), one per lane."""
+        """Uniform integers in [0, bound), one per lane, as
+        :meth:`Xoshiro256.next_below` draws them (``bound`` at most ``2**53``)."""
         u = (self.next_u64() >> _U11).astype(np.float64) * _U01_SCALE
         i = (u * bound).astype(np.int64)
         return np.minimum(i, bound - 1)

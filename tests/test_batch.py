@@ -560,7 +560,7 @@ class TestKernelCopies:
         config = load_config(data_path("default_sweep.ini"))
         spec = config.main_player().utility
         arms = _condition_arms(config.main_player(), tuple(config.opponent_players()),
-                               config.conditions()[0], 0, config.sim_config(), False)
+                               config.conditions()[0], 0, config.sim_config())
         for arm in arms:
             rng = XoshiroBatch(np.array([child_seed(arm.seed, j) for j in range(500)],
                                         dtype=np.uint64))

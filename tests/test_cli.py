@@ -127,10 +127,10 @@ class TestSimulate:
         assert "events: 0" in out
 
     @pytest.mark.parametrize("argv", [["simulate", "--max-events", "3"],
-                                      ["oracle", "--winner", "X", "--loser", "X"]])
+                                      ["oracle", "--winner", "X", "--loser", "Y"]])
     def test_count_above_int64_is_one_error_line(self, tmp_path, capsys, argv):
         grow = tmp_path / "grow.crn"
-        grow.write_text("0 -> X @ 1\nX -> 0 @ 1e-30\ninit X = 9223372036854775806\n")
+        grow.write_text("0 -> X @ 1\nX -> Y @ 1e-30\ninit X = 9223372036854775806\n")
         code, out, err = run_cli(capsys, argv[0], str(grow), *argv[1:])
         assert code == 2 and out == ""
         assert err == ("error: reaction 0 takes the count of species 'X' above "
@@ -436,11 +436,18 @@ class TestUsageErrors:
         # were the sweep to run, it would write nowhere
         (("robustness", "pkg:takeover_point.ini", "--alpha", "nan", "--out", os.devnull,
           "--threads", "1"), "error: --alpha must be a finite number, got nan\n"),
+        # a takeover pair of one species would score every run alike
+        (("simulate", "pkg:r.crn", "--init", "X=3", "--takeover", "X", "X"),
+         "error: a takeover pair must be two different species, not 'X' twice\n"),
+        (("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2", "--winner", "X",
+          "--loser", "X"),
+         "error: --winner and --loser must be two different species, not 'X' twice\n"),
     ], ids=["simulate-max-time", "simulate-init", "simulate-takeover", "oracle-winner",
             "oracle-volume", "oracle-cap-0", "oracle-cap-negative", "simulate-init-underscore",
             "simulate-init-double-underscore", "simulate-init-leading-underscore",
             "oracle-volume-1e200", "oracle-volume-inf", "simulate-volume-1e200",
-            "oracle-volume-1e-200", "robustness-alpha-nan"])
+            "oracle-volume-1e-200", "robustness-alpha-nan", "simulate-takeover-one-species",
+            "oracle-winner-is-loser"])
     def test_flags(self, capsys, argv, fragment):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
@@ -519,7 +526,13 @@ class TestUsageErrors:
         ([("nature.crn", "A -> B @ 10\nB -> A @ 10", "X -> B @ 10\nB -> X @ 10")],
          "catalytic validation failed: species X owned by both player main "
          "and player nature"),
-    ], ids=["utility-species", "utility-species-opponent-only", "catalytic"])
+        # a pair of one species: every lane would score alike
+        ([("exp.ini", "pair = X Y", "pair = X X")],
+         "sweep pair must be two different species, not 'X' twice"),
+        ([("exp.ini", "takeover X Y", "takeover X X")],
+         "a takeover pair must be two different species, not 'X' twice"),
+    ], ids=["utility-species", "utility-species-opponent-only", "catalytic",
+            "pair-one-species", "utility-one-species"])
     def test_game_checked_at_load(self, crn_dir, capsys, no_lanes, command, edits,
                                   message):
         # a game that cannot be played is one error line, whichever command
@@ -587,31 +600,6 @@ class TestRobustnessCommand:
             sweep = (crn_dir / f"sweep{suffix}").read_bytes()
             assert sweep == (crn_dir / f"robustness{suffix}").read_bytes()
         assert sweep.count(b"<circle") == 2 * 2  # both conditions, both curves
-
-    def test_paired_trivial_opponents_ratio_one(self, crn_dir, tmp_path, capsys):
-        (tmp_path / "empty.crn").write_text("")
-        (tmp_path / "paired.ini").write_text(f"""
-[player:main]
-crn = {crn_dir / 'main.crn'}
-utility = takeover X Y
-
-[player:void]
-crn = empty.crn
-
-[sweep]
-pair = X Y
-total = 30
-diffs = 10
-trials = 40
-
-[simulation]
-seed = 31337
-""")
-        code, out, _ = run_cli(capsys, "robustness", str(tmp_path / "paired.ini"),
-                               "--alpha", "1.0", "--paired-seeds")
-        assert code == 0
-        assert "ratio=1.0" in out
-        assert "verdict=PASS" in out
 
 
 class TestFullScaleSimulate:
@@ -686,9 +674,9 @@ class TestOracleCommand:
 
     def test_cap_exceeded_is_runtime_error(self, tmp_path, capsys):
         grower = tmp_path / "grow.crn"
-        grower.write_text("X -> 2X @ 1\n")
+        grower.write_text("X -> 2X @ 1\nY -> 0 @ 1\n")
         code, _, err = run_cli(capsys, "oracle", str(grower), "--init", "X=1",
-                               "--winner", "X", "--loser", "X", "--cap", "10")
+                               "--winner", "X", "--loser", "Y", "--cap", "10")
         assert code == 2
         assert "simulate" in err  # advises the stochastic path
 

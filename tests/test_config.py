@@ -194,6 +194,11 @@ class TestIniConfig:
          "[sweep] diffs must be at most 9223372036854775807"),
         (("diffs = 0:40:20", "diffs = 0, -" + "1" * 4000),
          "[sweep] diffs must be at least -9223372036854775807"),
+        # a takeover pair of one species
+        (("pair = X Y", "pair = X X"),
+         "sweep pair must be two different species, not 'X' twice"),
+        (("utility = takeover X Y", "utility = takeover X X"),
+         "a takeover pair must be two different species, not 'X' twice"),
     ])
     def test_bad_configs_rejected(self, config_dir, mutation, fragment):
         old, new = mutation

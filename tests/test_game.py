@@ -222,19 +222,28 @@ class TestInitialStates:
             compose([a, player_for(drain, {"X": 6}, name="b")])
 
     def test_a_range_counts_at_its_upper_end(self, majority_crn):
-        # 2^62 + a draw from [0, 2^62] can reach 2^63, past the largest count
-        wide = Player(majority_crn, InitialDistribution((UniformCount(0, 2**62),
+        # 2^62 + a draw from [2^62 - 2^52, 2^62] can reach 2^63, past the
+        # largest count
+        low = 2**62 - 2**52
+        wide = Player(majority_crn, InitialDistribution((UniformCount(low, 2**62),
                                                          ConstantCount(0))), name="a")
         fixed = player_for(make_crn([({"X": 1}, {"Z": 1}, 1.0)]), {"X": 2**62}, name="b")
         with pytest.raises(ConfigError, match="^species 'X': .* initial counts must "
                                               "be at most 9223372036854775807$"):
             compose([wide, fixed])
         narrower = replace(wide, initial_distribution=InitialDistribution(
-            (UniformCount(0, 2**62 - 1), ConstantCount(0))))
-        assert compose([narrower, fixed]).start == ((0, UniformCount(0, 2**62 - 1)),
+            (UniformCount(low, 2**62 - 1), ConstantCount(0))))
+        assert compose([narrower, fixed]).start == ((0, UniformCount(low, 2**62 - 1)),
                                                     (1, ConstantCount(0)),
                                                     (0, ConstantCount(2**62)),
                                                     (2, ConstantCount(0)))
+
+    def test_a_range_holds_at_most_2_to_the_53_values(self):
+        # a draw scales one 53-bit uniform: a wider range would skip values
+        with pytest.raises(ConfigError, match=r"^a range may hold at most 2\*\*53 = "
+                                              r"9007199254740992 values$"):
+            UniformCount(0, 2**53)
+        assert UniformCount(0, 2**53 - 1).high == 2**53 - 1
 
 
 class TestCatalyticValidation:
@@ -516,7 +525,7 @@ class TestEstimation:
         conditions = [Condition("near", near),
                       Condition("far", player.initial_distribution)]
         config = SimConfig(seed=9, max_events=40)
-        with_arm, _ = _condition_arms(player, (), conditions[0], 0, config, False)
+        with_arm, _ = _condition_arms(player, (), conditions[0], 0, config)
         rng = XoshiroBatch(np.array([child_seed(with_arm.seed, j) for j in range(40)],
                                     dtype=np.uint64))
         starts = sample_initial_states(with_arm.game, rng)[:, 0]
@@ -545,17 +554,18 @@ class TestEstimation:
 
 
 class TestRobustness:
-    def test_trivial_opponents_with_paired_seeds_ratio_exactly_one(
-            self, consensus_player):
+    def test_an_empty_opponent_changes_nothing(self, consensus_player):
+        # the with-arm beside an empty opponent counts what the baseline game,
+        # the player alone, counts from the with-arm's seed
         small = consensus_player.with_counts({"X": 24, "Y": 16, "A": 3, "B": 3})
-        conditions = [Condition("d8", small.initial_distribution)]
-        report = robustness_report(estimate_conditions(
-            small, [Player.trivial()], conditions, 200, SimConfig(seed=12),
-            paired_seeds=True), alpha=1.0)
-        [cond] = report.conditions
-        assert cond.ratio == 1.0
-        assert cond.with_opponents.successes == cond.baseline.successes
-        assert report.verdict == "PASS"
+        config = SimConfig(seed=12)
+        [cond] = estimate_conditions(small, [Player.trivial()],
+                                     [Condition("d8", small.initial_distribution)],
+                                     200, config)
+        alone = _Arm(compose([small]), child_seed(child_seed(12, 0), 0))
+        [counts] = _run_pool([alone], small.utility, 200, config, 1)
+        assert (cond.with_opponents.successes, cond.with_opponents.truncated) == counts
+        assert 0 < counts[0] < 200
 
     def test_pooled_arms_equal_arms_run_alone(self, consensus_player):
         # every condition and arm in one pool (baseline lanes on the union
@@ -640,7 +650,7 @@ def test_baseline_arm_is_the_player_alone(consensus_player, nature_player):
     # the same CRN as the player beside one empty opponent, which draws nothing
     condition = Condition("d", consensus_player.initial_distribution)
     with_arm, base = _condition_arms(consensus_player, (nature_player,), condition, 0,
-                                     SimConfig(seed=3), False)
+                                     SimConfig(seed=3))
     assert base.game.players == (consensus_player,)
     assert base.game.crn == compose([consensus_player, Player.trivial()]).crn
     assert with_arm.game.players == (consensus_player, nature_player)
