@@ -18,10 +18,23 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
+
+# The lane pool's threads are the CLI's only fan-out. numpy's and scipy's
+# OpenBLAS would start a thread pool per CPU that no command uses: sweeps
+# make no BLAS call, and SuperLU solves the 180,900-state approximate
+# majority system in the same time either way (0.86 s against 0.89 s), to
+# the same bytes. Starting those pools is paid in every process: this module
+# imported in 0.175 s wall and 0.173 s CPU with them, and 0.107 s and
+# 0.106 s on one thread (medians of 12 alternating runs, 2 vCPUs).
+# OpenBLAS reads the variable when numpy loads it, so this line comes before
+# the first import that loads numpy (``import crngame`` loads none). A value
+# the user exported wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import crnfile
 from .config import (

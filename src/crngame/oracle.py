@@ -184,8 +184,8 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
 
     # scipy is imported in the functions that use it, not with the module:
     # the CLI imports this module for every command, and only the oracle
-    # needs scipy (loading it adds about 0.4 s and 30 MB to a command's
-    # start-up)
+    # needs scipy (loading it after the CLI's imports adds about 0.16 s and
+    # 26 MB to a command's start-up)
     from scipy.sparse.linalg import spsolve
 
     _check_reachable(space, absorbing_idx)
