@@ -26,9 +26,9 @@ _SOURCES = {
                     "crnfile"),
     **dict.fromkeys(
         ["ComposedGame", "Condition", "ConditionResult", "ConstantCount",
-         "Indifferent", "InitialDistribution", "Player", "RobustnessReport",
-         "TakeoverSuccess", "UniformCount", "UtilityEstimate",
-         "catalytic_violations", "compose", "sample_initial_state"],
+         "Indifferent", "Player", "RobustnessReport", "TakeoverSuccess",
+         "UniformCount", "UtilityEstimate", "catalytic_violations", "compose",
+         "sample_initial_state"],
         "game"),
     **dict.fromkeys(
         ["NoAbsorptionError", "StateSpace", "StateSpaceTooLargeError",

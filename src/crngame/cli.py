@@ -49,8 +49,8 @@ from .config import (
 from .core import MAX_COUNT, ConfigError, Crn, CountVector, CrnError, SpeciesTable
 from .experiment import robustness_summary, run_sweep
 from .game import (
+    ConstantCount,
     Indifferent,
-    InitialDistribution,
     Player,
     TakeoverSuccess,
     _cpus,
@@ -204,7 +204,7 @@ def _load_merged_crn(paths: list[str]) -> tuple[Crn, CountVector]:
     initial counts (all constants, so nothing is drawn)."""
     docs = [crnfile.load(resolve_input_path(spec)) for spec in paths]
     game = compose([
-        Player(doc.crn, InitialDistribution.deterministic(doc.initial_state()),
+        Player(doc.crn, tuple(ConstantCount(int(c)) for c in doc.initial_state()),
                Indifferent(), f"file{i}")
         for i, doc in enumerate(docs)])
     return game.crn, sample_initial_state(game, Xoshiro256(0))

@@ -20,11 +20,11 @@ start can pass 2^63 - 1), one with a reaction whose rate the volume takes
 to 0, or, with ``catalytic`` set, one that is not catalytic. So is an
 ``init.S = LO..HI`` range that holds more than 2^53 values.
 
-Every ``[simulation]`` and ``[output]`` setting that a command-line flag
-may also give has one reader, :func:`read_setting`: the loader reads each
-key with it and the CLI reads each flag with it, so a flag takes the same
-grammar and bounds as its key and its errors name the flag. A setting
-left unset takes its :class:`ExperimentConfig` field default.
+The ``[sweep]``, ``[simulation]`` and ``[output]`` keys are one table,
+``_KEYS``, read by the key check, the loader and :func:`read_setting`, with
+which the CLI reads each flag: a flag takes its key's grammar and bounds,
+and its errors name the flag. Every ``[sweep]`` key is required; any other
+key left unset takes its :class:`ExperimentConfig` field default.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .game import (
     ConstantCount,
     CountDistribution,
     Indifferent,
-    InitialDistribution,
     Player,
     TakeoverSuccess,
     UniformCount,
@@ -65,24 +64,14 @@ def resolve_input_path(spec: str, base_dir: Path | None = None) -> Path:
     return path
 
 
-# The keys of each section; a player section takes ``crn``, ``utility`` and
-# ``init.<species>`` keys.
-_SECTION_KEYS = {
-    "sweep": {"pair", "total", "diffs", "trials"},
-    "simulation": {"seed", "volume", "max_time", "max_events", "confidence",
-                   "catalytic", "threads", "engine"},
-    "output": {"csv", "svg"},
-}
-
-
 def _check_keys(sections: dict[str, dict]) -> None:
     """Reject a section or key outside the schema, naming it."""
     for name, body in sections.items():
         if name.startswith("player:"):
             unknown = [k for k in body
                        if k not in ("crn", "utility") and not k.startswith("init.")]
-        elif name in _SECTION_KEYS:
-            unknown = [k for k in body if k not in _SECTION_KEYS[name]]
+        elif name in _SECTIONS:
+            unknown = [k for k in body if k not in _KEYS or _KEYS[k][0] != name]
         else:
             raise ConfigError(f"unknown config section [{name}]")
         if unknown:
@@ -156,9 +145,8 @@ def _parse_count_distribution(text: str, where: str) -> CountDistribution:
     return entry
 
 
-def _parse_diffs(text: str) -> range | list[int]:
+def _parse_diffs(text: str, where: str) -> range | list[int]:
     """The diffs of ``text``; ``start:stop:step`` stays a range, unlisted until checked."""
-    where = "[sweep] diffs"
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -181,29 +169,61 @@ def _read_threads(text: str, where: str) -> int:
     return threads
 
 
-# The [simulation] and [output] keys that a command-line flag may also set:
-# each key's ExperimentConfig field and the reader of its text. A reader
-# names the setting it reads in its errors; the ranges that do not need that
-# name are checked where the value is used (SimConfig, ExperimentConfig).
-_SETTINGS = {
-    "seed": ("seed", partial(read_integer, bound=MAX_SEED)),
-    "volume": ("volume", read_number),
-    "max_time": ("max_time", read_number),
-    "max_events": ("max_events", read_integer),
-    "confidence": ("confidence", read_number),
-    "threads": ("threads", _read_threads),
-    "csv": ("csv_path", lambda text, where: text),
-    "svg": ("svg_path", lambda text, where: text),
+def _read_pair(text: str, where: str) -> tuple[str, str]:
+    """The sweep's two species, ``X Y``."""
+    parts = text.split()
+    if len(parts) != 2:
+        raise ConfigError("sweep pair must name two species, e.g. 'X Y'")
+    return parts[0], parts[1]
+
+
+def _read_bool(text: str, where: str) -> bool:
+    """A word that ``configparser`` reads as a boolean (``yes``, ``off``, ...)."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    if value is None:
+        raise ConfigError(f"bad boolean for {where}: {text!r}")
+    return value
+
+
+def _read_engine(text: str, where: str) -> str:
+    """``batch``, the only engine, which older configs still name."""
+    if text != "batch":
+        raise ConfigError(
+            f"unknown engine {text!r}: 'batch' is the only engine (the scalar "
+            f"'reference' engine was removed; it gave identical counts)")
+    return text
+
+
+# Every [sweep], [simulation] and [output] key: its section, the
+# ExperimentConfig field it sets (None: read, then dropped) and the reader of
+# its text, which names the setting in its errors; ranges that need no name
+# are checked where the value is used (SimConfig, ExperimentConfig).
+_KEYS = {
+    "pair": ("sweep", "pair", _read_pair),
+    "total": ("sweep", "total", read_integer),
+    "diffs": ("sweep", "diffs", _parse_diffs),
+    "trials": ("sweep", "trials", read_integer),
+    "seed": ("simulation", "seed", partial(read_integer, bound=MAX_SEED)),
+    "volume": ("simulation", "volume", read_number),
+    "max_time": ("simulation", "max_time", read_number),
+    "max_events": ("simulation", "max_events", read_integer),
+    "confidence": ("simulation", "confidence", read_number),
+    "catalytic": ("simulation", "catalytic", _read_bool),
+    "threads": ("simulation", "threads", _read_threads),
+    "engine": ("simulation", None, _read_engine),
+    "csv": ("output", "csv_path", lambda text, where: text),
+    "svg": ("output", "svg_path", lambda text, where: text),
 }
+_SECTIONS = {section for section, _, _ in _KEYS.values()}
 
 
-def read_setting(key: str, text: str, where: str) -> tuple[str, object]:
+def read_setting(key: str, text: str, where: str) -> tuple[str | None, object]:
     """The ExperimentConfig field that the setting ``key`` sets, and its value.
 
     ``text`` is read as the key's config value is; errors name ``where``,
     the config key or the flag that gave it.
     """
-    field, read = _SETTINGS[key]
+    _, field, read = _KEYS[key]
     return field, read(text, where)
 
 
@@ -326,16 +346,27 @@ def _ini_text(value, section: str, key: str) -> str:
     return " ".join(map(str, items))
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is an error, as in INI."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"JSON config: key {key!r} is given twice in one object")
+        data[key] = value
+    return data
+
+
 def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
-    """Normalize the JSON encoding onto the INI section layout."""
+    """Normalize the JSON encoding onto the INI section layout, where no two
+    players share a name and no name holds a line break."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON config: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("JSON config must be an object")
     for key in data:
-        if key != "players" and key not in _SECTION_KEYS:
+        if key != "players" and key not in _SECTIONS:
             raise ConfigError(f"unknown config section [{key}]")
     sections: dict[str, dict[str, str]] = {}
     players = data.get("players", [])
@@ -344,7 +375,11 @@ def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
     for i, entry in enumerate(players):
         if not isinstance(entry, dict):
             raise ConfigError("each player must be an object")
-        name = str(entry.get("name", f"player{i + 1}"))
+        name = _ini_text(entry.get("name", f"player{i + 1}"), "players", "name")
+        if "".join(name.splitlines()) != name:
+            raise ConfigError(f"player name {name!r} holds a line break")
+        if f"player:{name}" in sections:
+            raise ConfigError(f"two players are named {name!r}")
         init = entry.get("init")
         if init is not None and not isinstance(init, dict):
             raise ConfigError(f"[player:{name}] 'init' must be an object")
@@ -352,9 +387,8 @@ def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
         body.update((f"init.{species}", value) for species, value in (init or {}).items())
         sections[f"player:{name}"] = {
             key: _ini_text(value, f"player:{name}", key) for key, value in body.items()}
-    for key in _SECTION_KEYS:
-        block = data.get(key)
-        if block is None:
+    for key, block in data.items():
+        if key == "players" or block is None:
             continue
         if not isinstance(block, dict):
             raise ConfigError(f"'{key}' must be an object")
@@ -381,7 +415,7 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         utility = _parse_utility(body.get("utility", "indifferent"))
         # the .crn file's init lines, then the init.<S> overrides
         table = document.crn.species
-        entries = list(InitialDistribution.deterministic(document.initial_state()).entries)
+        entries = [ConstantCount(int(c)) for c in document.initial_state()]
         for key, value in body.items():
             if key.startswith("init."):
                 count = _parse_count_distribution(value, f"[{section_name}] {key}")
@@ -390,44 +424,19 @@ def load_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
                     raise ConfigError(f"[{section_name}] {key}: species {species!r} "
                                       f"is not in player {name!r}'s CRN")
                 entries[table.index_of(species)] = count
-        players.append(Player(document.crn, InitialDistribution(tuple(entries)),
-                              utility, name))
+        players.append(Player(document.crn, tuple(entries), utility, name))
 
     sweep = sections.get("sweep")
     if sweep is None:
         raise ConfigError("missing [sweep] section")
-    for key in ("pair", "total", "diffs", "trials"):
-        if key not in sweep:
+    for key, (section, _, _) in _KEYS.items():
+        if section == "sweep" and key not in sweep:
             raise ConfigError(f"[sweep] is missing {key}")
-    pair_parts = sweep["pair"].split()
-    if len(pair_parts) != 2:
-        raise ConfigError("sweep pair must name two species, e.g. 'X Y'")
-
-    sim = sections.get("simulation", {})
-    out = sections.get("output", {})
-    engine = str(sim.get("engine", "batch"))
-    if engine != "batch":
-        raise ConfigError(
-            f"unknown engine {engine!r}: 'batch' is the only engine (the scalar "
-            f"'reference' engine was removed; it gave identical counts)")
-
-    word = sim.get("catalytic", "false")
-    catalytic = configparser.ConfigParser.BOOLEAN_STATES.get(word.strip().lower())
-    if catalytic is None:
-        raise ConfigError(f"bad boolean for catalytic: {word!r}")
-
     settings = dict(read_setting(key, text, f"[{section}] {key}")
-                    for section, body in (("simulation", sim), ("output", out))
-                    for key, text in body.items() if key in _SETTINGS)
-    return ExperimentConfig(
-        players=players,
-        pair=(pair_parts[0], pair_parts[1]),
-        total=read_integer(sweep["total"], "[sweep] total"),
-        diffs=_parse_diffs(sweep["diffs"]),
-        trials=read_integer(sweep["trials"], "[sweep] trials"),
-        catalytic=catalytic,
-        **settings,
-    )
+                    for section, body in sections.items() if section in _SECTIONS
+                    for key, text in body.items())
+    settings.pop(None, None)  # engine's: read, then dropped
+    return ExperimentConfig(players=players, **settings)
 
 
 def load_config(path) -> ExperimentConfig:

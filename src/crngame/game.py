@@ -84,27 +84,10 @@ class UniformCount:
             raise ConfigError(f"a range may hold at most 2**53 = {2**53} values")
 
 
+# A player's start is one of these per species of its CRN, in table order:
+# independent counts, drawn per trial (a constant draws nothing). The empty
+# tuple is the empty CRN's start.
 CountDistribution = ConstantCount | UniformCount
-
-
-@dataclass(frozen=True)
-class InitialDistribution:
-    """Independent per-species distribution over a player's species table.
-
-    Deterministic initial states are the all-constant case and consume no
-    randomness when sampled. The trivial distribution is the empty tuple
-    over the empty species set.
-    """
-
-    entries: tuple[CountDistribution, ...]
-
-    @classmethod
-    def deterministic(cls, counts: Sequence[int]) -> "InitialDistribution":
-        return cls(tuple(ConstantCount(int(c)) for c in counts))
-
-    @classmethod
-    def trivial(cls) -> "InitialDistribution":
-        return cls(())
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +155,30 @@ _CONCLUSIVE = (StopReason.TERMINAL, StopReason.EARLY_STOP)
 
 @dataclass(frozen=True)
 class Player:
-    """A strategy CRN, its initial-count distribution, and its utility."""
+    """A strategy CRN, its start (one count distribution per species), and its utility."""
 
     strategy: Crn
-    initial_distribution: InitialDistribution
+    initial_distribution: tuple[CountDistribution, ...]
     utility: UtilitySpec = field(default_factory=Indifferent)
     name: str = ""
 
     def __post_init__(self):
-        if len(self.initial_distribution.entries) != len(self.strategy.species):
+        if len(self.initial_distribution) != len(self.strategy.species):
             raise ConfigError(
                 f"player {self.name or '?'}: initial distribution covers "
-                f"{len(self.initial_distribution.entries)} species, strategy has "
+                f"{len(self.initial_distribution)} species, strategy has "
                 f"{len(self.strategy.species)}")
 
     @classmethod
     def trivial(cls, name: str = "trivial") -> "Player":
-        return cls(Crn.empty(), InitialDistribution.trivial(), Indifferent(), name)
+        return cls(Crn.empty(), (), Indifferent(), name)
 
     def with_counts(self, overrides: Mapping[str, int]) -> "Player":
         """Copy of this player with some species pinned to fixed counts."""
-        entries = list(self.initial_distribution.entries)
+        entries = list(self.initial_distribution)
         for name, count in overrides.items():
             entries[self.strategy.species.index_of(name)] = ConstantCount(int(count))
-        return replace(self, initial_distribution=InitialDistribution(tuple(entries)))
+        return replace(self, initial_distribution=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -244,7 +227,7 @@ def compose(players: Sequence[Player], volume: float = 1.0) -> ComposedGame:
     known: set[Reaction] = set()
     for player in players:
         emb = [table.index_of(n) for n in player.strategy.species.names]
-        start.extend(zip(emb, player.initial_distribution.entries))
+        start.extend(zip(emb, player.initial_distribution))
         for rxn in player.strategy.reactions:
             lifted = Reaction({emb[i]: c for i, c in rxn.reactants},
                               {emb[i]: c for i, c in rxn.products}, rxn.rate_constant)
@@ -422,7 +405,7 @@ class Condition:
     """One tested setting: a label and player 1's initial distribution."""
 
     label: str
-    distribution: InitialDistribution
+    distribution: tuple[CountDistribution, ...]
 
 
 @dataclass(frozen=True)
@@ -479,12 +462,12 @@ def _condition_arms(player: Player, opponents: tuple[Player, ...],
 
 def estimate_conditions(player: Player, opponents: Sequence[Player],
                         conditions: Sequence[Condition], trials: int,
-                        config: SimConfig, confidence: float = 0.99,
-                        workers: int = 1) -> list[ConditionResult]:
+                        config: SimConfig, confidence: float,
+                        workers: int) -> list[ConditionResult]:
     """Run both arms of every condition and compare them.
 
     For each condition, the with-opponents arm and the baseline arm (every
-    opponent replaced by the empty CRN and the trivial distribution) are
+    opponent replaced by the empty CRN and its empty start) are
     estimated with ``trials`` trials each, all in one lane pool. Condition
     ``i`` takes its seeds from index ``i`` (see :func:`_condition_arms`). The
     pool runs ``workers`` threads, 0 for one per CPU (see :func:`_run_pool`).

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crngame import (Crn, InitialDistribution, Player, Reaction, SimConfig,
-                     SpeciesTable, StopReason, TakeoverSuccess, batch, compose,
-                     make_crn)
+from crngame import (ConstantCount, Crn, Player, Reaction, SimConfig, SpeciesTable,
+                     StopReason, TakeoverSuccess, batch, compose, make_crn)
 from crngame.batch import simulate_batch
 from crngame.config import load_config
 from crngame.core import MAX_COUNT, CountOverflowError, NumericOverflowError
@@ -472,7 +471,7 @@ class TestKernelEdges:
         crn = Crn(SpeciesTable(["X", "Y"]),
                   [Reaction({0: 1, 1: 1}, {0: 2}, 1.0 + i / n) for i in range(n)])
         spec = TakeoverSuccess("X", "Y")
-        player = Player(crn, InitialDistribution.deterministic([30, 20]), spec, "p")
+        player = Player(crn, (ConstantCount(30), ConstantCount(20)), spec, "p")
         previous = threading.stack_size(512 * 1024)
         try:
             result = _run_pool([_Arm(compose([player]), 1)], spec, 16,

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -239,6 +240,21 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", str(path))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("names,fragment", [
+        (["main", "nature", "nature"], "two players are named 'nature'"),
+        (["main\nX,Y,oops", "nature"], "player name 'main\\nX,Y,oops' holds a line break"),
+    ], ids=["duplicate", "line-break"])
+    def test_bad_json_player_names(self, crn_dir, capsys, names, fragment):
+        # one error line and exit 1, and no CSV whose comment line the name breaks
+        players = [{"name": name, "crn": "main.crn" if i == 0 else "nature.crn"}
+                   for i, name in enumerate(names)]
+        players[0]["utility"] = "takeover X Y"
+        path = crn_dir / "exp.json"
+        path.write_text(json.dumps({"players": players, "sweep": {
+            "pair": ["X", "Y"], "total": 30, "diffs": [0], "trials": 5}}))
+        code, out, err = run_cli(capsys, "sweep", str(path))
+        assert (code, out, err) == (1, "", f"error: {fragment}\n")
 
 
 class TestUsageErrors:

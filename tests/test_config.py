@@ -1,10 +1,12 @@
 import configparser
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from crngame.config import ConfigError, load_config
+from crngame.config import _KEYS, ConfigError, load_config
 from crngame.core import MAX_COUNT
 from crngame.experiment import run_sweep
 from crngame.game import ConstantCount, Indifferent, TakeoverSuccess, UniformCount
@@ -73,7 +75,7 @@ class TestIniConfig:
         cfg = load_config(path)
         player = cfg.players[0]
         entries = dict(zip(player.strategy.species.names,
-                           player.initial_distribution.entries))
+                           player.initial_distribution))
         assert entries["A"] == ConstantCount(100)
         assert entries["B"] == UniformCount(90, 110)
         assert entries["X"] == ConstantCount(0)
@@ -93,8 +95,8 @@ class TestIniConfig:
         player = cfg.players[0]
         x_index = player.strategy.species.index_of("X")
         y_index = player.strategy.species.index_of("Y")
-        assert conditions[1].distribution.entries[x_index] == ConstantCount(510)
-        assert conditions[1].distribution.entries[y_index] == ConstantCount(490)
+        assert conditions[1].distribution[x_index] == ConstantCount(510)
+        assert conditions[1].distribution[y_index] == ConstantCount(490)
 
     @pytest.mark.parametrize("mutation,fragment", [
         (("crn = main.crn", "crn = missing.crn"), "missing.crn"),
@@ -278,7 +280,7 @@ class TestIniConfig:
             INI_TEXT.replace("init.B = 90..110", f"init.B = 5..{2**53 + 4}"))
         main = load_config(config_dir / "exp.ini").players[0]
         b = main.strategy.species.index_of("B")
-        assert main.initial_distribution.entries[b] == UniformCount(5, 2**53 + 4)
+        assert main.initial_distribution[b] == UniformCount(5, 2**53 + 4)
 
 
 class TestJsonConfig:
@@ -339,6 +341,39 @@ class TestJsonConfig:
              "[sweep] diffs = '10.7' is not an integer"),
             (json.dumps({**base, "sweep": {**base["sweep"], "diffs": [0, True]}}),
              "[sweep] diffs = 'True' is not an integer"),
+            # a name or key given twice is rejected, as INI rejects it, not
+            # silently kept once; an unnamed player is player<i>
+            ('{"players": [{"name": "m", "crn": "main.crn", "utility": "takeover X Y"},'
+             ' {"name": "nature", "crn": "main.crn"}, {"name": "nature", "crn": "main.crn"}],'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5}}',
+             "two players are named 'nature'"),
+            ('{"players": [{"name": "m", "crn": "main.crn", "utility": "takeover X Y"},'
+             ' {"crn": "main.crn"}, {"name": "player2", "crn": "main.crn"}],'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5}}',
+             "two players are named 'player2'"),
+            ('{"players": [{"name": "m", "crn": "main.crn", "utility": "takeover X Y"}],'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5},'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 9}}',
+             "key 'sweep' is given twice"),
+            ('{"players": [{"name": "m", "crn": "main.crn", "utility": "takeover X Y"}],'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5,'
+             ' "trials": 9}}',
+             "key 'trials' is given twice"),
+            ('{"players": [{"name": "m", "crn": "main.crn", "utility": "takeover X Y",'
+             ' "init": {"A": 5, "A": 6}}],'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5}}',
+             "key 'A' is given twice"),
+            # the sweep's CSV writes the names in a '# players:' comment line,
+            # and an INI section name cannot hold a line break either
+            (json.dumps({**base, "players": [{**main, "name": "main\nX,Y,oops"}]}),
+             "player name 'main\\nX,Y,oops' holds a line break"),
+            (json.dumps({**base, "players": [{**main, "name": "main\r"}]}),
+             "player name 'main\\r' holds a line break"),
+            (json.dumps({**base, "players": [{**main, "name": "main\u2028"}]}),
+             "player name 'main\\u2028' holds a line break"),
+            # a name, like any key but pair and diffs, is a single value
+            (json.dumps({**base, "players": [{**main, "name": ["m"]}]}),
+             '[players] name = ["m"] is not a single value'),
         ]:
             (config_dir / "exp.json").write_text(text)
             with pytest.raises(ConfigError) as err:
@@ -382,3 +417,20 @@ def test_shipped_default_config_loads():
     assert cfg.trials == 500
     assert cfg.accepted_diffs() == list(range(0, 101, 10))
     assert cfg.catalytic is True
+
+
+def test_readme_schema_names_every_key():
+    # the README's config block lists each [sweep], [simulation] and [output]
+    # key of the loader's table once, under its own section; a commented-out
+    # key counts
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    listed, section = [], None
+    for line in block.splitlines():
+        header = re.match(r"\[([\w:]+)\]", line)
+        key = re.match(r"(?:; )?(\w+) *=", line)
+        if header:
+            section = header[1]
+        elif key and not section.startswith("player:"):
+            listed.append((section, key[1]))
+    assert sorted(listed) == sorted((section, key) for key, (section, _, _) in _KEYS.items())

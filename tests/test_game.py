@@ -14,7 +14,6 @@ from crngame import (
     ConstantCount,
     Crn,
     Indifferent,
-    InitialDistribution,
     Player,
     Reaction,
     SimConfig,
@@ -45,8 +44,7 @@ from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 
 def player_for(crn, counts=None, utility=None, name="p"):
     counts = counts or {}
-    dist = InitialDistribution.deterministic(
-        [counts.get(n, 0) for n in crn.species.names])
+    dist = tuple(ConstantCount(counts.get(n, 0)) for n in crn.species.names)
     return Player(crn, dist, utility or Indifferent(), name)
 
 
@@ -194,9 +192,8 @@ class TestInitialStates:
         assert rng.next_u64() == untouched.next_u64()
 
     def test_uniform_entries_sample_batch_identically(self, catalyzed_crn):
-        dist = InitialDistribution((
-            UniformCount(10, 20), ConstantCount(3),
-            UniformCount(0, 5), ConstantCount(0)))
+        dist = (UniformCount(10, 20), ConstantCount(3),
+                UniformCount(0, 5), ConstantCount(0))
         player = Player(catalyzed_crn, dist, Indifferent(), "u")
         game = compose([player])
         seeds = np.arange(40, dtype=np.uint64)
@@ -225,14 +222,14 @@ class TestInitialStates:
         # 2^62 + a draw from [2^62 - 2^52, 2^62] can reach 2^63, past the
         # largest count
         low = 2**62 - 2**52
-        wide = Player(majority_crn, InitialDistribution((UniformCount(low, 2**62),
-                                                         ConstantCount(0))), name="a")
+        wide = Player(majority_crn, (UniformCount(low, 2**62), ConstantCount(0)),
+                      name="a")
         fixed = player_for(make_crn([({"X": 1}, {"Z": 1}, 1.0)]), {"X": 2**62}, name="b")
         with pytest.raises(ConfigError, match="^species 'X': .* initial counts must "
                                               "be at most 9223372036854775807$"):
             compose([wide, fixed])
-        narrower = replace(wide, initial_distribution=InitialDistribution(
-            (UniformCount(low, 2**62 - 1), ConstantCount(0))))
+        narrower = replace(wide, initial_distribution=(UniformCount(low, 2**62 - 1),
+                                                       ConstantCount(0)))
         assert compose([narrower, fixed]).start == ((0, UniformCount(low, 2**62 - 1)),
                                                     (1, ConstantCount(0)),
                                                     (0, ConstantCount(2**62)),
@@ -338,10 +335,11 @@ class TestUtility:
     def test_indifferent_always_zero(self, majority_crn):
         # both arms of every condition score exactly 0, so no ratio exists
         player = player_for(majority_crn, {"X": 1, "Y": 1}, Indifferent())
-        conditions = [Condition(f"x{x}", InitialDistribution.deterministic([x, 5 - x]))
+        conditions = [Condition(f"x{x}", (ConstantCount(x), ConstantCount(5 - x)))
                       for x in (1, 4)]
         report = robustness_report(
-            estimate_conditions(player, [], conditions, 50, SimConfig(seed=1)), None)
+            estimate_conditions(player, [], conditions, 50, SimConfig(seed=1),
+                                confidence=0.99, workers=1), None)
         for result in report.conditions:
             for arm in (result.with_opponents, result.baseline):
                 assert (arm.mean, arm.lower, arm.upper, arm.successes) == (0, 0, 0, 0)
@@ -381,7 +379,7 @@ class TestEstimation:
         # the fourth condition, whose seeds come from condition index 3
         result = estimate_conditions(
             small, [nature], [Condition("d10", small.initial_distribution)] * 4,
-            150, config)[3]
+            150, config, confidence=0.99, workers=1)[3]
         seed = child_seed(7, 3)
         base = compose([small, Player.trivial("trivial-0")])
         for arm, g, s in ((result.with_opponents, game, child_seed(seed, 0)),
@@ -464,7 +462,7 @@ class TestEstimation:
         # start at 13, later in the others; every worker count and slice
         # size must name the lowest trial at the earliest event, trial 1
         crn = Crn(SpeciesTable(["X", "Y"]), [Reaction({0: 3}, {0: 4}, 1.7e308 / 1500)])
-        player = Player(crn, InitialDistribution((UniformCount(10, 13), ConstantCount(5))),
+        player = Player(crn, (UniformCount(10, 13), ConstantCount(5)),
                         TakeoverSuccess("X", "Y"), "p")
         game = compose([player])
         for slice_lanes in (game_module._SLICE_LANES, 7):
@@ -518,10 +516,9 @@ class TestEstimation:
         # event 1, numbered by arm trial for any thread count and chunk
         # size; the second condition runs to its event ceiling
         crn = make_crn([({}, {"X": 1}, 1.0), ({"Y": 1}, {}, 1e-30)])
-        player = Player(crn, InitialDistribution.deterministic([10, 5]),
+        player = Player(crn, (ConstantCount(10), ConstantCount(5)),
                         TakeoverSuccess("X", "Y"), "p")
-        near = InitialDistribution((UniformCount(MAX_COUNT - 8, MAX_COUNT - 1),
-                                    ConstantCount(5)))
+        near = (UniformCount(MAX_COUNT - 8, MAX_COUNT - 1), ConstantCount(5))
         conditions = [Condition("near", near),
                       Condition("far", player.initial_distribution)]
         config = SimConfig(seed=9, max_events=40)
@@ -535,7 +532,7 @@ class TestEstimation:
             monkeypatch.setattr(game_module, "_SLICE_LANES", slice_lanes)
             for workers in (1, 2):
                 failed, ran = estimate_conditions(player, [], conditions, 40, config,
-                                                  workers=workers)
+                                                  confidence=0.99, workers=workers)
                 assert isinstance(failed.error, CountOverflowError)
                 assert (failed.error.lane, failed.error.event) == (first, 1)
                 assert str(failed.error) == (
@@ -545,7 +542,7 @@ class TestEstimation:
                 assert ran.with_opponents.truncated == ran.baseline.truncated == 40
 
     def test_random_initial_counts_redrawn_per_trial(self, majority_crn):
-        dist = InitialDistribution((UniformCount(1, 40), ConstantCount(1)))
+        dist = (UniformCount(1, 40), ConstantCount(1))
         player = Player(majority_crn, dist, TakeoverSuccess("X", "Y"), "p")
         game = compose([player])
         states = sample_initial_states(
@@ -561,7 +558,7 @@ class TestRobustness:
         config = SimConfig(seed=12)
         [cond] = estimate_conditions(small, [Player.trivial()],
                                      [Condition("d8", small.initial_distribution)],
-                                     200, config)
+                                     200, config, confidence=0.99, workers=1)
         alone = _Arm(compose([small]), child_seed(child_seed(12, 0), 0))
         [counts] = _run_pool([alone], small.utility, 200, config, 1)
         assert (cond.with_opponents.successes, cond.with_opponents.truncated) == counts
@@ -579,7 +576,7 @@ class TestRobustness:
             for d in (-6, 0, 6)]
         report = robustness_report(
             estimate_conditions(player, [pusher], conditions, 60,
-                                SimConfig(seed=21), workers=2), None)
+                                SimConfig(seed=21), confidence=0.99, workers=2), None)
         for ci, (cond, result) in enumerate(zip(conditions, report.conditions)):
             p1 = replace(player, initial_distribution=cond.distribution)
             seed = child_seed(21, ci)
@@ -632,7 +629,8 @@ class TestRobustness:
         conditions = [Condition("c", player.initial_distribution)]
         report = robustness_report(
             estimate_conditions(player, [Player.trivial()], conditions, 50,
-                                SimConfig(seed=2)), alpha=0.5)
+                                SimConfig(seed=2), confidence=0.99, workers=1),
+            alpha=0.5)
         [cond] = report.conditions
         assert cond.ratio is None
         assert cond.verdict(report.alpha) == "undefined"
@@ -642,7 +640,8 @@ class TestRobustness:
     def test_conditions_must_be_nonempty(self, consensus_player):
         with pytest.raises(ConfigError, match="^conditions must be nonempty$"):
             robustness_report(
-                estimate_conditions(consensus_player, [], [], 10, SimConfig(seed=1)),
+                estimate_conditions(consensus_player, [], [], 10, SimConfig(seed=1),
+                                    confidence=0.99, workers=1),
                 None)
 
 

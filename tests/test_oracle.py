@@ -10,8 +10,8 @@ from crngame import (
     Condition,
     Crn,
     CrnError,
+    ConstantCount,
     Indifferent,
-    InitialDistribution,
     NoAbsorptionError,
     Player,
     SimConfig,
@@ -248,11 +248,10 @@ def shipped_game(total, diff, catalysts, nature_rate):
     doc = load(data_path("r_prime.crn"))
     counts = {"X": (total + diff) // 2, "Y": (total - diff) // 2, "A": catalysts,
               "B": catalysts}
-    main = Player(doc.crn, InitialDistribution.deterministic(
-        doc.crn.species.state_from(counts)), TakeoverSuccess("X", "Y"), "main")
+    start = tuple(ConstantCount(counts.get(name, 0)) for name in doc.crn.species.names)
+    main = Player(doc.crn, start, TakeoverSuccess("X", "Y"), "main")
     flip = make_crn([({"A": 1}, {"B": 1}, nature_rate), ({"B": 1}, {"A": 1}, nature_rate)])
-    nature = Player(flip, InitialDistribution.deterministic([0, 0]), Indifferent(),
-                    "nature")
+    nature = Player(flip, (ConstantCount(0), ConstantCount(0)), Indifferent(), "nature")
     return main, nature
 
 
@@ -705,7 +704,7 @@ class TestShippedGameGate:
 
         condition = Condition("4", main.initial_distribution)
         [result] = estimate_conditions(main, [nature], [condition], self.TRIALS,
-                                       SimConfig(seed=26))
+                                       SimConfig(seed=26), confidence=0.99, workers=1)
         for arm, p in zip((result.with_opponents, result.baseline), exact):
             assert arm.truncated == 0
             assert binom.cdf(arm.successes, self.TRIALS, p) > self.ALPHA / 2

@@ -53,7 +53,7 @@ class TestImportOrder:
 
 class TestLazyNames:
     def test_each_name_is_its_submodules_object(self):
-        assert len(crngame.__all__) == len(set(crngame.__all__)) == 38
+        assert len(crngame.__all__) == len(set(crngame.__all__)) == 37
         for name in crngame.__all__:
             value = getattr(crngame, name)
             assert value.__module__.startswith("crngame."), name
