@@ -347,18 +347,21 @@ def _ini_text(value, section: str, key: str) -> str:
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict; a key given twice is an error, as in INI."""
+    """A JSON object as a dict; a key given twice is an error, as in INI, and
+    so is a key that holds a line break, which no INI key can."""
     data = {}
     for key, value in pairs:
         if key in data:
             raise ConfigError(f"JSON config: key {key!r} is given twice in one object")
+        if "".join(key.splitlines()) != key:
+            raise ConfigError(f"JSON config: key {key!r} holds a line break")
         data[key] = value
     return data
 
 
 def _sections_from_json(text: str) -> dict[str, dict[str, str]]:
     """Normalize the JSON encoding onto the INI section layout, where no two
-    players share a name and no name holds a line break."""
+    players share a name and no name or key holds a line break."""
     try:
         data = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:

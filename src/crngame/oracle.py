@@ -13,7 +13,10 @@ Working on the embedded chain (transition probabilities = rate ratios)
 rather than the generator keeps the numbers well scaled even when rate
 constants span many orders of magnitude; absorption probabilities do not
 depend on sojourn times. The reachability check and the first-step system
-are built straight from the search's CSR arrays.
+are built straight from the search's CSR arrays. Only SuperLU's inputs are
+alive while it factorises: the CSC of I − P_tt, the right-hand side and two
+arrays of one entry per state. Every per-transition array built on the way
+is freed before the call, so none of them adds to the peak the factor sets.
 
 The first-step system is solved by SuperLU with its columns ordered by
 minimum degree on Aᵀ+A. Reversible CRNs give diagonally dominant, nearly
@@ -96,14 +99,6 @@ class StateSpace:
         bounds = self.indptr.tolist()
         return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def sources(self) -> np.ndarray:
-        """The source state of each transition."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
-
-    def exit_rates(self) -> np.ndarray:
-        """Each state's total outgoing rate, summed in transition order."""
-        return np.bincount(self.sources(), weights=self.rates, minlength=len(self))
-
 
 def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
                      state_cap: int = STATE_CAP,
@@ -173,6 +168,9 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     :class:`NoAbsorptionError` if any state cannot reach an absorbing state
     (as then no absorption probability is well defined), and
     :class:`NumericOverflowError` if a state's exit rate is not finite.
+    When SuperLU is called, the system, its right-hand side, the absorbing
+    states' values and the transient states' numbers are all this function
+    holds; the returned array is the absorbing states' values, filled in.
     """
     won = np.asarray(won, dtype=bool)
     if won.shape != (len(space),):
@@ -191,32 +189,19 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     _check_reachable(space, absorbing_idx)
     hit = np.zeros(len(space))  # pages that stay untouched cost no memory
     hit[absorbing_idx[won[absorbing_idx]]] = 1.0
+    del absorbing_idx
 
     transient = np.flatnonzero(~space.absorbing)
     if transient.size == 0:
         return hit
-
-    exit_rates = space.exit_rates()
-    if not np.isfinite(exit_rates).all():
-        raise NumericOverflowError(-1)
-    src, dst = space.sources(), space.successors
-    t_pos = np.cumsum(~space.absorbing) - 1
-    prob = space.rates / exit_rates[src]
-    into_absorbing = space.absorbing[dst]
-    b = np.bincount(t_pos[src[into_absorbing]],
-                    weights=prob[into_absorbing] * hit[dst[into_absorbing]],
-                    minlength=transient.size)
-    system = _first_step_matrix(t_pos[src], t_pos[dst], prob, ~into_absorbing,
-                                transient.size)
-    x = spsolve(system, b, permc_spec="MMD_AT_PLUS_A")
-    x = np.atleast_1d(x)
+    system, b = _first_step_system(space, hit, transient.size)
+    x = np.atleast_1d(spsolve(system, b, permc_spec="MMD_AT_PLUS_A"))
     residual = np.abs(system @ x - b).max()
     if residual > SOLVE_RESIDUAL_BOUND:
         raise CrnError(f"absorption solve residual {residual:.3e} exceeds bound")
 
-    out = hit.copy()
-    out[transient] = x
-    return out
+    hit[transient] = x  # now every state's probability
+    return hit
 
 
 def _check_reachable(space: StateSpace, absorbing_idx: np.ndarray) -> None:
@@ -244,33 +229,66 @@ def _check_reachable(space: StateSpace, absorbing_idx: np.ndarray) -> None:
             f"state {stranded} cannot reach any absorbing state")
 
 
-def _first_step_matrix(row: np.ndarray, col: np.ndarray, prob: np.ndarray,
-                       inner: np.ndarray, size: int):
-    """I − P_tt in CSC, each entry as scipy's ``identity - p_tt`` computes it.
+def _first_step_system(space: StateSpace, hit: np.ndarray, size: int):
+    """The first-step equations (I − P_tt) x = b of the ``size`` transient states.
 
-    ``row`` and ``col`` number each transition's source and successor among
-    the transient states, ``prob`` is its probability and ``inner`` marks
-    those between two transient states. An entry is ``1.0 - p`` on the
-    diagonal and ``-p`` off it, and one that comes to zero (a probability
-    that underflowed) is dropped.
+    Each transition's probability is its rate over its source's exit rate.
+    I − P_tt is in CSC, each entry as scipy's ``identity - p_tt`` computes
+    it: ``1.0 - p`` on the diagonal and ``-p`` off it, and one that comes to
+    zero (a probability that underflowed) is dropped. ``b`` sums, per
+    transient state and in transition order, the probabilities of its
+    transitions into absorbing states, times their ``hit`` value. Raises
+    :class:`NumericOverflowError` if a state's exit rate is not finite.
+
+    Only the system and ``b`` outlive the call. Each per-transition array
+    is deleted after its last use, and positions are int32 while every
+    count fits, the index type scipy keeps; so the CSR arrays are the
+    matrix's own, not copies, and the CSR is gone once ``tocsc`` returns.
     """
     from scipy.sparse import csr_matrix
 
+    n, dst = len(space), space.successors
+    index = np.int32 if n + dst.size <= np.iinfo(np.int32).max else np.int64
+    src = np.repeat(np.arange(n, dtype=index), np.diff(space.indptr))
+    exit_rates = np.bincount(src, weights=space.rates, minlength=n)
+    if not np.isfinite(exit_rates).all():
+        raise NumericOverflowError(-1)
+    prob = exit_rates[src]
+    np.divide(space.rates, prob, out=prob)
+    del exit_rates
+    t_pos = np.cumsum(~space.absorbing, dtype=index) - 1
+    row = t_pos[src]  # each transition's source among the transient states
+    del src
+    into_absorbing = space.absorbing[dst]
+    b = np.bincount(row[into_absorbing],
+                    weights=prob[into_absorbing] * hit[dst[into_absorbing]],
+                    minlength=size)
+    inner = ~into_absorbing
+    del into_absorbing
+    col = t_pos[dst]  # read only where the successor is transient
+    del t_pos
+
     loop = inner & (row == col)
-    off = inner & ~loop
     diagonal = np.ones(size)
     diagonal[row[loop]] = 1.0 - prob[loop]
+    off = inner & ~loop
+    del inner, loop
+    row, col, prob = row[off], col[off], prob[off]
+    del off
     # row i is its diagonal entry, then its other entries in transition
     # order; the CSC form sorts each column
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[off], minlength=size) + 1, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indptr = np.zeros(size + 1, dtype=index)
+    np.cumsum(np.bincount(row, minlength=size) + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=index)
     data = np.empty(indptr[-1])
-    indices[indptr[:-1]] = np.arange(size)
+    indices[indptr[:-1]] = np.arange(size, dtype=index)
     data[indptr[:-1]] = diagonal
-    at = np.arange(np.count_nonzero(off)) + row[off] + 1
-    indices[at] = col[off]
-    data[at] = -prob[off]
+    del diagonal
+    row += np.arange(1, row.size + 1, dtype=index)  # each entry's place
+    indices[row] = col
+    data[row] = np.negative(prob, out=prob)
+    del row, col, prob
     matrix = csr_matrix((data, indices, indptr), shape=(size, size))
+    del data, indices, indptr
     matrix.eliminate_zeros()
-    return matrix.tocsc()
+    return matrix.tocsc(), b

@@ -374,11 +374,21 @@ class TestJsonConfig:
             # a name, like any key but pair and diffs, is a single value
             (json.dumps({**base, "players": [{**main, "name": ["m"]}]}),
              '[players] name = ["m"] is not a single value'),
+            # nor can a key of a section, a player or an init object
+            ('{"players": [{"name": "m", "crn": "main.crn", "utility": "takeover X Y"}],'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5,'
+             ' "tri\\nals": 5}}',
+             "JSON config: key 'tri\\nals' holds a line break"),
+            ('{"players": [{"name": "m", "crn": "main.crn", "utility": "takeover X Y",'
+             ' "init": {"X\\nY": 5}}],'
+             ' "sweep": {"pair": "X Y", "total": 100, "diffs": [0, 10], "trials": 5}}',
+             "JSON config: key 'X\\nY' holds a line break"),
         ]:
             (config_dir / "exp.json").write_text(text)
             with pytest.raises(ConfigError) as err:
                 load_config(config_dir / "exp.json")
             assert fragment.lower() in str(err.value).lower()
+            assert len(str(err.value).splitlines()) == 1, text
 
     def test_lists_run_as_the_ini_text(self, config_dir):
         # pair and diffs as JSON lists give the INI twin's CSV byte for byte

@@ -391,7 +391,6 @@ class TestStateSpaceArrays:
             lo, hi = space.indptr[i], space.indptr[i + 1]
             assert row == list(zip(space.successors[lo:hi].tolist(),
                                    space.rates[lo:hi].tolist()))
-            assert space.exit_rates()[i] == sum(rate for _, rate in row)
             assert space.absorbing[i] == (not row)
         assert space.absorbing.any() and not space.absorbing.all()
 
@@ -587,9 +586,11 @@ def identity_minus_p_tt(space):
     """The first-step matrix as scipy's ``identity - p_tt`` builds it, in CSC."""
     from scipy.sparse import csr_matrix, identity
 
-    src, dst = space.sources(), space.successors
+    src = np.repeat(np.arange(len(space)), np.diff(space.indptr))
+    dst = space.successors
+    exit_rates = np.bincount(src, weights=space.rates, minlength=len(space))
     t_pos = np.cumsum(~space.absorbing) - 1
-    prob = space.rates / space.exit_rates()[src]
+    prob = space.rates / exit_rates[src]
     inner = ~space.absorbing[dst]
     size = int(np.count_nonzero(~space.absorbing))
     p_tt = csr_matrix((prob[inner], (t_pos[src[inner]], t_pos[dst[inner]])),
@@ -658,6 +659,47 @@ class TestFirstStepSystem:
         system = self.assert_same(monkeypatch, crn, {"X": 2})
         # column 1 (X = 1, Y = 1) has no entry in row 0 (X = 2)
         assert system.indices[system.indptr[1]:system.indptr[2]].tolist() == [1]
+
+
+class TestSolveMemory:
+    """Only SuperLU's inputs are alive when it is called."""
+
+    def test_per_transition_arrays_are_gone_at_the_solve(self, monkeypatch):
+        import tracemalloc
+
+        import scipy.sparse.linalg
+
+        crn = make_crn([
+            ({"X": 1, "Y": 1}, {"X": 1, "B": 1}, 1.0),
+            ({"X": 1, "Y": 1}, {"Y": 1, "B": 1}, 1.0),
+            ({"B": 1, "X": 1}, {"X": 2}, 1.0),
+            ({"B": 1, "Y": 1}, {"Y": 2}, 1.0),
+        ])
+        space = enumerate_states(crn, crn.species.state_from({"X": 155, "Y": 145}))
+        assert len(space) == 45450
+        won = x_takeover(space)
+        # the system and b, and at most four float64 arrays of one entry per
+        # state (absorption_probabilities keeps two: hit and transient)
+        per_state = 4 * 8 * len(space)
+        seen = []
+
+        def spsolve(system, b, permc_spec):
+            seen.append((tracemalloc.get_traced_memory()[0], system, b))
+            raise TestFirstStepSystem.Solved
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
+        # an untraced first call imports whatever the solve loads
+        with pytest.raises(TestFirstStepSystem.Solved):
+            absorption_probabilities(space, won)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TestFirstStepSystem.Solved):
+                absorption_probabilities(space, won)
+        finally:
+            tracemalloc.stop()
+        held, system, b = seen[-1]
+        inputs = sum(a.nbytes for a in (system.data, system.indices, system.indptr, b))
+        assert held <= inputs + per_state
 
 
 class TestAgreementWithSimulation:
