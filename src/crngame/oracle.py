@@ -23,8 +23,14 @@ minimum degree on Aᵀ+A. Reversible CRNs give diagonally dominant, nearly
 structurally symmetric systems, the case for which the SuperLU user's guide
 (Demmel, Eisenstat, Gilbert, Li & Liu, 1999) recommends that ordering; on
 approximate majority at n = 600 it holds half the LU nonzeros of SuperLU's
-default COLAMD. On a one-way CRN, whose system has no mirrored entries,
-minimum degree was measured several times slower than COLAMD.
+default COLAMD. The factorisation relaxes no supernodes and works in panels
+of four columns (``SUPERLU_RELAX``, ``SUPERLU_PANEL_SIZE``); SuperLU's
+defaults are 10 and 20. On a one-way CRN, whose system has no mirrored
+entries, minimum degree had measured several times slower than COLAMD, but
+the cost came from the relaxed supernodes, not from the ordering: from 600
+molecules of ``X -> Y``, ``Y -> Z``, ``X -> Z``, minimum degree took 2.98 s
+and COLAMD 0.66 s at SuperLU's defaults, and 0.84 s and 0.42 s with these
+settings.
 """
 
 from __future__ import annotations
@@ -49,6 +55,17 @@ from .core import (
 from .ssa import watched_species
 
 SOLVE_RESIDUAL_BOUND = 1e-10
+# SuperLU's supernode relaxation and panel width for the first-step solve;
+# its defaults, which spsolve runs, are 10 and 20. Factor + solve time and
+# process peak RSS, defaults -> these (2-vCPU Xeon with AVX-512, scipy
+# 1.17.1, medians of three fresh processes): approximate majority n = 600,
+# 0.91 s 275 MB -> 0.74 s 230 MB; the shipped with-arm at n = 10000, 12.7 s
+# 2.52 GB -> 10.7 s 2.03 GB; one-way X -> Y, Y -> Z, X -> Z from 600, 2.90 s
+# 293 MB -> 0.94 s 188 MB. Relax 1 saves the time. SuperLU's work arrays
+# are n x panel, so a narrow panel saves memory; panels of 1, 2 and 4 took
+# about the same time. The grid and the per-shape table: BENCH_superlu.json.
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 4
 STATE_CAP = 10**6  # enumerate_states' default bound on the states it finds
 
 # the SEARCH_ status codes of _search.c
@@ -162,12 +179,16 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
 
     ``won`` holds one boolean per state (any other shape is a
     :class:`CrnError`); only the absorbing states' entries are read. Solves
-    the first-step equations of the embedded jump chain by sparse LU with
-    partial pivoting, columns ordered by minimum degree on Aᵀ+A, and
-    verifies the residual is at most ``SOLVE_RESIDUAL_BOUND``. Raises
+    the first-step equations of the embedded jump chain by SuperLU's sparse
+    LU with partial pivoting, columns ordered by minimum degree on Aᵀ+A, no
+    relaxed supernodes (``SUPERLU_RELAX`` = 1) and panels of
+    ``SUPERLU_PANEL_SIZE`` = 4 columns, and verifies the residual is at most
+    ``SOLVE_RESIDUAL_BOUND``. Raises
     :class:`NoAbsorptionError` if any state cannot reach an absorbing state
-    (as then no absorption probability is well defined), and
-    :class:`NumericOverflowError` if a state's exit rate is not finite.
+    (as then no absorption probability is well defined),
+    :class:`NumericOverflowError` if a state's exit rate is not finite, and
+    :class:`CrnError` if rounding left the system exactly singular (a zero
+    pivot) or the residual exceeds the bound.
     When SuperLU is called, the system, its right-hand side, the absorbing
     states' values and the transient states' numbers are all this function
     holds; the returned array is the absorbing states' values, filled in.
@@ -184,7 +205,7 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     # the CLI imports this module for every command, and only the oracle
     # needs scipy (loading it after the CLI's imports adds about 0.16 s and
     # 26 MB to a command's start-up)
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import splu
 
     _check_reachable(space, absorbing_idx)
     hit = np.zeros(len(space))  # pages that stay untouched cost no memory
@@ -195,7 +216,11 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     if transient.size == 0:
         return hit
     system, b = _first_step_system(space, hit, transient.size)
-    x = np.atleast_1d(spsolve(system, b, permc_spec="MMD_AT_PLUS_A"))
+    try:
+        x = splu(system, permc_spec="MMD_AT_PLUS_A", relax=SUPERLU_RELAX,
+                 panel_size=SUPERLU_PANEL_SIZE).solve(b)
+    except RuntimeError as exc:  # a zero pivot: rounding made the system singular
+        raise CrnError(f"absorption solve failed: {exc}") from None
     residual = np.abs(system @ x - b).max()
     if residual > SOLVE_RESIDUAL_BOUND:
         raise CrnError(f"absorption solve residual {residual:.3e} exceeds bound")

@@ -547,6 +547,17 @@ class TestAbsorption:
         with pytest.raises(NumericOverflowError, match="non-finite propensity sum"):
             absorption_probabilities(space, space.states[:, 1] > space.states[:, 0])
 
+    def test_system_that_rounds_to_singular_raises(self):
+        # each self-loop's probability rounds to 1.0, so I - P_tt keeps only
+        # X = 2 -> X = 1's -1e-20 and has no nonzero pivot; no probability
+        # comes back as nan
+        table = SpeciesTable(["X", "Y"])
+        crn = Crn(table, [Reaction({0: 1}, {1: 1}, 1.0),
+                          unchecked_reaction({0: 1}, {0: 1}, 1e20)])
+        space = enumerate_states(crn, crn.species.state_from({"X": 2}))
+        with pytest.raises(CrnError, match="^absorption solve failed: .*singular"):
+            absorption_probabilities(space, space.states[:, 1] > 0)
+
 
 class TestSolve:
     def test_birth_death_chain_equals_gamblers_ruin(self):
@@ -598,6 +609,10 @@ def identity_minus_p_tt(space):
     return (identity(size, format="csr") - p_tt).tocsc()
 
 
+# the ordering and settings absorption_probabilities factors with
+SUPERLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 4}
+
+
 class TestFirstStepSystem:
     """SuperLU gets the matrix ``identity - p_tt`` gives, array for array."""
 
@@ -609,11 +624,12 @@ class TestFirstStepSystem:
 
         seen = []
 
-        def spsolve(system, b, permc_spec):
+        def splu(system, **options):
+            assert options == SUPERLU_OPTIONS
             seen.append(system)
             raise self.Solved
 
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         with pytest.raises(self.Solved):
             absorption_probabilities(space, every_state(space))
         return seen[0]
@@ -683,11 +699,12 @@ class TestSolveMemory:
         per_state = 4 * 8 * len(space)
         seen = []
 
-        def spsolve(system, b, permc_spec):
-            seen.append((tracemalloc.get_traced_memory()[0], system, b))
+        def splu(system, **options):
+            assert options == SUPERLU_OPTIONS
+            seen.append((tracemalloc.get_traced_memory()[0], system))
             raise TestFirstStepSystem.Solved
 
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         # an untraced first call imports whatever the solve loads
         with pytest.raises(TestFirstStepSystem.Solved):
             absorption_probabilities(space, won)
@@ -697,8 +714,9 @@ class TestSolveMemory:
                 absorption_probabilities(space, won)
         finally:
             tracemalloc.stop()
-        held, system, b = seen[-1]
-        inputs = sum(a.nbytes for a in (system.data, system.indices, system.indptr, b))
+        held, system = seen[-1]
+        b_bytes = 8 * system.shape[0]  # b: one float64 per transient state
+        inputs = sum(a.nbytes for a in (system.data, system.indices, system.indptr)) + b_bytes
         assert held <= inputs + per_state
 
 
