@@ -28,6 +28,12 @@
  * Nothing is sized from `cap`: every buffer starts small and doubles when
  * full, so a search pays only for the states it finds.
  *
+ * Given a permutation of the species (the oracle passes a symmetry of the
+ * CRN), a finished search also records each state's mirror: the number of
+ * the state whose counts are the state's, permuted, or -1 if the search did
+ * not reach it. That is one hash lookup per state, made before the hash is
+ * freed.
+ *
  * Build with -ffp-contract=off and without -ffast-math, as for the lane
  * loop: a fused multiply-add or reassociation would change the last bits.
  */
@@ -44,13 +50,15 @@ enum {
 
 /* What a search found. On return the buffers hold `nstates` states
  * (nstates x nspecies counts), their nstates + 1 row offsets into
- * `successors` and `rates`, and `ntransitions` transitions; whatever the
- * status, the caller releases them with crngame_free_space. */
+ * `successors` and `rates`, `ntransitions` transitions and, if a species
+ * permutation was given, the `nstates` mirrors; whatever the status, the
+ * caller releases them with crngame_free_space. */
 struct crngame_space {
     int64_t nstates, ntransitions;
     int64_t *states, *indptr, *successors;
     double *rates;
     int64_t reaction, species; /* where a search stopped with an error */
+    int64_t *mirror;           /* NULL unless a permutation was given */
 };
 
 /* The growing buffers and the hash of one search.
@@ -159,14 +167,17 @@ static int add_state(struct search *sr, const int64_t *c, int64_t *slot)
  * Reaction r's falling factors are (fspecies[k], fshift[k]) for k in
  * [fstart[r], fstart[r + 1]), and its changes (dspecies[k], dchange[k]) for
  * k in [dstart[r], dstart[r + 1]). group[r] is the first reaction whose
- * changes equal r's. The watched species are watch[0..nwatch). Returns a
- * SEARCH_ status; `out` holds what was found.
+ * changes equal r's. The watched species are watch[0..nwatch). If `nimage`
+ * is nspecies, species s's image under the permutation is image[s], and
+ * `out` gets the mirrors; if it is 0, it gets none. Returns a SEARCH_
+ * status; `out` holds what was found.
  */
 int64_t crngame_search(
     int64_t nspecies, int64_t nreactions,
     const int64_t *fstart, const int64_t *fspecies, const int64_t *fshift,
     const int64_t *dstart, const int64_t *dspecies, const int64_t *dchange,
     const int64_t *group, const double *kv, const int64_t *watch, int64_t nwatch,
+    const int64_t *image, int64_t nimage,
     const int64_t *initial, int64_t cap, struct crngame_space *out)
 {
     const size_t row = (size_t)(nspecies ? nspecies : 1) * sizeof *initial;
@@ -261,6 +272,17 @@ int64_t crngame_search(
         }
         out->indptr[i + 1] = out->ntransitions;
     }
+    if (nimage) {
+        out->mirror = malloc((size_t)out->nstates * sizeof *out->mirror);
+        if (!out->mirror)
+            goto done;
+        for (int64_t i = 0; i < out->nstates; i++) {
+            const int64_t *c = out->states + i * nspecies;
+            for (int64_t s = 0; s < nspecies; s++)
+                next[image[s]] = c[s];
+            out->mirror[i] = *find(&sr, next, key_sum(&sr, next));
+        }
+    }
     status = SEARCH_DONE;
 
 done:
@@ -279,5 +301,6 @@ void crngame_free_space(struct crngame_space *out)
     free(out->indptr);
     free(out->successors);
     free(out->rates);
+    free(out->mirror);
     memset(out, 0, sizeof *out);
 }

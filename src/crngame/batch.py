@@ -117,7 +117,8 @@ class _Space(ctypes.Structure):
     _fields_ = [("nstates", ctypes.c_int64), ("ntransitions", ctypes.c_int64),
                 ("states", ctypes.c_void_p), ("indptr", ctypes.c_void_p),
                 ("successors", ctypes.c_void_p), ("rates", ctypes.c_void_p),
-                ("reaction", ctypes.c_int64), ("species", ctypes.c_int64)]
+                ("reaction", ctypes.c_int64), ("species", ctypes.c_int64),
+                ("mirror", ctypes.c_void_p)]
 
 
 def _load_kernel() -> ctypes.CDLL:
@@ -168,6 +169,7 @@ def _load_kernel() -> ctypes.CDLL:
         ints, ints, ints,  # changes
         ints, floats,  # change groups, kv
         ints, i64,  # watched species
+        ints, i64,  # species permutation of the mirrors
         ints, i64,  # initial state, cap
         ctypes.POINTER(_Space),
     ]

@@ -312,7 +312,7 @@ def _cmd_oracle(args) -> int:
     cap = read_integer(args.cap, "--cap")
     if cap < 1:
         raise ConfigError("--cap must be >= 1")
-    space = enumerate_states(crn, state, volume, state_cap=cap)
+    space = enumerate_states(crn, state, volume, state_cap=cap, pair=(winner, loser))
     probs = absorption_probabilities(space, took_over(space.states[:, winner],
                                                       space.states[:, loser]))
     print(f"p = {probs[0]:#.12g}")

@@ -14,8 +14,9 @@ rather than the generator keeps the numbers well scaled even when rate
 constants span many orders of magnitude; absorption probabilities do not
 depend on sojourn times. The reachability check and the first-step system
 are built straight from the search's CSR arrays. Only SuperLU's inputs are
-alive while it factorises: the CSC of I − P_tt, the right-hand side and two
-arrays of one entry per state. Every per-transition array built on the way
+alive while it factorises: the CSC of the system (I − P_tt without a
+mirror), the right-hand side and two arrays of one entry per state, three
+with a mirror. Every per-transition array built on the way
 is freed before the call, so none of them adds to the peak the factor sets.
 
 The first-step system is solved by SuperLU with its columns ordered by
@@ -31,13 +32,24 @@ the cost came from the relaxed supernodes, not from the ordering: from 600
 molecules of ``X -> Y``, ``Y -> Z``, ``X -> Z``, minimum degree took 2.98 s
 and COLAMD 0.66 s at SuperLU's defaults, and 0.84 s and 0.42 s with these
 settings.
+
+When a species involution σ that swaps the winner and the loser maps every
+reaction onto one of the same rate constant and the stop set onto itself
+(:func:`exchange_symmetry`), the chain is symmetric: p(σs) = 1 − p(s) for
+every reached pair and p = ½ where s = σs (symmetry reduction of Markov
+chains: Buchholz, *J. Appl. Probab.* 31, 1994; Kwiatkowska, Norman & Parker,
+CAV 2006). The search then records each state's mirror, and the first-step
+system keeps one unknown per mirrored pair. On approximate majority at
+n = 600 that is 90,299 unknowns of 180,898, and LU nonzeros fall from 11.0M
+to 5.0M (``BENCH_symmetry.json``).
 """
 
 from __future__ import annotations
 
 import ctypes
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -94,13 +106,19 @@ class StateSpace:
     found them, with parallel reactions to one successor merged by summing
     their propensities in reaction order. A state is absorbing iff it has
     no transitions. ``transitions`` is a convenience view of the same data
-    as ``(successor, rate)`` rows, built on each access.
+    as ``(successor, rate)`` rows, built on each access. ``pair`` and
+    ``mirror`` are set by :func:`enumerate_states` when swapping the pair
+    it was given is a symmetry of the CRN.
     """
 
     states: np.ndarray  # (n_states, n_species) int64
     indptr: np.ndarray  # (n_states + 1,) int64
     successors: np.ndarray  # (n_transitions,) int64
     rates: np.ndarray  # (n_transitions,) float64
+    # the (winner, loser) pair a symmetry of the CRN swaps, and each state's
+    # image under it (its number, or -1 if not reached); None without one
+    pair: tuple[int, int] | None = None
+    mirror: np.ndarray | None = None  # (n_states,) int64
     absorbing: np.ndarray = field(init=False)  # (n_states,) bool
 
     def __post_init__(self):
@@ -119,7 +137,8 @@ class StateSpace:
 
 def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
                      state_cap: int = STATE_CAP,
-                     stop_when_zero: Sequence[int] = ()) -> StateSpace:
+                     stop_when_zero: Sequence[int] = (),
+                     pair: tuple[int, int] | None = None) -> StateSpace:
     """Breadth-first closure of ``initial_state`` under applicable reactions.
 
     The search is the C function ``crngame_search`` (``_search.c``, in the
@@ -133,9 +152,23 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
     :class:`CountOverflowError` at a count above ``MAX_COUNT``, or
     :class:`StateSpaceTooLargeError` once more than ``state_cap`` states
     have been found (the initial state never counts).
+
+    ``pair`` is a (winner, loser) pair of species indices. If
+    :func:`exchange_symmetry` finds a symmetry that swaps them, the search
+    also looks up each state's image under it, and the space keeps the pair
+    and those mirrors, which :func:`absorption_probabilities` uses to halve
+    its system. The states, transitions and rates are the same either way.
     """
-    initial = start_state(initial_state, len(crn.species))
-    watch = np.array(watched_species(stop_when_zero, len(crn.species)), dtype=np.int64)
+    nspecies = len(crn.species)
+    initial = start_state(initial_state, nspecies)
+    watch = np.array(watched_species(stop_when_zero, nspecies), dtype=np.int64)
+    if pair is not None:
+        pair = tuple(int(i) for i in pair)
+        if len(pair) != 2 or not all(0 <= i < nspecies for i in pair):
+            raise CrnError("pair must name two species indices in range")
+    image = np.array(() if pair is None
+                     else exchange_symmetry(crn, *pair, stop_when_zero) or (),
+                     dtype=np.int64)
 
     kin = CompiledCrn(crn.reactions, volume)
     # reactions with the same change lead from any state to one successor
@@ -148,6 +181,7 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
         *_flat(kin.factors, (np.int64, np.int64)),
         *_flat(kin.deltas, (np.int64, np.int64)),
         group, np.array(kin.kv, dtype=np.float64), watch, watch.size,
+        image, image.size,
         np.ascontiguousarray(initial), min(state_cap, MAX_COUNT), ctypes.byref(found))
     try:
         if status == _SEARCH_CAP:
@@ -159,12 +193,103 @@ def enumerate_states(crn: Crn, initial_state: CountVector, volume: float = 1.0,
         if status != _SEARCH_DONE:
             raise MemoryError("no memory left for the state search")
         n, m = found.nstates, found.ntransitions
+        mirrored = image.size > 0
         return StateSpace(_copied(found.states, (n, initial.size), np.int64),
                           _copied(found.indptr, (n + 1,), np.int64),
                           _copied(found.successors, (m,), np.int64),
-                          _copied(found.rates, (m,), np.float64))
+                          _copied(found.rates, (m,), np.float64),
+                          pair if mirrored else None,
+                          _copied(found.mirror, (n,), np.int64) if mirrored else None)
     finally:
         _kernel.crngame_free_space(ctypes.byref(found))
+
+
+def exchange_symmetry(crn: Crn, winner: int, loser: int,
+                      stop_when_zero: Sequence[int] = ()) -> tuple[int, ...] | None:
+    """A species involution σ swapping ``winner`` and ``loser`` that is a
+    symmetry of ``crn``, as each species' image; None if there is none.
+
+    σ is a symmetry when it maps every reaction onto a reaction with the same
+    rate constant, as many times as each occurs, and maps the stop set
+    ``stop_when_zero`` onto itself. Then the chain from state s, with every
+    species renamed by σ, is the chain from σs: a state's probability of
+    absorbing in a set equals its mirror's of the mirrored set.
+
+    The search is a backtracking one over the species linked to the pair
+    through reactions, in breadth-first order from it; σ fixes every other
+    species. A species can only map to one that shares a reaction with its
+    predecessor's image and has the same stop-set membership and the same
+    part in reactions of the same shapes and rates, and each reaction is
+    checked as soon as σ is known on all its species.
+    """
+    nspecies = len(crn.species)
+    watch = set(watched_species(stop_when_zero, nspecies))
+    if winner == loser:
+        return None
+    keys = [(r.reactants, r.products, r.rate_constant) for r in crn.reactions]
+    occurs = Counter(keys)
+    touching: list[list[int]] = [[] for _ in range(nspecies)]
+    for j, (reactants, products, _) in enumerate(keys):
+        for s in dict(reactants + products):
+            touching[s].append(j)
+
+    def part(s: int, key) -> tuple:
+        reactants, products, rate = key
+        return (dict(reactants).get(s, 0), dict(products).get(s, 0), rate,
+                sorted(c for _, c in reactants), sorted(c for _, c in products))
+
+    shape = [(s in watch, sorted(part(s, keys[j]) for j in touching[s]))
+             for s in range(nspecies)]
+    sigma = list(range(nspecies))  # -1 where not yet chosen
+    order, before = [winner, loser], {winner: winner, loser: loser}
+    for s in order:  # the species linked to the pair, breadth first
+        for j in touching[s]:
+            for t, _ in keys[j][0] + keys[j][1]:
+                if t not in before:
+                    before[t] = s
+                    order.append(t)
+    for s in order:
+        sigma[s] = -1
+
+    def image(key) -> tuple:
+        reactants, products, rate = key
+        return (tuple(sorted((sigma[s], c) for s, c in reactants)),
+                tuple(sorted((sigma[s], c) for s, c in products)), rate)
+
+    def choose(s: int, t: int) -> bool:
+        """Set σ(s) = t and σ(t) = s unless that breaks a reaction."""
+        if sigma[t] >= 0 or shape[s] != shape[t]:
+            return False
+        sigma[s], sigma[t] = t, s
+        for j in touching[s] + touching[t]:
+            key = keys[j]
+            if (all(sigma[u] >= 0 for u, _ in key[0] + key[1])
+                    and occurs.get(image(key)) != occurs[key]):
+                sigma[s] = sigma[t] = -1
+                return False
+        return True
+
+    if not choose(winner, loser):
+        return None
+    choices: list[tuple[int, Iterator[int]]] = []  # (position, untried images)
+    at = 2
+    while at < len(order):
+        s = order[at]
+        if sigma[s] >= 0:  # the image of a species chosen earlier
+            at += 1
+            continue
+        near = sigma[before[s]]
+        untried = iter(sorted({t for j in touching[near]
+                               for t, _ in keys[j][0] + keys[j][1]}))
+        while not any(choose(s, t) for t in untried):
+            if not choices:
+                return None
+            at, untried = choices.pop()
+            s = order[at]
+            sigma[sigma[s]] = sigma[s] = -1
+        choices.append((at, untried))
+        at += 1
+    return tuple(sigma)
 
 
 def _copied(address: int | None, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -189,9 +314,21 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     :class:`NumericOverflowError` if a state's exit rate is not finite, and
     :class:`CrnError` if rounding left the system exactly singular (a zero
     pivot) or the residual exceeds the bound.
-    When SuperLU is called, the system, its right-hand side, the absorbing
-    states' values and the transient states' numbers are all this function
-    holds; the returned array is the absorbing states' values, filled in.
+
+    If the space has mirrors (:func:`enumerate_states` with a ``pair``
+    that a symmetry σ swaps) and ``won`` is complementary on them, every
+    absorbing state's mirror being another absorbing state with the other
+    mark, then p(σs) = 1 − p(s) wherever both are reached and p = ½ where
+    s = σs. Only one state of each mirrored pair is solved for: the one with
+    fewer winner molecules, or on a tie the lower-numbered one, so the
+    smaller probability is solved directly and the larger is 1 − it. Then
+    the system is about half the size, and its LU factor less than half.
+    Otherwise every transient state is solved for.
+
+    When SuperLU is called, the system, its right-hand side and the arrays
+    of one entry per state of :func:`_unknowns` (two, or three with a
+    mirror) are all this function holds; the returned array is the first of
+    them, filled in.
     """
     won = np.asarray(won, dtype=bool)
     if won.shape != (len(space),):
@@ -208,14 +345,11 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     from scipy.sparse.linalg import splu
 
     _check_reachable(space, absorbing_idx)
-    hit = np.zeros(len(space))  # pages that stay untouched cost no memory
-    hit[absorbing_idx[won[absorbing_idx]]] = 1.0
+    value, column, flipped, size = _unknowns(space, won, absorbing_idx)
     del absorbing_idx
-
-    transient = np.flatnonzero(~space.absorbing)
-    if transient.size == 0:
-        return hit
-    system, b = _first_step_system(space, hit, transient.size)
+    if size == 0:
+        return value
+    system, b = _first_step_system(space, value, column, flipped, size)
     try:
         x = splu(system, permc_spec="MMD_AT_PLUS_A", relax=SUPERLU_RELAX,
                  panel_size=SUPERLU_PANEL_SIZE).solve(b)
@@ -225,8 +359,60 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     if residual > SOLVE_RESIDUAL_BOUND:
         raise CrnError(f"absorption solve residual {residual:.3e} exceeds bound")
 
-    hit[transient] = x  # now every state's probability
-    return hit
+    # now every state's probability
+    solved = column >= 0
+    if flipped is not None:
+        value[flipped] -= x[column[flipped]]
+        solved &= ~flipped
+    value[solved] = x
+    return value
+
+
+def _unknowns(space: StateSpace, won: np.ndarray, absorbing_idx: np.ndarray):
+    """How each state's probability is read from the first-step solution x.
+
+    Returns ``(value, column, flipped, size)``: state i's probability is
+    ``value[i] + x[column[i]]``, or ``value[i] - x[column[i]]`` where
+    ``flipped[i]``, or ``value[i]`` alone where ``column[i]`` is −1; x has
+    ``size`` entries. An absorbing state's value is 1.0 if it is won, else
+    0.0. Without a mirror that :func:`absorption_probabilities` can use,
+    every transient state has a column of its own, in state order, and
+    ``flipped`` is None. With one, a state that is its own mirror has value
+    ½; of each other mirrored pair, the state solved for has a column of its
+    own, and its mirror has value 1 and the same column, flipped.
+    """
+    n = len(space)
+    value = np.zeros(n)  # pages that stay untouched cost no memory
+    value[absorbing_idx[won[absorbing_idx]]] = 1.0
+    mirror = space.mirror
+    if mirror is not None:
+        image = mirror[absorbing_idx]
+        paired = image >= 0
+        state, image = absorbing_idx[paired], image[paired]
+        if not (space.absorbing[image] & (image != state)
+                & (won[state] != won[image])).all():
+            mirror = None
+        del image, paired, state
+    if mirror is None:
+        column = np.cumsum(~space.absorbing) - 1
+        column[space.absorbing] = -1
+        return value, column, None, n - absorbing_idx.size
+
+    winner, loser = space.pair
+    number = np.arange(n)
+    transient = ~space.absorbing
+    fixed = transient & (mirror == number)
+    wins, loses = space.states[:, winner], space.states[:, loser]
+    flipped = (transient & (mirror >= 0) & ~fixed
+               & ((wins > loses) | ((wins == loses) & (mirror < number))))
+    solved = transient & ~fixed & ~flipped
+    del transient, wins, loses, number
+    column = np.cumsum(solved) - 1
+    column[flipped] = column[mirror[flipped]]
+    column[~solved & ~flipped] = -1
+    value[fixed] = 0.5
+    value[flipped] = 1.0
+    return value, column, flipped, int(np.count_nonzero(solved))
 
 
 def _check_reachable(space: StateSpace, absorbing_idx: np.ndarray) -> None:
@@ -254,16 +440,20 @@ def _check_reachable(space: StateSpace, absorbing_idx: np.ndarray) -> None:
             f"state {stranded} cannot reach any absorbing state")
 
 
-def _first_step_system(space: StateSpace, hit: np.ndarray, size: int):
-    """The first-step equations (I − P_tt) x = b of the ``size`` transient states.
+def _first_step_system(space: StateSpace, value: np.ndarray, column: np.ndarray,
+                       flipped: np.ndarray | None, size: int):
+    """The first-step equations A x = b of the ``size`` unknowns of :func:`_unknowns`.
 
-    Each transition's probability is its rate over its source's exit rate.
-    I − P_tt is in CSC, each entry as scipy's ``identity - p_tt`` computes
-    it: ``1.0 - p`` on the diagonal and ``-p`` off it, and one that comes to
-    zero (a probability that underflowed) is dropped. ``b`` sums, per
-    transient state and in transition order, the probabilities of its
-    transitions into absorbing states, times their ``hit`` value. Raises
-    :class:`NumericOverflowError` if a state's exit rate is not finite.
+    Row k is the equation of the state whose probability is x[k]: each of
+    its transitions has probability P, its rate over the state's exit rate,
+    and into state j it adds P·value[j] to b[k], and −P (+P if j is flipped)
+    to A at column[j] unless that is −1. A is in CSC, each entry as scipy's
+    ``identity - p_tt`` computes it when nothing is flipped: ``1.0 - p`` on
+    the diagonal and ``-p`` off it, and one that comes to zero (a
+    probability that underflowed) is dropped. Entries that share a place
+    (a successor and its mirror) are summed, and ``b`` sums each row's terms
+    in transition order. Raises :class:`NumericOverflowError` if a state's
+    exit rate is not finite.
 
     Only the system and ``b`` outlive the call. Each per-transition array
     is deleted after its last use, and positions are int32 while every
@@ -281,24 +471,26 @@ def _first_step_system(space: StateSpace, hit: np.ndarray, size: int):
     prob = exit_rates[src]
     np.divide(space.rates, prob, out=prob)
     del exit_rates
-    t_pos = np.cumsum(~space.absorbing, dtype=index) - 1
-    row = t_pos[src]  # each transition's source among the transient states
+    column = column.astype(index, copy=False)
+    if flipped is not None:  # only the states solved for have rows
+        kept = (column >= 0)[src] & ~flipped[src]
+        src, dst, prob = src[kept], dst[kept], prob[kept]
+        del kept
+    row = column[src]  # each transition's row
     del src
-    into_absorbing = space.absorbing[dst]
-    b = np.bincount(row[into_absorbing],
-                    weights=prob[into_absorbing] * hit[dst[into_absorbing]],
-                    minlength=size)
-    inner = ~into_absorbing
-    del into_absorbing
-    col = t_pos[dst]  # read only where the successor is transient
-    del t_pos
+    b = np.bincount(row, weights=prob * value[dst], minlength=size)
+    col = column[dst]
+    entry = np.negative(prob, out=prob)
+    if flipped is not None:
+        np.negative(entry, out=entry, where=flipped[dst])
+    del prob, dst, column
+    inner = col >= 0
 
     loop = inner & (row == col)
-    diagonal = np.ones(size)
-    diagonal[row[loop]] = 1.0 - prob[loop]
+    diagonal = 1.0 + np.bincount(row[loop], weights=entry[loop], minlength=size)
     off = inner & ~loop
     del inner, loop
-    row, col, prob = row[off], col[off], prob[off]
+    row, col, entry = row[off], col[off], entry[off]
     del off
     # row i is its diagonal entry, then its other entries in transition
     # order; the CSC form sorts each column
@@ -311,9 +503,10 @@ def _first_step_system(space: StateSpace, hit: np.ndarray, size: int):
     del diagonal
     row += np.arange(1, row.size + 1, dtype=index)  # each entry's place
     indices[row] = col
-    data[row] = np.negative(prob, out=prob)
-    del row, col, prob
-    matrix = csr_matrix((data, indices, indptr), shape=(size, size))
+    data[row] = entry
+    del row, col, entry
+    matrix = csr_matrix((data, indices, indptr), shape=(size, size)).tocsc()
     del data, indices, indptr
+    matrix.sum_duplicates()
     matrix.eliminate_zeros()
-    return matrix.tocsc(), b
+    return matrix, b

@@ -655,7 +655,9 @@ class TestOracleCommand:
 
     def test_all_states_text_unchanged(self, tmp_path, capsys):
         # approximate majority at n = 40 (860 states), against a recorded
-        # digest of the whole text
+        # digest of the whole text; swapping X and Y is a symmetry of it, so
+        # one state of each mirrored pair is solved for (CHANGES.md gives the
+        # exact rational check of this digest)
         am = tmp_path / "am.crn"
         am.write_text("X + Y -> X + B @ 1\nX + Y -> Y + B @ 1\n"
                       "B + X -> 2X @ 1\nB + Y -> 2Y @ 1\n")
@@ -672,7 +674,7 @@ class TestOracleCommand:
         # a solve 4 ulp low, 0.9998779296874996, prints ...687
         assert lines[608] == "X=13 Y=1 B=26 p=0.999877929688"
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c4ab69d6867b88b51eea52b60a3703b7dae82d9fda66d06107ca59eea5764d7c")
+            "172f8c88fdfb942bcc2eb1658e49d2c6a299582ebba41060982e657833453509")
 
     def test_benchmark_crn_text_unchanged(self, tmp_path, capsys):
         # the reaction lines of perfbench/am.crn at n = 40, from another
@@ -686,7 +688,22 @@ class TestOracleCommand:
         assert code == 0
         assert len(out.splitlines()) == 861
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "93902e30fae33b659ed888fc88678086ce8d719dc94ce6374d1ae59bccd9e0f7")
+            "f58e4993508e0fb38cd63ec401e635a1b3cf0a7b046ea620ffc7fcc9c9946888")
+
+    def test_text_without_the_symmetry_unchanged(self, tmp_path, capsys):
+        # approximate majority with X + Y -> Y + B at rate 2: no species swap
+        # maps it onto itself, so every transient state is solved for, as
+        # before the mirrored solve; a recorded digest of the whole text
+        am = tmp_path / "am.crn"
+        am.write_text("X + Y -> X + B @ 1\nX + Y -> Y + B @ 2\n"
+                      "B + X -> 2X @ 1\nB + Y -> 2Y @ 1\n")
+        code, out, _ = run_cli(capsys, "oracle", str(am), "--init", "X=22",
+                               "--init", "Y=18", "--winner", "X", "--loser", "Y",
+                               "--all")
+        assert code == 0
+        assert len(out.splitlines()) == 861
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "66874ae2024523592c5070d7b4c6378cf501bc78eefd2d35a11cb5bda1f7be6c")
 
     def test_cap_exceeded_is_runtime_error(self, tmp_path, capsys):
         grower = tmp_path / "grow.crn"

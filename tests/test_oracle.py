@@ -33,8 +33,8 @@ from crngame.core import (
 )
 from crngame.crnfile import load
 from crngame.data import path as data_path
-from crngame.oracle import SOLVE_RESIDUAL_BOUND
-from crngame.game import estimate_conditions, sample_initial_state
+from crngame.oracle import SOLVE_RESIDUAL_BOUND, exchange_symmetry
+from crngame.game import estimate_conditions, sample_initial_state, took_over
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 
 
@@ -718,6 +718,247 @@ class TestSolveMemory:
         b_bytes = 8 * system.shape[0]  # b: one float64 per transient state
         inputs = sum(a.nbytes for a in (system.data, system.indices, system.indptr)) + b_bytes
         assert held <= inputs + per_state
+
+
+def approximate_majority(swap_rate=1.0):
+    """Approximate majority; ``swap_rate`` is X + Y -> Y + B's rate constant."""
+    return make_crn([
+        ({"X": 1, "Y": 1}, {"X": 1, "B": 1}, 1.0),
+        ({"X": 1, "Y": 1}, {"Y": 1, "B": 1}, swap_rate),
+        ({"B": 1, "X": 1}, {"X": 2}, 1.0),
+        ({"B": 1, "Y": 1}, {"Y": 2}, 1.0),
+    ])
+
+
+def is_symmetry(crn, image, stop_when_zero=()):
+    """Whether the species map ``image`` is an involution that maps the
+    reactions, as a multiset, and the stop set onto themselves."""
+    def mapped(side):
+        return tuple(sorted((image[s], c) for s, c in side))
+
+    keys = sorted((r.reactants, r.products, r.rate_constant) for r in crn.reactions)
+    return (all(image[image[s]] == s for s in range(len(image)))
+            and keys == sorted((mapped(a), mapped(b), k) for a, b, k in keys)
+            and {image[s] for s in stop_when_zero} == set(stop_when_zero))
+
+
+def shipped_crn(with_nature):
+    doc = load(data_path("r_prime.crn"))
+    if not with_nature:
+        return doc.crn
+    main, nature = shipped_game(40, 4, 3, 1e9)
+    return compose([main, nature]).crn
+
+
+def swapped(crn, names):
+    """``crn``'s image of each species, given as a list of name pairs."""
+    table = crn.species
+    image = list(range(len(table)))
+    for a, b in names:
+        image[table.index_of(a)], image[table.index_of(b)] = table.index_of(b), table.index_of(a)
+    return tuple(image)
+
+
+class TestExchangeSymmetry:
+    """The involution that swaps winner and loser, when the CRN has one."""
+
+    def find(self, crn, stop_names=()):
+        table = crn.species
+        stop = [table.index_of(name) for name in stop_names]
+        return exchange_symmetry(crn, table.index_of("X"), table.index_of("Y"), stop)
+
+    def test_approximate_majority(self):
+        crn = approximate_majority()
+        assert self.find(crn) == swapped(crn, [("X", "Y")])
+
+    def test_tri_molecular_majority(self):
+        crn = load(data_path("r.crn")).crn
+        assert self.find(crn) == swapped(crn, [("X", "Y")])
+
+    @pytest.mark.parametrize("with_nature", [False, True])
+    def test_shipped_game_swaps_the_catalysts_too(self, with_nature):
+        crn = shipped_crn(with_nature)
+        assert self.find(crn) == swapped(crn, [("X", "Y"), ("A", "B")])
+        assert self.find(crn, ("X", "Y")) == swapped(crn, [("X", "Y"), ("A", "B")])
+
+    @pytest.mark.parametrize("name", ["am", "r", "r_prime", "r_prime+nature"])
+    def test_one_rate_changed_breaks_it(self, name):
+        crn = {"am": approximate_majority(), "r": load(data_path("r.crn")).crn,
+               "r_prime": shipped_crn(False), "r_prime+nature": shipped_crn(True)}[name]
+        for j, rxn in enumerate(crn.reactions):
+            changed = list(crn.reactions)
+            changed[j] = Reaction(dict(rxn.reactants), dict(rxn.products),
+                                  rxn.rate_constant * 2)
+            assert self.find(Crn(crn.species, changed)) is None, j
+
+    def test_stop_set_it_does_not_keep(self):
+        assert self.find(approximate_majority(), ("X",)) is None
+
+    def test_species_off_the_pair_are_fixed(self):
+        crn = make_crn([({"X": 1}, {"Y": 1}, 1.0), ({"Y": 1}, {"X": 1}, 1.0),
+                        ({"Z": 1}, {"W": 1}, 1.0)])
+        assert self.find(crn) == swapped(crn, [("X", "Y")])
+
+    def test_a_wrong_first_choice_is_undone(self):
+        # C, D, E and F take the same part in reactions of the same rates, so
+        # C is first tried as E's mirror; only the decay rates two reactions
+        # on (G and J at 2, H and I at 3) show that C pairs with F
+        crn = make_crn([({"X": 1}, {"C": 1}, 1.0), ({"X": 1}, {"D": 1}, 1.0),
+                        ({"Y": 1}, {"E": 1}, 1.0), ({"Y": 1}, {"F": 1}, 1.0),
+                        ({"C": 1}, {"G": 1}, 1.0), ({"D": 1}, {"H": 1}, 1.0),
+                        ({"E": 1}, {"I": 1}, 1.0), ({"F": 1}, {"J": 1}, 1.0),
+                        ({"G": 1}, {}, 2.0), ({"H": 1}, {}, 3.0),
+                        ({"I": 1}, {}, 3.0), ({"J": 1}, {}, 2.0)])
+        image = self.find(crn)
+        assert image == swapped(crn, [("X", "Y"), ("C", "F"), ("D", "E"), ("G", "J"),
+                                      ("H", "I")])
+        assert is_symmetry(crn, image)
+
+    @pytest.mark.parametrize("pair", [(0, 3), (-1, 0), (0,)])
+    def test_pair_out_of_range(self, pair):
+        crn = approximate_majority()
+        with pytest.raises(CrnError, match="^pair must name two species indices in range$"):
+            enumerate_states(crn, crn.species.state_from({"X": 2, "Y": 1}), pair=pair)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The size of each system SuperLU factors, in order."""
+    import scipy.sparse.linalg
+
+    sizes = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(system, **options):
+        sizes.append(system.shape[0])
+        return splu(system, **options)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    return sizes
+
+
+class TestMirroredSolve:
+    """With a symmetry swapping the pair, one state per mirrored pair is solved."""
+
+    def solve(self, crn, counts, pair=(0, 1)):
+        space = enumerate_states(crn, crn.species.state_from(counts), pair=pair)
+        return space, absorption_probabilities(
+            space, took_over(space.states[:, 0], space.states[:, 1]))
+
+    def test_one_unknown_per_mirrored_pair(self, factored):
+        space, _ = self.solve(approximate_majority(), {"X": 22, "Y": 18})
+        number = np.arange(len(space))
+        assert (space.mirror >= 0).all() and (space.mirror[space.mirror] == number).all()
+        transient = ~space.absorbing
+        fixed = transient & (space.mirror == number)
+        # only X = 40 and Y = 40 absorb; the 20 ties X = Y > 0 are fixed
+        assert np.count_nonzero(transient) == 858 and np.count_nonzero(fixed) == 20
+        assert factored == [(858 - 20) // 2]
+
+    def test_tie_states_get_exactly_one_half(self):
+        space, p = self.solve(approximate_majority(), {"X": 22, "Y": 18})
+        tie = ~space.absorbing & (space.states[:, 0] == space.states[:, 1])
+        assert np.count_nonzero(tie) == 20
+        assert (p[tie] == 0.5).all()
+
+    def test_mirrors_sum_to_one(self):
+        space, p = self.solve(approximate_majority(), {"X": 22, "Y": 18})
+        assert np.abs(p + p[space.mirror] - 1.0).max() <= np.spacing(1.0)
+
+    def test_agrees_with_the_full_solve(self, factored):
+        crn = approximate_majority()
+        _, p = self.solve(crn, {"X": 22, "Y": 18})
+        full, q = self.solve(crn, {"X": 22, "Y": 18}, pair=None)
+        assert full.mirror is None and factored == [419, 858]
+        assert np.abs(p - q).max() <= 1e-13
+
+    def test_shipped_game_with_its_stop_set(self, factored):
+        # the with-arm at n = 40, d = 4, which stops where X or Y is zero
+        main, nature = shipped_game(40, 4, 3, 1000.0)
+        game = compose([main, nature])
+        table, spec = game.crn.species, main.utility
+        start = sample_initial_state(game, Xoshiro256(0))
+        stop = spec.stop_set(table)
+        p, q = (absorption_probabilities(space, spec.succeeded(table, start, space.states))
+                for space in (enumerate_states(game.crn, start, stop_when_zero=stop,
+                                               pair=pair) for pair in (stop, None)))
+        reduced, full = factored
+        assert reduced <= (full + 1) // 2
+        assert np.abs(p - q).max() <= 1e-12
+
+    def test_held_memory_at_the_solve(self, monkeypatch):
+        # the system and b, and at most four float64 arrays of one entry per
+        # state, as in the full solve
+        import tracemalloc
+
+        import scipy.sparse.linalg
+
+        crn = approximate_majority()
+        space = enumerate_states(crn, crn.species.state_from({"X": 155, "Y": 145}),
+                                 pair=(0, 1))
+        won = x_takeover(space)
+        seen = []
+
+        def splu(system, **options):
+            seen.append((tracemalloc.get_traced_memory()[0], system))
+            raise TestFirstStepSystem.Solved
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        with pytest.raises(TestFirstStepSystem.Solved):
+            absorption_probabilities(space, won)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TestFirstStepSystem.Solved):
+                absorption_probabilities(space, won)
+        finally:
+            tracemalloc.stop()
+        held, system = seen[-1]
+        assert system.shape[0] < len(space) / 2
+        inputs = sum(a.nbytes for a in (system.data, system.indices, system.indptr))
+        assert held <= inputs + 8 * system.shape[0] + 4 * 8 * len(space)
+
+
+class TestFullSolveWhereTheMirrorDoesNotApply:
+    """Where no symmetry applies, the solve is the full one, bit for bit."""
+
+    def same_as_without_pair(self, factored, crn, counts, stop=(), won=None):
+        initial = crn.species.state_from(counts)
+        spaces = [enumerate_states(crn, initial, stop_when_zero=stop, pair=pair)
+                  for pair in ((0, 1), None)]
+        p, q = (absorption_probabilities(space, won(space) if won else
+                                         took_over(space.states[:, 0], space.states[:, 1]))
+                for space in spaces)
+        assert p.tobytes() == q.tobytes()
+        assert factored == 2 * [np.count_nonzero(~spaces[1].absorbing)]
+        return spaces[0]
+
+    def test_unequal_rates(self, factored):
+        space = self.same_as_without_pair(factored, approximate_majority(2.0),
+                                          {"X": 22, "Y": 18})
+        assert space.mirror is None
+
+    def test_stop_set_the_swap_does_not_keep(self, factored):
+        space = self.same_as_without_pair(factored, approximate_majority(),
+                                          {"X": 22, "Y": 18}, stop=(0,))
+        assert space.mirror is None
+
+    def test_takeover_tie_scores_both_sides(self, factored):
+        # at d = 0 either takeover succeeds, so won is not complementary
+        main, nature = shipped_game(40, 0, 3, 1000.0)
+        crn = compose([main, nature]).crn
+        table, spec = crn.species, main.utility
+        counts = {"X": 20, "Y": 20, "A": 3, "B": 3}
+        start = table.state_from(counts)
+        space = self.same_as_without_pair(
+            factored, crn, counts, stop=spec.stop_set(table),
+            won=lambda space: spec.succeeded(table, start, space.states))
+        assert space.mirror is not None
+
+    def test_absorbing_state_that_is_its_own_mirror(self, factored):
+        crn = make_crn([({"X": 1}, {}, 1.0), ({"Y": 1}, {}, 1.0)])
+        space = self.same_as_without_pair(factored, crn, {"X": 2, "Y": 2})
+        assert space.mirror is not None
+        assert space.states[space.absorbing].tolist() == [[0, 0]]
 
 
 class TestAgreementWithSimulation:

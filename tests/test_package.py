@@ -42,7 +42,7 @@ class TestImportOrder:
                        "--init", "Y=18", "--winner", "X", "--loser", "Y", "--all"], {})
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "c4ab69d6867b88b51eea52b60a3703b7dae82d9fda66d06107ca59eea5764d7c")
+            "172f8c88fdfb942bcc2eb1658e49d2c6a299582ebba41060982e657833453509")
 
     def test_library_import_leaves_the_variable_alone(self):
         proc = _fresh(["-c", "import os, crngame.game, crngame.oracle; "
