@@ -34,6 +34,10 @@
  * not reach it. That is one hash lookup per state, made before the hash is
  * freed.
  *
+ * crngame_stranded checks a found space for the oracle: a breadth-first
+ * search of the reversed transitions from every absorbing state finds the
+ * states that can reach one, and the lowest state that cannot is returned.
+ *
  * Build with -ffp-contract=off and without -ffast-math, as for the lane
  * loop: a fused multiply-add or reassociation would change the last bits.
  */
@@ -47,6 +51,9 @@ enum {
     SEARCH_DONE = 0, SEARCH_CAP = 1, SEARCH_NONFINITE = 2, SEARCH_COUNT = 3,
     SEARCH_MEMORY = 4
 };
+
+/* crngame_stranded's codes besides a state number */
+enum { STRANDED_NONE = -1, STRANDED_MEMORY = -2 };
 
 /* What a search found. On return the buffers hold `nstates` states
  * (nstates x nspecies counts), their nstates + 1 row offsets into
@@ -303,4 +310,58 @@ void crngame_free_space(struct crngame_space *out)
     free(out->rates);
     free(out->mirror);
     memset(out, 0, sizeof *out);
+}
+
+/* The lowest state of the `n` states with transitions successors[k], k in
+ * [indptr[i], indptr[i + 1]), that reaches no absorbing state (one without
+ * transitions): a state number, STRANDED_NONE if every state reaches one,
+ * or STRANDED_MEMORY if out of memory. */
+int64_t crngame_stranded(int64_t n, const int64_t *indptr, const int64_t *successors)
+{
+    const int64_t m = indptr[n];
+    /* the reversed transitions in CSR: state j's predecessors are
+     * from[start[j]..start[j + 1]) */
+    int64_t *start = calloc((size_t)n + 1, sizeof *start);
+    int64_t *from = malloc((size_t)(m ? m : 1) * sizeof *from);
+    int64_t *queue = malloc((size_t)(n ? n : 1) * sizeof *queue);
+    unsigned char *reached = calloc((size_t)(n ? n : 1), 1);
+    int64_t stranded = STRANDED_MEMORY;
+    if (!start || !from || !queue || !reached)
+        goto done;
+
+    for (int64_t k = 0; k < m; k++)
+        start[successors[k]]++;
+    for (int64_t j = 1; j < n; j++)  /* start[j]: the end of j's predecessors */
+        start[j] += start[j - 1];
+    start[n] = m;
+    /* filled back to front, so each start[j] ends at the first of them */
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
+            from[--start[successors[k]]] = i;
+
+    int64_t tail = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (indptr[i] == indptr[i + 1]) {
+            reached[i] = 1;
+            queue[tail++] = i;
+        }
+    for (int64_t head = 0; head < tail; head++) {
+        const int64_t j = queue[head];
+        for (int64_t k = start[j]; k < start[j + 1]; k++)
+            if (!reached[from[k]]) {
+                reached[from[k]] = 1;
+                queue[tail++] = from[k];
+            }
+    }
+    stranded = STRANDED_NONE;
+    if (tail < n)
+        for (stranded = 0; reached[stranded]; stranded++)
+            ;
+
+done:
+    free(start);
+    free(from);
+    free(queue);
+    free(reached);
+    return stranded;
 }

@@ -25,8 +25,9 @@ can run; every copy gives the same bits. On the benchmark's
 ``sweep_n1000`` calls an event costs about 13 ns in the v4 copy, 15 ns in
 the v3 copy and 19 ns in the baseline copy, which is the one loop built
 everywhere else.
-The same library holds the exact oracle's state search (``_search.c``,
-called by :func:`crngame.oracle.enumerate_states`). It is compiled from
+The same library holds the exact oracle's state search and reachability
+check (``_search.c``, called by :func:`crngame.oracle.enumerate_states` and
+:func:`crngame.oracle.absorption_probabilities`). It is compiled from
 both sources on first import with the C compiler Python was built with
 (``sysconfig`` ``CC``), cached as ``__pycache__/_lanes.<sha256>.so`` beside
 the sources (the hash covers the sources and the compiler command), and
@@ -176,6 +177,8 @@ def _load_kernel() -> ctypes.CDLL:
     lib.crngame_search.restype = i64
     lib.crngame_free_space.argtypes = [ctypes.POINTER(_Space)]
     lib.crngame_free_space.restype = None
+    lib.crngame_stranded.argtypes = [i64, ints, ints]  # states, indptr, successors
+    lib.crngame_stranded.restype = i64
     return lib
 
 

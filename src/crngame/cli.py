@@ -20,17 +20,19 @@ import argparse
 import math
 import os
 import sys
+import threading
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 # The lane pool's threads are the CLI's only fan-out. numpy's and scipy's
 # OpenBLAS would start a thread pool per CPU that no command uses: sweeps
-# make no BLAS call, and SuperLU solves the 180,900-state approximate
-# majority system in the same time either way (0.86 s against 0.89 s), to
-# the same bytes. Starting those pools is paid in every process: this module
-# imported in 0.175 s wall and 0.173 s CPU with them, and 0.107 s and
-# 0.106 s on one thread (medians of 12 alternating runs, 2 vCPUs).
+# make no BLAS call, and SuperLU factors and solves the 180,900-state
+# approximate majority system in the same time on one thread as on two
+# (0.221 s against 0.223 s, medians of 10), to the same bytes. Starting
+# those pools is paid in every process: this module imported in 0.175 s
+# wall and 0.173 s CPU with them, and 0.107 s and 0.106 s on one thread
+# (medians of 12 alternating runs, 2 vCPUs).
 # OpenBLAS reads the variable when numpy loads it, so this line comes before
 # the first import that loads numpy (``import crngame`` loads none). A value
 # the user exported wins.
@@ -312,15 +314,33 @@ def _cmd_oracle(args) -> int:
     cap = read_integer(args.cap, "--cap")
     if cap < 1:
         raise ConfigError("--cap must be >= 1")
-    space = enumerate_states(crn, state, volume, state_cap=cap, pair=(winner, loser))
-    probs = absorption_probabilities(space, took_over(space.states[:, winner],
-                                                      space.states[:, loser]))
+    # scipy's import runs while the state search does: the search is C code
+    # that releases the GIL, and the solve imports scipy only where it first
+    # needs it, so it waits for the rest of the import there
+    loader = threading.Thread(target=_import_scipy, name="crngame-import-scipy")
+    loader.start()
+    try:
+        space = enumerate_states(crn, state, volume, state_cap=cap,
+                                 pair=(winner, loser))
+        probs = absorption_probabilities(space, took_over(space.states[:, winner],
+                                                          space.states[:, loser]))
+    finally:
+        loader.join()
     print(f"p = {probs[0]:#.12g}")
     if args.all:
         for i in range(len(space)):
             cells = " ".join(f"{n}={c}" for n, c in zip(table.names, space.states[i]))
             print(f"{cells} p={probs[i]:#.12g}")
     return EXIT_OK
+
+
+def _import_scipy() -> None:
+    """Load the modules the exact solve imports. Without scipy this does
+    nothing: the solve's own import then fails as it would alone."""
+    try:
+        import scipy.sparse.linalg  # noqa: F401
+    except ImportError:
+        pass
 
 
 def _cmd_fmt(args) -> int:

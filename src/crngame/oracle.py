@@ -12,12 +12,19 @@ listed species is zero is absorbing, as a trial stops there.
 Working on the embedded chain (transition probabilities = rate ratios)
 rather than the generator keeps the numbers well scaled even when rate
 constants span many orders of magnitude; absorption probabilities do not
-depend on sojourn times. The reachability check and the first-step system
-are built straight from the search's CSR arrays. Only SuperLU's inputs are
-alive while it factorises: the CSC of the system (I − P_tt without a
-mirror), the right-hand side and two arrays of one entry per state, three
-with a mirror. Every per-transition array built on the way
-is freed before the call, so none of them adds to the peak the factor sets.
+depend on sojourn times. The reachability check is a second C function of
+``_search.c``, a breadth-first search of the reversed transitions from the
+absorbing states; like the search, it releases the GIL and needs no scipy.
+The first-step system is built straight from the search's CSR arrays. scipy
+is imported at its first use, where the system becomes a scipy matrix and
+where SuperLU is called, not with this module; ``crngame oracle`` starts
+that import on another thread just before the search, so it runs while the
+search, the reachability check and the numpy work of the system do. Only
+SuperLU's inputs are alive while it factorises: the CSC of the system
+(I − P_tt without a mirror), the right-hand side and two arrays of one
+entry per state, three with a mirror. Every per-transition array built on
+the way is freed before the call, so none of them adds to the peak the
+factor sets.
 
 The first-step system is solved by SuperLU with its columns ordered by
 minimum degree on Aᵀ+A. Reversible CRNs give diagonally dominant, nearly
@@ -82,6 +89,8 @@ STATE_CAP = 10**6  # enumerate_states' default bound on the states it finds
 
 # the SEARCH_ status codes of _search.c
 _SEARCH_DONE, _SEARCH_CAP, _SEARCH_NONFINITE, _SEARCH_COUNT = range(4)
+# crngame_stranded's codes besides a state number (STRANDED_ in _search.c)
+_STRANDED_NONE, _STRANDED_MEMORY = -1, -2
 
 
 class StateSpaceTooLargeError(CrnError):
@@ -338,18 +347,14 @@ def absorption_probabilities(space: StateSpace, won: np.ndarray) -> np.ndarray:
     if absorbing_idx.size == 0:
         raise NoAbsorptionError("no absorbing state is reachable")
 
-    # scipy is imported in the functions that use it, not with the module:
-    # the CLI imports this module for every command, and only the oracle
-    # needs scipy (loading it after the CLI's imports adds about 0.16 s and
-    # 26 MB to a command's start-up)
-    from scipy.sparse.linalg import splu
-
-    _check_reachable(space, absorbing_idx)
+    _check_reachable(space)
     value, column, flipped, size = _unknowns(space, won, absorbing_idx)
     del absorbing_idx
     if size == 0:
         return value
     system, b = _first_step_system(space, value, column, flipped, size)
+    from scipy.sparse.linalg import splu  # at first use, as in _first_step_system
+
     try:
         x = splu(system, permc_spec="MMD_AT_PLUS_A", relax=SUPERLU_RELAX,
                  panel_size=SUPERLU_PANEL_SIZE).solve(b)
@@ -415,29 +420,27 @@ def _unknowns(space: StateSpace, won: np.ndarray, absorbing_idx: np.ndarray):
     return value, column, flipped, int(np.count_nonzero(solved))
 
 
-def _check_reachable(space: StateSpace, absorbing_idx: np.ndarray) -> None:
+def _check_reachable(space: StateSpace) -> None:
     """Raise :class:`NoAbsorptionError` unless every state reaches an absorbing one.
 
-    Searches the reversed graph from a super-source (node n) linked to every
-    absorbing state. Its column i is state i's row of the CSR arrays; an
-    absorbing state's column, empty there, gets the super-source's edge.
+    The check is ``crngame_stranded`` of ``_search.c``: a breadth-first
+    search of the reversed transitions from every absorbing state, which
+    names the lowest state it does not reach. It releases the GIL and needs
+    no scipy. Raises :class:`CrnError` if the CSR arrays are not a graph on
+    the space's states, as the C code would read out of bounds.
     """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
     n = len(space)
-    before = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(space.absorbing, out=before[1:])
-    colptr = np.append(space.indptr + before, space.indptr[-1] + before[-1])
-    rows = np.insert(space.successors, space.indptr[absorbing_idx], n)
-    reverse = csc_matrix((np.ones(rows.size, dtype=np.int8), rows, colptr),
-                         shape=(n + 1, n + 1))
-    reached = np.zeros(n + 1, dtype=bool)
-    reached[breadth_first_order(reverse, n, return_predecessors=False)] = True
-    if not reached.all():
-        stranded = int(np.flatnonzero(~reached)[0])
-        raise NoAbsorptionError(
-            f"state {stranded} cannot reach any absorbing state")
+    indptr = np.ascontiguousarray(space.indptr, dtype=np.int64)
+    successors = np.ascontiguousarray(space.successors, dtype=np.int64)
+    if not (indptr.shape == (n + 1,) and indptr[0] == 0
+            and indptr[-1] == successors.size and (np.diff(indptr) >= 0).all()
+            and ((successors >= 0) & (successors < n)).all()):
+        raise CrnError("the space's CSR arrays do not describe its states' transitions")
+    stranded = _kernel.crngame_stranded(n, indptr, successors)
+    if stranded == _STRANDED_MEMORY:
+        raise MemoryError("no memory left for the reachability check")
+    if stranded != _STRANDED_NONE:
+        raise NoAbsorptionError(f"state {stranded} cannot reach any absorbing state")
 
 
 def _first_step_system(space: StateSpace, value: np.ndarray, column: np.ndarray,
@@ -460,8 +463,6 @@ def _first_step_system(space: StateSpace, value: np.ndarray, column: np.ndarray,
     count fits, the index type scipy keeps; so the CSR arrays are the
     matrix's own, not copies, and the CSR is gone once ``tocsc`` returns.
     """
-    from scipy.sparse import csr_matrix
-
     n, dst = len(space), space.successors
     index = np.int32 if n + dst.size <= np.iinfo(np.int32).max else np.int64
     src = np.repeat(np.arange(n, dtype=index), np.diff(space.indptr))
@@ -505,6 +506,13 @@ def _first_step_system(space: StateSpace, value: np.ndarray, column: np.ndarray,
     indices[row] = col
     data[row] = entry
     del row, col, entry
+    # scipy is imported at its first use, not with the module: the CLI
+    # imports this module for every command, and only the oracle needs scipy
+    # (about 0.2 s and 26 MB). ``crngame oracle`` starts the import on
+    # another thread during the state search, so the solve runs up to here
+    # while the import finishes.
+    from scipy.sparse import csr_matrix
+
     matrix = csr_matrix((data, indices, indptr), shape=(size, size)).tocsc()
     del data, indices, indptr
     matrix.sum_duplicates()

@@ -1,6 +1,27 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import crngame
 from crngame import make_crn
+
+
+@pytest.fixture
+def fresh_python():
+    """Runs a script in a fresh interpreter that imports this checkout's crngame."""
+    src = str(Path(crngame.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(script, *args):
+        return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    return run
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -755,6 +756,74 @@ class TestOracleCommand:
             "--init", "X=2", "--init", "Y=1", "--winner", "X", "--loser", "Y")
         assert code == 2
         assert "absorbing" in err
+
+
+# the W -> X, X <-> Y trap: state 2 (W = 1, X = 1) is the first that cannot
+# reach the absorbing state W = X = Y = 0
+STRANDED_CRN = "W -> 0 @ 1\nW -> X @ 1\nX -> Y @ 1\nY -> X @ 1\ninit W = 2\n"
+
+
+class TestOracleImportThread:
+    """``crngame oracle`` imports scipy on a helper thread while the state
+    search runs, and joins it before it returns."""
+
+    ORACLE = ("oracle", "pkg:r.crn", "--init", "X=3", "--init", "Y=2",
+              "--winner", "X", "--loser", "Y")
+
+    @pytest.mark.parametrize("extra, code, message", [
+        ((), 0, ""),
+        (("--cap", "1"), 2, "error: reachable state space exceeds cap of 1 states"),
+    ])
+    def test_no_thread_is_left_after_a_solve_or_a_cap(self, capsys, extra, code, message):
+        before = threading.active_count()
+        got, _, err = run_cli(capsys, *self.ORACLE, *extra)
+        assert threading.active_count() == before
+        assert got == code and err.startswith(message)
+
+    def test_no_thread_is_left_after_a_space_without_absorption(self, capsys):
+        before = threading.active_count()
+        code, _, err = run_cli(capsys, "oracle", "pkg:nature.crn", "--init", "A=2",
+                               "--winner", "A", "--loser", "B")
+        assert threading.active_count() == before
+        assert (code, err) == (2, "error: no absorbing state is reachable\n")
+
+    def test_no_thread_is_left_after_a_stranded_state(self, tmp_path, capsys):
+        (tmp_path / "w.crn").write_text(STRANDED_CRN)
+        before = threading.active_count()
+        code, _, err = run_cli(capsys, "oracle", str(tmp_path / "w.crn"),
+                               "--winner", "X", "--loser", "Y")
+        assert threading.active_count() == before
+        assert (code, err) == (2, "error: state 2 cannot reach any absorbing state\n")
+
+    def test_search_that_fails_while_scipy_loads(self, fresh_python):
+        # in a fresh interpreter the helper is still importing when --cap 1
+        # stops the search; the command waits for it, and then scipy is loaded
+        proc = fresh_python("""
+            import sys, threading
+            from crngame.cli import main
+            before = threading.active_count()
+            code = main(sys.argv[1:])
+            assert threading.active_count() == before
+            assert "scipy.sparse.linalg" in sys.modules
+            sys.exit(code)
+        """, *self.ORACLE, "--cap", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: reachable state space exceeds cap")
+
+    def test_missing_scipy_fails_as_without_the_thread(self, fresh_python):
+        # the helper's failed import is silent; the solve's own import fails
+        # and its traceback, the only one, ends as a plain import does
+        blocked = "import sys\nsys.modules['scipy'] = None\n"
+        proc = fresh_python(blocked + textwrap.dedent("""
+            from crngame.cli import main
+            sys.exit(main(sys.argv[1:]))
+        """), *self.ORACLE)
+        plain = fresh_python(blocked + "import scipy.sparse.linalg\n")
+        assert proc.returncode == plain.returncode == 1
+        assert "Exception in thread" not in proc.stderr
+        assert proc.stderr.count("Traceback") == 1
+        assert proc.stderr.splitlines()[-1] == plain.stderr.splitlines()[-1]
+        assert proc.stdout == ""
 
 
 class TestFmtCommand:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from crngame import (
     NoAbsorptionError,
     Player,
     SimConfig,
+    StateSpace,
     StateSpaceTooLargeError,
     TakeoverSuccess,
     absorption_probabilities,
@@ -33,7 +35,7 @@ from crngame.core import (
 )
 from crngame.crnfile import load
 from crngame.data import path as data_path
-from crngame.oracle import SOLVE_RESIDUAL_BOUND, exchange_symmetry
+from crngame.oracle import SOLVE_RESIDUAL_BOUND, _check_reachable, exchange_symmetry
 from crngame.game import estimate_conditions, sample_initial_state, took_over
 from crngame.rng import Xoshiro256, XoshiroBatch, child_seed
 
@@ -557,6 +559,138 @@ class TestAbsorption:
         space = enumerate_states(crn, crn.species.state_from({"X": 2}))
         with pytest.raises(CrnError, match="^absorption solve failed: .*singular"):
             absorption_probabilities(space, space.states[:, 1] > 0)
+
+
+def stranded_states(space):
+    """Reference reachability check: the states a reverse breadth-first
+    search in Python, from every absorbing state, does not reach."""
+    rows = space.transitions
+    before = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            before[j].append(i)
+    reached = {i for i, row in enumerate(rows) if not row}
+    queue = deque(reached)
+    while queue:
+        for i in before[queue.popleft()]:
+            if i not in reached:
+                reached.add(i)
+                queue.append(i)
+    return [i for i in range(len(rows)) if i not in reached]
+
+
+def random_crn(rng):
+    """Up to four random reactions over X, Y and Z, each of at most two
+    species on either side; half the time also a trap, a species that
+    becomes S, which flips with T forever."""
+    names = ["X", "Y", "Z"]
+    specs = {}  # one reaction per change of counts
+    for _ in range(rng.randint(1, 4)):
+        reactants = {s: rng.randint(1, 2) for s in rng.sample(names, rng.randint(1, 2))}
+        products = {s: rng.randint(1, 2) for s in rng.sample(names, rng.randint(0, 2))}
+        if reactants != products:
+            key = (tuple(sorted(reactants.items())), tuple(sorted(products.items())))
+            specs[key] = (reactants, products, rng.choice([0.5, 1.0, 2.0]))
+    if rng.random() < 0.5:
+        specs["trap"] = ({rng.choice(names): 1}, {"S": 1}, 1.0)
+        specs["flip"] = ({"S": 1}, {"T": 1}, 1.0)
+        specs["flop"] = ({"T": 1}, {"S": 1}, 1.0)
+    return make_crn(list(specs.values()))
+
+
+class TestReachability:
+    """The reachability check, ``crngame_stranded`` of ``_search.c``."""
+
+    def test_stranded_class_numbered_after_the_absorbing_state(self):
+        # W dies first (state 1, absorbing) or becomes X (state 2), which
+        # flips with Y (state 3) forever
+        crn = make_crn([({"W": 1}, {}, 1.0), ({"W": 1}, {"X": 1}, 1.0),
+                        ({"X": 1}, {"Y": 1}, 1.0), ({"Y": 1}, {"X": 1}, 1.0)])
+        space = enumerate_states(crn, crn.species.state_from({"W": 1}))
+        assert space.absorbing.tolist() == [False, True, False, False]
+        assert stranded_states(space) == [2, 3]
+        with pytest.raises(NoAbsorptionError,
+                           match="^state 2 cannot reach any absorbing state$"):
+            absorption_probabilities(space, every_state(space))
+
+    def test_state_whose_only_transition_is_a_self_loop(self):
+        # Y becomes X (state 1) or dies (state 2); X only fires X -> X
+        table = SpeciesTable(["X", "Y"])
+        crn = Crn(table, [Reaction({1: 1}, {0: 1}, 1.0), Reaction({1: 1}, {}, 1.0),
+                          unchecked_reaction({0: 1}, {0: 1}, 1.0)])
+        space = enumerate_states(crn, table.state_from({"Y": 1}))
+        assert space.transitions[1] == [(1, 1.0)]
+        assert space.absorbing.tolist() == [False, False, True]
+        with pytest.raises(NoAbsorptionError,
+                           match="^state 1 cannot reach any absorbing state$"):
+            absorption_probabilities(space, every_state(space))
+
+    def test_every_state_absorbing(self):
+        none = np.zeros(0, dtype=np.int64)
+        space = StateSpace(np.arange(3, dtype=np.int64)[:, None],
+                           np.zeros(4, dtype=np.int64), none, np.zeros(0))
+        _check_reachable(space)
+        won = np.array([True, False, True])
+        assert absorption_probabilities(space, won).tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("successors", [[3], [-1]])
+    def test_successor_out_of_range_is_an_error(self, successors):
+        space = StateSpace(np.zeros((3, 1), dtype=np.int64),
+                           np.array([0, 1, 1, 1], dtype=np.int64),
+                           np.array(successors, dtype=np.int64), np.ones(1))
+        with pytest.raises(CrnError, match="CSR arrays"):
+            _check_reachable(space)
+
+    def test_agrees_with_a_python_search_on_random_crns(self):
+        rng = random.Random(20261022)
+        outcomes = []
+        while len(outcomes) < 150:
+            crn = random_crn(rng)
+            start = crn.species.state_from(
+                {name: rng.randint(0, 3) for name in crn.species.names if name in "XYZ"})
+            try:
+                space = enumerate_states(crn, start, state_cap=300)
+            except StateSpaceTooLargeError:
+                continue
+            if not space.absorbing.any():
+                continue
+            stranded = stranded_states(space)
+            if stranded:
+                with pytest.raises(NoAbsorptionError) as caught:
+                    _check_reachable(space)
+                assert str(caught.value) == (
+                    f"state {stranded[0]} cannot reach any absorbing state")
+            else:
+                _check_reachable(space)
+            outcomes.append(stranded[0] if stranded else None)
+        # both outcomes, and stranded states numbered above state 1, occur
+        assert outcomes.count(None) >= 50
+        assert sum(k is not None and k > 1 for k in outcomes) >= 10
+
+    def test_stranded_space_without_scipy(self, fresh_python):
+        # the check needs no scipy: with scipy unloadable, a stranded space
+        # is a NoAbsorptionError, not an ImportError, and a space of
+        # absorbing states alone is solved
+        proc = fresh_python("""
+            import sys
+            sys.modules["scipy"] = None
+            import numpy as np
+            from crngame import NoAbsorptionError, absorption_probabilities
+            from crngame import enumerate_states, make_crn
+
+            crn = make_crn([({"W": 1}, {}, 1.0), ({"W": 1}, {"X": 1}, 1.0),
+                            ({"X": 1}, {"Y": 1}, 1.0), ({"Y": 1}, {"X": 1}, 1.0)])
+            space = enumerate_states(crn, crn.species.state_from({"W": 2}))
+            try:
+                absorption_probabilities(space, np.ones(len(space), dtype=bool))
+            except NoAbsorptionError as exc:
+                print(exc)
+            space = enumerate_states(crn, crn.species.state_from({}))
+            print(absorption_probabilities(space, np.ones(1, dtype=bool)).tolist())
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "state 2 cannot reach any absorbing state", "[1.0]"]
 
 
 class TestSolve:
